@@ -56,7 +56,15 @@ Self-declared gates (evaluated by ``repro-cycles bench-report``):
 * ``ingest.binary_pairs_per_second >= 100000`` — a floor on absolute
   binary-path ingest, an order of magnitude above the fleet-discipline
   JSON throughput this bench recorded before binary framing existed
-  (~42k pairs/s), with headroom for slow CI machines (measured ~800k).
+  (~42k pairs/s), with headroom for slow CI machines (measured ~800k);
+* ``ingest.session_over_kernel <= 1.5`` — the same dense stream fed
+  in-process through a strict :class:`~repro.serve.session.ServeSession`
+  (``feed_arrays`` over the binary chunking, both passes, first-pass
+  validation included) may take at most 1.5x the time of
+  :func:`~repro.streaming.runner.run_algorithm` over it.  This isolates
+  what the serve layer adds on top of the estimator kernel, with no
+  transport in the way.  ``ingest.session_bit_identical >= 1`` requires
+  the two estimates to be bit-identical.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ import argparse
 import asyncio
 import json
 import os
+import statistics
 import sys
+import time
 
 if __package__ in (None, ""):  # script execution without PYTHONPATH=src
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -74,10 +84,21 @@ if __package__ in (None, ""):  # script execution without PYTHONPATH=src
 
 from repro.obs.metrics import histogram_quantile
 from repro.obs.slo import SLOPolicy
-from repro.serve.loadgen import run_ingest_async, run_load_async
+from repro.serve.loadgen import (
+    INGEST_ALGORITHM,
+    INGEST_BUDGET,
+    INGEST_CHUNK_PAIRS,
+    INGEST_SEED,
+    ingest_workload,
+    run_ingest_async,
+    run_load_async,
+)
 from repro.serve.manager import SessionManager
 from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer
+from repro.serve.session import ServeSession
+from repro.streaming.registry import get as get_spec
+from repro.streaming.runner import run_algorithm
 
 #: The ISSUE-level floor: quick mode may shrink graphs, never the fleet.
 MIN_SESSIONS = 1000
@@ -107,6 +128,8 @@ def gates_for(workers: int, slo: SLOPolicy = None) -> list:
         {"metric": "ingest.wire_binary_speedup", "min": 10.0},
         {"metric": "ingest.binary_speedup", "min": 1.3},
         {"metric": "ingest.binary_pairs_per_second", "min": 100_000},
+        {"metric": "ingest.session_over_kernel", "max": 1.5},
+        {"metric": "ingest.session_bit_identical", "min": 1},
     ]
     if slo.feed_pairs_per_second > 0:
         gates.append(
@@ -117,6 +140,60 @@ def gates_for(workers: int, slo: SLOPolicy = None) -> list:
 
 #: Default (single-server) gate set, kept for importers and docs.
 GATES = gates_for(0)
+
+
+#: Alternating kernel/session runs behind ``ingest.session_over_kernel``.
+SESSION_VS_KERNEL_REPEATS = 9
+
+
+def session_vs_kernel() -> dict:
+    """In-process session ingest against the bare kernel, same stream.
+
+    Runs the wire microbench's workload (:func:`ingest_workload`).  The
+    session path is a strict :class:`ServeSession` fed the stream's
+    binary chunking through ``feed_arrays`` for every pass; the kernel
+    path is :func:`run_algorithm` over the stream.  Each repeat times one
+    kernel run and then one session run back to back, so both sides of a
+    pair see the same host load; ``session_over_kernel`` is the median of
+    the per-pair time ratios and the rates are from the median times,
+    counting the pairs of all passes.  Over 8 consecutive calls on a
+    shared 2-CPU host the ratio read 1.07-1.20 (median 1.17).
+    """
+    stream, pairs, srcs, dsts = ingest_workload()
+    step = INGEST_CHUNK_PAIRS
+    chunks = [
+        (srcs[start : start + step], dsts[start : start + step])
+        for start in range(0, len(pairs), step)
+    ]
+    spec = get_spec(INGEST_ALGORITHM)
+    passes = spec.make(INGEST_BUDGET, seed=INGEST_SEED).n_passes
+    kernel_times, session_times = [], []
+    identical = True
+    for _ in range(SESSION_VS_KERNEL_REPEATS):
+        begin = time.perf_counter()
+        expected = run_algorithm(
+            spec.make(INGEST_BUDGET, seed=INGEST_SEED), stream
+        ).estimate
+        kernel_times.append(time.perf_counter() - begin)
+        begin = time.perf_counter()
+        session = ServeSession.open(
+            "ingest-session", INGEST_ALGORITHM, INGEST_BUDGET, INGEST_SEED
+        )
+        final: dict = {}
+        for _ in range(passes):
+            for chunk in chunks:
+                session.feed_arrays(*chunk)
+            final = session.finish_pass()
+        session_times.append(time.perf_counter() - begin)
+        identical = identical and final.get("estimate") == expected
+    total = passes * len(pairs)
+    ratios = [s / k for s, k in zip(session_times, kernel_times)]
+    return {
+        "session_pairs_per_second": total / statistics.median(session_times),
+        "kernel_pairs_per_second": total / statistics.median(kernel_times),
+        "session_over_kernel": statistics.median(ratios),
+        "session_bit_identical": int(identical),
+    }
 
 
 async def _drive(port, sessions, connections, chunk_pairs, use_binary):
@@ -199,6 +276,7 @@ def run(
     # summarise; its p99 is gated alongside the sampled p99 so the two
     # views cannot silently diverge.
     serve["hist_poll_p99_seconds"] = histogram_quantile(serve["poll_histogram"], 0.99)
+    ingest.update(session_vs_kernel())
     return {
         "workload": {
             "quick": quick,
@@ -241,6 +319,12 @@ def render(artifact: dict) -> None:
         f"binary={ingest['binary_pairs_per_second']/1e3:.0f}k pairs/s "
         f"(end-to-end {ingest['binary_speedup']:.2f}x, "
         f"wire decode {ingest['wire_binary_speedup']:.1f}x)"
+    )
+    print(
+        f"[in-process] session={ingest['session_pairs_per_second']/1e3:.0f}k "
+        f"kernel={ingest['kernel_pairs_per_second']/1e3:.0f}k pairs/s "
+        f"(session/kernel time {ingest['session_over_kernel']:.2f}x, "
+        f"bit_identical={ingest['session_bit_identical']})"
     )
 
 

@@ -51,6 +51,11 @@ __all__ = [
     "run_load",
     "run_load_async",
     "run_ingest_async",
+    "ingest_workload",
+    "INGEST_CHUNK_PAIRS",
+    "INGEST_ALGORITHM",
+    "INGEST_BUDGET",
+    "INGEST_SEED",
 ]
 
 
@@ -380,26 +385,48 @@ async def _ingest_one_mode(
     return n_pairs / elapsed if elapsed > 0 else 0.0
 
 
+#: The dense ingest workload: a G(n, m) graph with average degree
+#: ``2m/n = 60``, fed in fixed-size chunks to one two-pass session.  The
+#: wire microbench (:func:`run_ingest_async`) and the serve bench's
+#: in-process session-vs-kernel comparison both run exactly this.
+INGEST_N_VERTICES = 2000
+INGEST_N_EDGES = 60_000
+INGEST_GRAPH_SEED = 17
+INGEST_STREAM_SEED = 23
+INGEST_CHUNK_PAIRS = 1024
+INGEST_ALGORITHM = "triangle-two-pass"
+INGEST_BUDGET = 64
+INGEST_SEED = 5
+
+
+def ingest_workload() -> Tuple[
+    AdjacencyListStream, List[Tuple[int, int]], np.ndarray, np.ndarray
+]:
+    """The ingest workload's ``(stream, pairs, srcs, dsts)``.
+
+    ``pairs`` is the stream's pair sequence; ``srcs``/``dsts`` are the
+    same pairs as ``uint64`` columns, the layout binary frames carry.
+    """
+    from repro.graph.generators import gnm_random_graph
+
+    graph = gnm_random_graph(INGEST_N_VERTICES, INGEST_N_EDGES, seed=INGEST_GRAPH_SEED)
+    stream = AdjacencyListStream(graph, seed=INGEST_STREAM_SEED)
+    pairs = list(stream.iter_pairs())
+    srcs = np.array([p[0] for p in pairs], dtype=np.uint64)
+    dsts = np.array([p[1] for p in pairs], dtype=np.uint64)
+    return stream, pairs, srcs, dsts
+
+
 async def run_ingest_async(
-    *,
-    host: str,
-    port: int,
-    n_vertices: int = 2000,
-    n_edges: int = 60_000,
-    graph_seed: int = 17,
-    stream_seed: int = 23,
-    chunk_pairs: int = 1024,
-    algorithm: str = "triangle-two-pass",
-    budget: int = 64,
-    seed: int = 5,
-    repeats: int = 2,
+    *, host: str, port: int, repeats: int = 2
 ) -> Dict[str, Any]:
     """The JSON-vs-binary ingest comparison (one session, one pass each).
 
-    Both modes ingest the *same* pair stream with the *same* chunking and
-    pipelining against the same live endpoint; only the wire format of
-    the feed frames differs.  Returns per-mode pairs/s (best of
-    ``repeats``) and the speedup ratio the bench gates on.
+    Both modes ingest the *same* pair stream (:func:`ingest_workload`)
+    with the *same* chunking and pipelining against the same live
+    endpoint; only the wire format of the feed frames differs.  Returns
+    per-mode pairs/s (best of ``repeats``) and the speedup ratio the
+    bench gates on.
 
     The stream is a dense G(n, m) graph (average degree ``2m/n``), so
     adjacency lists are long enough for per-pair wire + validation cost
@@ -407,13 +434,9 @@ async def run_ingest_async(
     format exists for.  A sparse stream (degree ~2) measures per-list
     kernel-call overhead instead, which both formats pay identically.
     """
-    from repro.graph.generators import gnm_random_graph
-
-    graph = gnm_random_graph(n_vertices, n_edges, seed=graph_seed)
-    stream = AdjacencyListStream(graph, seed=stream_seed)
-    pairs = list(stream.iter_pairs())
-    srcs = np.array([p[0] for p in pairs], dtype=np.uint64)
-    dsts = np.array([p[1] for p in pairs], dtype=np.uint64)
+    _, pairs, srcs, dsts = ingest_workload()
+    chunk_pairs = INGEST_CHUNK_PAIRS
+    algorithm, budget, seed = INGEST_ALGORITHM, INGEST_BUDGET, INGEST_SEED
 
     json_frames: List[bytes] = []
     binary_frames: List[bytes] = []

@@ -56,7 +56,11 @@ from repro.streaming.algorithm import (
 )
 from repro.streaming.registry import AlgorithmSpec, get as get_spec
 from repro.streaming.runner import _dispatch_flags
-from repro.streaming.stream import PairSequenceValidator, StreamFormatError
+from repro.streaming.stream import (
+    PairSequenceValidator,
+    StreamFormatError,
+    split_segments,
+)
 
 __all__ = ["ServeSession"]
 
@@ -312,22 +316,17 @@ class ServeSession:
         if not self.pass_started:
             self.algorithm.begin_pass(self.pass_index)
             self.pass_started = True
+        segments = split_segments(srcs, dsts) if n else None
         if self.pass_index == 0 and self._validator is not None:
             try:
-                self._validator.feed_array(srcs, dsts)
+                self._validator.feed_array(srcs, dsts, segments)
             except StreamFormatError as exc:
                 raise ServeError(STREAM_FORMAT, str(exc)) from exc
-        if n:
-            import numpy as np
-
-            boundaries = (np.flatnonzero(srcs[1:] != srcs[:-1]) + 1).tolist()
-            starts = [0, *boundaries, n]
-            src_list = srcs.tolist()
-            dst_list = dsts.tolist()
+        if segments is not None:
+            starts, heads, dst_list = segments
             open_list = self._open_list
             open_column = self._open_list_column
-            for i in range(len(starts) - 1):
-                head = src_list[starts[i]]
+            for i, head in enumerate(heads):
                 seg = dst_list[starts[i] : starts[i + 1]]
                 if i == 0 and open_list is not None and open_list[0] == head:
                     open_list[1].extend(seg)

@@ -15,7 +15,9 @@ pair sequence against the model's promise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.graph import Graph, Vertex
 from repro.util.rng import SeedLike, resolve_rng
@@ -189,6 +191,65 @@ class PairSequenceSummary:
     max_list_length: int = 0  # longest adjacency list, i.e. the max degree
 
 
+Segments = Tuple[List[int], List[Any], List[Any]]
+
+_SHIFT = np.uint64(32)
+
+
+def split_segments(srcs: Any, dsts: Any) -> Segments:
+    """Cut a non-empty columnar chunk into its adjacency-list segments.
+
+    Returns ``(starts, heads, dst_list)``: ``starts`` holds each segment's
+    offset followed by ``len(srcs)``, ``heads[i]`` is the source vertex of
+    segment ``i``, and ``dst_list`` is the neighbour column as Python
+    ints.  A serve session computes this once per binary frame and hands
+    the same result to :meth:`PairSequenceValidator.feed_array` and to its
+    own list buffering.
+    """
+    boundaries = np.flatnonzero(srcs[1:] != srcs[:-1]) + 1
+    starts = [0, *boundaries.tolist(), len(srcs)]
+    return starts, srcs[starts[:-1]].tolist(), dsts.tolist()
+
+
+def _uint64_block(srcs: List[Any], dsts: List[Any]) -> Optional[np.ndarray]:
+    """Two label lists as one ``(2, n)`` ``uint64`` block, or ``None``
+    unless every label is an exact ``int`` in ``[0, 2^64)`` — floats would
+    truncate, and bools are refused as in
+    :func:`repro.util.vectorized.as_vertex_array`."""
+    if srcs and {*map(type, srcs), *map(type, dsts)} != {int}:
+        return None
+    try:
+        return np.array((srcs, dsts), dtype=np.uint64)
+    except OverflowError:
+        return None
+
+
+def _reverse_complete(block: np.ndarray) -> bool:
+    """Whether every directed pair of a ``(2, n)`` block has its reverse.
+
+    Needs each directed pair to occur at most once, which the validator's
+    contiguity and duplicate checks guarantee.  Then the pairs are
+    reverse-complete exactly when, sorted, they equal the reversed pairs
+    sorted.  Ids below 2^32 pack into one ``uint64`` key per pair; larger
+    ids take a two-key ``lexsort``.
+    """
+    if not block.size:
+        return True
+    srcs, dsts = block
+    if int(block.max()) >> 32 == 0:
+        forward = (srcs << _SHIFT) | dsts
+        backward = (dsts << _SHIFT) | srcs
+        forward.sort()
+        backward.sort()
+        return bool(np.array_equal(forward, backward))
+    forward = np.lexsort((dsts, srcs))
+    backward = np.lexsort((srcs, dsts))
+    return bool(
+        np.array_equal(srcs[forward], dsts[backward])
+        and np.array_equal(dsts[forward], srcs[backward])
+    )
+
+
 class PairSequenceValidator:
     """Incremental checker of the adjacency-list promise.
 
@@ -208,10 +269,21 @@ class PairSequenceValidator:
     final check — required when validating one *shard slice* of a stream,
     whose reverse pairs legitimately live in other shards.
 
+    For that final check the validator records every directed pair in
+    stream order as columns: a copy of each ``uint64`` chunk from
+    :meth:`feed_array`, and two plain lists for pairs from
+    :meth:`feed_pair`.  That is O(pairs) memory (16 bytes a pair for
+    binary feeds); with ``check_reverse=False`` nothing is recorded.
+    :meth:`finish` checks completeness with one sort over the
+    concatenated columns and only falls back to a set of tuples when the
+    labels are not ints in ``[0, 2^64)`` (gadget tuples, strings) or a
+    reverse is missing, so the error names the first offending pair in
+    stream order.
+
     State is exposed via :meth:`state_dict` / :meth:`load_state_dict` so a
     serve session snapshot can freeze validation mid-stream and resume it
-    bit-exactly (the directed-pair set makes this O(pairs seen) — it is
-    service bookkeeping, not algorithm space).
+    bit-exactly.  The recorded pairs are service bookkeeping, not
+    algorithm space.
     """
 
     def __init__(self, check_reverse: bool = True):
@@ -219,7 +291,12 @@ class PairSequenceValidator:
         self._seen_lists: set = set()
         self._current: Optional[Vertex] = None
         self._current_neighbors: set = set()
-        self._directed_seen: set = set()
+        # Directed pairs in stream order (check_reverse only): closed
+        # chunks — (2, k) uint64 blocks from feed_array, (srcs, dsts) list
+        # pairs from earlier feed_pair runs — then the open feed_pair run.
+        self._chunks: List[Any] = []
+        self._src_tail: List[Vertex] = []
+        self._dst_tail: List[Vertex] = []
         self._max_list_length = 0
         self._pairs = 0
         self._finished = False
@@ -264,7 +341,9 @@ class PairSequenceValidator:
         self._current_neighbors.add(dst)
         if len(self._current_neighbors) > self._max_list_length:
             self._max_list_length = len(self._current_neighbors)
-        self._directed_seen.add((src, dst))
+        if self.check_reverse:
+            self._src_tail.append(src)
+            self._dst_tail.append(dst)
         self._pairs = index + 1
 
     def feed(self, pairs: Iterable[Pair]) -> None:
@@ -272,7 +351,7 @@ class PairSequenceValidator:
         for src, dst in pairs:
             self.feed_pair(src, dst)
 
-    def feed_array(self, srcs, dsts) -> None:
+    def feed_array(self, srcs, dsts, segments: Optional[Segments] = None) -> None:
         """Validate a columnar chunk (two equal-length ``uint64`` arrays).
 
         The vectorized counterpart of :meth:`feed` for binary pair-batch
@@ -283,20 +362,18 @@ class PairSequenceValidator:
         violation it delegates to :meth:`feed`, whose per-pair replay
         raises the canonical error with the canonical partial state, so a
         conservative (false-positive) suspicion only costs speed.
+        ``segments`` is the chunk's :func:`split_segments` result when the
+        caller already has it.
         """
         n = int(len(srcs))
         if n == 0:
             return
-        src_list = srcs.tolist()
-        dst_list = dsts.tolist()
         if self._finished or bool((srcs == dsts).any()):
-            self.feed(zip(src_list, dst_list))
+            self.feed(zip(srcs.tolist(), dsts.tolist()))
             return
-        import numpy as _np
-
-        boundaries = (_np.flatnonzero(srcs[1:] != srcs[:-1]) + 1).tolist()
-        starts = [0, *boundaries, n]
-        heads = [src_list[i] for i in starts[:-1]]
+        starts, heads, dst_list = (
+            segments if segments is not None else split_segments(srcs, dsts)
+        )
         continuing = self._current is not None and heads[0] == self._current
         new_heads = heads[1:] if continuing else heads
         suspect = len(set(heads)) != len(heads)
@@ -307,41 +384,77 @@ class PairSequenceValidator:
                 if head in seen or head == current:
                     suspect = True
                     break
-        segments: List[set] = []
+        segment_sets: List[set] = []
         if not suspect:
             for i in range(len(heads)):
                 seg = set(dst_list[starts[i] : starts[i + 1]])
                 if len(seg) != starts[i + 1] - starts[i]:
                     suspect = True
                     break
-                segments.append(seg)
+                segment_sets.append(seg)
         if not suspect and continuing:
-            if not self._current_neighbors.isdisjoint(segments[0]):
+            if not self._current_neighbors.isdisjoint(segment_sets[0]):
                 suspect = True
         if suspect:
-            self.feed(zip(src_list, dst_list))
+            self.feed(zip(srcs.tolist(), dst_list))
             return
         # Commit: identical end state to feeding the pairs one at a time.
-        self._directed_seen.update(zip(src_list, dst_list))
+        if self.check_reverse:
+            if self._src_tail:
+                self._chunks.append((self._src_tail, self._dst_tail))
+                self._src_tail, self._dst_tail = [], []
+            self._chunks.append(np.stack((srcs, dsts)))
         if continuing:
-            self._current_neighbors |= segments[0]
+            self._current_neighbors |= segment_sets[0]
             self._max_list_length = max(
                 self._max_list_length, len(self._current_neighbors)
             )
-            closed = heads[:-1]
-        else:
-            if self._current is not None:
-                self._seen_lists.add(self._current)
-            closed = heads[:-1]
-        self._seen_lists.update(closed)
+        elif self._current is not None:
+            self._seen_lists.add(self._current)
+        self._seen_lists.update(heads[:-1])
         self._current = heads[-1]
         if not (continuing and len(heads) == 1):
-            self._current_neighbors = segments[-1]
-        if segments[1:] or not continuing:
+            self._current_neighbors = segment_sets[-1]
+        if segment_sets[1:] or not continuing:
             self._max_list_length = max(
-                self._max_list_length, *(len(seg) for seg in segments)
+                self._max_list_length, *(len(seg) for seg in segment_sets)
             )
         self._pairs += n
+
+    # -- reverse pairs -------------------------------------------------------
+
+    def _recorded(self) -> List[Any]:
+        return [*self._chunks, (self._src_tail, self._dst_tail)]
+
+    def _directed_pairs(self) -> Iterator[Pair]:
+        """Every recorded directed pair, in stream order."""
+        for chunk in self._recorded():
+            srcs, dsts = chunk if isinstance(chunk, tuple) else chunk.tolist()
+            yield from zip(srcs, dsts)
+
+    def _directed_block(self) -> Optional[np.ndarray]:
+        """The recorded pairs as one ``(2, pairs)`` ``uint64`` block, or
+        ``None`` when some label is not an int the block holds exactly."""
+        blocks = []
+        for chunk in self._recorded():
+            if isinstance(chunk, tuple):
+                chunk = _uint64_block(*chunk)
+                if chunk is None:
+                    return None
+            blocks.append(chunk)
+        return np.concatenate(blocks, axis=1)
+
+    def _check_reverse_pairs(self) -> None:
+        """Raise on the first pair, in stream order, whose reverse is absent."""
+        pairs = list(self._directed_pairs())
+        seen = set(pairs)
+        for src, dst in pairs:
+            if (dst, src) not in seen:
+                raise StreamFormatError(
+                    f"edge ({src!r}, {dst!r}) lacks its reverse pair "
+                    f"({len(self._seen_lists)} lists, "
+                    f"{len(seen)} directed pairs scanned)"
+                )
 
     # -- summaries -----------------------------------------------------------
 
@@ -350,16 +463,16 @@ class PairSequenceValidator:
         return PairSequenceSummary(
             pairs=self._pairs,
             lists=lists,
-            edges=len(self._directed_seen) // 2,
+            edges=self._pairs // 2,
             max_list_length=self._max_list_length,
         )
 
     def partial_summary(self) -> PairSequenceSummary:
         """What has streamed so far (the open list counted, reverse unchecked).
 
-        ``edges`` counts *completed* undirected edges — both directions
-        seen — so mid-stream it may undercount by the pairs still awaiting
-        their reverse.
+        ``edges`` is ``pairs // 2``, as at :meth:`finish`: mid-stream it
+        halves the directed pairs seen, whether or not their reverses
+        have arrived yet.
         """
         return self._summary()
 
@@ -375,20 +488,11 @@ class PairSequenceValidator:
                 self._current = None
                 self._current_neighbors = set()
             if self.check_reverse:
-                for src, dst in self._directed_seen:
-                    if (dst, src) not in self._directed_seen:
-                        raise StreamFormatError(
-                            f"edge ({src!r}, {dst!r}) lacks its reverse pair "
-                            f"({len(self._seen_lists)} lists, "
-                            f"{len(self._directed_seen)} directed pairs scanned)"
-                        )
+                block = self._directed_block()
+                if block is None or not _reverse_complete(block):
+                    self._check_reverse_pairs()
             self._finished = True
-        return PairSequenceSummary(
-            pairs=self._pairs,
-            lists=len(self._seen_lists),
-            edges=len(self._directed_seen) // 2,
-            max_list_length=self._max_list_length,
-        )
+        return self._summary()
 
     # -- snapshot ------------------------------------------------------------
 
@@ -399,19 +503,31 @@ class PairSequenceValidator:
             "seen_lists": set(self._seen_lists),
             "current": self._current,
             "current_neighbors": set(self._current_neighbors),
-            "directed_seen": set(self._directed_seen),
+            "directed_seen": set(self._directed_pairs()),
             "max_list_length": self._max_list_length,
             "pairs": self._pairs,
             "finished": self._finished,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore from :meth:`state_dict` output."""
+        """Restore from :meth:`state_dict` output.
+
+        ``directed_seen`` is a set, so the stream order of the restored
+        pairs is lost; they are sorted instead, which keeps the
+        missing-reverse error of a restored validator deterministic.
+        """
         self.check_reverse = bool(state["check_reverse"])
         self._seen_lists = set(state["seen_lists"])
         self._current = state["current"]
         self._current_neighbors = set(state["current_neighbors"])
-        self._directed_seen = {tuple(p) for p in state["directed_seen"]}
+        pairs = [tuple(p) for p in state["directed_seen"]] if self.check_reverse else []
+        try:
+            pairs.sort()
+        except TypeError:
+            pairs.sort(key=repr)
+        self._chunks = []
+        self._src_tail = [src for src, _ in pairs]
+        self._dst_tail = [dst for _, dst in pairs]
         self._max_list_length = int(state["max_list_length"])
         self._pairs = int(state["pairs"])
         self._finished = bool(state["finished"])

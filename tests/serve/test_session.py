@@ -5,6 +5,7 @@ produces estimates **bit-identical** to the batch runner over the same
 stream — serving is an execution mode, not an approximation.
 """
 
+import numpy as np
 import pytest
 
 from repro.graph.planted import planted_four_cycles, planted_triangles
@@ -42,6 +43,15 @@ def _feed_stream(session, pairs, chunk, passes):
             session.feed(pairs[i : i + chunk])
         final = session.finish_pass()
     return final
+
+
+def _feed_binary(session, pairs, chunk):
+    for i in range(0, len(pairs), chunk):
+        part = pairs[i : i + chunk]
+        session.feed_arrays(
+            np.array([s for s, _ in part], dtype=np.uint64),
+            np.array([d for _, d in part], dtype=np.uint64),
+        )
 
 
 class TestBitIdentity:
@@ -93,6 +103,20 @@ class TestValidation:
         with pytest.raises(ServeError) as err:
             session.finish_pass()  # ...but (2, 0) never arrived
         assert "reverse" in err.value.message
+
+    def test_binary_missing_reverse_names_the_pair(self, triangle_world):
+        _, pairs, _ = triangle_world
+        dropped = len(pairs) // 3
+        src, dst = pairs[dropped]
+        session = ServeSession.open("s", "triangle-two-pass", 8, seed=0)
+        _feed_binary(session, pairs[:dropped] + pairs[dropped + 1 :], 64)
+        with pytest.raises(ServeError) as err:
+            session.finish_pass()
+        assert err.value.code == STREAM_FORMAT
+        # (dst, src) is the only pair left without its reverse.
+        assert err.value.message.startswith(
+            f"edge ({dst!r}, {src!r}) lacks its reverse pair"
+        )
 
     def test_lists_mode_allows_shard_slices(self):
         session = ServeSession.open(
@@ -193,6 +217,26 @@ class TestSnapshotRestore:
             resumed.feed(pairs[i : i + 29])
         final = resumed.finish_pass()
         assert final["estimate"] == reference
+
+    def test_binary_restore_mid_stream_is_bit_identical(self, triangle_world):
+        stream, pairs, _ = triangle_world
+        chunk = 37
+        whole = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        expected = []
+        for _ in range(2):
+            _feed_binary(whole, pairs, chunk)
+            expected.append(whole.finish_pass())
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        cut = chunk * (len(pairs) // (2 * chunk))  # a frame boundary mid-pass
+        _feed_binary(session, pairs[:cut], chunk)
+        state = SketchState.from_json(session.snapshot_state().to_json())
+        resumed = ServeSession.restore_snapshot("s2", state)
+        _feed_binary(resumed, pairs[cut:], chunk)
+        got = [resumed.finish_pass()]
+        _feed_binary(resumed, pairs, chunk)
+        got.append(resumed.finish_pass())
+        assert got == expected
+        assert got[-1]["estimate"] == _reference(stream)
 
     def test_restored_session_still_validates(self, triangle_world):
         _, pairs, _ = triangle_world

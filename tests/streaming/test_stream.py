@@ -169,7 +169,7 @@ class TestIncrementalValidator:
         partial = validator.partial_summary()
         assert partial.pairs == 3
         assert partial.lists == 2  # list 1 is open but counted
-        assert partial.edges == 1  # only (0,1)/(1,0) completed so far
+        assert partial.edges == 1  # pairs // 2
         assert partial.max_list_length == 2
         assert validator.current_list == 1
 
