@@ -31,7 +31,7 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.events import (
     ServeCheckpointed,
@@ -63,6 +63,7 @@ __all__ = ["SessionManager"]
 MANIFEST_NAME = "serve-checkpoint.json"
 
 _FEED_GATE_HELP = "feeds queued behind the ingest semaphore (high water = worst backlog)"
+_SESSIONS_OPEN_HELP = "serve sessions currently open (high water = peak concurrency)"
 _OP_LATENCY_HELP = "per-operation serve latency histogram (op=feed|poll|merge|snapshot, wire=json|binary)"
 
 
@@ -187,11 +188,12 @@ class SessionManager:
             self.telemetry.count(
                 "serve_sessions_total", help="serve sessions ever opened"
             )
-            self.telemetry.set_gauge(
-                "serve_sessions_open",
-                len(self._sessions),
-                help="serve sessions currently open (high water = peak concurrency)",
-            )
+            self._gauge_open_sessions()
+
+    def _gauge_open_sessions(self) -> None:
+        self.telemetry.set_gauge(
+            "serve_sessions_open", len(self._sessions), help=_SESSIONS_OPEN_HELP
+        )
 
     def set_trace_context(self, session_id: str, ctx: TraceContext) -> None:
         """Adopt a client-negotiated trace context for one session."""
@@ -209,26 +211,18 @@ class SessionManager:
             polls=session.polls,
             passes_completed=session.passes_completed,
         )
+        # Under a negotiated (seed, path) the client's and every relay's
+        # view of this session share one span id.
+        tracer = Tracer.from_context(ctx) if ctx is not None else self.tracer
+        record = tracer.record_span(
+            f"session:{sid}",
+            category="session",
+            start_s=opened,
+            end_s=_now(),
+            **attrs,
+        )
         if ctx is not None:
-            # Record under the negotiated (seed, path) so the client's
-            # and every relay's view of this session share one span id.
-            child = Tracer.from_context(ctx)
-            record = child.record_span(
-                f"session:{sid}",
-                category="session",
-                start_s=opened,
-                end_s=_now(),
-                **attrs,
-            )
             self.tracer.adopt([encode_span(record)])
-        else:
-            self.tracer.record_span(
-                f"session:{sid}",
-                category="session",
-                start_s=opened,
-                end_s=_now(),
-                **attrs,
-            )
 
     def _uninstall(self, session: ServeSession, reason: str) -> None:
         sid = session.session_id
@@ -247,11 +241,7 @@ class SessionManager:
                     reason=reason,
                 )
             )
-            self.telemetry.set_gauge(
-                "serve_sessions_open",
-                len(self._sessions),
-                help="serve sessions currently open (high water = peak concurrency)",
-            )
+            self._gauge_open_sessions()
         self._record_session_span(session, opened)
 
     # -- lifecycle ops ---------------------------------------------------------
@@ -294,6 +284,11 @@ class SessionManager:
         self._install(session, resumed=True)
         return session
 
+    def _observe_op(self, op: str, seconds: float, wire: str = "json") -> None:
+        self.telemetry.observe_histogram(
+            "serve_op_latency_seconds", seconds, help=_OP_LATENCY_HELP, op=op, wire=wire
+        )
+
     def _track_feed_gate(self, delta: int) -> None:
         self._feed_pending += delta
         if self.telemetry.enabled:
@@ -304,52 +299,24 @@ class SessionManager:
     async def feed(
         self, session_id: str, pairs: Sequence, *, nbytes: int = 0
     ) -> Dict[str, Any]:
-        """Ingest a chunk under the feed gate (global backpressure)."""
-        self._track_feed_gate(+1)
-        try:
-            async with self._feed_gate:
-                async with self._lock(session_id):
-                    session = self._get(session_id)
-                    start = _now()
-                    session.account_bytes(nbytes)
-                    out = session.feed(pairs)
-                    if self.telemetry.enabled:
-                        elapsed = _now() - start
-                        self.telemetry.observe_seconds(
-                            "serve_feed_seconds",
-                            elapsed,
-                            help="server-side wall time ingesting one chunk",
-                        )
-                        self.telemetry.observe_histogram(
-                            "serve_op_latency_seconds",
-                            elapsed,
-                            help=_OP_LATENCY_HELP,
-                            op="feed",
-                            wire="json",
-                        )
-                        self.telemetry.count(
-                            "serve_session_pairs_total",
-                            len(pairs),
-                            help="adjacency pairs ingested across all serve sessions",
-                        )
-                        self.telemetry.count(
-                            "serve_session_chunks_total",
-                            help="feed chunks ingested across all serve sessions",
-                        )
-                        if nbytes:
-                            self.telemetry.count(
-                                "serve_bytes_total",
-                                nbytes,
-                                help="approximate request payload bytes accepted",
-                            )
-                    return out
-        finally:
-            self._track_feed_gate(-1)
+        """Ingest a JSON chunk under the feed gate (global backpressure)."""
+        return await self._ingest(
+            session_id, nbytes, "json", lambda session: session.feed(pairs)
+        )
 
     async def feed_arrays(
         self, session_id: str, srcs: Any, dsts: Any, *, nbytes: int = 0
     ) -> Dict[str, Any]:
         """Ingest a binary columnar chunk under the same feed gate."""
+        return await self._ingest(
+            session_id, nbytes, "binary", lambda session: session.feed_arrays(srcs, dsts)
+        )
+
+    async def _ingest(
+        self, session_id: str, nbytes: int, wire: str,
+        ingest: Callable[[ServeSession], Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """Gate, lock, byte accounting and feed telemetry around one chunk."""
         self._track_feed_gate(+1)
         try:
             async with self._feed_gate:
@@ -357,7 +324,7 @@ class SessionManager:
                     session = self._get(session_id)
                     start = _now()
                     session.account_bytes(nbytes)
-                    out = session.feed_arrays(srcs, dsts)
+                    out = ingest(session)
                     if self.telemetry.enabled:
                         elapsed = _now() - start
                         self.telemetry.observe_seconds(
@@ -365,16 +332,10 @@ class SessionManager:
                             elapsed,
                             help="server-side wall time ingesting one chunk",
                         )
-                        self.telemetry.observe_histogram(
-                            "serve_op_latency_seconds",
-                            elapsed,
-                            help=_OP_LATENCY_HELP,
-                            op="feed",
-                            wire="binary",
-                        )
+                        self._observe_op("feed", elapsed, wire)
                         self.telemetry.count(
                             "serve_session_pairs_total",
-                            len(srcs),
+                            out["pairs"],
                             help="adjacency pairs ingested across all serve sessions",
                         )
                         self.telemetry.count(
@@ -407,13 +368,7 @@ class SessionManager:
                     elapsed,
                     help="server-side wall time answering one poll",
                 )
-                self.telemetry.observe_histogram(
-                    "serve_op_latency_seconds",
-                    elapsed,
-                    help=_OP_LATENCY_HELP,
-                    op="poll",
-                    wire="json",
-                )
+                self._observe_op("poll", elapsed)
                 self.telemetry.count(
                     "serve_polls_total", help="anytime-estimate polls answered"
                 )
@@ -424,13 +379,7 @@ class SessionManager:
             start = _now()
             state = self._get(session_id).snapshot_state()
             if self.telemetry.enabled:
-                self.telemetry.observe_histogram(
-                    "serve_op_latency_seconds",
-                    _now() - start,
-                    help=_OP_LATENCY_HELP,
-                    op="snapshot",
-                    wire="json",
-                )
+                self._observe_op("snapshot", _now() - start)
                 self.telemetry.count(
                     "serve_snapshots_total",
                     help="session snapshots taken (client-requested or shutdown)",
@@ -549,13 +498,7 @@ class SessionManager:
                     "serve_merges_total",
                     help="cross-session sketch merges performed",
                 )
-                self.telemetry.observe_histogram(
-                    "serve_op_latency_seconds",
-                    _now() - merge_start,
-                    help=_OP_LATENCY_HELP,
-                    op="merge",
-                    wire="json",
-                )
+                self._observe_op("merge", _now() - merge_start)
             if close_sources:
                 for session in sources:
                     self._uninstall(session, "merged")

@@ -6,11 +6,16 @@ replays the exact hook discipline of the batch runner
 in arbitrary chunks:
 
 * pairs are buffered into the current adjacency list until a pair with a
-  new source closes it — only then do ``begin_list`` / dispatch /
-  ``end_list`` fire, with the same fast-path decision
-  (:func:`~repro.streaming.runner._dispatch_flags`) the runner makes;
-* ``begin_pass`` is lazy (first pair of the pass), ``end_pass`` runs in
+  new source closes it — only then is the list pushed through the same
+  :class:`~repro.streaming.runner.PassCursor` the runner drives, so the
+  hooks fire in the same order with the same fast-path decision;
+* ``begin_pass`` is lazy (first chunk of the pass), ``end_pass`` runs in
   :meth:`finish_pass` after the final open list is flushed.
+
+JSON and binary chunks differ only in how they are validated and cut
+into adjacency-list segments; both then share one ingest path.  A chunk
+rejected mid-way ingests exactly the pairs the validator accepted before
+the offending one, on either wire.
 
 Because the hook sequence is identical, a session's estimates are
 **bit-identical** to an offline ``run_algorithm`` over the same pairs —
@@ -29,7 +34,9 @@ stable code, never transport exceptions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import ne
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.diagnostics import THEOREM_FOURCYCLE, THEOREM_TRIANGLE, diagnose
 from repro.serve.protocol import (
@@ -55,9 +62,10 @@ from repro.streaming.algorithm import (
     supports_snapshot,
 )
 from repro.streaming.registry import AlgorithmSpec, get as get_spec
-from repro.streaming.runner import _dispatch_flags
+from repro.streaming.runner import PassCursor
 from repro.streaming.stream import (
     PairSequenceValidator,
+    Segments,
     StreamFormatError,
     split_segments,
 )
@@ -73,6 +81,15 @@ def _nested_state(state: SketchState) -> Dict[str, Any]:
     equal.
     """
     return {"kind": state.kind, "version": state.version, "payload": state.payload}
+
+
+def _split_pairs(pairs: Sequence[Tuple[Any, Any]]) -> Segments:
+    """The :func:`~repro.streaming.stream.split_segments` result for a
+    non-empty list of scalar pairs (JSON chunks, labels of any type)."""
+    srcs, dsts = zip(*pairs)
+    n = len(srcs)
+    starts = [0, *compress(range(1, n), map(ne, srcs[1:], srcs)), n]
+    return starts, [srcs[i] for i in starts[:-1]], list(dsts)
 
 
 def _unnest_state(blob: Any) -> SketchState:
@@ -120,7 +137,7 @@ class ServeSession:
         self.space_budget_words = space_budget_words
         self.origin_state = origin_state
 
-        self._fast, self._skip_pairs = _dispatch_flags(algorithm, None)
+        self._cursor = PassCursor(algorithm)
         # Columnar acceleration: binary feeds arrive as uint64 columns, so
         # a segment that maps 1:1 onto a frame slice hands its column to
         # the algorithm through the bind_columns provider channel instead
@@ -217,8 +234,14 @@ class ServeSession:
 
         return as_vertex_array(neighbors)
 
+    def _begin_pass(self) -> None:
+        """Lazy ``begin_pass``: the first chunk (or finish) of a pass opens it."""
+        if not self.pass_started:
+            self.algorithm.begin_pass(self.pass_index)
+            self.pass_started = True
+
     def _flush_open_list(self) -> None:
-        """Run the buffered adjacency list through the runner's hook order."""
+        """Push the buffered adjacency list through the pass cursor."""
         if self._open_list is None:
             return
         vertex, neighbors = self._open_list
@@ -227,17 +250,8 @@ class ServeSession:
         self._open_list_column = None
         if column is not None and len(column) == len(neighbors):
             self._column_hint = (vertex, neighbors, column)
-        algorithm = self.algorithm
         try:
-            algorithm.begin_list(vertex)
-            if self._fast:
-                if not self._skip_pairs:
-                    algorithm.process_list(vertex, neighbors)
-            else:
-                process = algorithm.process
-                for nbr in neighbors:
-                    process(vertex, nbr)
-            algorithm.end_list(vertex, neighbors)
+            self._cursor.push(vertex, neighbors)
         finally:
             self._column_hint = None
         self.lists_this_pass += 1
@@ -247,100 +261,64 @@ class ServeSession:
 
         Chunk boundaries are invisible to the algorithm: a list split
         across chunks is buffered until its source changes.  Raises
-        ``STREAM_FORMAT`` on a model violation (first pass),
+        ``STREAM_FORMAT`` on a model violation (first pass), after
+        ingesting the pairs before the offending one;
         ``SPACE_BUDGET_EXCEEDED`` when the algorithm's live state outgrows
         the session's cap.
         """
-        self._require_live()
-        if not self.pass_started:
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
-        validator = self._validator if self.pass_index == 0 else None
-        # Scalar pairs may extend or replace the open list, so any primed
-        # frame column for it no longer covers the whole list.
-        self._open_list_column = None
-        open_list = self._open_list
-        for src, dst in pairs:
-            if validator is not None:
-                try:
-                    validator.feed_pair(src, dst)
-                except StreamFormatError as exc:
-                    self._open_list = open_list
-                    raise ServeError(STREAM_FORMAT, str(exc)) from exc
-            if open_list is not None and open_list[0] == src:
-                open_list[1].append(dst)
-            else:
-                self._open_list = open_list
-                self._flush_open_list()
-                open_list = (src, [dst])
-            self.pairs_this_pass += 1
-            self.pairs_total += 1
-        self._open_list = open_list
-        self.chunks += 1
-        if (
-            self.pairs_per_pass is not None
-            and self.pairs_this_pass > self.pairs_per_pass
-        ):
-            raise ServeError(
-                STREAM_FORMAT,
-                f"pass {self.pass_index} is longer than pass 0 "
-                f"({self.pairs_this_pass} > {self.pairs_per_pass} pairs): "
-                "multi-pass streams must replay identically",
-            )
-        if self.space_budget_words is not None:
-            words = self.algorithm.space_words()
-            if words > self.space_budget_words:
-                raise ServeError(
-                    SPACE_BUDGET_EXCEEDED,
-                    f"session {self.session_id!r} live state {words} words "
-                    f"exceeds cap {self.space_budget_words}",
-                )
-        return {
-            "pairs": len(pairs),
-            "pairs_total": self.pairs_total,
-            "pass": self.pass_index,
-        }
+        return self._ingest(
+            len(pairs),
+            lambda validator: validator.feed(pairs),
+            lambda k: _split_pairs(pairs[:k] if k < len(pairs) else pairs),
+        )
 
     def feed_arrays(self, srcs: Any, dsts: Any) -> Dict[str, Any]:
         """Ingest one binary chunk: two equal-length ``uint64`` columns.
 
         Semantically identical to :meth:`feed` over ``zip(srcs, dsts)`` —
         same hooks, same validation, same errors — but the list-boundary
-        split, validation and bookkeeping are vectorized, and complete
-        segments hand their frame slices to the algorithm as ready-made
-        columns.  This is the path that lifts ingest from the per-pair
-        JSON rate to the columnar kernels' rate.
+        split and validation are vectorized, and complete segments hand
+        their frame slices to the algorithm as ready-made columns.  This
+        is the path that lifts ingest from the per-pair JSON rate to the
+        columnar kernels' rate.
+        """
+        n = int(len(srcs))
+        segments = split_segments(srcs, dsts) if n else None
+
+        def accepted(k: int) -> Tuple[Any, ...]:
+            if k < n:
+                return (*split_segments(srcs[:k], dsts[:k]), dsts[:k])
+            return (*segments, dsts)
+
+        return self._ingest(
+            n, lambda validator: validator.feed_array(srcs, dsts, segments), accepted
+        )
+
+    def _ingest(
+        self, n: int, validate: Callable[[PairSequenceValidator], None],
+        segments_of: Callable[[int], Tuple[Any, ...]],
+    ) -> Dict[str, Any]:
+        """The path both wires share once a chunk of ``n`` pairs is decoded.
+
+        ``validate`` runs the first-pass validator over the chunk;
+        ``segments_of(k)`` cuts its first ``k`` pairs into the arguments
+        of :meth:`_ingest_segments`.  Exactly the pairs the validator
+        accepted are ingested; a violation is raised after them.
         """
         self._require_live()
-        n = int(len(srcs))
-        if not self.pass_started:
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
-        segments = split_segments(srcs, dsts) if n else None
-        if self.pass_index == 0 and self._validator is not None:
+        self._begin_pass()
+        accepted, error = n, None
+        validator = self._validator if self.pass_index == 0 else None
+        if validator is not None:
+            before = validator.pairs_seen
             try:
-                self._validator.feed_array(srcs, dsts, segments)
+                validate(validator)
             except StreamFormatError as exc:
-                raise ServeError(STREAM_FORMAT, str(exc)) from exc
-        if segments is not None:
-            starts, heads, dst_list = segments
-            open_list = self._open_list
-            open_column = self._open_list_column
-            for i, head in enumerate(heads):
-                seg = dst_list[starts[i] : starts[i + 1]]
-                if i == 0 and open_list is not None and open_list[0] == head:
-                    open_list[1].extend(seg)
-                    open_column = None  # spans frames; no single slice
-                    continue
-                self._open_list = open_list
-                self._open_list_column = open_column
-                self._flush_open_list()
-                open_list = (head, seg)
-                open_column = dsts[starts[i] : starts[i + 1]]
-            self._open_list = open_list
-            self._open_list_column = open_column
-            self.pairs_this_pass += n
-            self.pairs_total += n
+                accepted, error = validator.pairs_seen - before, exc
+        if accepted:
+            self._ingest_segments(*segments_of(accepted))
+        if error is not None:
+            raise ServeError(STREAM_FORMAT, str(error)) from error
         self.chunks += 1
         if (
             self.pairs_per_pass is not None
@@ -360,11 +338,35 @@ class ServeSession:
                     f"session {self.session_id!r} live state {words} words "
                     f"exceeds cap {self.space_budget_words}",
                 )
-        return {
-            "pairs": n,
-            "pairs_total": self.pairs_total,
-            "pass": self.pass_index,
-        }
+        return {"pairs": n, "pairs_total": self.pairs_total, "pass": self.pass_index}
+
+    def _ingest_segments(
+        self, starts: List[int], heads: List[Any], dst_list: List[Any], column: Any = None
+    ) -> None:
+        """Buffer a validated chunk's segments, pushing each list it closes.
+
+        The first segment extends the open list when it has the same
+        source.  ``column`` is the chunk's ``uint64`` neighbour column
+        (binary frames): a list that lies within one frame hands its
+        slice to the algorithm instead of being converted again.
+        """
+        open_list = self._open_list
+        open_column = self._open_list_column
+        for i, head in enumerate(heads):
+            seg = dst_list[starts[i] : starts[i + 1]]
+            if i == 0 and open_list is not None and open_list[0] == head:
+                open_list[1].extend(seg)
+                open_column = None  # spans chunks; no single slice
+                continue
+            self._open_list = open_list
+            self._open_list_column = open_column
+            self._flush_open_list()
+            open_list = (head, seg)
+            open_column = None if column is None else column[starts[i] : starts[i + 1]]
+        self._open_list = open_list
+        self._open_list_column = open_column
+        self.pairs_this_pass += starts[-1]
+        self.pairs_total += starts[-1]
 
     def finish_pass(self) -> Dict[str, Any]:
         """Close the current pass: flush the open list, run end-of-pass checks.
@@ -374,11 +376,9 @@ class ServeSession:
         pass marks the session done and freezes the final estimate.
         """
         self._require_live()
-        if not self.pass_started:
-            # An empty pass is legal (empty stream); mirror the runner,
-            # which always brackets a pass even over zero lists.
-            self.algorithm.begin_pass(self.pass_index)
-            self.pass_started = True
+        # An empty pass is legal (empty stream); mirror the runner, which
+        # always brackets a pass even over zero lists.
+        self._begin_pass()
         self._flush_open_list()
         if self.pass_index == 0 and self._validator is not None:
             try:

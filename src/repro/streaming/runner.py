@@ -9,7 +9,9 @@ The runner has two dispatch strategies:
   (or overrides neither per-pair hook, so the inner loop is pure overhead).
 
 Both paths are observably identical for conforming algorithms; the fast
-path only removes per-pair Python dispatch.  ``space_poll_interval``
+path only removes per-pair Python dispatch.  :class:`PassCursor` holds
+that decision and the per-list hook order; the runner and the serve
+session both push their lists through it.  ``space_poll_interval``
 controls how often ``space_words()`` is polled (every list by default;
 larger intervals trade peak-resolution for speed on huge graphs).
 
@@ -25,6 +27,7 @@ identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
@@ -91,6 +94,125 @@ def _dispatch_flags(
     return fast, skip_pairs
 
 
+class PassCursor:
+    """Push-mode owner of the per-list hook order for one algorithm.
+
+    Whoever owns the input brackets a pass with ``begin_pass`` /
+    ``end_pass`` and pushes whole adjacency lists in between; the cursor
+    makes the ``begin_list → process* → end_list`` calls with the
+    fast-path decision (:func:`_dispatch_flags`) resolved once.  The
+    batch runner pushes from ``iter_lists()``, a serve session from
+    decoded frames, so both make exactly the same hook calls for the
+    same lists.
+    """
+
+    __slots__ = ("algorithm", "fast", "skip_pairs")
+
+    def __init__(
+        self, algorithm: StreamingAlgorithm, use_fast_path: Optional[bool] = None
+    ):
+        self.algorithm = algorithm
+        self.fast, self.skip_pairs = _dispatch_flags(algorithm, use_fast_path)
+
+    def push(self, vertex, neighbors) -> None:
+        """Run one complete adjacency list through the per-list hooks."""
+        algorithm = self.algorithm
+        algorithm.begin_list(vertex)
+        if self.fast:
+            if not self.skip_pairs:
+                algorithm.process_list(vertex, neighbors)
+        else:
+            process = algorithm.process
+            for nbr in neighbors:
+                process(vertex, nbr)
+        algorithm.end_list(vertex, neighbors)
+
+
+def _drive_pass(
+    cursor: PassCursor, lists: Iterable, pass_index: int, meter: SpaceMeter,
+    space_poll_interval: int, telemetry: Telemetry, tracer: Tracer,
+    *, skip_lists: int = 0, checkpoint=None,
+) -> int:
+    """One pass over ``lists``: hooks, space polls, telemetry and span.
+
+    ``skip_lists`` resumes mid-pass: ``begin_pass`` is not run again (a
+    mid-pass checkpoint already holds its effects) and the first
+    ``skip_lists`` lists are consumed without being pushed, though they
+    still count towards the pass's lists.  ``checkpoint`` snapshots the
+    algorithm every ``every_lists`` lists.  Returns the pairs pushed.
+    """
+    algorithm = cursor.algorithm
+    emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
+    if telemetry.enabled:
+        telemetry.emit(PassStarted(pass_index=pass_index))
+    pass_start = time.perf_counter()
+    with tracer.span(f"pass:{pass_index}", category="pass") as span:
+        if skip_lists:
+            lists = itertools.islice(lists, skip_lists, None)
+        else:
+            algorithm.begin_pass(pass_index)
+        push = cursor.push
+        lists_done = skip_lists
+        pairs_run = 0
+        lists_since_poll = 0
+        for vertex, neighbors in lists:
+            push(vertex, neighbors)
+            pairs_run += len(neighbors)
+            lists_done += 1
+            lists_since_poll += 1
+            if lists_since_poll >= space_poll_interval:
+                words = algorithm.space_words()
+                if telemetry.enabled:
+                    _record_poll(
+                        telemetry, algorithm, meter, pass_index, lists_done,
+                        words, emit_estimate,
+                    )
+                meter.observe(words)
+                lists_since_poll = 0
+            if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
+                with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
+                    checkpoint.write(
+                        algorithm.snapshot(), pass_index, lists_done,
+                        meter.state_dict(),
+                    )
+        algorithm.end_pass(pass_index)
+        words = algorithm.space_words()
+        span.set(lists=lists_done, pairs=pairs_run)
+        if telemetry.enabled:
+            _record_poll(
+                telemetry, algorithm, meter, pass_index, lists_done, words, emit_estimate
+            )
+            seconds = time.perf_counter() - pass_start
+            label = str(pass_index)
+            telemetry.emit(
+                PassFinished(
+                    pass_index=pass_index,
+                    lists=lists_done,
+                    pairs=pairs_run,
+                    seconds=seconds,
+                    pairs_per_second=pairs_run / seconds if seconds > 0 else 0.0,
+                )
+            )
+            telemetry.count(
+                "stream_pairs_total", pairs_run,
+                help="adjacency pairs consumed", pass_index=label,
+            )
+            telemetry.count(
+                "stream_lists_total", lists_done,
+                help="adjacency lists consumed", pass_index=label,
+            )
+            telemetry.set_gauge(
+                "stream_pass_space_words", words,
+                help="live state in machine words at the pass boundary", pass_index=label,
+            )
+            telemetry.observe_seconds(
+                "stream_pass_seconds", seconds,
+                help="wall time of one stream pass", pass_index=label,
+            )
+        meter.observe(words)
+    return pairs_run
+
+
 def run_single_pass(
     algorithm: StreamingAlgorithm,
     lists: Iterable,
@@ -122,52 +244,12 @@ def run_single_pass(
     if space_poll_interval < 1:
         raise ValueError("space_poll_interval must be at least 1")
     meter = meter if meter is not None else SpaceMeter()
-    fast, skip_pairs = _dispatch_flags(algorithm, use_fast_path)
+    cursor = PassCursor(algorithm, use_fast_path)
     if column_provider is not None:
         algorithm.bind_columns(column_provider)
-    emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
-    if telemetry.enabled:
-        telemetry.emit(PassStarted(pass_index=pass_index))
-    pass_start = time.perf_counter()
-    with tracer.span(f"pass:{pass_index}", category="pass") as span:
-        algorithm.begin_pass(pass_index)
-        lists_done = 0
-        pairs_run = 0
-        lists_since_poll = 0
-        for vertex, neighbors in lists:
-            algorithm.begin_list(vertex)
-            if fast:
-                if not skip_pairs:
-                    algorithm.process_list(vertex, neighbors)
-            else:
-                process = algorithm.process
-                for nbr in neighbors:
-                    process(vertex, nbr)
-            algorithm.end_list(vertex, neighbors)
-            pairs_run += len(neighbors)
-            lists_done += 1
-            lists_since_poll += 1
-            if lists_since_poll >= space_poll_interval:
-                words = algorithm.space_words()
-                if telemetry.enabled:
-                    _record_poll(
-                        telemetry, algorithm, meter, pass_index, lists_done,
-                        words, emit_estimate,
-                    )
-                meter.observe(words)
-                lists_since_poll = 0
-        algorithm.end_pass(pass_index)
-        words = algorithm.space_words()
-        span.set(lists=lists_done, pairs=pairs_run)
-        if telemetry.enabled:
-            _record_poll(
-                telemetry, algorithm, meter, pass_index, lists_done, words, emit_estimate
-            )
-            _record_pass_end(
-                telemetry, pass_index, lists_done, pairs_run,
-                time.perf_counter() - pass_start, words,
-            )
-        meter.observe(words)
+    _drive_pass(
+        cursor, lists, pass_index, meter, space_poll_interval, telemetry, tracer
+    )
     return meter
 
 
@@ -216,43 +298,6 @@ def _record_poll(
             )
 
 
-def _record_pass_end(
-    telemetry: Telemetry,
-    pass_index: int,
-    lists_done: int,
-    pairs_run: int,
-    seconds: float,
-    words: int,
-) -> None:
-    """Pass-boundary telemetry: throughput event plus per-pass metrics."""
-    label = str(pass_index)
-    telemetry.emit(
-        PassFinished(
-            pass_index=pass_index,
-            lists=lists_done,
-            pairs=pairs_run,
-            seconds=seconds,
-            pairs_per_second=pairs_run / seconds if seconds > 0 else 0.0,
-        )
-    )
-    telemetry.count(
-        "stream_pairs_total", pairs_run,
-        help="adjacency pairs consumed", pass_index=label,
-    )
-    telemetry.count(
-        "stream_lists_total", lists_done,
-        help="adjacency lists consumed", pass_index=label,
-    )
-    telemetry.set_gauge(
-        "stream_pass_space_words", words,
-        help="live state in machine words at the pass boundary", pass_index=label,
-    )
-    telemetry.observe_seconds(
-        "stream_pass_seconds", seconds,
-        help="wall time of one stream pass", pass_index=label,
-    )
-
-
 def run_algorithm(
     algorithm: StreamingAlgorithm,
     stream: AdjacencyListStream,
@@ -292,8 +337,7 @@ def run_algorithm(
     if space_poll_interval < 1:
         raise ValueError("space_poll_interval must be at least 1")
     meter = meter if meter is not None else SpaceMeter()
-    fast, skip_pairs = _dispatch_flags(algorithm, use_fast_path)
-    emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
+    cursor = PassCursor(algorithm, use_fast_path)
 
     start_pass, skip_lists = 0, 0
     if resume_from is not None:
@@ -324,62 +368,12 @@ def run_algorithm(
     start = time.perf_counter()
     pairs_run = 0
     for pass_index in range(start_pass, algorithm.n_passes):
-        resuming_mid_pass = pass_index == start_pass and skip_lists > 0
-        if telemetry.enabled:
-            telemetry.emit(PassStarted(pass_index=pass_index))
-        pass_start = time.perf_counter()
-        pairs_before = pairs_run
-        with tracer.span(f"pass:{pass_index}", category="pass") as span:
-            if not resuming_mid_pass:
-                # A mid-pass checkpoint was taken after begin_pass ran, so its
-                # effects are already inside the restored state.
-                algorithm.begin_pass(pass_index)
-            lists_done = 0
-            lists_since_poll = 0
-            for vertex, neighbors in stream.iter_lists():
-                if resuming_mid_pass and lists_done < skip_lists:
-                    lists_done += 1
-                    continue
-                algorithm.begin_list(vertex)
-                if fast:
-                    if not skip_pairs:
-                        algorithm.process_list(vertex, neighbors)
-                else:
-                    process = algorithm.process
-                    for nbr in neighbors:
-                        process(vertex, nbr)
-                algorithm.end_list(vertex, neighbors)
-                pairs_run += len(neighbors)
-                lists_done += 1
-                lists_since_poll += 1
-                if lists_since_poll >= space_poll_interval:
-                    words = algorithm.space_words()
-                    if telemetry.enabled:
-                        _record_poll(
-                            telemetry, algorithm, meter, pass_index, lists_done,
-                            words, emit_estimate,
-                        )
-                    meter.observe(words)
-                    lists_since_poll = 0
-                if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
-                    with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
-                        checkpoint.write(
-                            algorithm.snapshot(), pass_index, lists_done,
-                            meter.state_dict(),
-                        )
-            algorithm.end_pass(pass_index)
-            words = algorithm.space_words()
-            span.set(lists=lists_done, pairs=pairs_run - pairs_before)
-            if telemetry.enabled:
-                _record_poll(
-                    telemetry, algorithm, meter, pass_index, lists_done,
-                    words, emit_estimate,
-                )
-                _record_pass_end(
-                    telemetry, pass_index, lists_done, pairs_run - pairs_before,
-                    time.perf_counter() - pass_start, words,
-                )
-            meter.observe(words)
+        pairs_run += _drive_pass(
+            cursor, stream.iter_lists(), pass_index, meter, space_poll_interval,
+            telemetry, tracer,
+            skip_lists=skip_lists if pass_index == start_pass else 0,
+            checkpoint=checkpoint,
+        )
         if checkpoint is not None:
             # Pass-boundary checkpoint: resume starts the next pass cleanly.
             with tracer.span(f"checkpoint:pass:{pass_index + 1}", category="checkpoint"):
@@ -395,7 +389,7 @@ def run_algorithm(
         pairs_per_pass=len(stream),
         wall_time_seconds=elapsed,
         pairs_per_second=pairs_run / elapsed if elapsed > 0 else 0.0,
-        used_fast_path=fast,
+        used_fast_path=cursor.fast,
     )
     if telemetry.enabled:
         telemetry.set_gauge(

@@ -9,6 +9,7 @@ bit-exactly.
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.graph.planted import planted_triangles
@@ -310,3 +311,36 @@ class TestTelemetry:
         names = set(telemetry.metrics_snapshot())
         assert {"serve_sessions_open", "serve_session_pairs_total",
                 "serve_polls_total"} <= names
+
+    def test_feed_metrics_agree_across_wires(self):
+        """One equal chunk over ``feed`` and over ``feed_arrays`` counts the
+        same pairs, chunks and bytes, and lands one latency observation
+        under its own ``wire`` label."""
+        _, pairs = _world()
+        chunk = pairs[:64]
+        columns = [np.array(col, dtype=np.uint64) for col in zip(*chunk)]
+        feeds = {
+            "json": lambda manager: manager.feed("a", chunk, nbytes=512),
+            "binary": lambda manager: manager.feed_arrays("a", *columns, nbytes=512),
+        }
+        snapshots = {}
+        for wire, feed in feeds.items():
+            telemetry = Telemetry()
+
+            async def main():
+                manager = SessionManager(telemetry=telemetry)
+                await manager.open("a", "triangle-two-pass", 32, 1)
+                return await feed(manager)
+
+            assert asyncio.run(main())["pairs"] == len(chunk)
+            snapshots[wire] = telemetry.metrics_snapshot()
+        for name in ("serve_session_pairs_total", "serve_session_chunks_total",
+                     "serve_bytes_total"):
+            assert snapshots["json"][name] == snapshots["binary"][name], name
+        assert snapshots["json"]["serve_session_pairs_total"]["value"] == len(chunk)
+        assert snapshots["json"]["serve_bytes_total"]["value"] == 512
+        for wire, snapshot in snapshots.items():
+            latency = [key for key in snapshot
+                       if key.startswith("serve_op_latency_seconds")]
+            assert latency == [f"serve_op_latency_seconds{{op=feed,wire={wire}}}"]
+            assert snapshot[latency[0]]["count"] == 1

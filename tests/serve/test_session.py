@@ -132,6 +132,42 @@ class TestValidation:
         session.feed([(1, 1)])  # would be rejected under strict
         session.finish_pass()
 
+    def test_rejected_chunk_ingests_accepted_prefix_on_both_wires(
+        self, triangle_world
+    ):
+        """A chunk rejected mid-way keeps the pairs before the offending
+        one on both wires, so the session stays in step with its validator
+        and the run still matches the batch runner."""
+        stream, pairs, _ = triangle_world
+        bad = pairs[:100] + [(pairs[99][0], pairs[99][0])]  # then a self loop
+        feeders = {
+            "json": lambda session, chunk: session.feed(chunk),
+            "binary": lambda session, chunk: _feed_binary(session, chunk, len(chunk)),
+        }
+        sessions, rejected, finals = {}, {}, {}
+        for wire, feed in feeders.items():
+            session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+            with pytest.raises(ServeError) as err:
+                feed(session, bad)
+            assert err.value.code == STREAM_FORMAT
+            assert "self loop" in err.value.message
+            assert session.pairs_total == 100
+            rejected[wire] = (session.stats(), session.snapshot_state().payload)
+            feed(session, pairs[100:])
+            finals[wire] = [session.finish_pass()]
+            feed(session, pairs)
+            finals[wire].append(session.finish_pass())
+            sessions[wire] = session
+        assert rejected["json"] == rejected["binary"]
+        assert finals["json"] == finals["binary"]
+        assert [out["pairs"] for out in finals["binary"]] == [len(pairs)] * 2
+        assert finals["binary"][-1]["estimate"] == _reference(stream)
+        assert sessions["json"].stats() == sessions["binary"].stats()
+        assert (
+            sessions["json"].snapshot_state().payload
+            == sessions["binary"].snapshot_state().payload
+        )
+
     def test_second_pass_length_must_match_first(self, triangle_world):
         _, pairs, _ = triangle_world
         session = ServeSession.open("s", "triangle-two-pass", 16, seed=0)

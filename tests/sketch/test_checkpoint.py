@@ -5,6 +5,9 @@ import pytest
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.generators import gnm_random_graph
+from repro.obs.events import PassFinished
+from repro.obs.sinks import InMemorySink
+from repro.obs.telemetry import Telemetry
 from repro.sketch.checkpoint import (
     Checkpoint,
     CheckpointConfig,
@@ -140,6 +143,39 @@ class TestCrashAndResume:
         )
         assert resumed.estimate == uninterrupted
 
+    def test_resume_from_every_mid_pass_checkpoint(self, workload, tmp_path):
+        """Each mid-pass checkpoint, not just the last, resumes to the
+        uninterrupted run's estimate and peak space; the resumed pass
+        still counts the lists it skipped."""
+        _, stream = workload
+        lists = list(stream.iter_lists())
+        uninterrupted = run_algorithm(
+            TwoPassTriangleCounter(sample_size=48, seed=6), stream
+        )
+        config = _KeepEveryCheckpoint(tmp_path / "run.ckpt", every_lists=7)
+        run_algorithm(
+            TwoPassTriangleCounter(sample_size=48, seed=6), stream, checkpoint=config
+        )
+        mid_pass = [c for c in config.kept if c.lists_done > 0]
+        assert len(mid_pass) == 2 * (len(lists) // 7)
+        for checkpoint in mid_pass:
+            sink = InMemorySink()
+            resumed = run_algorithm(
+                TwoPassTriangleCounter(sample_size=48, seed=999),
+                stream,
+                resume_from=checkpoint,
+                telemetry=Telemetry(sink=sink),
+            )
+            label = (checkpoint.pass_index, checkpoint.lists_done)
+            assert resumed.estimate == uninterrupted.estimate, label
+            assert resumed.peak_space_words == uninterrupted.peak_space_words, label
+            first = sink.of_type(PassFinished)[0]
+            assert first.pass_index == checkpoint.pass_index, label
+            assert first.lists == len(lists), label
+            assert first.pairs == sum(
+                len(nbrs) for _, nbrs in lists[checkpoint.lists_done :]
+            ), label
+
     def test_sharded_resume_from_pass_boundary(self, workload, tmp_path):
         _, stream = workload
         path = tmp_path / "sharded.ckpt"
@@ -180,6 +216,19 @@ class TestCrashAndResume:
         )
         with pytest.raises(SketchStateError):
             run_sharded(algo, stream, 2, resume_from=bogus)
+
+
+class _KeepEveryCheckpoint(CheckpointConfig):
+    """Keeps every checkpoint it writes, not just the latest on disk."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.kept = []
+
+    def write(self, *args, **kwargs):
+        record = super().write(*args, **kwargs)
+        self.kept.append(load_checkpoint(self.path))
+        return record
 
 
 class _CrashAfterFirstWrite(CheckpointConfig):

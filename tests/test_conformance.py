@@ -1,0 +1,202 @@
+"""One conformance matrix: every execution path equals ``run_algorithm``.
+
+The core invariant of the repo is that a counter gives bit-identical
+results however its stream is executed.  This module pins it along five
+axes:
+
+* algorithms — every serve-compatible registry algorithm;
+* orderings — every entry of ``ORDERING_FACTORIES``;
+* graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), and
+  seeded planted-triangle and planted-4-cycle graphs;
+* execution paths — the scalar oracle, the columnar kernels without the
+  stream's column memo, ``run_single_pass`` chained per pass,
+  ``run_sharded``, and serve sessions fed JSON, binary, or a seeded mix
+  of both (binary only on int-labelled graphs);
+* chunkings — single pairs, one chunk per pass, and seeded random sizes
+  (serve paths only; batch paths read whole lists).
+
+Each case compares the estimate, and where the path exposes them the
+space peak and the algorithm's final sketch state, against one cached
+``run_algorithm`` reference.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.graph.generators import gnm_random_graph
+from repro.graph.planted import planted_four_cycles, planted_triangles
+from repro.lowerbounds.problems import random_three_disj_instance
+from repro.lowerbounds.reductions import triangle_multipass
+from repro.serve.session import ServeSession
+from repro.sketch.driver import run_sharded
+from repro.streaming.algorithm import supports_snapshot
+from repro.streaming.orderings import ORDERING_FACTORIES
+from repro.streaming.registry import get as get_spec
+from repro.streaming.registry import iter_specs, serve_capabilities
+from repro.streaming.runner import run_algorithm, run_single_pass
+from repro.streaming.space import SpaceMeter
+from repro.util.vectorized import ColumnMemo, scalar_oracle
+
+ALGORITHMS = sorted(
+    spec.name for spec in iter_specs() if serve_capabilities(spec).serve_compatible
+)
+#: Sharded rows per shard-capable spec, at a budget where its merge is
+#: exact: the 4-cycle merge always is; the triangle pair reservoir merges
+#: by weighted resampling, which is exact only while no shard's
+#: reservoir overflows.
+SHARD_BUDGETS = {"fourcycle-two-pass": 24, "triangle-two-pass-sharded": 4096}
+BUDGET = 24
+SEED = 5
+
+GRAPHS = {
+    "gadget": lambda: triangle_multipass.build_gadget(
+        random_three_disj_instance(5, True, seed=1), 4
+    ).graph,
+    "gnm": lambda: gnm_random_graph(60, 240, seed=2),
+    "planted3": lambda: planted_triangles(noise_edges=150, triangles=20, seed=3).graph,
+    "planted4": lambda: planted_four_cycles(noise_edges=120, cycles=12, seed=4).graph,
+}
+INT_GRAPHS = ("gnm", "planted3", "planted4")
+CHUNKINGS = ("pairs", "pass", "random")
+BATCH_PATHS = ("scalar", "columnar", "single-pass")
+SESSION_PATHS = ("json", "binary", "mixed")
+
+
+def _cases():
+    for algorithm in ALGORITHMS:
+        for ordering in sorted(ORDERING_FACTORIES):
+            for graph in GRAPHS:
+                for path in BATCH_PATHS:
+                    yield algorithm, ordering, graph, path, None
+                if algorithm in SHARD_BUDGETS:
+                    yield algorithm, ordering, graph, "sharded", None
+                for path in SESSION_PATHS:
+                    if path != "json" and graph not in INT_GRAPHS:
+                        continue
+                    for chunking in CHUNKINGS:
+                        yield algorithm, ordering, graph, path, chunking
+
+
+CASES = list(_cases())
+
+
+@functools.lru_cache(maxsize=None)
+def _stream(ordering, graph):
+    return ORDERING_FACTORIES[ordering](GRAPHS[graph](), seed=7)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(algorithm, budget, ordering, graph):
+    algo = get_spec(algorithm).make(budget, seed=SEED)
+    result = run_algorithm(algo, _stream(ordering, graph))
+    state = algo.snapshot().payload if supports_snapshot(algo) else None
+    return result, state
+
+
+class _ListsOnly:
+    """A stream view without ``columns_for``: algorithms convert their
+    own vertex-id columns instead of reading the stream's memo."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def iter_lists(self):
+        return self._stream.iter_lists()
+
+    def __len__(self):
+        return len(self._stream)
+
+
+def _chunks(pairs, chunking, rng):
+    if chunking == "pairs":
+        sizes = [1] * len(pairs)
+    elif chunking == "pass":
+        sizes = [len(pairs)]
+    else:
+        sizes = []
+        while sum(sizes) < len(pairs):
+            sizes.append(rng.randint(1, 40))
+    start = 0
+    for size in sizes:
+        yield pairs[start : start + size]
+        start += size
+
+
+def _feed(session, chunk, wire):
+    if wire == "json":
+        return session.feed(chunk)
+    srcs, dsts = zip(*chunk) if chunk else ((), ())
+    return session.feed_arrays(
+        np.array(srcs, dtype=np.uint64), np.array(dsts, dtype=np.uint64)
+    )
+
+
+def _serve(algorithm, stream, path, chunking, rng):
+    session = ServeSession.open("conformance", algorithm, BUDGET, seed=SEED)
+    pairs = list(stream.iter_pairs())
+    final = None
+    for _ in range(session.algorithm.n_passes):
+        for chunk in _chunks(pairs, chunking, rng):
+            wire = rng.choice(("json", "binary")) if path == "mixed" else path
+            assert _feed(session, chunk, wire)["pairs"] == len(chunk)
+        final = session.finish_pass()
+    assert final["done"]
+    assert session.pairs_total == len(pairs) * session.algorithm.n_passes
+    return final["estimate"], session.algorithm
+
+
+@pytest.mark.parametrize(
+    "algorithm, ordering, graph, path, chunking",
+    CASES,
+    ids=["-".join(filter(None, case)) for case in CASES],
+)
+def test_path_matches_run_algorithm(algorithm, ordering, graph, path, chunking):
+    stream = _stream(ordering, graph)
+    budget = SHARD_BUDGETS[algorithm] if path == "sharded" else BUDGET
+    reference, reference_state = _reference(algorithm, budget, ordering, graph)
+    algo = get_spec(algorithm).make(budget, seed=SEED)
+    peak = None
+    if path == "scalar":
+        with scalar_oracle():
+            result = run_algorithm(algo, stream)
+        estimate, peak = result.estimate, result.peak_space_words
+    elif path == "columnar":
+        result = run_algorithm(algo, _ListsOnly(stream))
+        estimate, peak = result.estimate, result.peak_space_words
+    elif path == "single-pass":
+        meter, memo = SpaceMeter(), ColumnMemo()
+        for pass_index in range(algo.n_passes):
+            run_single_pass(
+                algo, stream.iter_lists(), pass_index, meter, column_provider=memo
+            )
+        estimate, peak = algo.result(), meter.peak_words
+    elif path == "sharded":
+        estimate = run_sharded(algo, stream, 3, merge_seed=1).estimate
+        # The merged pair reservoir holds a serial run's pairs in merge
+        # order, so its sketch state is not comparable; the estimate is.
+        algo = None
+    else:
+        rng = random.Random(zlib.crc32(f"{algorithm}/{ordering}/{graph}".encode()))
+        estimate, algo = _serve(algorithm, stream, path, chunking, rng)
+    assert estimate == reference.estimate
+    if peak is not None:
+        assert peak == reference.peak_space_words
+    if algo is not None and reference_state is not None:
+        assert algo.snapshot().payload == reference_state
+
+
+def test_matrix_covers_every_shard_capable_spec():
+    """``SHARD_BUDGETS`` names exactly the serve-compatible specs that
+    ``run_sharded`` accepts, so a new one cannot silently skip its row."""
+    capable = [
+        name
+        for name in ALGORITHMS
+        if getattr(get_spec(name).make(8, seed=0), "sharded", True) is not False
+    ]
+    assert sorted(SHARD_BUDGETS) == capable
