@@ -34,6 +34,7 @@ two differ by at most the factor 4 absorbed into the O(1) guarantee):
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -135,6 +136,9 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         # None = unbuilt, (None,) = non-int labels (scalar path),
         # (cols,) = ready.
         self._wedge_cols: Optional[Tuple[Optional[tuple]]] = None
+        # Hash view of Q for short lists: endpoint pair (u, v) -> centres
+        # of the wedges u - c - v.  Derived from _wedges, built lazily.
+        self._wedge_index: Optional[Dict[Edge, List[Vertex]]] = None
         # Reusable membership table for the completion test.
         self._vtable = vectorized.VertexTable()
         # Stream-provided column memo (bind_columns); acceleration only.
@@ -158,9 +162,11 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     # -- streaming interface ---------------------------------------------------
 
     def begin_pass(self, pass_index: int) -> None:
-        self._pass = pass_index
-        if pass_index == 1:
+        # Q is formed once: a repeated begin_pass(1) keeps it (rebuilding
+        # would draw the capping reservoir's RNG again).
+        if pass_index == 1 and self._pass != 1:
             self._build_wedges()
+        self._pass = pass_index
 
     def process(self, source: Vertex, neighbor: Vertex) -> None:
         if self._pass == 0:
@@ -172,15 +178,19 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
         # Batched fast path: same offers in the same order (and the same
         # accepted tally) as the per-pair loop, minus per-pair dispatch
-        # (pass 1 does all work in end_list).  Int-labelled lists take the
-        # columnar route: one vectorized hash of every edge key plus one
-        # threshold comparison, only batch survivors touch the heap.
+        # (pass 1 does all work in end_list).  Int-labelled lists of at
+        # least SHORT_LIST neighbours take the columnar route: one
+        # vectorized hash of every edge key plus one threshold comparison,
+        # only batch survivors touch the heap.
         if self._pass == 0:
             self._pair_count += len(neighbors)
             self._offers_total += len(neighbors)
             src = source
             cols = None
-            if vectorized.columnar_enabled() and len(neighbors):
+            if (
+                vectorized.columnar_enabled()
+                and len(neighbors) >= vectorized.SHORT_LIST
+            ):
                 src64 = vectorized.as_vertex_scalar(src)
                 nbrs = (
                     self._neighbor_column(src, neighbors)
@@ -205,12 +215,12 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         if self._pass != 1:
             return
-        nbrs = (
-            self._neighbor_column(vertex, neighbors)
-            if vectorized.columnar_enabled()
-            else None
-        )
-        if nbrs is not None and len(nbrs):
+        columnar = vectorized.columnar_enabled()
+        if columnar and len(neighbors) < vectorized.SHORT_LIST:
+            self._complete_probe(vertex, neighbors)
+            return
+        nbrs = self._neighbor_column(vertex, neighbors) if columnar else None
+        if nbrs is not None:
             src = vectorized.as_vertex_scalar(vertex)
             cols = self._wedge_columns() if src is not None else None
             if cols is not None:
@@ -248,6 +258,29 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 if self.mode == "distinct":
                     self._distinct_cycles.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
 
+    def _complete_probe(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
+        """Completion test of a short list: look up each neighbour pair.
+
+        A wedge is completed by the list iff its endpoint pair is one of
+        the list's neighbour pairs, so probing the d(d-1)/2 pairs against
+        the wedge index finds exactly the scalar scan's matches; the
+        multiplicity count and the distinct-cycle set do not depend on
+        the order they are found in.
+        """
+        index = self._wedge_index
+        if index is None:
+            index = {}
+            for wedge in self._wedges:
+                index.setdefault((wedge.u, wedge.v), []).append(wedge.center)
+            self._wedge_index = index
+        distinct = self.mode == "distinct"
+        for u, v in itertools.combinations(sorted(set(neighbors)), 2):
+            for center in index.get((u, v), ()):
+                if center != vertex:
+                    self._multiplicity_total += 1
+                    if distinct:
+                        self._distinct_cycles.add(cycle_key(u, center, v, vertex))
+
     def _wedge_columns(self) -> Optional[tuple]:
         """Endpoint/center columns over Q (fixed once wedges are built)."""
         cached = self._wedge_cols
@@ -274,7 +307,10 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         from repro.util.sampling import ReservoirSampler
 
         self._wedge_cols = None
+        self._wedge_index = None
 
+        wedges: List[Wedge] = []
+        population = 0
         reservoir: ReservoirSampler[Wedge] = None
         if self.wedge_cap is not None:
             reservoir = ReservoirSampler(self.wedge_cap, seed=self._wedge_rng)
@@ -290,14 +326,14 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             others.sort()
             for i, a in enumerate(others):
                 for b in others[i + 1 :]:
-                    self._wedge_population += 1
+                    population += 1
                     wedge = Wedge.make(center, a, b)
                     if reservoir is None:
-                        self._wedges.append(wedge)
+                        wedges.append(wedge)
                     else:
                         reservoir.offer(wedge)
-        if reservoir is not None:
-            self._wedges = reservoir.items()
+        self._wedges = wedges if reservoir is None else reservoir.items()
+        self._wedge_population = population
 
     # -- sketch state protocol -------------------------------------------------
 
@@ -350,6 +386,7 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self._offers_total = 0
         self._offers_accepted = 0
         self._wedge_cols = None
+        self._wedge_index = None
         self._vtable = vectorized.VertexTable()
         self._col_provider = None
 

@@ -52,6 +52,7 @@ Detection bookkeeping (faithful to Section 3.3.1):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -330,13 +331,20 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             if bucket is None:
                 bucket = set()
                 by_edge[f] = bucket
-                # Every new bucket object joins the pending list exactly
-                # once (unless the columnar view is disabled for this
-                # run).  The built columns may still hold an older (since
-                # emptied) bucket for the same edge, which scans as a
-                # no-op, so no edge is ever double-counted.
-                if self._wcol_ok:
-                    self._wcol_pending.append((f, bucket))
+                # While the columns are built, every new bucket object
+                # joins the pending list exactly once.  The built columns
+                # may still hold an older (since emptied) bucket for the
+                # same edge, which scans as a no-op, so no edge is ever
+                # double-counted.
+                built = self._wcol_buckets
+                if built is not None:
+                    pending = self._wcol_pending
+                    pending.append((f, bucket))
+                    if len(pending) > len(built) + 64:
+                        # Only long lists drain the tail; past this size
+                        # the next build starts from scratch instead.
+                        self._wcol_buckets = None
+                        del pending[:]
             bucket.add(watcher)
             self._watchers_by_apex.setdefault(x, set()).add(watcher)
         self._live_watchers += len(pair.watchers)
@@ -383,6 +391,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
     # -- streaming interface ---------------------------------------------------
 
     def begin_pass(self, pass_index: int) -> None:
+        # A repeated begin_pass(1) must not register the watchers again.
+        entering_pass_two = pass_index == 1 and self._pass != 1
         self._pass = pass_index
         self._nbrs_cache = None
         self._p2_deferred = None
@@ -392,7 +402,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # entries (the fused seen-edge scan relies on this).
             self._mcol_keys = None
             self._mcol_arrays = None
-        if pass_index == 1 and not self.sharded:
+        if entering_pass_two and not self.sharded:
             # Pass-1 pairs get their watchers now; their apexes all arrive
             # (again) during pass 2, so flags start False.
             for pair in self._reservoir.items():
@@ -420,10 +430,16 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # Batched fast path: identical work to the per-pair loop (same edge
         # order, same sampler offers, same accepted tally) with per-pair
         # dispatch, the pass check and canonical_edge calls hoisted out of
-        # the inner loop.  When the labels are plain ints the whole list is
-        # processed columnar: one vectorized hash of every edge key and one
-        # threshold comparison, with only batch survivors touching Python
-        # data structures.
+        # the inner loop.  When the labels are plain ints and the list has
+        # at least SHORT_LIST neighbours, the whole list is processed
+        # columnar: one vectorized hash of every edge key and one threshold
+        # comparison, with only batch survivors touching Python data
+        # structures.  Shorter lists take the scalar loops, which beat the
+        # kernels' fixed set-up cost there.
+        columnar = (
+            vectorized.columnar_enabled()
+            and len(neighbors) >= vectorized.SHORT_LIST
+        )
         src = source
         if self._pass == 0:
             self._pair_count += len(neighbors)
@@ -435,7 +451,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             buffer: List[Edge] = []
             self._evict_buffer = buffer
             try:
-                if vectorized.columnar_enabled():
+                if columnar:
                     src64 = vectorized.as_vertex_scalar(src)
                     nbrs = (
                         self._neighbor_column(src, neighbors)
@@ -459,7 +475,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 self._flush_evictions()
                 self._evict_buffer = None
         elif not self.sharded:
-            if vectorized.columnar_enabled() and len(neighbors):
+            if columnar:
                 src64 = vectorized.as_vertex_scalar(src)
                 nbrs = (
                     self._neighbor_column(src, neighbors)
@@ -496,8 +512,19 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             self._p2_deferred = None
             if deferred[0] != vertex:
                 deferred = None  # stale deferral from a skipped list
+        columnar = vectorized.columnar_enabled()
+        if columnar and len(neighbors) < vectorized.SHORT_LIST:
+            # Short list: probe its canonical neighbour pairs, in sorted
+            # order, against the hash indexes instead of scanning them.
+            # (process_list defers no seen-edge scan for a short list.)
+            pairs = list(itertools.combinations(sorted(set(neighbors)), 2))
+            if pairs:
+                if self._pass == 1:
+                    self._count_h_probe(vertex, pairs)
+                self._detect_probe(vertex, pairs)
+            return
         nbrs: Optional[np.ndarray] = None
-        if vectorized.columnar_enabled() and len(neighbors):
+        if columnar:
             cache = self._nbrs_cache
             if cache is not None and cache[0] == vertex:
                 nbrs = cache[1]
@@ -748,6 +775,21 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                     if vertex != watcher.x and watcher.x_arrived:
                         watcher.h += 1
 
+    def _count_h_probe(self, vertex: Vertex, pairs: List[Edge]) -> None:
+        """Watcher scan of a short list: look up each neighbour pair.
+
+        A watched edge is closed by the list iff it is one of the list's
+        neighbour pairs, so the incremented watchers — and, since
+        increments commute, every ``h`` — match the scalar scan.
+        """
+        by_edge = self._watchers_by_edge
+        for f in pairs:
+            watchers = by_edge.get(f)
+            if watchers:
+                for watcher in watchers:
+                    if vertex != watcher.x and watcher.x_arrived:
+                        watcher.h += 1
+
     def _count_h_col(
         self,
         vertex: Vertex,
@@ -825,6 +867,17 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         ]
         if matched:
             matched.sort()
+            self._offer_matched(matched, vertex)
+
+    def _detect_probe(self, vertex: Vertex, pairs: List[Edge]) -> None:
+        """Candidate detection of a short list: look up each neighbour pair.
+
+        ``pairs`` come in canonical sorted order, so the matches are
+        already in the order ``_offer_matched`` requires.
+        """
+        membership = self._sampler.membership()
+        matched = [edge for edge in pairs if edge in membership]
+        if matched:
             self._offer_matched(matched, vertex)
 
     def _detect_col(

@@ -22,10 +22,20 @@ Bit-identity is pinned by hypothesis property tests
 oracle and the fallback for exotic vertex labels (see
 :func:`as_vertex_array`).
 
+The kernels' fixed per-call cost outweighs their gain on short lists, so
+the two-pass counters route each adjacency list by its length: a list of
+fewer than :data:`SHORT_LIST` neighbours skips the kernels, offering its
+edges through the scalar sampler loop and probing its d(d-1)/2 canonical
+neighbour pairs against hash indexes (sampler membership, watched edges,
+the wedge set's endpoint pairs) instead of scanning the sample.
+
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
 onto the scalar path, which is how columnar-vs-scalar equivalence and
-throughput are measured end to end.
+throughput are measured end to end.  The short-list route belongs to the
+columnar side: under the oracle the counters keep their O(k) scans for
+every list, so the probes are checked against them, not against
+themselves.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ __all__ = [
     "PairColumns",
     "scalar_oracle",
     "set_columnar_enabled",
+    "SHORT_LIST",
     "splitmix64_array",
     "VertexTable",
 ]
@@ -111,6 +122,13 @@ def scalar_oracle() -> Iterator[None]:
         yield
     finally:
         set_columnar_enabled(previous)
+
+
+#: Crossover list length of the two-pass counters' short-list route (see
+#: the module docstring): below it the kernels' fixed numpy set-up, about
+#: 10 µs per call, outweighs their gain.  Measured, not derived — see
+#: docs/PERFORMANCE.md.
+SHORT_LIST = 14
 
 
 # -- input adaptation ----------------------------------------------------------

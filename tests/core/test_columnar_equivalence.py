@@ -2,22 +2,28 @@
 
 The scalar implementations are the correctness oracle for the whole
 columnar fast path (vectorized hashing, batched sampler offers, columnar
-watcher/detection scans, column providers).  These tests run the same
-seeded workload through both paths and require *bit-identical* outcomes —
-estimates, space peaks and internal observables — under every dispatch
-combination, including the sharded driver whose workers now reuse
-per-shard column memos across passes.
+watcher/detection scans, column providers, and the short-list route that
+probes neighbour pairs for lists below ``SHORT_LIST``).  These tests run
+the same seeded workload through both paths and require *bit-identical*
+outcomes — estimates, space peaks and internal observables — under every
+dispatch combination, including the sharded driver whose workers now
+reuse per-shard column memos across passes.
 """
+
+import random
 
 import pytest
 
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.generators import gnm_random_graph
+from repro.graph.graph import Graph
+from repro.graph.planted import planted_triangles
+from repro.sketch.checkpoint import CheckpointConfig, load_checkpoint
 from repro.sketch.driver import run_sharded
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
-from repro.util.vectorized import ColumnMemo, scalar_oracle
+from repro.util.vectorized import SHORT_LIST, ColumnMemo, scalar_oracle
 
 FACTORIES = {
     "triangle": lambda: TwoPassTriangleCounter(sample_size=48, seed=42),
@@ -98,3 +104,204 @@ class TestShardedEquivalence:
         assert pooled.workers == 4
         assert pooled.effective_parallelism == min(4, 2, os.cpu_count() or 1)
         assert pooled.estimate == result.estimate
+
+
+# -- lists on both sides of the short-list cutoff ------------------------------
+
+MIXED_FACTORIES = {
+    "triangle": lambda: TwoPassTriangleCounter(sample_size=96, seed=42),
+    "fourcycle-multiplicity": lambda: TwoPassFourCycleCounter(
+        sample_size=96, mode="multiplicity", seed=42
+    ),
+    "fourcycle-distinct": lambda: TwoPassFourCycleCounter(
+        sample_size=96, mode="distinct", seed=42
+    ),
+}
+
+MIXED_SHARDED_FACTORIES = {
+    "triangle": lambda: TwoPassTriangleCounter(sample_size=96, seed=42, sharded=True),
+    "fourcycle": lambda: TwoPassFourCycleCounter(sample_size=96, seed=42),
+}
+
+
+def _mixed_degree_graph():
+    """Sparse planted triangles plus hubs whose degrees straddle SHORT_LIST.
+
+    Most lists hold about 2 neighbours (probe route); the hubs and their
+    cross links give lists at, just below and well above the cutoff
+    (columnar route), interleaved in one pass, plus triangles and
+    4-cycles through the hubs.
+    """
+    graph = planted_triangles(120, 20, seed=11).graph
+    rng = random.Random(13)
+    sparse = sorted(graph.vertices())
+    hub = max(sparse) + 1
+    degrees = (SHORT_LIST - 1, SHORT_LIST, SHORT_LIST + 1, 3 * SHORT_LIST)
+    hubs = []
+    for degree in degrees:
+        # The cross links below add the other hubs to each hub's list.
+        for nbr in rng.sample(sparse, degree - (len(degrees) - 1)):
+            graph.add_edge(hub, nbr)
+        hubs.append(hub)
+        hub += 1
+    for i, a in enumerate(hubs):
+        for b in hubs[i + 1 :]:
+            graph.add_edge(a, b)
+    return graph
+
+
+@pytest.fixture(scope="module")
+def mixed_stream():
+    stream = AdjacencyListStream(_mixed_degree_graph(), seed=5)
+    lengths = [len(nbrs) for _, nbrs in stream.iter_lists()]
+    assert min(lengths) < SHORT_LIST <= max(lengths)
+    assert SHORT_LIST - 1 in lengths and SHORT_LIST in lengths
+    return stream
+
+
+class TestShortListCutoffEquivalence:
+    @pytest.fixture(params=sorted(MIXED_FACTORIES))
+    def mixed_factory(self, request):
+        return MIXED_FACTORIES[request.param]
+
+    def test_all_dispatch_tiers_bit_identical(self, mixed_factory, mixed_stream):
+        runs = {
+            (fast, columnar): _run(mixed_factory, mixed_stream, fast=fast, columnar=columnar)
+            for fast in (False, True)
+            for columnar in (False, True)
+        }
+        base_algo, base_result = runs[(False, False)]
+        assert base_result.estimate > 0
+        base_payload = base_algo.snapshot().payload
+        for (fast, columnar), (algo, result) in runs.items():
+            label = f"fast={fast}, columnar={columnar}"
+            assert result.estimate == base_result.estimate, label
+            assert result.peak_space_words == base_result.peak_space_words, label
+            assert algo.snapshot().payload == base_payload, label
+            assert algo.observables() == base_algo.observables(), label
+
+    def test_resume_from_every_pass_two_checkpoint(
+        self, mixed_factory, mixed_stream, tmp_path
+    ):
+        """Resuming mid-pass 2 rebuilds the derived indexes (the wedge
+        index, the watcher and member columns) from the restored state,
+        even in a counter whose indexes already hold another graph's."""
+        config = _KeepEveryCheckpoint(tmp_path / "run.ckpt", every_lists=7)
+        uninterrupted_algo = mixed_factory()
+        uninterrupted = run_algorithm(uninterrupted_algo, mixed_stream, checkpoint=config)
+        pass_two = [c for c in config.kept if c.pass_index == 1 and c.lists_done > 0]
+        assert pass_two
+        payload = uninterrupted_algo.snapshot().payload
+        other = AdjacencyListStream(planted_triangles(60, 10, seed=99).graph, seed=1)
+        for checkpoint in pass_two:
+            algo = mixed_factory()
+            run_algorithm(algo, other)
+            resumed = run_algorithm(algo, mixed_stream, resume_from=checkpoint)
+            label = checkpoint.lists_done
+            assert resumed.estimate == uninterrupted.estimate, label
+            assert resumed.peak_space_words == uninterrupted.peak_space_words, label
+            assert algo.snapshot().payload == payload, label
+
+    @pytest.mark.parametrize("name", sorted(MIXED_SHARDED_FACTORIES))
+    def test_sharded_columnar_matches_scalar(self, name, mixed_stream):
+        make = MIXED_SHARDED_FACTORIES[name]
+        columnar_algo = make()
+        columnar = run_sharded(columnar_algo, mixed_stream, n_shards=3)
+        scalar_algo = make()
+        with scalar_oracle():
+            scalar = run_sharded(scalar_algo, mixed_stream, n_shards=3)
+        assert scalar.estimate > 0
+        assert columnar.estimate == scalar.estimate
+        assert columnar.peak_space_words == scalar.peak_space_words
+        assert columnar_algo.snapshot().payload == scalar_algo.snapshot().payload
+
+
+class TestWatcherPendingBound:
+    """Short lists never drain the watcher columns' pending tail, so the
+    triangle counter caps it: past the cap the columns are dropped and the
+    next long list rebuilds them from the watcher index."""
+
+    def test_capped_tail_rebuilds_bit_identically(self, monkeypatch):
+        # A book — spine (0, 1) plus 300 degree-2 pages — whose pages come
+        # right after a star hub: the hub builds the watcher columns early
+        # in pass 2, then every page offers a fresh pair on the spine.
+        pages = range(2, 302)
+        hub = 302
+        graph = Graph(edges=[(0, 1)])
+        for page in pages:
+            graph.add_edge(0, page)
+            graph.add_edge(1, page)
+        leaves = range(hub + 1, hub + 1 + 2 * SHORT_LIST)
+        for leaf in leaves:
+            graph.add_edge(hub, leaf)
+        stream = AdjacencyListStream(
+            graph, list_order=[hub, *pages, 0, 1, *leaves], seed=1
+        )
+        make = lambda: TwoPassTriangleCounter(sample_size=100, seed=1)  # noqa: E731
+
+        register = TwoPassTriangleCounter._register_watchers
+        drops = []
+
+        def tracking(self, pair, current_list):
+            built = self._wcol_buckets
+            register(self, pair, current_list)
+            assert len(self._wcol_pending) <= len(built or ()) + 64
+            if built is not None and self._wcol_buckets is None:
+                drops.append(len(built))
+
+        monkeypatch.setattr(TwoPassTriangleCounter, "_register_watchers", tracking)
+        production_algo = make()
+        production = run_algorithm(production_algo, stream)
+        assert (0, 1) in production_algo._sampler  # the spine drives the churn
+        assert drops
+        oracle_algo = make()
+        with scalar_oracle():
+            oracle = run_algorithm(oracle_algo, stream)
+        assert production.estimate == oracle.estimate
+        assert production.peak_space_words == oracle.peak_space_words
+        assert production_algo.snapshot().payload == oracle_algo.snapshot().payload
+
+
+class _KeepEveryCheckpoint(CheckpointConfig):
+    """Keeps every checkpoint it writes, not just the latest on disk."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.kept = []
+
+    def write(self, *args, **kwargs):
+        record = super().write(*args, **kwargs)
+        self.kept.append(load_checkpoint(self.path))
+        return record
+
+
+class TestOraclePinned:
+    """The scalar oracle never enters the short-list probe route."""
+
+    PROBES = (
+        (TwoPassTriangleCounter, "_count_h_probe"),
+        (TwoPassTriangleCounter, "_detect_probe"),
+        (TwoPassFourCycleCounter, "_complete_probe"),
+    )
+
+    @pytest.fixture
+    def probes_raise(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("probe route entered")
+
+        for cls, name in self.PROBES:
+            monkeypatch.setattr(cls, name, forbidden)
+
+    @pytest.mark.parametrize("name", sorted(MIXED_FACTORIES))
+    def test_oracle_runs_without_probes(self, name, mixed_stream, probes_raise):
+        for fast in (False, True):
+            with scalar_oracle():
+                result = run_algorithm(
+                    MIXED_FACTORIES[name](), mixed_stream, use_fast_path=fast
+                )
+            assert result.estimate > 0
+
+    @pytest.mark.parametrize("name", sorted(MIXED_FACTORIES))
+    def test_production_path_takes_probes(self, name, mixed_stream, probes_raise):
+        with pytest.raises(AssertionError, match="probe route entered"):
+            run_algorithm(MIXED_FACTORIES[name](), mixed_stream)

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
+from repro.core.triangle_two_pass import TwoPassTriangleCounter
+from repro.graph.generators import complete_graph
 from repro.graph.graph import canonical_edge
+from repro.streaming.runner import run_algorithm
+from repro.streaming.stream import AdjacencyListStream
 from repro.util import vectorized
 from repro.util.hashing import MixHash64, PairwiseHash, _splitmix64, _to_int_key
 from repro.util.sampling import BottomKSampler
@@ -32,6 +37,7 @@ from repro.util.vectorized import (
     mixhash_unit_array,
     pairwise_int_array,
     set_columnar_enabled,
+    SHORT_LIST,
     splitmix64_array,
 )
 
@@ -294,3 +300,31 @@ class TestColumnarSwitch:
                 assert not vectorized.columnar_enabled()
                 raise RuntimeError("boom")
         assert vectorized.columnar_enabled()
+
+
+class TestShortListCutoff:
+    """Lists just below and at ``SHORT_LIST`` match the scalar oracle.
+
+    Every list of the complete graph ``K_n`` holds ``n - 1`` neighbours,
+    so ``K_SHORT_LIST`` runs the counters wholly on the short-list route
+    and ``K_(SHORT_LIST + 1)`` wholly on the columnar kernels.
+    """
+
+    @pytest.mark.parametrize("n", [SHORT_LIST, SHORT_LIST + 1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TwoPassTriangleCounter(sample_size=16, seed=3),
+            lambda: TwoPassFourCycleCounter(sample_size=16, mode="distinct", seed=3),
+        ],
+        ids=["triangle", "fourcycle"],
+    )
+    def test_counters_match_oracle(self, n, make):
+        stream = AdjacencyListStream(complete_graph(n), seed=1)
+        production_algo = make()
+        production = run_algorithm(production_algo, stream)
+        oracle_algo = make()
+        with vectorized.scalar_oracle():
+            oracle = run_algorithm(oracle_algo, stream)
+        assert production.estimate == oracle.estimate > 0
+        assert production_algo.snapshot().payload == oracle_algo.snapshot().payload
