@@ -377,26 +377,6 @@ def cmd_algorithms(args) -> int:
     return 0
 
 
-def _install_stop_handlers(stop) -> None:
-    """Route SIGINT/SIGTERM to a graceful server stop, explicitly.
-
-    The default KeyboardInterrupt path is not enough: a server launched
-    with ``&`` from a non-interactive shell (CI smoke runs) inherits
-    SIGINT as *ignored*, so ``kill -INT`` would be silently dropped and
-    the graceful checkpoint path never run.  An explicit loop handler
-    overrides the inherited disposition.
-    """
-    import asyncio
-    import signal
-
-    loop = asyncio.get_running_loop()
-    try:
-        loop.add_signal_handler(signal.SIGINT, stop)
-        loop.add_signal_handler(signal.SIGTERM, stop)
-    except NotImplementedError:  # pragma: no cover - non-POSIX event loop
-        pass
-
-
 def cmd_serve(args) -> int:
     """Run the asyncio streaming-counting service until interrupted.
 
@@ -427,6 +407,7 @@ def cmd_serve(args) -> int:
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, open_telemetry
     from repro.obs.trace import NULL_TRACER, Tracer, write_chrome_trace
     from repro.serve.manager import SessionManager
+    from repro.serve.net import install_stop_handlers
     from repro.serve.protocol import ServeError
     from repro.serve.server import ServeServer
 
@@ -508,7 +489,7 @@ def cmd_serve(args) -> int:
 
         async def _route() -> None:
             await router.start()
-            _install_stop_handlers(router.stop)
+            install_stop_handlers(router.stop)
             print(
                 f"routing {args.workers} worker(s) on "
                 f"{args.host}:{router.bound_port}",
@@ -570,7 +551,7 @@ def cmd_serve(args) -> int:
                 print(f"resumed {len(restored)} checkpointed session(s)")
             except ServeError as exc:
                 print(f"no sessions resumed: {exc.message}")
-        _install_stop_handlers(server.stop)
+        install_stop_handlers(server.stop)
         print(f"serving on {args.host}:{server.bound_port}", flush=True)
         await server.serve_until_stopped()
 

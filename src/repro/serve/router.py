@@ -55,6 +55,12 @@ layer:
   (client, router, workers) stitch into one tree by span id
   (``repro-cycles obs-report stitch-trace``).
 
+The router is a :class:`~repro.serve.net.FrontEnd`: frame reading,
+framing-error replies, the write lock, the stop event, the lag probe and
+the ``serve_until_stopped`` skeleton are the layer it shares with
+:class:`~repro.serve.server.ServeServer`, so both answer every framing
+case alike.  The router keeps only the routing above.
+
 Shutdown: the ``shutdown`` op fans out to every worker (each checkpoints
 its live sessions to its own ``worker-<i>`` directory exactly as a bare
 server would), then stops the router.  ``join_workers`` reaps the
@@ -72,7 +78,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Coroutine, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.metrics import Snapshot, label_snapshot, merge_snapshots
 from repro.obs.names import METRIC_NAMES, unregistered_series
@@ -88,14 +94,15 @@ from repro.obs.trace import (
 )
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.manager import SessionManager
-from repro.serve.net import wait_for_port
+from repro.serve.net import (
+    Connection,
+    FrontEnd,
+    close_writer,
+    install_stop_handlers,
+    wait_for_port,
+)
 from repro.serve.protocol import (
-    BAD_FRAME,
     BAD_REQUEST,
-    BINARY_HEADER_BYTES,
-    BINARY_MAGIC,
-    BINARY_NOT_NEGOTIATED,
-    FRAME_TOO_LARGE,
     INTERNAL,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -104,8 +111,6 @@ from repro.serve.protocol import (
     UNAUTHENTICATED,
     UNKNOWN_OP,
     ServeError,
-    decode_binary_header,
-    decode_frame,
     encode_frame,
     error_response,
     get_int,
@@ -113,12 +118,7 @@ from repro.serve.protocol import (
     ok_response,
     request_id,
 )
-from repro.serve.server import (
-    LAG_PROBE_INTERVAL_S,
-    ServeServer,
-    _algorithms_listing,
-    parse_trace_field,
-)
+from repro.serve.server import ServeServer, _algorithms_listing, parse_trace_field
 
 __all__ = [
     "Tenant",
@@ -133,7 +133,6 @@ __all__ = [
 SCRAPE_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _RELAY_HELP = "router-side relay latency histogram per relayed op"
-_LOOP_LAG_HELP = "event-loop scheduling lag histogram (sleep overshoot)"
 
 
 def _now() -> float:
@@ -244,16 +243,7 @@ def _worker_main(index: int, conn: Any, config: Dict[str, Any]) -> None:
             shutdown_checkpoint_dir=config.get("checkpoint_dir"),
         )
         await server.start()
-        # Explicit handlers: the worker inherits the router's signal
-        # dispositions across fork, and those may be SIG_IGN (a router
-        # backgrounded with `&` in a non-interactive shell).  Relying on
-        # KeyboardInterrupt would make such workers unkillable-gracefully.
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGINT, server.stop)
-            loop.add_signal_handler(signal.SIGTERM, server.stop)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loop
-            pass
+        install_stop_handlers(server.stop)
         if config.get("resume") and config.get("checkpoint_dir"):
             try:
                 await manager.load_checkpoints(config["checkpoint_dir"])
@@ -278,22 +268,20 @@ def _worker_main(index: int, conn: Any, config: Dict[str, Any]) -> None:
         pass  # graceful path already ran inside serve_until_stopped's finally
 
 
-class _Connection:
+class _Connection(Connection):
     """Per-client-connection routing state."""
 
-    __slots__ = ("writer", "write_lock", "binary", "tenant", "upstreams", "pumps")
+    __slots__ = ("tenant", "upstreams", "pumps")
 
     def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.write_lock = asyncio.Lock()
-        self.binary = False
+        super().__init__(writer)
         self.tenant: Optional[Tenant] = None
         # worker index -> (reader, writer) raw relay link
         self.upstreams: Dict[int, Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
         self.pumps: List[asyncio.Task] = []
 
 
-class ServeRouter:
+class ServeRouter(FrontEnd):
     """The multi-worker front-end: spawn, route, meter, merge, reap."""
 
     def __init__(
@@ -326,14 +314,12 @@ class ServeRouter:
         ):
             if paths is not None and len(paths) != n_workers:
                 raise ValueError(f"{label} must list one path per worker")
+        super().__init__(host, port, telemetry)
         self.n_workers = n_workers
-        self.host = host
-        self.port = port
         self.checkpoint_dir = checkpoint_dir
         self.metrics_port = metrics_port
         self.slo = slo
         self.slo_interval_s = slo_interval_s
-        self.telemetry = telemetry
         self.tracer = tracer
         self._worker_telemetry_paths = (
             list(worker_telemetry_paths) if worker_telemetry_paths else [None] * n_workers
@@ -358,13 +344,9 @@ class ServeRouter:
         self.tenants = tenants or {}
         self.worker_ports: List[int] = []
         self._processes: List[multiprocessing.process.BaseProcess] = []
-        self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
-        self._lag_task: Optional[asyncio.Task] = None
-        self._slo_task: Optional[asyncio.Task] = None
-        self._stopping: Optional[asyncio.Event] = None
         self._controls: List[Optional[ServeClient]] = []
-        self._control_lock: Optional[asyncio.Lock] = None
+        self._control_lock = asyncio.Lock()
         # Live-plane state: open-negotiated trace contexts per session,
         # the last verdict-refreshing poll, and the previous SLO window's
         # (monotonic time, fleet pairs total) anchor for throughput.
@@ -451,12 +433,6 @@ class ServeRouter:
     # -- router service --------------------------------------------------------
 
     @property
-    def bound_port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("router is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
     def metrics_bound_port(self) -> int:
         if self._metrics_server is None or not self._metrics_server.sockets:
             raise RuntimeError("the router has no /metrics listener")
@@ -465,15 +441,11 @@ class ServeRouter:
     async def start(self) -> None:
         if not self.worker_ports:
             raise RuntimeError("spawn_workers() must run before start()")
-        self._stopping = asyncio.Event()
-        self._control_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
-        )
+        await super().start()
         self._started_s = _now()
         if self.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_scrape, self.host, self.metrics_port
+            self._metrics_server = await self._listen(
+                self._handle_scrape, self.metrics_port
             )
         if self.telemetry.enabled:
             self.telemetry.set_gauge(
@@ -481,40 +453,18 @@ class ServeRouter:
                 self.n_workers,
                 help="worker processes behind the router",
             )
-            self._lag_task = asyncio.ensure_future(self._lag_probe())
-            if self.slo is not None:
-                self._slo_task = asyncio.ensure_future(self._slo_loop())
 
-    async def serve_until_stopped(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None and self._stopping is not None
+    def _background(self) -> List[Coroutine[Any, Any, None]]:
+        coros = super()._background()
+        if self.telemetry.enabled and self.slo is not None:
+            coros.append(self._slo_loop())
+        return coros
+
+    async def _wind_down(self) -> None:
         try:
-            await self._stopping.wait()
-        finally:
-            for task in (self._lag_task, self._slo_task):
-                if task is not None:
-                    task.cancel()
-                    try:
-                        await task
-                    except asyncio.CancelledError:
-                        pass
-            self._lag_task = None
-            self._slo_task = None
-            if self._metrics_server is not None:
-                self._metrics_server.close()
-                await self._metrics_server.wait_closed()
-                self._metrics_server = None
-            self._server.close()
-            await self._server.wait_closed()
-            try:
-                await asyncio.shield(self._close_controls())
-            except asyncio.CancelledError:
-                pass
-
-    def stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
+            await asyncio.shield(self._close_controls())
+        except asyncio.CancelledError:
+            pass
 
     async def _close_controls(self) -> None:
         for client in self._controls:
@@ -523,7 +473,6 @@ class ServeRouter:
         self._controls = [None] * self.n_workers
 
     async def _control(self, index: int) -> ServeClient:
-        assert self._control_lock is not None
         async with self._control_lock:
             client = self._controls[index]
             if client is None:
@@ -634,9 +583,7 @@ class ServeRouter:
                 line = await reader.readline()
                 if not line:
                     break
-                async with conn.write_lock:
-                    conn.writer.write(line)
-                    await conn.writer.drain()
+                await conn.write(line)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
 
@@ -665,11 +612,6 @@ class ServeRouter:
 
     # -- router-local ops ------------------------------------------------------
 
-    async def _send(self, conn: _Connection, response: Dict[str, Any]) -> None:
-        async with conn.write_lock:
-            conn.writer.write(encode_frame(response))
-            await conn.writer.drain()
-
     @staticmethod
     def _rewrite(req_id: Any, out: Dict[str, Any]) -> Dict[str, Any]:
         """A control-client response, re-correlated to the client's id."""
@@ -683,8 +625,6 @@ class ServeRouter:
         try:
             op = str(message.get("op"))
             if op == "hello":
-                if message.get("binary"):
-                    conn.binary = True
                 return ok_response(
                     req_id,
                     protocol=PROTOCOL_VERSION,
@@ -898,26 +838,7 @@ class ServeRouter:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-                asyncio.CancelledError,
-            ):
-                pass
-
-    async def _lag_probe(self) -> None:
-        """Sample event-loop scheduling lag as sleep overshoot."""
-        while True:
-            start = time.monotonic()  # repro-lint: disable=DET003 -- loop-lag observability is wall time by design; no estimator state depends on it
-            await asyncio.sleep(LAG_PROBE_INTERVAL_S)
-            lag = time.monotonic() - start - LAG_PROBE_INTERVAL_S  # repro-lint: disable=DET003 -- loop-lag observability is wall time by design; no estimator state depends on it
-            self.telemetry.observe_histogram(
-                "serve_loop_lag_seconds", max(0.0, lag), help=_LOOP_LAG_HELP
-            )
+            await close_writer(writer)
 
     @staticmethod
     def _counter_total(snapshot: Snapshot, name: str) -> float:
@@ -1065,144 +986,60 @@ class ServeRouter:
         self._record_session(tenant, target)
         return self._rewrite(req_id, out)
 
-    # -- connection loop -------------------------------------------------------
+    # -- connection hooks ------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
-        try:
-            while True:
-                try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    if not await self._route_binary(conn, reader, first):
-                        break
-                    continue
-                if first == b"\n":
-                    continue
-                try:
-                    line = first + await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(
-                        conn,
-                        error_response(
-                            None,
-                            ServeError(
-                                BAD_REQUEST,
-                                f"frame exceeds {MAX_FRAME_BYTES} bytes",
-                            ),
-                        ),
-                    )
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    message = decode_frame(stripped)
-                except ServeError as exc:
-                    await self._send(conn, error_response(None, exc))
-                    continue
-                op = message.get("op")
-                if op in _ROUTER_OPS or "session" not in message:
-                    response = await self._handle_local(conn, message)
-                    await self._send(conn, response)
-                    if op == "shutdown" and response.get("ok"):
-                        break
-                    continue
-                # Hot path: feed/poll/finish_pass/snapshot/stats — relay
-                # the original line verbatim to the owning worker.
-                try:
-                    session_id = get_str(message, "session")
-                    if op == "feed":
-                        tenant = self._require_tenant(conn)
-                        pairs = message.get("pairs")
-                        n_pairs = len(pairs) if isinstance(pairs, list) else 0
-                        self._charge_feed(tenant, len(line), n_pairs)
-                    else:
-                        self._require_tenant(conn)
-                except ServeError as exc:
-                    await self._send(conn, error_response(request_id(message), exc))
-                    continue
-                if op == "poll":
-                    self._last_poll_s = _now()
-                await self._relay(conn, session_id, line, op=str(op))
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handlers parked in a read; exit quietly.
-            pass
-        finally:
-            for pump in conn.pumps:
-                pump.cancel()
-            for _, up_writer in conn.upstreams.values():
-                try:
-                    up_writer.close()
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    pass
+    def _connection(self, writer: asyncio.StreamWriter) -> _Connection:
+        return _Connection(writer)
+
+    async def _disconnect(self, conn: _Connection) -> None:
+        for pump in conn.pumps:
+            pump.cancel()
+        for _, up_writer in conn.upstreams.values():
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-                asyncio.CancelledError,
-            ):
+                up_writer.close()
+            except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _route_binary(
-        self, conn: _Connection, reader: asyncio.StreamReader, first: bytes
+    async def _on_json(
+        self, conn: _Connection, message: Dict[str, Any], line: bytes
     ) -> bool:
-        """Read one binary frame and relay it; False = close the connection."""
+        op = message.get("op")
+        if op in _ROUTER_OPS or "session" not in message:
+            response = await self._handle_local(conn, message)
+            await conn.send(response)
+            return not (op == "shutdown" and response.get("ok"))
+        # Hot path: feed/poll/finish_pass/snapshot/stats — relay the
+        # original line verbatim to the owning worker.
         try:
-            header = first + await reader.readexactly(BINARY_HEADER_BYTES - 1)
-        except asyncio.IncompleteReadError:
-            return False
-        try:
-            session_len, n_pairs, req_id = decode_binary_header(header)
+            session_id = get_str(message, "session")
+            tenant = self._require_tenant(conn)
+            if op == "feed":
+                pairs = message.get("pairs")
+                n_pairs = len(pairs) if isinstance(pairs, list) else 0
+                self._charge_feed(tenant, len(line), n_pairs)
         except ServeError as exc:
-            # Both BAD_FRAME (bad magic/version) and FRAME_TOO_LARGE (an
-            # over-claimed length) leave the byte stream unframeable:
-            # respond without an id, then drop the connection.
-            assert exc.code in (BAD_FRAME, FRAME_TOO_LARGE)
-            await self._send(conn, error_response(None, exc))
-            return False
-        try:
-            body = await reader.readexactly(session_len + 16 * n_pairs)
-        except asyncio.IncompleteReadError:
-            return False
-        if not conn.binary:
-            await self._send(
-                conn,
-                error_response(
-                    req_id,
-                    ServeError(
-                        BINARY_NOT_NEGOTIATED,
-                        "binary frames require a hello with 'binary': 1 "
-                        "on this connection first",
-                    ),
-                ),
-            )
+            await conn.send(error_response(request_id(message), exc))
             return True
-        try:
-            session_id = body[:session_len].decode("utf-8")
-        except UnicodeDecodeError:
-            await self._send(
-                conn,
-                error_response(
-                    req_id,
-                    ServeError(BAD_REQUEST, "binary session id is not UTF-8"),
-                ),
-            )
-            return True
+        if op == "poll":
+            self._last_poll_s = _now()
+        await self._relay(conn, session_id, line, op=str(op))
+        return True
+
+    async def _on_binary(
+        self,
+        conn: _Connection,
+        req_id: int,
+        session_id: str,
+        srcs: Any,
+        dsts: Any,
+        header: bytes,
+        body: bytes,
+    ) -> None:
         try:
             tenant = self._require_tenant(conn)
-            self._charge_feed(tenant, BINARY_HEADER_BYTES + len(body), n_pairs)
+            self._charge_feed(tenant, len(header) + len(body), len(srcs))
         except ServeError as exc:
-            await self._send(conn, error_response(req_id, exc))
-            return True
+            await conn.send(error_response(req_id, exc))
+            return
+        # Relay the original header and body bytes verbatim.
         await self._relay(conn, session_id, header + body, op="feed", wire="binary")
-        return True

@@ -7,17 +7,14 @@ Two layers, deliberately separable:
   No sockets, no framing: the :class:`~repro.serve.client.InProcessClient`
   and the tests drive it directly, so every op is exercised without a
   running event-loop server.
-* :class:`ServeServer` — ``asyncio.start_server`` wiring: one reader task
-  per connection dispatching on the first byte of each frame (JSON line
-  or binary pair-batch, once negotiated), the protocol's frame cap as the
-  read limit (oversized frames surface as ``BAD_REQUEST`` /
-  ``FRAME_TOO_LARGE``, not memory growth), responses written under a
-  per-connection lock so interleaved session tasks never produce torn
-  lines.  Requests **pipeline** up to :data:`PIPELINE_DEPTH` per
-  connection: a slow feed no longer head-of-line-blocks an unrelated
-  session's poll on the same socket, while same-session requests chain in
-  arrival order and cross-session ops (merge, shutdown) drain the
-  pipeline first.
+* :class:`ServeServer` — a :class:`~repro.serve.net.FrontEnd`, the
+  connection and lifecycle layer it shares with the router (frame
+  reading, framing-error replies, the write lock, the stop event, the
+  lag probe).  What is the server's own: requests **pipeline** up to
+  :data:`PIPELINE_DEPTH` per connection, so a slow feed no longer
+  head-of-line-blocks an unrelated session's poll on the same socket,
+  while same-session requests chain in arrival order and cross-session
+  ops (merge, shutdown) drain the pipeline first.
 
 Graceful shutdown (``stop()``, or the ``shutdown`` op) stops accepting
 connections, optionally checkpoints every live session via
@@ -29,28 +26,20 @@ leaves parseable telemetry behind.
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.obs.trace import TraceContext
 from repro.serve.manager import SessionManager
+from repro.serve.net import Connection, FrontEnd
 from repro.serve.protocol import (
     BAD_REQUEST,
-    BINARY_HEADER_BYTES,
-    BINARY_MAGIC,
-    BINARY_NOT_NEGOTIATED,
     INTERNAL,
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     UNKNOWN_OP,
     VALIDATE_STRICT,
     ServeError,
-    decode_binary_body,
-    decode_binary_header,
-    decode_frame,
     decode_pairs,
     decode_state,
-    encode_frame,
     encode_state,
     error_response,
     get_int,
@@ -67,13 +56,8 @@ __all__ = ["handle_request", "ServeServer"]
 #: Per-connection cap on concurrently executing requests.  Pipelining cuts
 #: head-of-line p99 (a slow feed on session A no longer blocks a poll on
 #: session B sharing the socket); per-session order is preserved by
-#: chaining same-session requests (see ``_handle_connection``).
+#: chaining same-session requests (see ``ServeServer._dispatch``).
 PIPELINE_DEPTH = 32
-
-#: Cadence of the event-loop lag probe (sleep-overshoot sampling).
-LAG_PROBE_INTERVAL_S = 0.25
-
-_LOOP_LAG_HELP = "event-loop scheduling lag histogram (sleep overshoot)"
 
 
 def parse_trace_field(message: Dict[str, Any]) -> Optional[TraceContext]:
@@ -262,8 +246,31 @@ async def handle_request(
         )
 
 
-class ServeServer:
-    """The TCP service: ``asyncio.start_server`` over :func:`handle_request`.
+class _Pipeline(Connection):
+    """A server connection plus its request pipeline.
+
+    ``inflight`` caps concurrently executing requests at
+    :data:`PIPELINE_DEPTH`; ``chains`` maps each session to its newest
+    request task so same-session requests run in arrival order.
+    """
+
+    __slots__ = ("inflight", "chains", "tasks")
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        super().__init__(writer)
+        self.inflight = asyncio.Semaphore(PIPELINE_DEPTH)
+        self.chains: Dict[Any, asyncio.Task] = {}
+        self.tasks: Set[asyncio.Task] = set()
+
+    async def barrier(self) -> None:
+        """Wait until every pipelined request on this connection is done."""
+        if self.tasks:
+            await asyncio.gather(*self.tasks, return_exceptions=True)
+
+
+class ServeServer(FrontEnd):
+    """The TCP service: the shared :class:`~repro.serve.net.FrontEnd`
+    connection loop over :func:`handle_request`.
 
     ``shutdown_checkpoint_dir`` makes shutdown durable: every live
     snapshot-capable session is frozen there before closing (a restarted
@@ -278,261 +285,118 @@ class ServeServer:
         *,
         shutdown_checkpoint_dir: Optional[str] = None,
     ):
+        super().__init__(host, port, manager.telemetry)
         self.manager = manager
-        self.host = host
-        self.port = port
         self.shutdown_checkpoint_dir = shutdown_checkpoint_dir
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopping = asyncio.Event()
-        self._lag_task: Optional[asyncio.Task] = None
 
-    async def _lag_probe(self) -> None:
-        """Sample event-loop scheduling lag as sleep overshoot, forever."""
-        telemetry = self.manager.telemetry
-        while True:
-            start = time.perf_counter()  # repro-lint: disable=DET003 -- loop-lag telemetry is wall time by design; no estimator state depends on it
-            await asyncio.sleep(LAG_PROBE_INTERVAL_S)
-            lag = time.perf_counter() - start - LAG_PROBE_INTERVAL_S  # repro-lint: disable=DET003 -- loop-lag telemetry is wall time by design; no estimator state depends on it
-            telemetry.observe_histogram(
-                "serve_loop_lag_seconds", max(0.0, lag), help=_LOOP_LAG_HELP
+    def _connection(self, writer: asyncio.StreamWriter) -> _Pipeline:
+        return _Pipeline(writer)
+
+    async def _disconnect(self, conn: _Pipeline) -> None:
+        await conn.barrier()
+
+    def _count_request(self) -> None:
+        if self.telemetry.enabled:
+            self.telemetry.count(
+                "serve_requests_total",
+                help="protocol requests handled by the server",
             )
 
-    @property
-    def bound_port(self) -> int:
-        """The concrete port after binding (``port=0`` picks a free one)."""
-        if self._server is None or not self._server.sockets:
-            raise RuntimeError("server is not started")
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_FRAME_BYTES,
-        )
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _run_request(
+        self,
+        conn: _Pipeline,
+        message: Dict[str, Any],
+        prev: Optional[asyncio.Task],
     ) -> None:
-        write_lock = asyncio.Lock()
-        inflight = asyncio.Semaphore(PIPELINE_DEPTH)
-        chains: Dict[Any, asyncio.Task] = {}
-        tasks: set = set()
-        binary_ok = False
-
-        async def send(response: Dict[str, Any]) -> None:
-            async with write_lock:
-                writer.write(encode_frame(response))
-                await writer.drain()
-
-        async def run_request(
-            message: Dict[str, Any], prev: Optional[asyncio.Task]
-        ) -> None:
-            # Same-session requests chain on their predecessor (response
-            # included), so pipelining never reorders one session's ops.
-            try:
-                if prev is not None:
-                    try:
-                        await prev
-                    except Exception:
-                        pass
-                await send(await handle_request(self.manager, message))
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            finally:
-                inflight.release()
-
-        def dispatch(message: Dict[str, Any]) -> None:
-            key = message.get("session")
-            task = asyncio.ensure_future(run_request(message, chains.get(key)))
-            tasks.add(task)
-            chains[key] = task
-
-            def _done(t: "asyncio.Task", key: Any = key) -> None:
-                tasks.discard(t)
-                if chains.get(key) is t:
-                    del chains[key]
-
-            task.add_done_callback(_done)
-
-        def count_request() -> None:
-            if self.manager.telemetry.enabled:
-                self.manager.telemetry.count(
-                    "serve_requests_total",
-                    help="protocol requests handled by the server",
-                )
-
+        # Same-session requests chain on their predecessor (response
+        # included), so pipelining never reorders one session's ops.
         try:
-            while True:
+            if prev is not None:
                 try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
-                    break
-                if first[0] == BINARY_MAGIC:
-                    try:
-                        header = first + await reader.readexactly(
-                            BINARY_HEADER_BYTES - 1
-                        )
-                    except asyncio.IncompleteReadError:
-                        break  # peer died mid-header
-                    count_request()
-                    try:
-                        session_len, n_pairs, req_id = decode_binary_header(header)
-                    except ServeError as exc:
-                        # BAD_FRAME / FRAME_TOO_LARGE: the byte stream can
-                        # no longer be re-framed — report, then close.
-                        await send(error_response(None, exc))
-                        break
-                    try:
-                        body = await reader.readexactly(session_len + 16 * n_pairs)
-                    except asyncio.IncompleteReadError:
-                        break  # peer died mid-frame
-                    if not binary_ok:
-                        await send(
-                            error_response(
-                                req_id,
-                                ServeError(
-                                    BINARY_NOT_NEGOTIATED,
-                                    "binary frames require a hello with "
-                                    "'binary': 1 on this connection first",
-                                ),
-                            )
-                        )
-                        continue
-                    try:
-                        session_id, srcs, dsts = decode_binary_body(
-                            body, session_len, n_pairs
-                        )
-                    except ServeError as exc:
-                        await send(error_response(req_id, exc))
-                        continue
-                    await inflight.acquire()
-                    dispatch(
-                        {
-                            "id": req_id,
-                            "op": "feed",
-                            "session": session_id,
-                            "_arrays": (srcs, dsts),
-                            "_nbytes": BINARY_HEADER_BYTES + len(body),
-                        }
-                    )
-                    continue
-                if first == b"\n":
-                    continue
-                try:
-                    line = first + await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(
-                        error_response(
-                            None,
-                            ServeError(
-                                BAD_REQUEST,
-                                f"frame exceeds {MAX_FRAME_BYTES} bytes",
-                            ),
-                        )
-                    )
-                    break
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                count_request()
-                try:
-                    message = decode_frame(stripped)
-                except ServeError as exc:
-                    await send(error_response(None, exc))
-                    continue
-                op = message.get("op")
-                if op == "shutdown":
-                    if tasks:
-                        await asyncio.gather(*tasks, return_exceptions=True)
-                    await send(ok_response(request_id(message), stopping=True))
-                    self._stopping.set()
-                    break
-                if op == "hello":
-                    if message.get("binary"):
-                        binary_ok = True
-                    response = await handle_request(self.manager, message)
-                    if response.get("ok"):
-                        response["binary"] = 1 if binary_ok else 0
-                    await send(response)
-                    continue
-                message["_nbytes"] = len(line)
-                if op == "merge" or "session" not in message:
-                    # Cross-session (merge) and connection-global ops act
-                    # as barriers: drain the pipeline, then run inline.
-                    if tasks:
-                        await asyncio.gather(*tasks, return_exceptions=True)
-                    await send(await handle_request(self.manager, message))
-                    continue
-                await inflight.acquire()
-                dispatch(message)
+                    await prev
+                except Exception:
+                    pass
+            await conn.send(await handle_request(self.manager, message))
         except (ConnectionResetError, BrokenPipeError):
             pass
-        except asyncio.CancelledError:
-            # Loop teardown cancels handlers parked in a read; exiting
-            # quietly here keeps worker/server shutdown logs clean.
-            pass
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                OSError,
-                asyncio.CancelledError,
-            ):
-                pass
+            conn.inflight.release()
 
-    async def serve_until_stopped(self) -> None:
-        """Run until ``stop()``/the ``shutdown`` op, then wind down cleanly.
+    def _dispatch(self, conn: _Pipeline, message: Dict[str, Any]) -> None:
+        """Pipeline one session-scoped request behind its session's chain.
 
-        The ``finally`` block is the graceful-shutdown path *and* the
-        cancellation path: checkpoint live sessions, close the rest,
-        flush telemetry — so killing the serve task mid-run still leaves
-        a parseable telemetry trail and durable session state.
+        The caller holds one ``conn.inflight`` slot; the request task
+        releases it.
         """
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        if self.manager.telemetry.enabled and self._lag_task is None:
-            self._lag_task = asyncio.ensure_future(self._lag_probe())
-        try:
-            await self._stopping.wait()
-        finally:
-            if self._lag_task is not None:
-                self._lag_task.cancel()
-                try:
-                    await self._lag_task
-                except asyncio.CancelledError:
-                    pass
-                self._lag_task = None
-            self._server.close()
-            await self._server.wait_closed()
-            try:
-                await asyncio.shield(
-                    self.manager.shutdown(self.shutdown_checkpoint_dir)
-                )
-            finally:
-                self.manager.telemetry.flush()
+        key = message.get("session")
+        task = asyncio.ensure_future(
+            self._run_request(conn, message, conn.chains.get(key))
+        )
+        conn.tasks.add(task)
+        conn.chains[key] = task
 
-    def stop(self) -> None:
-        """Request shutdown (idempotent; safe from any task)."""
-        self._stopping.set()
+        def _done(t: "asyncio.Task", key: Any = key) -> None:
+            conn.tasks.discard(t)
+            if conn.chains.get(key) is t:
+                del conn.chains[key]
 
-    async def __aenter__(self) -> "ServeServer":
-        await self.start()
-        return self
+        task.add_done_callback(_done)
 
-    async def __aexit__(self, *exc_info: Any) -> None:
-        self.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _on_binary(
+        self,
+        conn: _Pipeline,
+        req_id: int,
+        session_id: str,
+        srcs: Any,
+        dsts: Any,
+        header: bytes,
+        body: bytes,
+    ) -> None:
+        self._count_request()
+        await conn.inflight.acquire()
+        self._dispatch(
+            conn,
+            {
+                "id": req_id,
+                "op": "feed",
+                "session": session_id,
+                "_arrays": (srcs, dsts),
+                "_nbytes": len(header) + len(body),
+            },
+        )
+
+    async def _on_json(
+        self, conn: _Pipeline, message: Dict[str, Any], line: bytes
+    ) -> bool:
+        self._count_request()
+        op = message.get("op")
+        if op == "shutdown":
+            await conn.barrier()
+            await conn.send(ok_response(request_id(message), stopping=True))
+            self.stop()
+            return False
+        if op == "hello":
+            response = await handle_request(self.manager, message)
+            if response.get("ok"):
+                response["binary"] = 1 if conn.binary else 0
+            await conn.send(response)
+            return True
+        message["_nbytes"] = len(line)
+        if op == "merge" or "session" not in message:
+            # Cross-session (merge) and connection-global ops act as
+            # barriers: drain the pipeline, then run inline.
+            await conn.barrier()
+            await conn.send(await handle_request(self.manager, message))
+            return True
+        await conn.inflight.acquire()
+        self._dispatch(conn, message)
+        return True
+
+    async def _wind_down(self) -> None:
+        # Checkpoint live sessions, close the rest, flush telemetry — so
+        # a cancelled serve task still leaves a parseable telemetry trail
+        # and durable session state.
         try:
             await asyncio.shield(self.manager.shutdown(self.shutdown_checkpoint_dir))
         finally:
-            self.manager.telemetry.flush()
+            self.telemetry.flush()

@@ -2,13 +2,16 @@
 
 The codec half is property-based (hypothesis): any session id and any
 uint64 columns — empty chunks and 2**64-1 included — must survive
-encode/decode exactly.  The wire half runs a real server: binary frames
-before negotiation must fail with the registered code, and one
-connection must be able to interleave JSON and binary feed frames
-against the same session with responses staying JSON.
+encode/decode exactly.  The wire half runs every scenario against both
+front-ends — a bare server and a one-worker router — since they share
+one frame reader: each framing error must come back with the same code
+and the same connection outcome from either, and one connection must be
+able to interleave JSON and binary feed frames against the same session
+with responses staying JSON.
 """
 
 import asyncio
+import json
 import struct
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.serve.client import ServeClient
 from repro.serve.manager import SessionManager
 from repro.serve.protocol import (
     BAD_FRAME,
+    BAD_REQUEST,
     BINARY_FRAME_VERSION,
     BINARY_HEADER_BYTES,
     BINARY_MAGIC,
@@ -32,7 +36,9 @@ from repro.serve.protocol import (
     decode_binary_feed,
     decode_binary_header,
     encode_binary_feed,
+    encode_frame,
 )
+from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer
 
 _HEADER = struct.Struct("<BBHIQ")
@@ -122,15 +128,27 @@ class TestCodecErrors:
         assert err.value.code == BAD_FRAME
 
 
-async def _with_server(fn):
-    server = ServeServer(SessionManager(), port=0)
-    await server.start()
-    task = asyncio.ensure_future(server.serve_until_stopped())
+def _with_server(fn):
+    """Run ``fn(host, port)`` against a server, then a one-worker router."""
+
+    async def serve(front_end):
+        await front_end.start()
+        task = asyncio.ensure_future(front_end.serve_until_stopped())
+        try:
+            await fn("127.0.0.1", front_end.bound_port)
+        finally:
+            # The shutdown op also stops a router's workers at once.
+            async with ServeClient("127.0.0.1", front_end.bound_port) as client:
+                await client.shutdown_server()
+            await asyncio.wait_for(task, 10)
+
+    asyncio.run(serve(ServeServer(SessionManager(), port=0)))
+    router = ServeRouter(1, port=0)
+    router.spawn_workers()  # forks, so before the event loop starts
     try:
-        return await fn("127.0.0.1", server.bound_port)
+        asyncio.run(serve(router))
     finally:
-        server.stop()
-        await task
+        router.join_workers()
 
 
 class TestWire:
@@ -141,8 +159,6 @@ class TestWire:
                 col = np.array([1], dtype=np.uint64)
                 writer.write(encode_binary_feed(9, "s", col, col))
                 await writer.drain()
-                import json
-
                 response = json.loads(await reader.readline())
                 assert response["id"] == 9
                 assert response["error"]["code"] == BINARY_NOT_NEGOTIATED
@@ -150,7 +166,7 @@ class TestWire:
                 writer.close()
                 await writer.wait_closed()
 
-        asyncio.run(_with_server(scenario))
+        _with_server(scenario)
 
     def test_mixed_json_and_binary_frames_on_one_connection(self):
         async def scenario(host, port):
@@ -169,7 +185,7 @@ class TestWire:
                 assert poll["pairs_this_pass"] == 6
                 return poll
 
-        asyncio.run(_with_server(scenario))
+        _with_server(scenario)
 
     def test_binary_feed_requires_negotiation_client_side(self):
         async def scenario(host, port):
@@ -178,7 +194,7 @@ class TestWire:
                 with pytest.raises(RuntimeError):
                     await client.feed_binary("s", col, col)
 
-        asyncio.run(_with_server(scenario))
+        _with_server(scenario)
 
     def test_truncated_binary_frame_closes_connection(self):
         async def scenario(host, port):
@@ -187,8 +203,6 @@ class TestWire:
                 writer.write(bytes([BINARY_MAGIC, 99]))  # bad version
                 writer.write(b"\x00" * (BINARY_HEADER_BYTES - 2))
                 await writer.drain()
-                import json
-
                 response = json.loads(await reader.readline())
                 assert response["error"]["code"] == BAD_FRAME
                 # The stream is unframed after a bad header: the server
@@ -198,4 +212,45 @@ class TestWire:
                 writer.close()
                 await writer.wait_closed()
 
-        asyncio.run(_with_server(scenario))
+        _with_server(scenario)
+
+    def test_oversize_json_line_is_refused_and_hung_up(self):
+        async def scenario(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                # One byte past the cap and no newline: the refusal comes
+                # once every byte is read, so the hang-up is a clean close.
+                writer.write(b"{" + b" " * (MAX_FRAME_BYTES + 1))
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                assert response["id"] is None
+                assert response["error"]["code"] == BAD_REQUEST
+                assert await reader.read() == b""
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        _with_server(scenario)
+
+    def test_non_utf8_session_id_is_refused_and_connection_kept(self):
+        async def scenario(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(encode_frame({"id": 1, "op": "hello", "binary": 1}))
+                await writer.drain()
+                assert json.loads(await reader.readline())["binary"] == 1
+                header = _HEADER.pack(BINARY_MAGIC, BINARY_FRAME_VERSION, 2, 0, 5)
+                writer.write(header + b"\xff\xfe")
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                assert response["id"] == 5
+                assert response["error"]["code"] == BAD_FRAME
+                writer.write(encode_frame({"id": 6, "op": "hello"}))
+                await writer.drain()
+                response = json.loads(await reader.readline())
+                assert response["id"] == 6 and response["ok"]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        _with_server(scenario)

@@ -8,14 +8,22 @@ pins the ISSUE's satellite: a serve run killed mid-flight must leave a
 
 import asyncio
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.graph.planted import planted_triangles
-from repro.obs.telemetry import open_telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, open_telemetry
 from repro.serve.client import InProcessClient, ServeClient, ServeClientError
 from repro.serve.loadgen import run_load_async
 from repro.serve.manager import SessionManager
+from repro.serve.net import LAG_PROBE_INTERVAL_S
+from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer, handle_request
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import run_algorithm
@@ -292,3 +300,96 @@ class TestShutdownDurability:
 
         asyncio.run(first_life())
         assert asyncio.run(second_life()) == reference
+
+
+def _front_end(kind, telemetry=NULL_TELEMETRY):
+    """A server, or a one-worker router with its worker already forked."""
+    if kind == "server":
+        return ServeServer(SessionManager(telemetry=telemetry), port=0)
+    router = ServeRouter(1, port=0, telemetry=telemetry)
+    router.spawn_workers()
+    return router
+
+
+def _reap(front_end):
+    if isinstance(front_end, ServeRouter):
+        processes = list(front_end._processes)
+        front_end.join_workers()
+        assert not any(p.is_alive() for p in processes)
+
+
+class TestLifecycle:
+    """The shared lifecycle layer, on both front-ends."""
+
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_stop_before_start_returns(self, kind):
+        front_end = _front_end(kind)
+        try:
+            front_end.stop()
+            asyncio.run(asyncio.wait_for(front_end.serve_until_stopped(), 5))
+        finally:
+            _reap(front_end)
+
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_lag_probe_runs_only_with_telemetry(self, kind):
+        def probes():
+            return [
+                t for t in asyncio.all_tasks()
+                if t.get_coro().__qualname__.endswith("._lag_probe")
+            ]
+
+        async def serve(front_end, telemetry):
+            task = asyncio.ensure_future(front_end.serve_until_stopped())
+            await asyncio.sleep(LAG_PROBE_INTERVAL_S * 2)
+            try:
+                if telemetry.enabled:
+                    assert len(probes()) == 1
+                    lag = telemetry.metrics_snapshot()["serve_loop_lag_seconds"]
+                    assert lag["count"] >= 1
+                else:
+                    assert probes() == []
+            finally:
+                front_end.stop()
+                await asyncio.wait_for(task, 5)
+            assert probes() == []
+
+        for telemetry in (Telemetry(sink=None), NULL_TELEMETRY):
+            front_end = _front_end(kind, telemetry)
+            try:
+                asyncio.run(serve(front_end, telemetry))
+            finally:
+                _reap(front_end)
+
+    def test_sigterm_checkpoints_router_workers(self, tmp_path):
+        """``serve --workers 1`` under SIGTERM: exit 0, worker checkpoint on disk."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        ckpt = tmp_path / "ckpt"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
+             "--port", "0", "--checkpoint-dir", str(ckpt)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            banner = proc.stdout.readline().decode()
+            assert banner.startswith("routing 1 worker(s) on "), banner
+            port = int(banner.rsplit(":", 1)[1])
+
+            async def open_session():
+                async with ServeClient("127.0.0.1", port) as client:
+                    await client.open("s", "triangle-two-pass", 32, seed=1)
+                    await client.feed("s", [[0, 1], [0, 2]])
+
+            asyncio.run(open_session())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0, proc.stderr.read().decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert (ckpt / "worker-0" / "serve-checkpoint.json").exists()
