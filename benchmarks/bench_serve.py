@@ -14,12 +14,15 @@ final estimate.  With ``--binary`` the fleet feeds via the binary
 pair-batch frame instead of JSON lines.  After the fleet run, an ingest
 microbench streams one dense G(n, m) graph through a single session
 twice — once as JSON feed frames, once as binary frames, identical
-chunking and pipelining — against the same live endpoint.
+chunking and pipelining — against the same live endpoint.  Last, a stall
+probe polls a session from a second connection right behind each burst
+of feed frames on the first (:func:`measure_poll_stall`).
 
 The artifact (default ``BENCH_serve.json``) records fleet size, peak
 concurrency, pairs/sec, client-observed poll latency percentiles, the
 bit-identity audit (every session's final estimate must equal the batch
-runner's, exactly), and the JSON-vs-binary ingest comparison.
+runner's, exactly), the JSON-vs-binary ingest comparison and the stall
+probe's count.
 
 Self-declared gates (evaluated by ``repro-cycles bench-report``):
 
@@ -65,6 +68,13 @@ Self-declared gates (evaluated by ``repro-cycles bench-report``):
   what the serve layer adds on top of the estimator kernel, with no
   transport in the way.  ``ingest.session_bit_identical >= 1`` requires
   the two estimates to be bit-identical.
+* ``stall.feed_replies_per_poll <= 16`` — a poll sent on a second
+  connection right behind a 32-frame feed burst must be answered within
+  the burst's first half (median over the bursts; see
+  :func:`measure_poll_stall`).  A server that ran a connection's
+  buffered frames back to back before reading other sockets answered it
+  after all 32; taking turns answers it after about 1 (server) to 4
+  (router) feeds.
 """
 
 from __future__ import annotations
@@ -94,6 +104,7 @@ from repro.serve.loadgen import (
     run_load_async,
 )
 from repro.serve.manager import SessionManager
+from repro.serve.protocol import MAX_FRAME_BYTES, encode_binary_feed, encode_frame
 from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer
 from repro.serve.session import ServeSession
@@ -102,6 +113,14 @@ from repro.streaming.runner import run_algorithm
 
 #: The ISSUE-level floor: quick mode may shrink graphs, never the fleet.
 MIN_SESSIONS = 1000
+
+#: The stall probe's bursts: 32 feed frames of 128 pairs, 66 KB, which
+#: reach the server in one or two socket reads.
+STALL_BURST_FRAMES = 32
+STALL_FRAME_PAIRS = 128
+#: Ceiling on ``stall.feed_replies_per_poll``: half a burst.
+STALL_MAX_FEEDS_PER_POLL = STALL_BURST_FRAMES // 2
+
 
 def gates_for(workers: int, slo: SLOPolicy = None) -> list:
     """The artifact's self-declared gates, shaped by the serving mode.
@@ -130,6 +149,7 @@ def gates_for(workers: int, slo: SLOPolicy = None) -> list:
         {"metric": "ingest.binary_pairs_per_second", "min": 100_000},
         {"metric": "ingest.session_over_kernel", "max": 1.5},
         {"metric": "ingest.session_bit_identical", "min": 1},
+        {"metric": "stall.feed_replies_per_poll", "max": STALL_MAX_FEEDS_PER_POLL},
     ]
     if slo.feed_pairs_per_second > 0:
         gates.append(
@@ -196,8 +216,78 @@ def session_vs_kernel() -> dict:
     }
 
 
+async def measure_poll_stall(host: str, port: int) -> dict:
+    """Feed replies the server sends on one connection while a poll waits.
+
+    The ingest workload's first pass (:func:`ingest_workload`) goes into
+    a live session as bursts of :data:`STALL_BURST_FRAMES` binary feed
+    frames on one connection.  Right behind each burst, with no await in
+    between, a second connection polls the same session.  The session's
+    pair count in the poll's reply says how many of the burst's feeds
+    the server had handled, and answered, before the poll:
+    ``feed_replies_per_poll`` is the median of that count over the
+    bursts.  A server that takes turns between connections answers the
+    poll behind about one feed; one that runs a connection's buffered
+    frames back to back first answers it behind the whole burst.  The
+    count is read from the server's own state, so it follows from
+    scheduling, not from the host's speed or the client's.
+    """
+    _, pairs, srcs, dsts = ingest_workload()
+    step, size = STALL_FRAME_PAIRS, STALL_BURST_FRAMES
+    frames = [
+        encode_binary_feed(100 + i, "stall", srcs[start : start + step],
+                           dsts[start : start + step])
+        for i, start in enumerate(range(0, len(pairs), step))
+    ]
+    bursts = [
+        b"".join(frames[start : start + size])
+        for start in range(0, len(frames) - size + 1, size)
+    ]
+    ingest = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
+    watch = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
+
+    async def reply(link):
+        response = json.loads(await link[0].readline())
+        if not response.get("ok"):
+            raise RuntimeError(f"stall probe request failed: {response}")
+        return response
+
+    async def rpc(link, message):
+        link[1].write(encode_frame(message))
+        return await reply(link)
+
+    poll = encode_frame({"id": 2, "op": "poll", "session": "stall"})
+    await rpc(ingest, {"id": 0, "op": "hello", "binary": 1})
+    await rpc(ingest, {"id": 1, "op": "open", "session": "stall",
+                       "algorithm": INGEST_ALGORITHM, "budget": INGEST_BUDGET,
+                       "seed": INGEST_SEED})
+    # Both links carry a request first, so a router's lazily opened
+    # upstream links exist before the first burst.
+    for link in (ingest, watch):
+        link[1].write(poll)
+        await reply(link)
+
+    samples = []
+    for index, burst in enumerate(bursts):
+        ingest[1].write(burst)
+        watch[1].write(poll)
+        seen = (await reply(watch))["pairs_this_pass"]
+        samples.append(seen // step - index * size)
+        for _ in range(size):
+            await reply(ingest)
+    await rpc(ingest, {"id": 3, "op": "close", "session": "stall"})
+    for _, writer in (ingest, watch):
+        writer.close()
+        await writer.wait_closed()
+    return {
+        "bursts": len(samples),
+        "burst_frames": size,
+        "feed_replies_per_poll": statistics.median(samples),
+    }
+
+
 async def _drive(port, sessions, connections, chunk_pairs, use_binary):
-    """Fleet run then ingest microbench, both against one live endpoint."""
+    """Fleet run, ingest microbench and stall probe against one live endpoint."""
     fleet = await run_load_async(
         sessions=sessions,
         host="127.0.0.1",
@@ -207,7 +297,8 @@ async def _drive(port, sessions, connections, chunk_pairs, use_binary):
         use_binary=use_binary,
     )
     ingest = await run_ingest_async(host="127.0.0.1", port=port)
-    return fleet, ingest
+    stall = await measure_poll_stall("127.0.0.1", port)
+    return fleet, ingest, stall
 
 
 async def _run_single(sessions, connections, chunk_pairs, max_inflight_feeds,
@@ -260,13 +351,13 @@ def run(
         )
         router.spawn_workers()
         try:
-            fleet, ingest = asyncio.run(
+            fleet, ingest, stall = asyncio.run(
                 _run_routed(router, sessions, connections, chunk_pairs, binary)
             )
         finally:
             router.join_workers()
     else:
-        fleet, ingest = asyncio.run(
+        fleet, ingest, stall = asyncio.run(
             _run_single(sessions, connections, chunk_pairs, max_inflight_feeds,
                         binary)
         )
@@ -291,6 +382,7 @@ def run(
         "slo": slo.to_dict(),
         "serve": serve,
         "ingest": ingest,
+        "stall": stall,
         "gates": gates_for(workers, slo),
     }
 
@@ -325,6 +417,12 @@ def render(artifact: dict) -> None:
         f"kernel={ingest['kernel_pairs_per_second']/1e3:.0f}k pairs/s "
         f"(session/kernel time {ingest['session_over_kernel']:.2f}x, "
         f"bit_identical={ingest['session_bit_identical']})"
+    )
+    stall = artifact["stall"]
+    print(
+        f"[stall] a poll behind a {stall['burst_frames']}-frame feed burst is "
+        f"answered after {stall['feed_replies_per_poll']} feeds "
+        f"(median of {stall['bursts']} bursts)"
     )
 
 

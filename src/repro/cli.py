@@ -741,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-sessions", type=int, default=10_000,
                        help="hard cap on concurrently open sessions")
     serve.add_argument("--max-inflight-feeds", type=int, default=64,
-                       help="feed chunks processed concurrently before "
-                       "backpressure queues the rest")
+                       help="feeds admitted at once across connections "
+                       "before the rest wait at the gate")
     serve.add_argument("--byte-budget", type=int, default=None,
                        help="default per-session request-payload byte budget")
     serve.add_argument("--space-budget", type=int, default=None,

@@ -8,8 +8,9 @@
   serialize while different sessions proceed concurrently;
 * **admission control** — a hard cap on open sessions
   (``SESSION_LIMIT``) plus a semaphore bounding in-flight feed chunks
-  (``max_inflight_feeds``): a flood of feeds queues at the gate instead
-  of growing unbounded buffered state;
+  across connections (``max_inflight_feeds``): past the cap, feeds
+  parked on a session lock that a checkpoint or merge holds across an
+  await queue at the gate instead of piling up on the lock;
 * **cross-session merge** — sibling sessions (same spec, budget, origin
   and pass position) fold into one via the bit-exact shard-merge layer,
   exactly the pass-boundary merge ``run_sharded`` performs;

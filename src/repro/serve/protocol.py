@@ -236,9 +236,14 @@ def decode_pairs(raw: Any) -> List[Tuple[Any, Any]]:
     return pairs
 
 
-def encode_pairs(pairs: Sequence[Tuple[Any, Any]]) -> List[List[Any]]:
-    """Wire form of a pair chunk (inverse of :func:`decode_pairs`)."""
-    return [[src, dst] for src, dst in pairs]
+def encode_pairs(pairs: Sequence[Tuple[Any, Any]]) -> List[Any]:
+    """Wire form of a pair chunk (inverse of :func:`decode_pairs`).
+
+    The caller's list goes out as is: ``json`` writes a tuple pair as
+    the same ``[src, dst]`` array, so rebuilding every pair would only
+    cost client time.  Any other sequence is copied into a list.
+    """
+    return pairs if isinstance(pairs, list) else list(pairs)
 
 
 # -- binary pair-batch frames -------------------------------------------------

@@ -20,9 +20,10 @@ layer:
   feed/poll/finish_pass/snapshot frames verbatim — correlation ids pass
   through untouched, responses pump back under the client write lock, and
   binary pair-batch frames are routed by parsing only the 16-byte header
-  plus session id.  Per-connection pipelining happens *in the workers*;
-  the router adds no head-of-line coupling between sessions on different
-  workers.
+  plus session id.  A client may pipeline frames; each worker answers
+  one upstream link's requests one at a time, in arrival order, and
+  takes turns between links, so the router adds no head-of-line
+  coupling between sessions on different workers.
 * **Control ops** (open/close/merge/stats/shutdown) go through one shared
   :class:`~repro.serve.client.ServeClient` per worker so the router can
   account tenant quotas and orchestrate cross-worker merges.  A merge

@@ -10,11 +10,15 @@ Two layers, deliberately separable:
 * :class:`ServeServer` — a :class:`~repro.serve.net.FrontEnd`, the
   connection and lifecycle layer it shares with the router (frame
   reading, framing-error replies, the write lock, the stop event, the
-  lag probe).  What is the server's own: requests **pipeline** up to
-  :data:`PIPELINE_DEPTH` per connection, so a slow feed no longer
-  head-of-line-blocks an unrelated session's poll on the same socket,
-  while same-session requests chain in arrival order and cross-session
-  ops (merge, shutdown) drain the pipeline first.
+  lag probe).  What is the server's own: each connection's requests
+  are handled **one at a time, in arrival order** — handle, reply, then
+  yield one event-loop turn so other connections' ready sockets are read
+  before this connection's next buffered frame.  A poll on one
+  connection therefore waits behind at most about one feed of another
+  connection's burst, not behind a whole socket buffer of them.
+  Same-session order and a merge that sees every earlier feed on its
+  connection hold by construction; the socket buffer is the
+  backpressure.
 
 Graceful shutdown (``stop()``, or the ``shutdown`` op) stops accepting
 connections, optionally checkpoints every live session via
@@ -26,7 +30,7 @@ leaves parseable telemetry behind.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 from repro.obs.trace import TraceContext
 from repro.serve.manager import SessionManager
@@ -52,13 +56,6 @@ from repro.serve.protocol import (
 from repro.streaming.registry import iter_specs, serve_capabilities
 
 __all__ = ["handle_request", "ServeServer"]
-
-#: Per-connection cap on concurrently executing requests.  Pipelining cuts
-#: head-of-line p99 (a slow feed on session A no longer blocks a poll on
-#: session B sharing the socket); per-session order is preserved by
-#: chaining same-session requests (see ``ServeServer._dispatch``).
-PIPELINE_DEPTH = 32
-
 
 def parse_trace_field(message: Dict[str, Any]) -> Optional[TraceContext]:
     """Decode the optional ``trace`` field of an ``open`` request.
@@ -246,28 +243,6 @@ async def handle_request(
         )
 
 
-class _Pipeline(Connection):
-    """A server connection plus its request pipeline.
-
-    ``inflight`` caps concurrently executing requests at
-    :data:`PIPELINE_DEPTH`; ``chains`` maps each session to its newest
-    request task so same-session requests run in arrival order.
-    """
-
-    __slots__ = ("inflight", "chains", "tasks")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        super().__init__(writer)
-        self.inflight = asyncio.Semaphore(PIPELINE_DEPTH)
-        self.chains: Dict[Any, asyncio.Task] = {}
-        self.tasks: Set[asyncio.Task] = set()
-
-    async def barrier(self) -> None:
-        """Wait until every pipelined request on this connection is done."""
-        if self.tasks:
-            await asyncio.gather(*self.tasks, return_exceptions=True)
-
-
 class ServeServer(FrontEnd):
     """The TCP service: the shared :class:`~repro.serve.net.FrontEnd`
     connection loop over :func:`handle_request`.
@@ -289,12 +264,6 @@ class ServeServer(FrontEnd):
         self.manager = manager
         self.shutdown_checkpoint_dir = shutdown_checkpoint_dir
 
-    def _connection(self, writer: asyncio.StreamWriter) -> _Pipeline:
-        return _Pipeline(writer)
-
-    async def _disconnect(self, conn: _Pipeline) -> None:
-        await conn.barrier()
-
     def _count_request(self) -> None:
         if self.telemetry.enabled:
             self.telemetry.count(
@@ -302,49 +271,15 @@ class ServeServer(FrontEnd):
                 help="protocol requests handled by the server",
             )
 
-    async def _run_request(
-        self,
-        conn: _Pipeline,
-        message: Dict[str, Any],
-        prev: Optional[asyncio.Task],
-    ) -> None:
-        # Same-session requests chain on their predecessor (response
-        # included), so pipelining never reorders one session's ops.
-        try:
-            if prev is not None:
-                try:
-                    await prev
-                except Exception:
-                    pass
-            await conn.send(await handle_request(self.manager, message))
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            conn.inflight.release()
-
-    def _dispatch(self, conn: _Pipeline, message: Dict[str, Any]) -> None:
-        """Pipeline one session-scoped request behind its session's chain.
-
-        The caller holds one ``conn.inflight`` slot; the request task
-        releases it.
-        """
-        key = message.get("session")
-        task = asyncio.ensure_future(
-            self._run_request(conn, message, conn.chains.get(key))
-        )
-        conn.tasks.add(task)
-        conn.chains[key] = task
-
-        def _done(t: "asyncio.Task", key: Any = key) -> None:
-            conn.tasks.discard(t)
-            if conn.chains.get(key) is t:
-                del conn.chains[key]
-
-        task.add_done_callback(_done)
+    async def _reply(self, conn: Connection, response: Dict[str, Any]) -> None:
+        await conn.send(response)
+        # One loop turn before this connection's next buffered frame, so
+        # other connections' ready sockets are read between its requests.
+        await asyncio.sleep(0)
 
     async def _on_binary(
         self,
-        conn: _Pipeline,
+        conn: Connection,
         req_id: int,
         session_id: str,
         srcs: Any,
@@ -353,43 +288,29 @@ class ServeServer(FrontEnd):
         body: bytes,
     ) -> None:
         self._count_request()
-        await conn.inflight.acquire()
-        self._dispatch(
-            conn,
-            {
-                "id": req_id,
-                "op": "feed",
-                "session": session_id,
-                "_arrays": (srcs, dsts),
-                "_nbytes": len(header) + len(body),
-            },
-        )
+        message = {
+            "id": req_id,
+            "op": "feed",
+            "session": session_id,
+            "_arrays": (srcs, dsts),
+            "_nbytes": len(header) + len(body),
+        }
+        await self._reply(conn, await handle_request(self.manager, message))
 
     async def _on_json(
-        self, conn: _Pipeline, message: Dict[str, Any], line: bytes
+        self, conn: Connection, message: Dict[str, Any], line: bytes
     ) -> bool:
         self._count_request()
         op = message.get("op")
         if op == "shutdown":
-            await conn.barrier()
             await conn.send(ok_response(request_id(message), stopping=True))
             self.stop()
             return False
-        if op == "hello":
-            response = await handle_request(self.manager, message)
-            if response.get("ok"):
-                response["binary"] = 1 if conn.binary else 0
-            await conn.send(response)
-            return True
         message["_nbytes"] = len(line)
-        if op == "merge" or "session" not in message:
-            # Cross-session (merge) and connection-global ops act as
-            # barriers: drain the pipeline, then run inline.
-            await conn.barrier()
-            await conn.send(await handle_request(self.manager, message))
-            return True
-        await conn.inflight.acquire()
-        self._dispatch(conn, message)
+        response = await handle_request(self.manager, message)
+        if op == "hello" and response.get("ok"):
+            response["binary"] = 1 if conn.binary else 0
+        await self._reply(conn, response)
         return True
 
     async def _wind_down(self) -> None:

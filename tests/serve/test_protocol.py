@@ -90,6 +90,30 @@ class TestPairCodec:
         assert decode_pairs(encode_pairs(pairs)) == pairs
 
     @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 1), (0, 2), (1, 0), (2**40, 7)],
+            [("a", "b"), ("b", "a"), ("é", "ü")],
+            [(3, "x"), ("x", 3)],
+            [[0, 1], [1, 0]],
+            [],
+        ],
+    )
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_feed_frame_bytes_match_rebuilt_pairs(self, pairs, container):
+        """Passing the caller's pairs through leaves the wire bytes as they
+        were when every pair was rebuilt as a ``[src, dst]`` list."""
+        rebuilt = [[src, dst] for src, dst in pairs]
+        frame = {"id": 3, "op": "feed", "session": "s"}
+        sent = encode_frame({**frame, "pairs": encode_pairs(container(pairs))})
+        assert sent == encode_frame({**frame, "pairs": rebuilt})
+
+    def test_list_passes_through(self):
+        pairs = [(0, 1), (1, 0)]
+        assert encode_pairs(pairs) is pairs
+        assert encode_pairs(tuple(pairs)) == pairs
+
+    @pytest.mark.parametrize(
         "bad",
         [None, "pairs", [[0]], [[0, 1, 2]], [[0, True]], [[None, 1]], [[0, 1.5]]],
     )
