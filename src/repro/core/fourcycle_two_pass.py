@@ -131,30 +131,16 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self._evictions = 0
         self._offers_total = 0  # pass-0 edge offers (repeats included)
         self._offers_accepted = 0  # offers the bottom-k sample accepted
-        # Columnar wedge-endpoint view for the vectorized pass-2 scan;
-        # derived from _wedges (fixed after _build_wedges), built lazily.
-        # None = unbuilt, (None,) = non-int labels (scalar path),
-        # (cols,) = ready.
-        self._wedge_cols: Optional[Tuple[Optional[tuple]]] = None
+        # Columnar wedge-endpoint view for the vectorized pass-2 scan,
+        # payload the wedge, plus each centre's wedge indices; derived
+        # from _wedges (fixed after _build_wedges), built lazily.
+        self._wedge_cols = vectorized.EndpointColumns()
+        self._wedges_at: Dict[Vertex, List[int]] = {}
         # Hash view of Q for short lists: endpoint pair (u, v) -> centres
         # of the wedges u - c - v.  Derived from _wedges, built lazily.
         self._wedge_index: Optional[Dict[Edge, List[Vertex]]] = None
         # Reusable membership table for the completion test.
         self._vtable = vectorized.VertexTable()
-        # Stream-provided column memo (bind_columns); acceleration only.
-        self._col_provider = None
-
-    def bind_columns(self, provider) -> None:
-        self._col_provider = provider
-
-    def _neighbor_column(
-        self, vertex: Vertex, neighbors: Sequence[Vertex]
-    ) -> Optional[np.ndarray]:
-        """The list's uint64 column, via the bound provider when available."""
-        provider = self._col_provider
-        if provider is not None:
-            return provider(vertex, neighbors)
-        return vectorized.as_vertex_array(neighbors)
 
     def _edge_evicted(self, edge: Edge) -> None:
         self._evictions += 1
@@ -178,39 +164,14 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
         # Batched fast path: same offers in the same order (and the same
         # accepted tally) as the per-pair loop, minus per-pair dispatch
-        # (pass 1 does all work in end_list).  Int-labelled lists of at
-        # least SHORT_LIST neighbours take the columnar route: one
-        # vectorized hash of every edge key plus one threshold comparison,
-        # only batch survivors touch the heap.
+        # (pass 2 does all work in end_list); see vectorized.offer_list.
         if self._pass == 0:
             self._pair_count += len(neighbors)
             self._offers_total += len(neighbors)
-            src = source
-            cols = None
-            if (
-                vectorized.columnar_enabled()
-                and len(neighbors) >= vectorized.SHORT_LIST
-            ):
-                src64 = vectorized.as_vertex_scalar(src)
-                nbrs = (
-                    self._neighbor_column(src, neighbors)
-                    if src64 is not None
-                    else None
-                )
-                if nbrs is not None:
-                    cols = vectorized.canonical_pair_columns(src64, nbrs)
-            if cols is not None:
-                u, v = cols
-                prios = self._sampler.priority_array(
-                    vectorized.encode_pair_keys(u, v)
-                )
-                self._offers_accepted += self._sampler.offer_array(
-                    prios, vectorized.PairColumns(u, v)
-                )
-                return
-            self._offers_accepted += self._sampler.offer_many(
-                [(src, nbr) if src <= nbr else (nbr, src) for nbr in neighbors]
+            accepted, _ = vectorized.offer_list(
+                self._sampler, source, neighbors, self._neighbor_column
             )
+            self._offers_accepted += accepted
 
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         if self._pass != 1:
@@ -220,37 +181,26 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             self._complete_probe(vertex, neighbors)
             return
         nbrs = self._neighbor_column(vertex, neighbors) if columnar else None
-        if nbrs is not None:
-            src = vectorized.as_vertex_scalar(vertex)
-            cols = self._wedge_columns() if src is not None else None
-            if cols is not None:
-                # Columnar completion test: both wedge endpoints adjacent
-                # to the closing vertex, via two membership-table (or
-                # binary-search) masks over the endpoint columns; matched
-                # wedges are walked in index order, i.e. the scalar
-                # loop's order.
-                wu, wv, wc, query_max = cols
-                if not len(wu):
-                    return
-                table = self._vtable
-                if table.mark(nbrs, query_max):
-                    mask = table.lookup(wu) & table.lookup(wv) & (wc != src)
-                    table.unmark(nbrs)
-                else:
-                    count = len(wu)
-                    both = vectorized.in_sorted(
-                        np.sort(nbrs), np.concatenate((wu, wv))
-                    )
-                    mask = both[:count] & both[count:] & (wc != src)
-                self._multiplicity_total += int(np.count_nonzero(mask))
-                if self.mode == "distinct":
-                    wedges = self._wedges
-                    for i in np.nonzero(mask)[0]:
-                        wedge = wedges[i]
-                        self._distinct_cycles.add(
-                            cycle_key(wedge.u, wedge.center, wedge.v, vertex)
-                        )
+        cols = self._wedge_columns() if nbrs is not None else None
+        if cols is not None:
+            # Columnar completion test: both wedge endpoints adjacent to
+            # the closing vertex, which is not the wedge's centre.
+            wu, wv, wedges, query_max = cols
+            if not wedges:
                 return
+            with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
+                hit = mask.both(wu, wv)
+            own = self._wedges_at.get(vertex)
+            if own:
+                hit[own] = False
+            self._multiplicity_total += int(np.count_nonzero(hit))
+            if self.mode == "distinct":
+                for i in hit.nonzero()[0].tolist():
+                    wedge = wedges[i]
+                    self._distinct_cycles.add(
+                        cycle_key(wedge.u, wedge.center, wedge.v, vertex)
+                    )
+            return
         nset = set(neighbors)
         for wedge in self._wedges:
             if wedge.u in nset and wedge.v in nset and vertex != wedge.center:
@@ -282,31 +232,21 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                         self._distinct_cycles.add(cycle_key(u, center, v, vertex))
 
     def _wedge_columns(self) -> Optional[tuple]:
-        """Endpoint/center columns over Q (fixed once wedges are built)."""
-        cached = self._wedge_cols
-        if cached is not None:
-            return cached[0]
-        wedges = self._wedges
-        count = len(wedges)
-        try:
-            wu = np.fromiter((w.u for w in wedges), dtype=np.uint64, count=count)
-            wv = np.fromiter((w.v for w in wedges), dtype=np.uint64, count=count)
-            wc = np.fromiter(
-                (w.center for w in wedges), dtype=np.uint64, count=count
-            )
-        except (OverflowError, ValueError, TypeError):
-            self._wedge_cols = (None,)  # non-int vertex labels: scalar path
-            return None
-        query_max = int(max(wu.max(), wv.max())) if count else -1
-        cols = (wu, wv, wc, query_max)
-        self._wedge_cols = (cols,)
-        return cols
+        """Endpoint columns over Q, payload the wedge (built once)."""
+        cols = self._wedge_cols
+        if cols.stale():
+            wedges = self._wedges
+            cols.build([(w.u, w.v) for w in wedges], wedges)
+            self._wedges_at = {}
+            for i, wedge in enumerate(wedges):
+                self._wedges_at.setdefault(wedge.center, []).append(i)
+        return cols.view()
 
     def _build_wedges(self) -> None:
         """Form Q: wedges with both edges sampled (reservoir-capped)."""
         from repro.util.sampling import ReservoirSampler
 
-        self._wedge_cols = None
+        self._wedge_cols = vectorized.EndpointColumns()
         self._wedge_index = None
 
         wedges: List[Wedge] = []
@@ -385,7 +325,8 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self._evictions = 0
         self._offers_total = 0
         self._offers_accepted = 0
-        self._wedge_cols = None
+        self._wedge_cols = vectorized.EndpointColumns()
+        self._wedges_at = {}
         self._wedge_index = None
         self._vtable = vectorized.VertexTable()
         self._col_provider = None

@@ -205,43 +205,20 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # recomputes them from the restored reservoir):
         self._live_watchers = 0  # == sum(len(p.watchers) for p in reservoir)
         self._pairs_per_edge: Dict[Edge, int] = {}  # reservoir pairs per edge
-        # Columnar caches for the vectorized per-list scans; derived state
-        # only, invalidated (not serialised) across snapshot/restore.
-        # Member columns are a *superset* over the sampler's admission
-        # log, held in growable endpoint buffers: a full (re)build
-        # snapshots the live membership into slack capacity and later
-        # admissions are appended, so the per-list scans stay fully
-        # vectorized with no scalar pending tail.  Hits resolve through
-        # the live membership (stale, since-evicted entries miss); a
-        # rebuild triggers only when the stale fraction passes 1/2.
-        self._mcol_arrays: Optional[tuple] = None  # (mu, mv, keys, max_id)
-        self._mcol_ok = True  # False once non-int edge keys are seen
-        self._mcol_epoch = -1  # admission-log epoch of the last build
+        # Columnar views for the vectorized per-list scans; derived state
+        # only, rebuilt (not serialised) across snapshot/restore.  Both
+        # are supersets: member columns hold every key admitted since the
+        # last build (payload: the key; hits resolve through the live
+        # membership, so since-evicted keys miss), watcher columns every
+        # bucket created since (payload: the bucket object, which empties
+        # in place when dropped and then scans as a no-op).
+        self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0  # admission-log cursor: columns cover log[:pos]
-        self._mcol_dead = 0  # evictions since the last full build
-        self._mcol_keys: Optional[List[Edge]] = None  # keys, build order
-        self._mcol_bu: Optional[np.ndarray] = None  # endpoint buffers,
-        self._mcol_bv: Optional[np.ndarray] = None  # len(keys) live
-        self._mcol_qmax = -1  # max endpoint id across the buffers
-        # Watcher columns use the same superset discipline but hold bucket
-        # *objects*: a dropped bucket empties in place (a harmless no-op
-        # when scanned) and newly created buckets are appended on the
-        # next per-list build, so rebuilds are amortised away even
-        # though watchers churn on every collect.
-        self._wcol_arrays: Optional[tuple] = None  # (f0, f1, buckets, max_id)
-        self._wcol_ok = True  # False once non-int edge labels are seen
-        self._wcol_pending: List[Tuple[Edge, Set[_Watcher]]] = []
-        self._wcol_dead = 0  # buckets dropped since the last full build
-        self._wcol_buckets: Optional[List[Set[_Watcher]]] = None
-        self._wcol_b0: Optional[np.ndarray] = None  # endpoint buffers,
-        self._wcol_b1: Optional[np.ndarray] = None  # len(buckets) live
-        self._wcol_qmax = -1  # max endpoint id across the buffers
+        self._wcols = vectorized.EndpointColumns()
         # Reusable membership table plus the uint64 neighbour array shared
         # between process_list and end_list of the same adjacency list.
         self._vtable = vectorized.VertexTable()
         self._nbrs_cache: Optional[Tuple[Vertex, np.ndarray]] = None
-        # Stream-provided column memo (bind_columns); acceleration only.
-        self._col_provider = None
         # Eviction batching for list-level offers: while a buffer list is
         # installed, _edge_evicted defers its reservoir scans into it and
         # process_list flushes them in one combined scan per list.
@@ -252,24 +229,12 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # endpoint lookups; holds (vertex, src64) for the pending list.
         self._p2_deferred: Optional[Tuple[Vertex, int]] = None
 
-    def bind_columns(self, provider) -> None:
-        self._col_provider = provider
-
-    def _neighbor_column(
-        self, vertex: Vertex, neighbors: Sequence[Vertex]
-    ) -> Optional[np.ndarray]:
-        """The list's uint64 column, via the bound provider when available."""
-        provider = self._col_provider
-        if provider is not None:
-            return provider(vertex, neighbors)
-        return vectorized.as_vertex_array(neighbors)
-
     # -- sampler bookkeeping --------------------------------------------------
 
     def _edge_evicted(self, edge: Edge) -> None:
         """Drop reservoir pairs whose first-pass edge left the sample."""
         self._evictions += 1
-        self._mcol_dead += 1
+        self._mcols.dead += 1
         # The per-edge pair index makes the common case — the evicted edge
         # has no collected pairs — O(1) instead of a reservoir scan.
         # Skipping the scan is state-identical: discarding with no matching
@@ -331,20 +296,11 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             if bucket is None:
                 bucket = set()
                 by_edge[f] = bucket
-                # While the columns are built, every new bucket object
-                # joins the pending list exactly once.  The built columns
-                # may still hold an older (since emptied) bucket for the
-                # same edge, which scans as a no-op, so no edge is ever
-                # double-counted.
-                built = self._wcol_buckets
-                if built is not None:
-                    pending = self._wcol_pending
-                    pending.append((f, bucket))
-                    if len(pending) > len(built) + 64:
-                        # Only long lists drain the tail; past this size
-                        # the next build starts from scratch instead.
-                        self._wcol_buckets = None
-                        del pending[:]
+                # Built columns queue every new bucket object exactly
+                # once.  They may still hold an older (since emptied)
+                # bucket for the same edge, which scans as a no-op, so no
+                # edge is ever double-counted.
+                self._wcols.queue(f, bucket)
             bucket.add(watcher)
             self._watchers_by_apex.setdefault(x, set()).add(watcher)
         self._live_watchers += len(pair.watchers)
@@ -357,7 +313,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 bucket.discard(watcher)
                 if not bucket:
                     del self._watchers_by_edge[watcher.edge]
-                    self._wcol_dead += 1
+                    self._wcols.dead += 1
             bucket = self._watchers_by_apex.get(watcher.x)
             if bucket is not None:
                 bucket.discard(watcher)
@@ -400,8 +356,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # Membership is frozen for all of pass 2: rebuild the member
             # columns once, exactly, so the pass-2 scans carry no stale
             # entries (the fused seen-edge scan relies on this).
-            self._mcol_keys = None
-            self._mcol_arrays = None
+            self._mcols.drop()
         if entering_pass_two and not self.sharded:
             # Pass-1 pairs get their watchers now; their apexes all arrive
             # (again) during pass 2, so flags start False.
@@ -430,17 +385,11 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # Batched fast path: identical work to the per-pair loop (same edge
         # order, same sampler offers, same accepted tally) with per-pair
         # dispatch, the pass check and canonical_edge calls hoisted out of
-        # the inner loop.  When the labels are plain ints and the list has
-        # at least SHORT_LIST neighbours, the whole list is processed
-        # columnar: one vectorized hash of every edge key and one threshold
-        # comparison, with only batch survivors touching Python data
-        # structures.  Shorter lists take the scalar loops, which beat the
-        # kernels' fixed set-up cost there.
-        columnar = (
-            vectorized.columnar_enabled()
-            and len(neighbors) >= vectorized.SHORT_LIST
-        )
-        src = source
+        # the inner loop.  Lists of at least SHORT_LIST int labels go
+        # columnar: one vectorized hash and threshold comparison in pass 1
+        # (vectorized.offer_list), one deferred fused scan in pass 2.
+        # Shorter lists take the scalar loops, which beat the kernels'
+        # fixed set-up cost there.
         if self._pass == 0:
             self._pair_count += len(neighbors)
             self._offers_total += len(neighbors)
@@ -448,61 +397,40 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # collected pairs costs a reservoir scan, and a list-level
             # offer batch can evict several — one combined scan at the end
             # of the batch removes the same pairs in the same order.
-            buffer: List[Edge] = []
-            self._evict_buffer = buffer
+            self._evict_buffer = []
             try:
-                if columnar:
-                    src64 = vectorized.as_vertex_scalar(src)
-                    nbrs = (
-                        self._neighbor_column(src, neighbors)
-                        if src64 is not None
-                        else None
-                    )
-                    if nbrs is not None:
-                        self._nbrs_cache = (src, nbrs)
-                        u, v = vectorized.canonical_pair_columns(src64, nbrs)
-                        prios = self._sampler.priority_array(
-                            vectorized.encode_pair_keys(u, v)
-                        )
-                        self._offers_accepted += self._sampler.offer_array(
-                            prios, vectorized.PairColumns(u, v)
-                        )
-                        return
-                self._offers_accepted += self._sampler.offer_many(
-                    [(src, nbr) if src <= nbr else (nbr, src) for nbr in neighbors]
+                accepted, nbrs = vectorized.offer_list(
+                    self._sampler, source, neighbors, self._neighbor_column
                 )
             finally:
                 self._flush_evictions()
                 self._evict_buffer = None
+            self._offers_accepted += accepted
+            if nbrs is not None:
+                self._nbrs_cache = (source, nbrs)
         elif not self.sharded:
-            if columnar:
-                src64 = vectorized.as_vertex_scalar(src)
+            if (
+                vectorized.columnar_enabled()
+                and len(neighbors) >= vectorized.SHORT_LIST
+            ):
+                src64 = vectorized.as_vertex_scalar(source)
                 nbrs = (
-                    self._neighbor_column(src, neighbors)
+                    self._neighbor_column(source, neighbors)
                     if src64 is not None
                     else None
                 )
-                cols = (
-                    self._ensure_member_columns() if nbrs is not None else None
-                )
+                cols = self._member_columns() if nbrs is not None else None
                 if cols is not None:
                     # Defer the inverted membership scan — which sampled
                     # edges appear in this list — to end_list, where it
-                    # shares one membership-table mark and one pair of
-                    # endpoint lookups with candidate detection.
+                    # shares one list mask with candidate detection.
                     # Membership is frozen in pass 2 and the columns were
-                    # rebuilt at the pass boundary, so they are exact
-                    # (no stale entries, empty pending tail).
-                    self._nbrs_cache = (src, nbrs)
-                    if len(cols[2]):
-                        self._p2_deferred = (src, src64)
+                    # rebuilt at the pass boundary, so they are exact.
+                    self._nbrs_cache = (source, nbrs)
+                    if cols[2]:
+                        self._p2_deferred = (source, src64)
                     return
-            members = self._sampler.membership()
-            seen = self._seen_p2
-            for nbr in neighbors:
-                edge = (src, nbr) if src <= nbr else (nbr, src)
-                if edge in members and edge not in seen:
-                    seen.add(edge)
+            self._seen_scan_scalar(source, neighbors)
 
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         if self._pass == 0 and self.sharded:
@@ -530,6 +458,13 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 nbrs = cache[1]
             else:
                 nbrs = self._neighbor_column(vertex, neighbors)
+        if nbrs is not None:
+            # Bring the views up to date *before* building the list mask,
+            # which must cover every id they hold.
+            mcols = self._member_columns()
+            wcols = self._watcher_columns() if self._pass == 1 else None
+            if mcols is None or (self._pass == 1 and wcols is None):
+                nbrs = None  # a non-uint64 label turned the columns off
         if nbrs is None:
             if deferred is not None:
                 self._seen_scan_scalar(vertex, neighbors)
@@ -538,194 +473,44 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 self._count_h_scalar(vertex, nset)
             self._detect_scalar(vertex, nset)
             return
-        # Ensure the columnar views are current *before* marking the
-        # membership table: the table must cover every id the lookups can
-        # query, and a rebuild can raise that maximum.
-        mcols = self._ensure_member_columns()
-        wcols = self._ensure_watcher_columns() if self._pass == 1 else None
-        if deferred is not None and mcols is None:
-            self._seen_scan_scalar(vertex, neighbors)
-            deferred = None
-        query_max = -1
-        if mcols is not None and mcols[3] > query_max:
-            query_max = mcols[3]
-        if wcols is not None and wcols[3] > query_max:
-            query_max = wcols[3]
-        table: Optional[vectorized.VertexTable] = self._vtable
-        if table is not None and not table.mark(nbrs, query_max):
-            table = None
-        nbrs_sorted = np.sort(nbrs) if table is None else None
-        try:
+        query_max = mcols[3] if wcols is None else max(mcols[3], wcols[3])
+        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
             hit: Optional[np.ndarray] = None
-            if deferred is not None and len(mcols[2]):
-                hit = self._seen_scan_col(deferred[1], mcols, table, nbrs_sorted)
-            if self._pass == 1:
-                self._count_h_col(vertex, neighbors, wcols, table, nbrs_sorted)
-            self._detect_col(vertex, neighbors, mcols, table, nbrs_sorted, hit)
-        finally:
-            if table is not None:
-                table.unmark(nbrs)
+            if deferred is not None and mcols[2]:
+                hit = self._seen_scan_col(deferred[1], mcols, mask)
+            if wcols is not None:
+                self._count_h_col(vertex, wcols, mask)
+            self._detect_col(vertex, mcols, mask, hit)
 
     # -- columnar per-list views ----------------------------------------------
 
-    def _ensure_member_columns(self) -> Optional[tuple]:
-        """Superset endpoint columns over the sampled edges.
+    def _member_columns(self) -> Optional[tuple]:
+        """Superset columns over the sampled edges, payload the key.
 
-        A full (re)build snapshots the live membership into endpoint
-        buffers with slack capacity; admissions logged since then are
-        appended on the next call, so steady-state admissions cost a few
-        buffer writes instead of a rebuild — and the per-list scans see
-        one contiguous pair of columns, no scalar pending tail.  Stale
-        entries (since-evicted members) are filtered against the live
-        membership at hit time; a full rebuild triggers only when the
-        stale fraction passes 1/2 (or the log was compacted/restored,
-        voiding the cursor).
+        Admissions logged since the last call are appended; a rebuild
+        from the live membership happens only when the columns are
+        unbuilt, over half stale, or the log was compacted or restored
+        (a new epoch voids the cursor).
         """
-        if not self._mcol_ok:
-            return None
+        cols = self._mcols
         sampler = self._sampler
         log = sampler.admission_log
-        epoch = sampler.admission_epoch
-        keys = self._mcol_keys
-        if keys is None or epoch != self._mcol_epoch or 2 * self._mcol_dead > len(keys):
-            keys = list(sampler.membership())
-            count = len(keys)
-            try:
-                mu = np.fromiter(
-                    (e[0] for e in keys), dtype=np.uint64, count=count
-                )
-                mv = np.fromiter(
-                    (e[1] for e in keys), dtype=np.uint64, count=count
-                )
-            except (OverflowError, ValueError, TypeError, IndexError):
-                self._mcol_ok = False  # non-int edge keys: scalar path
-                self._mcol_keys = None
-                self._mcol_arrays = None
-                return None
-            cap = 2 * count + 64
-            bu = np.empty(cap, dtype=np.uint64)
-            bv = np.empty(cap, dtype=np.uint64)
-            bu[:count] = mu
-            bv[:count] = mv
-            self._mcol_keys = keys
-            self._mcol_bu = bu
-            self._mcol_bv = bv
-            self._mcol_qmax = int(max(mu.max(), mv.max())) if count else -1
-            self._mcol_epoch = epoch
-            self._mcol_pos = len(log)
-            self._mcol_dead = 0
-            self._mcol_arrays = (mu, mv, keys, self._mcol_qmax)
+        if cols.stale(sampler.admission_epoch):
+            members = sampler.membership()
+            cols.build(members, members, sampler.admission_epoch)
         elif len(log) > self._mcol_pos:
-            bu = self._mcol_bu
-            bv = self._mcol_bv
-            n = len(keys)
-            need = n + len(log) - self._mcol_pos
-            if need > len(bu):
-                cap = 2 * need + 64
-                grown_u = np.empty(cap, dtype=np.uint64)
-                grown_v = np.empty(cap, dtype=np.uint64)
-                grown_u[:n] = bu[:n]
-                grown_v[:n] = bv[:n]
-                self._mcol_bu = bu = grown_u
-                self._mcol_bv = bv = grown_v
-            qmax = self._mcol_qmax
-            try:
-                for key in log[self._mcol_pos:]:
-                    u, v = key
-                    bu[n] = u  # numpy rejects non-int / negative labels
-                    bv[n] = v
-                    keys.append(key)
-                    n += 1
-                    if u > qmax:
-                        qmax = u
-                    if v > qmax:
-                        qmax = v
-            except (OverflowError, ValueError, TypeError, IndexError):
-                self._mcol_ok = False
-                self._mcol_keys = None
-                self._mcol_arrays = None
-                return None
-            self._mcol_qmax = int(qmax)
-            self._mcol_pos = len(log)
-            self._mcol_arrays = (bu[:n], bv[:n], keys, self._mcol_qmax)
-        return self._mcol_arrays
+            admitted = log[self._mcol_pos:]
+            cols.extend(zip(admitted, admitted))
+        self._mcol_pos = len(log)
+        return cols.view()
 
-    def _ensure_watcher_columns(self) -> Optional[tuple]:
-        """Superset endpoint columns over the watched edges' buckets.
-
-        Same growable-buffer discipline as the member columns, but the
-        entries are the bucket *objects* themselves: a bucket dropped
-        since its append has been emptied in place, so scanning it is a
-        no-op — no per-hit index lookup is needed to filter stale
-        entries.  Buckets created since the last call sit in the pending
-        list and are appended here.
-        """
-        if not self._wcol_ok:
-            return None
-        buckets = self._wcol_buckets
-        if buckets is None or 2 * self._wcol_dead > len(buckets):
-            items = list(self._watchers_by_edge.items())
-            count = len(items)
-            try:
-                f0 = np.fromiter(
-                    (f[0] for f, _ in items), dtype=np.uint64, count=count
-                )
-                f1 = np.fromiter(
-                    (f[1] for f, _ in items), dtype=np.uint64, count=count
-                )
-            except (OverflowError, ValueError, TypeError, IndexError):
-                self._wcol_ok = False  # non-int edge labels: scalar path
-                self._wcol_buckets = None
-                self._wcol_arrays = None
-                return None
-            cap = 2 * count + 64
-            b0 = np.empty(cap, dtype=np.uint64)
-            b1 = np.empty(cap, dtype=np.uint64)
-            b0[:count] = f0
-            b1[:count] = f1
-            buckets = [b for _, b in items]
-            self._wcol_buckets = buckets
-            self._wcol_b0 = b0
-            self._wcol_b1 = b1
-            self._wcol_qmax = int(max(f0.max(), f1.max())) if count else -1
-            self._wcol_pending = []
-            self._wcol_dead = 0
-            self._wcol_arrays = (f0, f1, buckets, self._wcol_qmax)
-        elif self._wcol_pending:
-            pending = self._wcol_pending
-            b0 = self._wcol_b0
-            b1 = self._wcol_b1
-            n = len(buckets)
-            need = n + len(pending)
-            if need > len(b0):
-                cap = 2 * need + 64
-                grown_0 = np.empty(cap, dtype=np.uint64)
-                grown_1 = np.empty(cap, dtype=np.uint64)
-                grown_0[:n] = b0[:n]
-                grown_1[:n] = b1[:n]
-                self._wcol_b0 = b0 = grown_0
-                self._wcol_b1 = b1 = grown_1
-            qmax = self._wcol_qmax
-            try:
-                for f, bucket in pending:
-                    e0, e1 = f
-                    b0[n] = e0  # numpy rejects non-int / negative labels
-                    b1[n] = e1
-                    buckets.append(bucket)
-                    n += 1
-                    if e0 > qmax:
-                        qmax = e0
-                    if e1 > qmax:
-                        qmax = e1
-            except (OverflowError, ValueError, TypeError, IndexError):
-                self._wcol_ok = False
-                self._wcol_buckets = None
-                self._wcol_arrays = None
-                return None
-            del pending[:]
-            self._wcol_qmax = int(qmax)
-            self._wcol_arrays = (b0[:n], b1[:n], buckets, self._wcol_qmax)
-        return self._wcol_arrays
+    def _watcher_columns(self) -> Optional[tuple]:
+        """Superset columns over the watched edges, payload the bucket."""
+        cols = self._wcols
+        if cols.stale():
+            by_edge = self._watchers_by_edge
+            cols.build(by_edge, by_edge.values())
+        return cols.view()
 
     def _seen_scan_scalar(self, src: Vertex, neighbors: Sequence[Vertex]) -> None:
         """Mark sampled edges appearing in this list (deferred fallback)."""
@@ -737,34 +522,20 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 seen.add(edge)
 
     def _seen_scan_col(
-        self,
-        src64: int,
-        mcols: tuple,
-        table: Optional[vectorized.VertexTable],
-        nbrs_sorted: Optional[np.ndarray],
+        self, src64: int, mcols: tuple, mask: vectorized.ListMask
     ) -> np.ndarray:
         """Fused pass-2 scan: update seen edges, return the detect mask.
 
         A sampled edge has appeared in this list iff one endpoint is the
-        source and the other is a neighbour; the same per-endpoint lookup
-        masks give candidate detection's both-endpoints mask for free, so
-        the caller passes the returned mask straight to ``_detect_col``.
+        source and the other is a neighbour; the same per-endpoint masks
+        give candidate detection's both-endpoints mask for free, so the
+        caller passes the returned mask straight to ``_detect_col``.
         """
         mu, mv, keys, _ = mcols
-        if table is not None:
-            lu = table.lookup(mu)
-            lv = table.lookup(mv)
-        else:
-            count = len(keys)
-            both = vectorized.in_sorted(nbrs_sorted, np.concatenate((mu, mv)))
-            lu = both[:count]
-            lv = both[count:]
-        seen = self._seen_p2
+        lu = mask.member(mu)
+        lv = mask.member(mv)
         incident = ((mu == src64) & lv) | ((mv == src64) & lu)
-        for i in incident.nonzero()[0].tolist():
-            key = keys[i]
-            if key not in seen:
-                seen.add(key)
+        self._seen_p2.update(keys[i] for i in incident.nonzero()[0].tolist())
         return lu & lv
 
     def _count_h_scalar(self, vertex: Vertex, nset: Set[Vertex]) -> None:
@@ -791,36 +562,19 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                         watcher.h += 1
 
     def _count_h_col(
-        self,
-        vertex: Vertex,
-        neighbors: Sequence[Vertex],
-        wcols: Optional[tuple],
-        table: Optional[vectorized.VertexTable],
-        nbrs_sorted: Optional[np.ndarray],
+        self, vertex: Vertex, wcols: tuple, mask: vectorized.ListMask
     ) -> None:
         """Columnar watcher scan, identical increments to the scalar scan.
 
         The built buckets are a superset of the live watched edges
         (dropped buckets are empty and scan as no-ops; newly created
-        buckets were appended by ``_ensure_watcher_columns``), so the
-        set of incremented watchers — and hence every ``h`` — matches
-        the scalar scan exactly.
+        buckets were queued and appended), so the set of incremented
+        watchers — and hence every ``h`` — matches the scalar scan.
         """
-        if wcols is None:
-            self._count_h_scalar(vertex, set(neighbors))
-            return
         f0, f1, buckets, _ = wcols
-        count = len(buckets)
-        if not count:
+        if not buckets:
             return
-        if table is not None:
-            hit = table.lookup(f0) & table.lookup(f1)
-        else:
-            both = vectorized.in_sorted(
-                nbrs_sorted, np.concatenate((f0, f1))
-            )
-            hit = both[:count] & both[count:]
-        for i in hit.nonzero()[0].tolist():
+        for i in mask.both(f0, f1).nonzero()[0].tolist():
             for watcher in buckets[i]:
                 if vertex != watcher.x and watcher.x_arrived:
                     watcher.h += 1
@@ -883,10 +637,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
     def _detect_col(
         self,
         vertex: Vertex,
-        neighbors: Sequence[Vertex],
-        mcols: Optional[tuple],
-        table: Optional[vectorized.VertexTable],
-        nbrs_sorted: Optional[np.ndarray],
+        mcols: tuple,
+        mask: vectorized.ListMask,
         hit: Optional[np.ndarray] = None,
     ) -> None:
         """Columnar candidate detection; same matches as the scalar scan.
@@ -895,34 +647,20 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         since-evicted entries miss).  A re-admitted key appears twice in
         the superset columns, so matches accumulate in a set before the
         canonical sort.  ``hit``, when the fused pass-2 scan already
-        computed the both-endpoints mask, skips recomputing the lookups.
+        computed the both-endpoints mask, skips recomputing it.
         """
-        if mcols is None:
-            self._detect_scalar(vertex, set(neighbors))
-            return
         mu, mv, keys, _ = mcols
-        count = len(keys)
-        if not count:
+        if not keys:
             return
         if hit is None:
-            if table is not None:
-                hit = table.lookup(mu) & table.lookup(mv)
-            else:
-                both = vectorized.in_sorted(
-                    nbrs_sorted, np.concatenate((mu, mv))
-                )
-                hit = both[:count] & both[count:]
+            hit = mask.both(mu, mv)
         indices = hit.nonzero()[0]
         if not len(indices):
             return
         membership = self._sampler.membership()
-        matched_set: Set[Edge] = set()
-        for i in indices.tolist():
-            key = keys[i]
-            if key in membership:  # skip since-evicted superset entries
-                matched_set.add(key)
-        if matched_set:
-            self._offer_matched(sorted(matched_set), vertex)
+        matched = {keys[i] for i in indices.tolist() if keys[i] in membership}
+        if matched:
+            self._offer_matched(sorted(matched), vertex)
 
     # -- sketch state protocol -------------------------------------------------
 
@@ -975,23 +713,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             self._pairs_per_edge[pair.edge] = (
                 self._pairs_per_edge.get(pair.edge, 0) + 1
             )
-        self._mcol_arrays = None
-        self._mcol_ok = True
-        self._mcol_epoch = -1
+        self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0
-        self._mcol_dead = 0
-        self._mcol_keys = None
-        self._mcol_bu = None
-        self._mcol_bv = None
-        self._mcol_qmax = -1
-        self._wcol_arrays = None
-        self._wcol_ok = True
-        self._wcol_pending = []
-        self._wcol_dead = 0
-        self._wcol_buckets = None
-        self._wcol_b0 = None
-        self._wcol_b1 = None
-        self._wcol_qmax = -1
+        self._wcols = vectorized.EndpointColumns()
         self._vtable = vectorized.VertexTable()
         self._nbrs_cache = None
         self._col_provider = None

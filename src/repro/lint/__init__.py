@@ -22,14 +22,12 @@ See ``docs/LINTING.md`` for the catalogue with bad/good examples.  Run as
 dynamic counterpart of SKT001 lives in ``tests/lint/test_snapshot_oracle.py``.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintReport, discover_files, run_lint
 from repro.lint.rules import ALL_RULE_CLASSES, build_rules
 from repro.lint.violations import CODE_SUMMARIES, Violation
 
 __all__ = [
     "ALL_RULE_CLASSES",
-    "Baseline",
     "CODE_SUMMARIES",
     "LintReport",
     "Violation",

@@ -5,7 +5,6 @@ Usage::
     repro-lint src/repro                       # text report, exit 1 on findings
     repro-lint --format=json -o report.json src/repro
     repro-lint --format=github src/repro       # PR annotations in CI
-    repro-lint --write-baseline src/repro      # grandfather current findings
     repro-lint --fix src/repro                 # apply the safe auto-rewrites
     repro-lint --list-rules
 
@@ -19,15 +18,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import run_lint
 from repro.lint.formats import FORMATTERS
 from repro.lint.rules import ALL_RULE_CLASSES, Rule, build_rules
 from repro.lint.violations import CODE_SUMMARIES
-
-#: Default committed baseline, relative to the working directory.
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,22 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="also write the rendered report to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} if it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report and fail on every violation",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current violations to the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -119,16 +97,11 @@ def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
 
 
 def _run_fix(paths: List[str], rules: List[Rule]) -> None:
-    """Apply the safe rewrites in place; the caller re-lints afterwards.
-
-    The fix pass deliberately ignores the baseline — a grandfathered
-    violation with a known mechanical fix is exactly the one worth
-    burning down.
-    """
+    """Apply the safe rewrites in place; the caller re-lints afterwards."""
     from repro.lint.engine import discover_files
     from repro.lint.fixer import fix_paths
 
-    report = run_lint(paths, rules=rules, baseline=None)
+    report = run_lint(paths, rules=rules)
     sources = {
         path.as_posix(): path.read_text(encoding="utf-8")
         for path in discover_files(paths)
@@ -155,15 +128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.write_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-
     if args.fix:
         try:
             _run_fix(args.paths, rules)
@@ -172,17 +136,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     try:
-        report = run_lint(args.paths, rules=rules, baseline=baseline)
+        report = run_lint(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_violations(report.violations).save(baseline_path)
-        print(
-            f"wrote {len(report.violations)} fingerprint(s) to {baseline_path}"
-        )
-        return 0
 
     rendered = FORMATTERS[args.format](report)
     if rendered:

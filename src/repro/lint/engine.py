@@ -1,8 +1,8 @@
-"""The lint engine: discover files, run rules, apply suppressions+baseline.
+"""The lint engine: discover files, run rules, apply suppressions.
 
 The engine is deliberately dependency-free (stdlib ``ast`` only) and pure:
-``run_lint`` maps (paths, rules, baseline) to a :class:`LintReport`; all
-I/O besides reading sources lives in the CLI layer.
+``run_lint`` maps (paths, rules) to a :class:`LintReport`; all I/O besides
+reading sources lives in the CLI layer.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.rules import Rule, build_rules
 from repro.lint.rules.base import FileContext
 from repro.lint.suppress import parse_suppressions
@@ -68,12 +67,8 @@ class LintReport:
 
     @property
     def active(self) -> List[Violation]:
-        """Violations that should fail the run (not baselined)."""
-        return [v for v in self.violations if not v.baselined]
-
-    @property
-    def baselined(self) -> List[Violation]:
-        return [v for v in self.violations if v.baselined]
+        """Violations that fail the run: every one of them."""
+        return list(self.violations)
 
     @property
     def exit_code(self) -> int:
@@ -89,7 +84,6 @@ def _parse_file(path: Path) -> Optional[FileContext]:
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Iterable[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint ``paths`` with ``rules`` (all rules by default)."""
     rule_list = list(rules) if rules is not None else build_rules()
@@ -128,7 +122,5 @@ def run_lint(
                 continue
             raw.append(violation)
 
-    if baseline is not None:
-        raw = baseline.apply(raw)
     report.violations = sorted(raw, key=Violation.sort_key)
     return report

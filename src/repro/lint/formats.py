@@ -14,20 +14,16 @@ def render_text(report: LintReport) -> str:
     for error in report.parse_errors:
         lines.append(f"PARSE ERROR: {error}")
     for violation in report.violations:
-        mark = " [baselined]" if violation.baselined else ""
         where = f" ({violation.symbol})" if violation.symbol else ""
         lines.append(
             f"{violation.path}:{violation.line}:{violation.col + 1}: "
-            f"{violation.code} {violation.message}{where}{mark}"
+            f"{violation.code} {violation.message}{where}"
         )
-    active, grandfathered = len(report.active), len(report.baselined)
-    summary = (
+    active = len(report.active)
+    lines.append(
         f"{report.files_checked} files checked: "
         f"{active} violation{'s' if active != 1 else ''}"
     )
-    if grandfathered:
-        summary += f", {grandfathered} baselined"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -39,7 +35,6 @@ def render_json(report: LintReport) -> str:
         "violations": [v.to_dict() for v in report.violations],
         "summary": {
             "active": len(report.active),
-            "baselined": len(report.baselined),
             "exit_code": report.exit_code,
         },
     }
@@ -52,9 +47,8 @@ def render_github(report: LintReport) -> str:
     for error in report.parse_errors:
         lines.append(f"::error::repro-lint parse error: {error}")
     for violation in report.violations:
-        level = "warning" if violation.baselined else "error"
         lines.append(
-            f"::{level} file={violation.path},line={violation.line},"
+            f"::error file={violation.path},line={violation.line},"
             f"col={violation.col + 1},title=repro-lint {violation.code}::"
             f"{violation.message}"
         )

@@ -10,8 +10,8 @@ grouped by family:
   persistence registration.
 * ``LNT***`` — meta: malformed suppression comments.
 
-Violations are plain data so the engine can sort, baseline, and render
-them without knowing which rule produced them.
+Violations are plain data so the engine can sort and render them without
+knowing which rule produced them.
 """
 
 from __future__ import annotations
@@ -67,24 +67,8 @@ class Violation:
     message: str
     #: Best-effort symbol context ("ClassName.method" / function name).
     symbol: str = ""
-    #: True when a committed baseline entry grandfathers this violation.
-    baselined: bool = field(default=False, compare=False)
     #: Attached when the producing rule knows a safe mechanical rewrite.
     fix: Optional[Fix] = field(default=None, compare=False)
-
-    def fingerprint(self) -> Dict[str, Any]:
-        """The identity used for baseline matching.
-
-        Line numbers are deliberately excluded so unrelated edits above a
-        grandfathered violation do not un-baseline it; the (code, path,
-        symbol, message) quadruple is stable under line drift.
-        """
-        return {
-            "code": self.code,
-            "path": self.path,
-            "symbol": self.symbol,
-            "message": self.message,
-        }
 
     def sort_key(self) -> Any:
         return (self.path, self.line, self.col, self.code)
@@ -98,6 +82,5 @@ class Violation:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "baselined": self.baselined,
             "fixable": self.fix is not None,
         }

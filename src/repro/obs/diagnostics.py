@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EstimateSample, TelemetryEvent
+from repro.util.stats import median
 
 __all__ = [
     "THEOREM_TRIANGLE",
@@ -111,14 +112,6 @@ def estimate_trace(
             )
         )
     return points
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _variance(values: Sequence[float]) -> float:
@@ -211,7 +204,7 @@ def diagnose(
     target = success_target if success_target is not None else _SUCCESS_TARGETS[theorem]
 
     errors = [abs(e - truth) / truth for e in estimates]
-    median_error = _median(errors)
+    median_error = median(errors)
     success_rate = sum(1 for err in errors if err <= epsilon) / len(errors)
     variance = _variance(list(estimates))
     variance_budget = epsilon**2 * truth**2

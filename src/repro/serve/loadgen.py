@@ -116,6 +116,8 @@ class LoadResult:
         return dict(self.__dict__)
 
 
+# Nearest-rank, not interpolated like util.stats: the BENCH_serve.json
+# poll-latency gates were set against these values.
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
     if not sorted_values:
         return 0.0

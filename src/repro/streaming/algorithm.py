@@ -25,6 +25,7 @@ import abc
 from typing import TYPE_CHECKING, Sequence
 
 from repro.graph.graph import Vertex
+from repro.util import vectorized
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sketch.state import SketchState
@@ -44,18 +45,28 @@ class StreamingAlgorithm(abc.ABC):
     #: (required by the two-pass triangle algorithm, Section 3.2).
     requires_same_order: bool = False
 
+    #: Column provider bound by :meth:`bind_columns` (None: convert lists).
+    _col_provider = None
+
     def bind_columns(self, provider) -> None:
         """Offer a columnar view of the stream's adjacency lists.
 
         ``provider(vertex, neighbors)`` returns the list's vertex-id
         column (a ``uint64`` array) or ``None`` when the labels have no
         columnar representation.  The runner binds the stream's memoised
-        provider before a run; algorithms with a vectorized fast path
-        store it and prefer it over converting each list themselves.
-        Purely an acceleration channel: the provider's output is
-        bit-identical to a direct conversion, and the default
-        implementation ignores it.
+        provider before a run, and :meth:`_neighbor_column` prefers it
+        over converting each list.  Purely an acceleration channel: the
+        provider's output is bit-identical to a direct conversion.
         """
+        self._col_provider = provider
+
+    def _neighbor_column(self, vertex: Vertex, neighbors: Sequence[Vertex]):
+        """The list's ``uint64`` column (None: no columnar labels), via the
+        bound provider when there is one."""
+        provider = self._col_provider
+        if provider is not None:
+            return provider(vertex, neighbors)
+        return vectorized.as_vertex_array(neighbors)
 
     def begin_pass(self, pass_index: int) -> None:
         """Called before pass ``pass_index`` (0-based) starts."""

@@ -17,6 +17,11 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
 * :func:`pairwise_int_array` — vectorized :meth:`PairwiseHash.hash_int`
   (``(a·x + b) mod (2^89 − 1)`` via 32-bit limb arithmetic, exact).
 
+On top of them sits the two-pass counters' one per-list layer:
+:func:`offer_list` (the first-pass offer), :class:`EndpointColumns` (sample
+edges as growable ``uint64`` endpoint columns) and :class:`ListMask` (one
+adjacency list tested against such columns).
+
 Bit-identity is pinned by hypothesis property tests
 (``tests/util/test_vectorized.py``); the scalar implementations remain the
 oracle and the fallback for exotic vertex labels (see
@@ -41,7 +46,17 @@ themselves.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -50,13 +65,14 @@ __all__ = [
     "as_vertex_scalar",
     "canonical_pair_columns",
     "ColumnMemo",
-    "edge_columns",
     "columnar_enabled",
     "encode_pair_keys",
-    "encode_int_keys",
+    "EndpointColumns",
     "in_sorted",
+    "ListMask",
     "mixhash_int_array",
     "mixhash_unit_array",
+    "offer_list",
     "pairwise_int_array",
     "PairColumns",
     "scalar_oracle",
@@ -196,27 +212,6 @@ def canonical_pair_columns(
     return np.minimum(neighbors, source), np.maximum(neighbors, source)
 
 
-def edge_columns(
-    source: object, neighbors: Sequence
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Canonical edge columns for one adjacency list, or None to fall back.
-
-    The counters' single entry point into the columnar path: returns the
-    ``(u, v)`` endpoint arrays of ``canonical_edge(source, nbr)`` for every
-    neighbour, or ``None`` when the columnar path is disabled or the labels
-    are not plain ints (scalar fallback).
-    """
-    if not _COLUMNAR_ENABLED:
-        return None
-    src = as_vertex_scalar(source)
-    if src is None:
-        return None
-    nbrs = as_vertex_array(neighbors)
-    if nbrs is None:
-        return None
-    return canonical_pair_columns(src, nbrs)
-
-
 class PairColumns:
     """Lazy tuple view over two endpoint columns.
 
@@ -241,10 +236,10 @@ class PairColumns:
 def in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Membership mask of ``queries`` against an ascending-sorted array.
 
-    ``searchsorted`` beats ``np.isin`` here: the counters test many small
-    query batches against one adjacency list per call, and ``isin`` would
-    re-sort both sides every time, while this is one binary search per
-    query against the list sorted once per ``end_list``.
+    ``searchsorted`` beats ``np.isin`` here: the counters test several
+    query columns against one adjacency list, and ``isin`` would re-sort
+    both sides every time, while this is one binary search per query
+    against the list sorted once per :class:`ListMask`.
     """
     count = len(sorted_values)
     if count == 0:
@@ -263,13 +258,14 @@ class VertexTable:
     boolean gather has essentially no per-call dispatch cost.  Only
     engages when the largest id involved stays under ``universe_cap``
     (generated graphs label vertices ``0..n-1``, so this is the universal
-    case); callers fall back to :func:`in_sorted` otherwise.
+    case); :class:`ListMask` falls back to :func:`in_sorted` otherwise.
 
-    Usage discipline: :meth:`mark` the current adjacency list, run any
-    number of :meth:`lookup` calls whose query values are ``<=`` the
-    ``query_max`` passed to ``mark``, then :meth:`unmark` with the same
-    values.  Unmarking only clears the set positions, so the buffer is
-    reused across lists without O(universe) zeroing.
+    Usage discipline (kept by :class:`ListMask`): :meth:`mark` the current
+    adjacency list, run any number of :meth:`lookup` calls whose query
+    values are ``<=`` the ``query_max`` passed to ``mark``, then
+    :meth:`unmark` with the same values.  Unmarking only clears the set
+    positions, so the buffer is reused across lists without O(universe)
+    zeroing.
     """
 
     __slots__ = ("_table", "_cap")
@@ -298,27 +294,201 @@ class VertexTable:
         result: np.ndarray = self._table[queries]
         return result
 
-    def contains_checked(self, value: int) -> bool:
-        """Scalar membership probe, safe for ids beyond the marked range.
-
-        Out-of-range ids (admitted after the covering views were built,
-        hence possibly larger than anything marked) are simply not
-        members of the marked list.
-        """
-        table = self._table
-        return 0 <= value < len(table) and bool(table[value])
-
     def unmark(self, values: np.ndarray) -> None:
         """Clear exactly the positions set by the matching :meth:`mark`."""
         self._table[values] = False
 
 
+# -- the counters' per-list layer ----------------------------------------------
+
+#: What laying out an edge whose label has no ``uint64`` value raises.
+_NOT_UINT64 = (OverflowError, ValueError, TypeError, IndexError)
+
+
+class EndpointColumns:
+    """Growable ``uint64`` endpoint columns over edges, one payload each.
+
+    :meth:`build` lays a full edge set out with slack capacity, and
+    :meth:`extend` (or :meth:`queue` plus the next :meth:`view`) appends
+    later edges in place, so a set that grows a little per list costs a
+    few buffer writes, not a rebuild.  Entries are never removed: callers
+    skip stale hits and count them in ``dead``, and :meth:`stale` asks
+    for a rebuild once more than half are dead.  The first label that is
+    not a ``uint64`` turns the columns off until the object is replaced:
+    :meth:`view` returns None and the caller takes its scalar path.
+    """
+
+    __slots__ = ("payloads", "pending", "dead", "_version", "_a", "_b", "_view", "_on")
+
+    def __init__(self) -> None:
+        self.payloads: Optional[List[Any]] = None  # None: unbuilt or off
+        self.pending: List[Tuple[Any, Any]] = []  # (edge, payload) to append
+        self.dead = 0
+        self._version: object = None
+        self._a = np.empty(0, dtype=np.uint64)
+        self._b = np.empty(0, dtype=np.uint64)
+        self._view: Optional[Tuple[np.ndarray, np.ndarray, List[Any], int]] = None
+        self._on = True
+
+    def stale(self, version: object = None) -> bool:
+        """Whether the next view needs a :meth:`build`: unbuilt, built
+        from another ``version`` of the edge set, or over half dead."""
+        payloads = self.payloads
+        return self._on and (
+            payloads is None
+            or version != self._version
+            or 2 * self.dead > len(payloads)
+        )
+
+    def build(
+        self, edges: Collection[Any], payloads: Iterable[Any], version: object = None
+    ) -> None:
+        """Lay out ``edges`` (``(a, b)`` pairs) with ``payloads`` afresh."""
+        if not self._on:
+            return
+        count = len(edges)
+        a = np.empty(2 * count + 64, dtype=np.uint64)
+        b = np.empty(2 * count + 64, dtype=np.uint64)
+        try:
+            a[:count] = np.fromiter((e[0] for e in edges), dtype=np.uint64, count=count)
+            b[:count] = np.fromiter((e[1] for e in edges), dtype=np.uint64, count=count)
+        except _NOT_UINT64:
+            self._turn_off()
+            return
+        self.payloads = list(payloads)
+        self.pending = []
+        self.dead = 0
+        self._version = version
+        self._a, self._b = a, b
+        qmax = int(max(a[:count].max(), b[:count].max())) if count else -1
+        self._view = (a[:count], b[:count], self.payloads, qmax)
+
+    def extend(self, items: Iterable[Tuple[Any, Any]]) -> None:
+        """Append ``(edge, payload)`` items to the built columns."""
+        payloads = self.payloads
+        if payloads is None:
+            return
+        a, b = self._a, self._b
+        n = len(payloads)
+        assert self._view is not None
+        qmax = self._view[3]
+        try:
+            for (x, y), payload in items:
+                if n == len(a):
+                    a = np.concatenate((a, np.empty(n + 64, dtype=np.uint64)))
+                    b = np.concatenate((b, np.empty(n + 64, dtype=np.uint64)))
+                a[n] = x  # numpy rejects non-int / negative labels
+                b[n] = y
+                payloads.append(payload)
+                n += 1
+                if x > qmax:
+                    qmax = x
+                if y > qmax:
+                    qmax = y
+        except _NOT_UINT64:
+            self._turn_off()
+            return
+        self._a, self._b = a, b
+        self._view = (a[:n], b[:n], payloads, int(qmax))
+
+    def queue(self, edge: Any, payload: Any) -> None:
+        """Queue one item for the next :meth:`view` (built columns only).
+
+        Past ``len(payloads) + 64`` queued items the columns drop
+        themselves instead, so a caller that rarely views holds a bounded
+        queue and rebuilds from scratch.
+        """
+        payloads = self.payloads
+        if payloads is None:
+            return
+        self.pending.append((edge, payload))
+        if len(self.pending) > len(payloads) + 64:
+            self.drop()
+
+    def drop(self) -> None:
+        """Forget the built columns; the next view needs a :meth:`build`."""
+        self.payloads = None
+        self.pending = []
+        self._view = None
+
+    def view(self) -> Optional[Tuple[np.ndarray, np.ndarray, List[Any], int]]:
+        """``(a, b, payloads, qmax)`` after appending the queue, or None
+        when the columns are off; ``qmax`` is the largest endpoint id."""
+        if self.pending:
+            pending, self.pending = self.pending, []
+            self.extend(pending)
+        return self._view
+
+    def _turn_off(self) -> None:
+        self.drop()
+        self._on = False
+
+
+class ListMask:
+    """One adjacency list's membership, tested against endpoint columns.
+
+    Marks the list in a :class:`VertexTable` when every id involved (up
+    to ``query_max``) fits it, else sorts the list once for
+    :func:`in_sorted`.  A context manager: leaving it clears the marks.
+    """
+
+    __slots__ = ("_values", "_table", "_sorted")
+
+    def __init__(self, table: VertexTable, values: np.ndarray, query_max: int) -> None:
+        self._values = values
+        marked = table.mark(values, query_max)
+        self._table = table if marked else None
+        self._sorted = None if marked else np.sort(values)
+
+    def __enter__(self) -> "ListMask":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._table is not None:
+            self._table.unmark(self._values)
+
+    def member(self, queries: np.ndarray) -> np.ndarray:
+        """Mask of ``queries`` (all ``<= query_max``) present in the list."""
+        if self._table is not None:
+            return self._table.lookup(queries)
+        assert self._sorted is not None
+        return in_sorted(self._sorted, queries)
+
+    def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Mask of the edges ``(a[i], b[i])`` with both endpoints listed."""
+        result: np.ndarray = self.member(a) & self.member(b)
+        return result
+
+
+def offer_list(
+    sampler: Any,
+    source: Any,
+    neighbors: Sequence[Any],
+    column_of: Callable[[Any, Sequence[Any]], Optional[np.ndarray]],
+) -> Tuple[int, Optional[np.ndarray]]:
+    """Offer ``canonical_edge(source, nbr)`` for every neighbour, in order.
+
+    The two-pass counters' first-pass offer.  A list of at least
+    :data:`SHORT_LIST` int labels is hashed in one batch and offered via
+    ``sampler.offer_array``; any other list goes through the scalar
+    ``offer_many``, which leaves the sampler in the same state.
+    ``column_of(source, neighbors)`` supplies the list's ``uint64``
+    column.  Returns the accepted count and that column (None when the
+    list took the scalar route).
+    """
+    if _COLUMNAR_ENABLED and len(neighbors) >= SHORT_LIST:
+        src = as_vertex_scalar(source)
+        column = column_of(source, neighbors) if src is not None else None
+        if column is not None:
+            u, v = canonical_pair_columns(src, column)
+            priorities = sampler.priority_array(encode_pair_keys(u, v))
+            accepted: int = sampler.offer_array(priorities, PairColumns(u, v))
+            return accepted, column
+    pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
+    return sampler.offer_many(pairs), None
+
+
 # -- key encoding --------------------------------------------------------------
-
-def encode_int_keys(keys: np.ndarray) -> np.ndarray:
-    """Vectorized ``_to_int_key`` for plain int keys (identity mod 2^64)."""
-    return keys.astype(np.uint64, copy=False)
-
 
 def encode_pair_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized ``_to_int_key((u, v))`` for int-pair tuples.

@@ -38,9 +38,27 @@ SHARDED_FACTORIES = {
 }
 
 
-@pytest.fixture(scope="module")
-def stream():
-    return AdjacencyListStream(gnm_random_graph(120, 1500, seed=7), seed=5)
+def _mixed_label_graph():
+    """G(n, m) plus vertices -1, -7 and 2**64 + 3, each wired to 40 ints.
+
+    Those three labels have no uint64 value.  Under the stream order used
+    below, the triangle counter builds its member and watcher columns
+    from int labels first, and each turns off when an edge on one of the
+    three is appended, mid-run; the scalar path takes over from there.
+    """
+    graph = gnm_random_graph(240, 2400, seed=7)
+    rng = random.Random(26)
+    for special in (-1, -7, 2**64 + 3):
+        for nbr in rng.sample(range(240), 40):
+            graph.add_edge(special, nbr)
+    return graph
+
+
+@pytest.fixture(params=["gnm", "mixed-labels"])
+def stream(request):
+    if request.param == "gnm":
+        return AdjacencyListStream(gnm_random_graph(120, 1500, seed=7), seed=5)
+    return AdjacencyListStream(_mixed_label_graph(), seed=2)
 
 
 @pytest.fixture(params=sorted(FACTORIES))
@@ -243,10 +261,10 @@ class TestWatcherPendingBound:
         drops = []
 
         def tracking(self, pair, current_list):
-            built = self._wcol_buckets
+            built = self._wcols.payloads
             register(self, pair, current_list)
-            assert len(self._wcol_pending) <= len(built or ()) + 64
-            if built is not None and self._wcol_buckets is None:
+            assert len(self._wcols.pending) <= len(built or ()) + 64
+            if built is not None and self._wcols.payloads is None:
                 drops.append(len(built))
 
         monkeypatch.setattr(TwoPassTriangleCounter, "_register_watchers", tracking)

@@ -1,11 +1,11 @@
-"""CLI behaviour: formats, baseline ratchet, suppressions, exit codes."""
+"""CLI behaviour: formats, suppressions, exit codes."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import DEFAULT_BASELINE, main
+from repro.lint.cli import main
 from repro.lint.violations import CODE_SUMMARIES
 
 BAD_SOURCE = "import random\n\n\ndef draw():\n    return random.random()\n"
@@ -13,7 +13,7 @@ BAD_SOURCE = "import random\n\n\ndef draw():\n    return random.random()\n"
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
-    """A scratch cwd so the default baseline path stays contained."""
+    """A scratch cwd holding one file with a DET001 finding."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.py").write_text(BAD_SOURCE)
     return tmp_path
@@ -30,7 +30,7 @@ def test_json_format_and_output_file(workdir, capsys):
     assert main(["bad.py", "--format=json", "-o", "report.json"]) == 1
     out = capsys.readouterr().out
     document = json.loads(out)
-    assert document["summary"] == {"active": 1, "baselined": 0, "exit_code": 1}
+    assert document["summary"] == {"active": 1, "exit_code": 1}
     (violation,) = document["violations"]
     assert violation["code"] == "DET001" and violation["line"] == 5
     assert json.loads(Path("report.json").read_text()) == document
@@ -47,26 +47,6 @@ def test_clean_file_exits_zero(workdir, capsys):
     Path("clean.py").write_text("def f():\n    return 1\n")
     assert main(["clean.py"]) == 0
     assert "0 violations" in capsys.readouterr().out
-
-
-def test_baseline_ratchet(workdir, capsys):
-    # Grandfather the current finding...
-    assert main(["bad.py", "--write-baseline"]) == 0
-    assert Path(DEFAULT_BASELINE).exists()
-    # ...the default run now auto-loads the baseline and passes...
-    assert main(["bad.py"]) == 0
-    # ...but --no-baseline still sees the violation...
-    assert main(["bad.py", "--no-baseline"]) == 1
-    # ...and a *new* violation fails the run while the old one stays quiet.
-    Path("bad.py").write_text(
-        BAD_SOURCE + "\n\ndef draw_again():\n    return random.randrange(3)\n"
-    )
-    capsys.readouterr()
-    assert main(["bad.py", "--format=json"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["summary"] == {"active": 1, "baselined": 1, "exit_code": 1}
-    active = [v for v in document["violations"] if not v["baselined"]]
-    assert "random.randrange" in active[0]["message"]
 
 
 def test_justified_suppression_is_honored(workdir):

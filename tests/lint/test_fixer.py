@@ -181,7 +181,7 @@ class TestCliFix:
         core = tmp_path / "core"
         core.mkdir()
         (core / "bag.py").write_text(DET002_SOURCE)
-        assert main(["core", "--fix", "--no-baseline"]) == 0
+        assert main(["core", "--fix"]) == 0
         out = capsys.readouterr().out
         assert "fixed core/bag.py" in out
         assert "0 violations" in out
@@ -194,7 +194,7 @@ class TestCliFix:
             "import random\n\n\ndef draw():\n    return random.random()\n"
         )
         before = bad.read_text()
-        assert main(["bad.py", "--fix", "--no-baseline"]) == 1
+        assert main(["bad.py", "--fix"]) == 1
         assert bad.read_text() == before  # DET001 has no mechanical rewrite
         assert "DET001" in capsys.readouterr().out
 
@@ -203,10 +203,10 @@ class TestCliFix:
         core = tmp_path / "core"
         core.mkdir()
         (core / "bag.py").write_text(DET002_SOURCE)
-        assert main(["core", "--fix", "--no-baseline"]) == 0
+        assert main(["core", "--fix"]) == 0
         once = (core / "bag.py").read_text()
         capsys.readouterr()
-        assert main(["core", "--fix", "--no-baseline"]) == 0
+        assert main(["core", "--fix"]) == 0
         out = capsys.readouterr().out
         assert (core / "bag.py").read_text() == once
         assert "fixed" not in out

@@ -15,7 +15,7 @@ OBS_DIR = os.path.dirname(os.path.abspath(repro.obs.__file__))
 
 
 def test_obs_subsystem_is_lint_clean(capsys):
-    assert main([OBS_DIR, "--no-baseline"]) == 0
+    assert main([OBS_DIR]) == 0
     assert "0 violations" in capsys.readouterr().out
 
 

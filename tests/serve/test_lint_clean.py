@@ -15,7 +15,7 @@ SERVE_DIR = os.path.dirname(os.path.abspath(repro.serve.__file__))
 
 
 def test_serve_subsystem_is_lint_clean(capsys):
-    assert main([SERVE_DIR, "--no-baseline"]) == 0
+    assert main([SERVE_DIR]) == 0
     assert "0 violations" in capsys.readouterr().out
 
 

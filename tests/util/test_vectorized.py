@@ -24,17 +24,18 @@ from repro.util.hashing import MixHash64, PairwiseHash, _splitmix64, _to_int_key
 from repro.util.sampling import BottomKSampler
 from repro.util.vectorized import (
     ColumnMemo,
+    EndpointColumns,
+    ListMask,
     PairColumns,
     VertexTable,
     as_vertex_array,
     as_vertex_scalar,
     canonical_pair_columns,
-    edge_columns,
-    encode_int_keys,
     encode_pair_keys,
     in_sorted,
     mixhash_int_array,
     mixhash_unit_array,
+    offer_list,
     pairwise_int_array,
     set_columnar_enabled,
     SHORT_LIST,
@@ -58,11 +59,6 @@ class TestHashKernelsBitIdentical:
         out = splitmix64_array(_as_u64(keys))
         assert out.tolist() == [_splitmix64(k) for k in keys]
 
-    @given(keys=key_batches)
-    def test_encode_int_keys(self, keys):
-        out = encode_int_keys(_as_u64(keys))
-        assert out.tolist() == [_to_int_key(k) for k in keys]
-
     @given(pairs=pair_batches)
     def test_encode_pair_keys(self, pairs):
         u = _as_u64([p[0] for p in pairs])
@@ -72,13 +68,14 @@ class TestHashKernelsBitIdentical:
     @given(keys=key_batches, seed=seeds)
     def test_mixhash_int(self, keys, seed):
         h = MixHash64(seed=seed)
-        out = mixhash_int_array(encode_int_keys(_as_u64(keys)), h.key)
+        # A plain int key encodes to itself (``_to_int_key`` is the identity).
+        out = mixhash_int_array(_as_u64([_to_int_key(k) for k in keys]), h.key)
         assert out.tolist() == [h.hash_int(k) for k in keys]
 
     @given(keys=key_batches, seed=seeds)
     def test_mixhash_unit(self, keys, seed):
         h = MixHash64(seed=seed)
-        out = mixhash_unit_array(encode_int_keys(_as_u64(keys)), h.key)
+        out = mixhash_unit_array(_as_u64([_to_int_key(k) for k in keys]), h.key)
         # hash_unit is one IEEE-754 division either way: exact equality.
         assert out.tolist() == [h.hash_unit(k) for k in keys]
 
@@ -141,8 +138,6 @@ class TestMembershipStructures:
         assert table.mark(values, query_max=600)
         mask = table.lookup(_as_u64(queries)) if queries else []
         assert list(mask) == [q in set(members) for q in queries]
-        for q in queries + [0, 599, 10**6]:
-            assert table.contains_checked(q) == (q in set(members))
         table.unmark(values)
         if queries:
             assert not table.lookup(_as_u64(queries)).any()
@@ -193,6 +188,116 @@ class TestOfferArrayMatchesScalarSampler:
         assert vec.offer_array(np.empty(0, dtype=np.uint64), []) == 0
         assert vec.state_dict() == before
         assert vec.state_dict() == scalar.state_dict()
+
+
+    @staticmethod
+    def _offer_both(source, neighbors):
+        """``offer_list`` on one sampler, scalar ``offer_many`` on a twin."""
+        vec, scalar = BottomKSampler(8, seed=5), BottomKSampler(8, seed=5)
+        accepted, column = offer_list(vec, source, neighbors, ColumnMemo())
+        expected = scalar.offer_many([canonical_edge(source, n) for n in neighbors])
+        assert accepted == expected
+        assert vec.state_dict() == scalar.state_dict()
+        return column
+
+    @given(
+        source=st.integers(0, 200),
+        neighbors=st.lists(st.integers(0, 200), min_size=0, max_size=3 * SHORT_LIST),
+    )
+    def test_offer_list_matches_offer_many(self, source, neighbors):
+        column = self._offer_both(source, neighbors)
+        if len(neighbors) >= SHORT_LIST:
+            assert column is not None and column.tolist() == neighbors
+        else:
+            assert column is None  # short lists take the scalar route
+
+    def test_offer_list_gadget_fallback(self):
+        long = range(1, SHORT_LIST + 1)
+        assert self._offer_both("a", [f"b{i}" for i in long]) is None
+        assert self._offer_both(("x", 0), [("x", i) for i in long]) is None
+        assert self._offer_both(-1, list(long)) is None
+
+    def test_offer_list_when_disabled(self):
+        previous = set_columnar_enabled(False)
+        try:
+            assert self._offer_both(0, list(range(1, 2 * SHORT_LIST))) is None
+        finally:
+            set_columnar_enabled(previous)
+
+
+class TestEndpointColumns:
+    """The growable columns hold exactly the pairs laid out, in order."""
+
+    @given(
+        edges=st.lists(st.tuples(uint64s, uint64s), max_size=90),
+        built=st.integers(0, 90),
+        extended=st.integers(0, 90),
+    )
+    def test_view_matches_edges_in_order(self, edges, built, extended):
+        payloads = [repr(e) for e in edges]
+        cols = EndpointColumns()
+        cols.build(edges[:built], payloads[:built], version=1)
+        middle = slice(built, built + extended)
+        cols.extend(zip(edges[middle], payloads[middle]))
+        for edge, payload in zip(edges[built + extended:], payloads[built + extended:]):
+            cols.queue(edge, payload)
+        a, b, seen, qmax = cols.view()
+        assert list(zip(a.tolist(), b.tolist())) == edges
+        assert seen == payloads
+        assert qmax == max((max(e) for e in edges), default=-1)
+        assert not cols.pending and not cols.stale(1)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, "a", None])
+    def test_non_uint64_label_turns_columns_off(self, bad):
+        built_bad = EndpointColumns()
+        built_bad.build([(1, 2), (3, bad)], ["x", "y"])
+        appended_bad = EndpointColumns()
+        appended_bad.build([(1, 2)], ["x"])
+        appended_bad.extend([((3, bad), "y")])
+        for cols in (built_bad, appended_bad):
+            assert cols.view() is None and not cols.stale()
+            cols.build([(1, 2)], ["x"])  # stays off for good
+            assert cols.view() is None
+
+    def test_rebuild_rules(self):
+        cols = EndpointColumns()
+        assert cols.stale()
+        cols.build([(1, 2), (3, 4)], ["p", "q"], version=7)
+        assert not cols.stale(7) and cols.stale(8)
+        cols.dead = 1
+        assert not cols.stale(7)
+        cols.dead = 2  # more than half the entries are dead
+        assert cols.stale(7)
+
+    def test_queue_cap_drops_the_columns(self):
+        cols = EndpointColumns()
+        cols.build([(1, 2)], ["p"])
+        for i in range(1 + 64):
+            cols.queue((i, i + 1), i)
+        assert cols.payloads is not None and len(cols.pending) == 65
+        cols.queue((0, 1), "over the cap")
+        assert cols.payloads is None and not cols.pending and cols.stale()
+
+
+class TestListMask:
+    @given(
+        members=st.lists(st.integers(0, 500), min_size=1, max_size=40),
+        pairs=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=40),
+        cap=st.sampled_from([1 << 22, 100]),
+    )
+    def test_both_matches_python_membership(self, members, pairs, cap):
+        # cap=100 forces the sorted fallback for most inputs.
+        table = VertexTable(universe_cap=cap)
+        values = _as_u64(members)
+        a = _as_u64([p[0] for p in pairs])
+        b = _as_u64([p[1] for p in pairs])
+        with ListMask(table, values, query_max=600) as mask:
+            assert mask.member(a).tolist() == [x in members for x, _ in pairs]
+            assert mask.both(a, b).tolist() == [
+                x in members and y in members for x, y in pairs
+            ]
+        if cap > 600:  # the table path: leaving the mask cleared the marks
+            assert not table.lookup(values).any()
 
 
 class TestAdmissionLog:
@@ -255,26 +360,6 @@ class TestEdgeColumnsMatchCanonicalEdge:
         u, v = canonical_pair_columns(np.uint64(source), _as_u64(neighbors))
         expected = [canonical_edge(source, n) for n in neighbors]
         assert list(zip(u.tolist(), v.tolist())) == expected
-
-    @given(source=uint64s, neighbors=st.lists(uint64s, min_size=1, max_size=60))
-    def test_edge_columns_matches_scalar(self, source, neighbors):
-        columns = edge_columns(source, neighbors)
-        assert columns is not None
-        u, v = columns
-        assert list(zip(u.tolist(), v.tolist())) == [
-            canonical_edge(source, n) for n in neighbors
-        ]
-
-    def test_edge_columns_falls_back_on_gadget_labels(self):
-        assert edge_columns("a", [1, 2]) is None
-        assert edge_columns(1, [("x", 2)]) is None
-
-    def test_edge_columns_disabled_forces_scalar_path(self):
-        previous = set_columnar_enabled(False)
-        try:
-            assert edge_columns(1, [2, 3]) is None
-        finally:
-            set_columnar_enabled(previous)
 
     @given(pairs=pair_batches)
     def test_pair_columns_view_is_lazy_tuple_oracle(self, pairs):
