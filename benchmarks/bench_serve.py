@@ -301,12 +301,8 @@ async def _drive(port, sessions, connections, chunk_pairs, use_binary):
     return fleet, ingest, stall
 
 
-async def _run_single(sessions, connections, chunk_pairs, max_inflight_feeds,
-                      use_binary):
-    manager = SessionManager(
-        max_sessions=max(sessions + 16, 1024),
-        max_inflight_feeds=max_inflight_feeds,
-    )
+async def _run_single(sessions, connections, chunk_pairs, use_binary):
+    manager = SessionManager(max_sessions=max(sessions + 16, 1024))
     server = ServeServer(manager, port=0)
     await server.start()
     server_task = asyncio.ensure_future(server.serve_until_stopped())
@@ -336,7 +332,6 @@ def run(
     sessions: int = None,
     connections: int = 32,
     chunk_pairs: int = 96,
-    max_inflight_feeds: int = 256,
     workers: int = 0,
     binary: bool = False,
 ) -> dict:
@@ -344,10 +339,7 @@ def run(
         sessions = MIN_SESSIONS if quick else 2 * MIN_SESSIONS
     if workers > 0:
         router = ServeRouter(
-            workers,
-            port=0,
-            max_sessions=max(sessions + 16, 1024),
-            max_inflight_feeds=max_inflight_feeds,
+            workers, port=0, max_sessions=max(sessions + 16, 1024)
         )
         router.spawn_workers()
         try:
@@ -358,8 +350,7 @@ def run(
             router.join_workers()
     else:
         fleet, ingest, stall = asyncio.run(
-            _run_single(sessions, connections, chunk_pairs, max_inflight_feeds,
-                        binary)
+            _run_single(sessions, connections, chunk_pairs, binary)
         )
     slo = SLOPolicy()
     serve = fleet.to_dict()
@@ -374,7 +365,6 @@ def run(
             "sessions": sessions,
             "connections": connections,
             "chunk_pairs": chunk_pairs,
-            "max_inflight_feeds": max_inflight_feeds,
             "workers": workers,
             "binary": binary,
         },

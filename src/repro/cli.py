@@ -465,7 +465,6 @@ def cmd_serve(args) -> int:
             args.host,
             args.port,
             max_sessions=args.max_sessions,
-            max_inflight_feeds=args.max_inflight_feeds,
             byte_budget=args.byte_budget,
             space_budget=args.space_budget,
             checkpoint_dir=args.checkpoint_dir,
@@ -532,7 +531,6 @@ def cmd_serve(args) -> int:
     async def _serve() -> None:
         manager = SessionManager(
             max_sessions=args.max_sessions,
-            max_inflight_feeds=args.max_inflight_feeds,
             default_byte_budget=args.byte_budget,
             default_space_budget_words=args.space_budget,
             telemetry=telemetry,
@@ -740,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one; default 7340)")
     serve.add_argument("--max-sessions", type=int, default=10_000,
                        help="hard cap on concurrently open sessions")
-    serve.add_argument("--max-inflight-feeds", type=int, default=64,
-                       help="feeds admitted at once across connections "
-                       "before the rest wait at the gate")
     serve.add_argument("--byte-budget", type=int, default=None,
                        help="default per-session request-payload byte budget")
     serve.add_argument("--space-budget", type=int, default=None,

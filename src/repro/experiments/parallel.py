@@ -57,24 +57,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def parallel_map(fn, items, workers: Optional[int] = None, chunk_size: int = 1) -> List:
-    """Map ``fn`` over ``items`` (order-preserving), optionally in a pool.
-
-    The general-purpose sibling of :class:`TrialExecutor` for one-shot
-    fan-outs (the shard-and-merge driver is the main consumer).  Serial
-    in-process when ``workers`` resolves to 1 or there is at most one
-    item — no pool, no pickling constraints; otherwise ``fn`` and every
-    item must be picklable (``fn`` a module-level function) and a fresh
-    ``ProcessPoolExecutor`` is spun up for the call.
-    """
-    items = list(items)
-    n_workers = min(resolve_workers(workers), max(len(items), 1))
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, chunk_size)))
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     """Everything one independent trial needs, in picklable form."""

@@ -252,14 +252,6 @@ class ScalingResult:
     two_pass_exponent: float
     one_pass_exponent: float
 
-    @property
-    def two_pass_wins_everywhere(self) -> bool:
-        """True when the 2-pass algorithm needs ≤ the 1-pass space at every T."""
-        return all(
-            two <= one
-            for two, one in zip(self.two_pass_budgets, self.one_pass_budgets)
-        )
-
 
 def scaling_experiment(
     t_values: Sequence[int] = (64, 125, 343, 729),

@@ -5,7 +5,6 @@ Usage::
     repro-lint src/repro                       # text report, exit 1 on findings
     repro-lint --format=json -o report.json src/repro
     repro-lint --format=github src/repro       # PR annotations in CI
-    repro-lint --fix src/repro                 # apply the safe auto-rewrites
     repro-lint --list-rules
 
 Also reachable as ``python -m repro.lint`` and ``repro-cycles lint``.
@@ -20,7 +19,7 @@ from typing import List, Optional
 
 from repro.lint.engine import run_lint
 from repro.lint.formats import FORMATTERS
-from repro.lint.rules import ALL_RULE_CLASSES, Rule, build_rules
+from repro.lint.rules import ALL_RULE_CLASSES, build_rules
 from repro.lint.violations import CODE_SUMMARIES
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "apply the safe mechanical rewrites in place (rule-attached "
-            "fixes, pragma normalization, registry ordering), then re-lint"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -96,22 +87,6 @@ def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
     return [c.strip() for c in raw.split(",") if c.strip()]
 
 
-def _run_fix(paths: List[str], rules: List[Rule]) -> None:
-    """Apply the safe rewrites in place; the caller re-lints afterwards."""
-    from repro.lint.engine import discover_files
-    from repro.lint.fixer import fix_paths
-
-    report = run_lint(paths, rules=rules)
-    sources = {
-        path.as_posix(): path.read_text(encoding="utf-8")
-        for path in discover_files(paths)
-    }
-    for result in fix_paths(sources, report.violations):
-        Path(result.path).write_text(result.new_source, encoding="utf-8")
-        for description in result.applied:
-            print(f"fixed {result.path}: {description}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -127,13 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.fix:
-        try:
-            _run_fix(args.paths, rules)
-        except FileNotFoundError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
 
     try:
         report = run_lint(args.paths, rules=rules)

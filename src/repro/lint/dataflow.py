@@ -1,31 +1,30 @@
 """Lightweight intra-module dataflow for flow-aware rules.
 
-The v1 rules pattern-match raw AST nodes; the v2 families (ASY/VEC/SRV/
-DET004) need a little more context: *which names are bound to what*,
-*which local functions call which*, and *which repro modules a file
-imports*.  This module computes exactly that — nothing inter-procedural
-beyond one file, nothing type-inferred beyond constructor calls — and
-caches one :class:`ModuleFlow` per :class:`FileContext` so several rules
-can share the pass.
+The v1 rules pattern-match raw AST nodes; the v2 families (ASY/SRV/
+DET004) need a little more context: *which names are bound to what* and
+*which local functions call which*.  This module computes exactly that —
+nothing inter-procedural beyond one file, nothing type-inferred beyond
+constructor calls — and caches one :class:`ModuleFlow` per
+:class:`FileContext` so several rules can share the pass.
 
-Three layers:
+Two layers:
 
 * **name bindings** — for every function, local names assigned from a
   resolvable constructor call (``p = Path(x)`` binds ``p`` to
   ``pathlib.Path``), with propagation through ``/``-joins of bound names
   (``tmp = directory / "f"`` stays a Path);
 * **call-graph edges** — for every function, the module-level functions
-  it calls by bare name, as ``(caller, callee, call node)`` edges;
-* **import graph** — for a whole scanned tree, which ``repro.*`` modules
-  each file imports (project-wide rules use it to scope cross-module
-  contracts without false edges through re-exports).
+  it calls by bare name, as ``(caller, callee, call node)`` edges.
+
+:func:`find_file` locates one scanned file by path suffix for the
+project-wide rules.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.rules.base import FileContext, build_import_map, qualified_name
 
@@ -213,52 +212,6 @@ def module_flow(ctx: FileContext) -> ModuleFlow:
         cached = ModuleFlow(ctx)
         ctx._module_flow = cached  # type: ignore[attr-defined]
     return cached
-
-
-def _file_module_name(ctx: FileContext) -> str:
-    """Dotted module name of a scanned file, anchored at ``src`` when present."""
-    parts = list(ctx.parts)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if "src" in parts:
-        anchor = len(parts) - 1 - parts[::-1].index("src")
-        parts = parts[anchor + 1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def build_import_graph(files: Sequence[FileContext]) -> Dict[str, Set[str]]:
-    """Module name -> set of ``repro.*`` modules it imports.
-
-    Edges are resolved from both ``import repro.x.y`` and
-    ``from repro.x import y`` forms; relative imports are resolved against
-    the importing file's own package.  Only in-tree (``repro.``-prefixed)
-    targets appear — the graph exists so project-wide rules can ask "who
-    depends on this contract module" without scanning external imports.
-    """
-    graph: Dict[str, Set[str]] = {}
-    for ctx in files:
-        module = _file_module_name(ctx)
-        edges: Set[str] = set()
-        package_parts = module.split(".")[:-1]
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("repro"):
-                        edges.add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    base = package_parts[: len(package_parts) - (node.level - 1)]
-                    target = ".".join(base + ([node.module] if node.module else []))
-                elif node.module is not None:
-                    target = node.module
-                else:
-                    continue
-                if target.startswith("repro"):
-                    edges.add(target)
-        graph[module] = edges
-    return graph
 
 
 def find_file(

@@ -15,7 +15,6 @@ from repro.lint.rules.obs001 import Obs001MetricRegistry
 from repro.lint.rules.skt001 import Skt001RestoreCoverage
 from repro.lint.rules.skt002 import Skt002PersistenceRegistry
 from repro.lint.rules.srv001 import Srv001ErrorCodeTable
-from repro.lint.rules.vec001 import Vec001ColumnarParity
 
 __all__ = [
     "FileContext",
@@ -31,7 +30,6 @@ ALL_RULE_CLASSES: List[Type[Rule]] = [
     Det004RngTaint,
     Asy001BlockingCall,
     Asy002SharedStateMutation,
-    Vec001ColumnarParity,
     Srv001ErrorCodeTable,
     Obs001MetricRegistry,
     Skt001RestoreCoverage,

@@ -13,7 +13,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.lint.violations import Fix, Violation
+from repro.lint.violations import Violation
 
 
 @dataclass
@@ -63,7 +63,6 @@ class Rule:
         node: ast.AST,
         message: str,
         symbol: str = "",
-        fix: Optional[Fix] = None,
     ) -> Violation:
         return Violation(
             code=self.code,
@@ -72,7 +71,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             message=message,
             symbol=symbol,
-            fix=fix,
         )
 
 

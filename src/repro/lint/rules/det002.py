@@ -35,33 +35,7 @@ from repro.lint.rules.base import (
     enclosing_symbols,
     self_attr_target,
 )
-from repro.lint.violations import Fix, Violation
-
-
-def _sorted_wrap_fix(ctx: FileContext, iterable: ast.expr) -> Optional[Fix]:
-    """A mechanical ``sorted(...)`` wrap of the iterable expression.
-
-    Only offered when the expression's exact source span is recoverable
-    (it always is on trees the stdlib parser produced); wrapping is
-    behaviour-preserving for the flagged shapes — sets, ``.keys()``
-    views and set-typed names are all re-iterables whose elements
-    ``sorted`` passes through unchanged, in canonical order.
-    """
-    end_line = getattr(iterable, "end_lineno", None)
-    end_col = getattr(iterable, "end_col_offset", None)
-    if end_line is None or end_col is None:
-        return None
-    segment = ast.get_source_segment(ctx.source, iterable)
-    if segment is None:
-        return None
-    return Fix(
-        start_line=iterable.lineno,
-        start_col=iterable.col_offset,
-        end_line=end_line,
-        end_col=end_col,
-        replacement=f"sorted({segment})",
-        description="wrap iterable in sorted(...)",
-    )
+from repro.lint.violations import Violation
 
 _HOT_DIRS = ("core", "sketch", "baselines")
 _SET_ANNOTATIONS = ("set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet")
@@ -203,5 +177,4 @@ class Det002UnorderedIteration(Rule):
                         f"iteration over {reason} leaks arbitrary ordering "
                         "into a determinism-critical path; wrap in sorted(...)",
                         symbol=scope,
-                        fix=_sorted_wrap_fix(ctx, iterable),
                     )

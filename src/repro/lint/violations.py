@@ -16,8 +16,8 @@ knowing which rule produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 #: Every rule code the engine knows, with its one-line summary.  Rules in
 #: ``repro.lint.rules`` register DET/SKT codes; LNT codes are emitted by
@@ -29,31 +29,12 @@ CODE_SUMMARIES: Dict[str, str] = {
     "DET004": "function that receives an RNG also constructs its own",
     "ASY001": "blocking call inside an async def in repro/serve",
     "ASY002": "module-level mutable state mutated from a coroutine body",
-    "VEC001": "columnar kernel without scalar-oracle parity coverage",
     "SRV001": "serve error code missing from the protocol's stable table",
     "SKT001": "restore() does not cover every attribute snapshot/__init__ sets",
     "SKT002": "persistence registry round-trip contract broken",
     "LNT001": "suppression comment lacks a justification",
     "LNT002": "suppression names an unknown rule code",
 }
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical rewrite that resolves a violation.
-
-    Spans are half-open source positions in the same coordinates ``ast``
-    reports (1-based lines, 0-based columns); ``replacement`` is the full
-    new text for the span.  Only rules whose rewrite is provably
-    behaviour-preserving attach one — the fixer never guesses.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -67,8 +48,6 @@ class Violation:
     message: str
     #: Best-effort symbol context ("ClassName.method" / function name).
     symbol: str = ""
-    #: Attached when the producing rule knows a safe mechanical rewrite.
-    fix: Optional[Fix] = field(default=None, compare=False)
 
     def sort_key(self) -> Any:
         return (self.path, self.line, self.col, self.code)
@@ -82,5 +61,4 @@ class Violation:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "fixable": self.fix is not None,
         }

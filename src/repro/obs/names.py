@@ -64,7 +64,6 @@ METRIC_NAMES: Dict[str, str] = {
     "serve_requests_total": "protocol requests handled by the server",
     # live plane: serve/manager.py histograms + queue depth
     "serve_op_latency_seconds": "per-operation serve latency histogram (op=feed|poll|merge|snapshot, wire=json|binary)",
-    "serve_feed_gate_depth": "feeds queued behind the ingest semaphore (high water = worst backlog)",
     "serve_loop_lag_seconds": "event-loop scheduling lag histogram (sleep overshoot)",
     # live plane: serve/router.py
     "router_relay_seconds": "router-side relay latency histogram per relayed op",

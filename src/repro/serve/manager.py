@@ -3,20 +3,24 @@
 :class:`SessionManager` is the asyncio layer over the synchronous
 :class:`~repro.serve.session.ServeSession` cores.  It owns
 
-* the **session table** — id → session, with a per-session
-  :class:`asyncio.Lock` so interleaved requests against one session
-  serialize while different sessions proceed concurrently;
+* the **session table** — id → session;
 * **admission control** — a hard cap on open sessions
-  (``SESSION_LIMIT``) plus a semaphore bounding in-flight feed chunks
-  across connections (``max_inflight_feeds``): past the cap, feeds
-  parked on a session lock that a checkpoint or merge holds across an
-  await queue at the gate instead of piling up on the lock;
+  (``SESSION_LIMIT``) and a refusal once shutdown begins;
 * **cross-session merge** — sibling sessions (same spec, budget, origin
   and pass position) fold into one via the bit-exact shard-merge layer,
   exactly the pass-boundary merge ``run_sharded`` performs;
 * **graceful-shutdown checkpointing** — :meth:`checkpoint_all` freezes
   every snapshot-capable live session to a directory (atomic writes, a
   manifest for ids), and :meth:`load_checkpoints` resurrects them.
+
+The one concurrency invariant: **no op awaits between reading a session
+and finishing with it**.  Feed, poll, snapshot, stats, close and merge
+run start to finish without yielding, so no other request can observe
+or change a session halfway through one, and no per-session lock is
+needed.  :meth:`checkpoint_all` captures every session as bytes in one
+synchronous sweep before its first await; its off-loop file I/O touches
+only those bytes, so sessions opened, fed, merged or closed while the
+files are written cannot disturb it.
 
 All telemetry in the serve vocabulary (``serve_*`` metrics, the
 ``Session*`` events) is emitted here, never in the session cores, so the
@@ -55,7 +59,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.session import ServeSession
 from repro.sketch.merge import MergeError, merge_states
-from repro.sketch.state import SketchState
+from repro.sketch.state import SketchState, write_atomic
 from repro.streaming.algorithm import supports_snapshot
 
 __all__ = ["SessionManager"]
@@ -63,7 +67,6 @@ __all__ = ["SessionManager"]
 #: Manifest filename written next to per-session snapshot files.
 MANIFEST_NAME = "serve-checkpoint.json"
 
-_FEED_GATE_HELP = "feeds queued behind the ingest semaphore (high water = worst backlog)"
 _SESSIONS_OPEN_HELP = "serve sessions currently open (high water = peak concurrency)"
 _OP_LATENCY_HELP = "per-operation serve latency histogram (op=feed|poll|merge|snapshot, wire=json|binary)"
 
@@ -73,18 +76,18 @@ def _now() -> float:
 
 
 # Synchronous checkpoint-file helpers, always dispatched off the event
-# loop via asyncio.to_thread by the coroutines above them (ASY001).
+# loop via asyncio.to_thread by the coroutines below them (ASY001).
 
 
-def _mkdir_sync(directory: Path) -> None:
+def _write_checkpoint_sync(
+    directory: Path, files: Dict[str, bytes], manifest: Dict[str, Any]
+) -> None:
+    """Write each captured session file, then the manifest, atomically."""
     directory.mkdir(parents=True, exist_ok=True)
-
-
-def _write_manifest_sync(directory: Path, manifest: Dict[str, Any]) -> None:
-    """Atomic manifest write: full content to a temp file, then rename."""
-    tmp = directory / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(directory / MANIFEST_NAME)
+    for filename, data in files.items():
+        write_atomic(directory / filename, data)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(directory / MANIFEST_NAME, text.encode("utf-8"))
 
 
 def _read_manifest_sync(manifest_path: Path) -> Optional[str]:
@@ -94,7 +97,7 @@ def _read_manifest_sync(manifest_path: Path) -> Optional[str]:
 
 
 class SessionManager:
-    """Open/feed/poll/snapshot/merge/close sessions, concurrently and safely.
+    """Open/feed/poll/snapshot/merge/close sessions from many connections.
 
     Every public coroutine raises :class:`ServeError` with a stable code
     on failure; the transport layer maps those to error responses without
@@ -105,7 +108,6 @@ class SessionManager:
         self,
         *,
         max_sessions: int = 10_000,
-        max_inflight_feeds: int = 64,
         default_byte_budget: Optional[int] = None,
         default_space_budget_words: Optional[int] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
@@ -113,22 +115,17 @@ class SessionManager:
     ):
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
-        if max_inflight_feeds < 1:
-            raise ValueError("max_inflight_feeds must be at least 1")
         self.max_sessions = max_sessions
         self.default_byte_budget = default_byte_budget
         self.default_space_budget_words = default_space_budget_words
         self.telemetry = telemetry
         self.tracer = tracer
         self._sessions: Dict[str, ServeSession] = {}
-        self._locks: Dict[str, asyncio.Lock] = {}
         self._opened_at: Dict[str, float] = {}
         #: Hello/open-negotiated trace contexts: the session span records
         #: under the *client's* (seed, path), so the same logical span
         #: gets the same id in every process and stitching can dedupe.
         self._trace_ctx: Dict[str, TraceContext] = {}
-        self._feed_gate = asyncio.Semaphore(max_inflight_feeds)
-        self._feed_pending = 0
         self._closing = False
         self.sessions_total = 0
         self.open_high_water = 0
@@ -150,12 +147,6 @@ class SessionManager:
             )
         return session
 
-    def _lock(self, session_id: str) -> asyncio.Lock:
-        lock = self._locks.get(session_id)
-        if lock is None:
-            raise ServeError(NO_SUCH_SESSION, f"no open session {session_id!r}")
-        return lock
-
     def _admit(self, session_id: str) -> None:
         if self._closing:
             raise ServeError(SERVER_SHUTDOWN, "server is shutting down")
@@ -172,7 +163,6 @@ class SessionManager:
 
     def _install(self, session: ServeSession, *, resumed: bool) -> None:
         self._sessions[session.session_id] = session
-        self._locks[session.session_id] = asyncio.Lock()
         self._opened_at[session.session_id] = _now()
         self.sessions_total += 1
         self.open_high_water = max(self.open_high_water, len(self._sessions))
@@ -229,7 +219,6 @@ class SessionManager:
         sid = session.session_id
         opened = self._opened_at.pop(sid, 0.0)
         del self._sessions[sid]
-        del self._locks[sid]
         if self.telemetry.enabled:
             self.telemetry.emit(
                 SessionClosed(
@@ -290,17 +279,10 @@ class SessionManager:
             "serve_op_latency_seconds", seconds, help=_OP_LATENCY_HELP, op=op, wire=wire
         )
 
-    def _track_feed_gate(self, delta: int) -> None:
-        self._feed_pending += delta
-        if self.telemetry.enabled:
-            self.telemetry.set_gauge(
-                "serve_feed_gate_depth", self._feed_pending, help=_FEED_GATE_HELP
-            )
-
     async def feed(
         self, session_id: str, pairs: Sequence, *, nbytes: int = 0
     ) -> Dict[str, Any]:
-        """Ingest a JSON chunk under the feed gate (global backpressure)."""
+        """Ingest a JSON chunk."""
         return await self._ingest(
             session_id, nbytes, "json", lambda session: session.feed(pairs)
         )
@@ -308,7 +290,7 @@ class SessionManager:
     async def feed_arrays(
         self, session_id: str, srcs: Any, dsts: Any, *, nbytes: int = 0
     ) -> Dict[str, Any]:
-        """Ingest a binary columnar chunk under the same feed gate."""
+        """Ingest a binary columnar chunk."""
         return await self._ingest(
             session_id, nbytes, "binary", lambda session: session.feed_arrays(srcs, dsts)
         )
@@ -317,87 +299,79 @@ class SessionManager:
         self, session_id: str, nbytes: int, wire: str,
         ingest: Callable[[ServeSession], Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Gate, lock, byte accounting and feed telemetry around one chunk."""
-        self._track_feed_gate(+1)
-        try:
-            async with self._feed_gate:
-                async with self._lock(session_id):
-                    session = self._get(session_id)
-                    start = _now()
-                    session.account_bytes(nbytes)
-                    out = ingest(session)
-                    if self.telemetry.enabled:
-                        elapsed = _now() - start
-                        self.telemetry.observe_seconds(
-                            "serve_feed_seconds",
-                            elapsed,
-                            help="server-side wall time ingesting one chunk",
-                        )
-                        self._observe_op("feed", elapsed, wire)
-                        self.telemetry.count(
-                            "serve_session_pairs_total",
-                            out["pairs"],
-                            help="adjacency pairs ingested across all serve sessions",
-                        )
-                        self.telemetry.count(
-                            "serve_session_chunks_total",
-                            help="feed chunks ingested across all serve sessions",
-                        )
-                        if nbytes:
-                            self.telemetry.count(
-                                "serve_bytes_total",
-                                nbytes,
-                                help="approximate request payload bytes accepted",
-                            )
-                    return out
-        finally:
-            self._track_feed_gate(-1)
+        """Byte accounting and feed telemetry around one chunk."""
+        session = self._get(session_id)
+        start = _now()
+        session.account_bytes(nbytes)
+        out = ingest(session)
+        if self.telemetry.enabled:
+            elapsed = _now() - start
+            self.telemetry.observe_seconds(
+                "serve_feed_seconds",
+                elapsed,
+                help="server-side wall time ingesting one chunk",
+            )
+            self._observe_op("feed", elapsed, wire)
+            self.telemetry.count(
+                "serve_session_pairs_total",
+                out["pairs"],
+                help="adjacency pairs ingested across all serve sessions",
+            )
+            self.telemetry.count(
+                "serve_session_chunks_total",
+                help="feed chunks ingested across all serve sessions",
+            )
+            if nbytes:
+                self.telemetry.count(
+                    "serve_bytes_total",
+                    nbytes,
+                    help="approximate request payload bytes accepted",
+                )
+        return out
 
     async def finish_pass(self, session_id: str) -> Dict[str, Any]:
-        async with self._lock(session_id):
-            return self._get(session_id).finish_pass()
+        return self._get(session_id).finish_pass()
 
     async def poll(self, session_id: str, **kwargs: Any) -> Dict[str, Any]:
-        async with self._lock(session_id):
-            session = self._get(session_id)
-            start = _now()
-            out = session.poll(**kwargs)
-            if self.telemetry.enabled:
-                elapsed = _now() - start
-                self.telemetry.observe_seconds(
-                    "serve_poll_seconds",
-                    elapsed,
-                    help="server-side wall time answering one poll",
-                )
-                self._observe_op("poll", elapsed)
-                self.telemetry.count(
-                    "serve_polls_total", help="anytime-estimate polls answered"
-                )
-            return out
+        session = self._get(session_id)
+        start = _now()
+        out = session.poll(**kwargs)
+        if self.telemetry.enabled:
+            elapsed = _now() - start
+            self.telemetry.observe_seconds(
+                "serve_poll_seconds",
+                elapsed,
+                help="server-side wall time answering one poll",
+            )
+            self._observe_op("poll", elapsed)
+            self.telemetry.count(
+                "serve_polls_total", help="anytime-estimate polls answered"
+            )
+        return out
 
     async def snapshot(self, session_id: str) -> SketchState:
-        async with self._lock(session_id):
-            start = _now()
-            state = self._get(session_id).snapshot_state()
-            if self.telemetry.enabled:
-                self._observe_op("snapshot", _now() - start)
-                self.telemetry.count(
-                    "serve_snapshots_total",
-                    help="session snapshots taken (client-requested or shutdown)",
-                )
-            return state
+        start = _now()
+        state = self._get(session_id).snapshot_state()
+        if self.telemetry.enabled:
+            self._observe_op("snapshot", _now() - start)
+            self._count_snapshot()
+        return state
+
+    def _count_snapshot(self) -> None:
+        self.telemetry.count(
+            "serve_snapshots_total",
+            help="session snapshots taken (client-requested or shutdown)",
+        )
 
     async def stats(self, session_id: str) -> Dict[str, Any]:
-        async with self._lock(session_id):
-            return self._get(session_id).stats()
+        return self._get(session_id).stats()
 
     async def close(self, session_id: str, reason: str = "client") -> Dict[str, Any]:
         """Close one session, returning its closing stats."""
-        async with self._lock(session_id):
-            session = self._get(session_id)
-            out = session.stats()
-            self._uninstall(session, reason)
-            return out
+        session = self._get(session_id)
+        out = session.stats()
+        self._uninstall(session, reason)
+        return out
 
     # -- merge -----------------------------------------------------------------
 
@@ -426,88 +400,80 @@ class SessionManager:
             raise ServeError(MERGE_INCOMPATIBLE, "duplicate merge source ids")
         self._admit(target_id)
         sources = [self._get(sid) for sid in source_ids]
-        locks = [self._lock(sid) for sid in source_ids]
-        for lock in locks:
-            await lock.acquire()
-        try:
-            first = sources[0]
-            for other in sources[1:]:
-                if other.merge_fingerprint() != first.merge_fingerprint():
-                    raise ServeError(
-                        MERGE_INCOMPATIBLE,
-                        f"sessions {first.session_id!r} and {other.session_id!r} "
-                        f"disagree on (algorithm, budget, pass position): "
-                        f"{first.merge_fingerprint()} vs {other.merge_fingerprint()}",
-                    )
-            if first.pass_started:
+        first = sources[0]
+        for other in sources[1:]:
+            if other.merge_fingerprint() != first.merge_fingerprint():
                 raise ServeError(
                     MERGE_INCOMPATIBLE,
-                    "merge requires all sources at a pass boundary "
-                    "(finish_pass first)",
+                    f"sessions {first.session_id!r} and {other.session_id!r} "
+                    f"disagree on (algorithm, budget, pass position): "
+                    f"{first.merge_fingerprint()} vs {other.merge_fingerprint()}",
                 )
-            for session in sources:
-                if not supports_snapshot(session.algorithm):
-                    raise ServeError(
-                        UNSUPPORTED,
-                        f"algorithm {session.spec.name!r} has no sketch state; "
-                        "its sessions cannot be merged",
-                    )
-            origin = first.origin_state
-            for other in sources[1:]:
-                if other.origin_state != origin:
-                    raise ServeError(
-                        MERGE_INCOMPATIBLE,
-                        f"sessions {first.session_id!r} and {other.session_id!r} "
-                        "started from different origin states (different seeds "
-                        "or budgets); their counters share no merge base",
-                    )
-            snapshots = [session.algorithm.snapshot() for session in sources]
-            try:
-                merged_state = merge_states(snapshots, base=origin, seed=merge_seed)
-            except MergeError as exc:
-                raise ServeError(MERGE_INCOMPATIBLE, str(exc)) from exc
-            from repro.sketch.driver import restore_algorithm
-
-            algorithm = restore_algorithm(merged_state)
-            merged = ServeSession(
-                target_id,
-                first.spec,
-                algorithm,
-                budget=first.budget,
-                validate_mode=first.validate_mode,
-                byte_budget=first.byte_budget,
-                space_budget_words=first.space_budget_words,
-                # The merged state is the new lineage fork point: sessions
-                # forked from here (snapshot -> restore) merge with *it* as
-                # their base, mirroring run_sharded's per-pass base threading.
-                origin_state=merged_state,
+        if first.pass_started:
+            raise ServeError(
+                MERGE_INCOMPATIBLE,
+                "merge requires all sources at a pass boundary "
+                "(finish_pass first)",
             )
-            merged.pass_index = first.pass_index
-            merged.passes_completed = first.passes_completed
-            merged.done = first.done
-            merged.pairs_total = sum(s.pairs_total for s in sources)
-            self._install(merged, resumed=False)
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    SessionsMerged(
-                        target_id=target_id,
-                        source_ids=",".join(source_ids),
-                        n_sources=len(sources),
-                    )
+        for session in sources:
+            if not supports_snapshot(session.algorithm):
+                raise ServeError(
+                    UNSUPPORTED,
+                    f"algorithm {session.spec.name!r} has no sketch state; "
+                    "its sessions cannot be merged",
                 )
-                self.telemetry.count(
-                    "serve_merges_total",
-                    help="cross-session sketch merges performed",
+        origin = first.origin_state
+        for other in sources[1:]:
+            if other.origin_state != origin:
+                raise ServeError(
+                    MERGE_INCOMPATIBLE,
+                    f"sessions {first.session_id!r} and {other.session_id!r} "
+                    "started from different origin states (different seeds "
+                    "or budgets); their counters share no merge base",
                 )
-                self._observe_op("merge", _now() - merge_start)
-            if close_sources:
-                for session in sources:
-                    self._uninstall(session, "merged")
-            return merged
-        finally:
-            for lock in locks:
-                if lock.locked():
-                    lock.release()
+        snapshots = [session.algorithm.snapshot() for session in sources]
+        try:
+            merged_state = merge_states(snapshots, base=origin, seed=merge_seed)
+        except MergeError as exc:
+            raise ServeError(MERGE_INCOMPATIBLE, str(exc)) from exc
+        from repro.sketch.driver import restore_algorithm
+
+        algorithm = restore_algorithm(merged_state)
+        merged = ServeSession(
+            target_id,
+            first.spec,
+            algorithm,
+            budget=first.budget,
+            validate_mode=first.validate_mode,
+            byte_budget=first.byte_budget,
+            space_budget_words=first.space_budget_words,
+            # The merged state is the new lineage fork point: sessions
+            # forked from here (snapshot -> restore) merge with *it* as
+            # their base, mirroring run_sharded's per-pass base threading.
+            origin_state=merged_state,
+        )
+        merged.pass_index = first.pass_index
+        merged.passes_completed = first.passes_completed
+        merged.done = first.done
+        merged.pairs_total = sum(s.pairs_total for s in sources)
+        self._install(merged, resumed=False)
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                SessionsMerged(
+                    target_id=target_id,
+                    source_ids=",".join(source_ids),
+                    n_sources=len(sources),
+                )
+            )
+            self.telemetry.count(
+                "serve_merges_total",
+                help="cross-session sketch merges performed",
+            )
+            self._observe_op("merge", _now() - merge_start)
+        if close_sources:
+            for session in sources:
+                self._uninstall(session, "merged")
+        return merged
 
     # -- checkpointing / shutdown ----------------------------------------------
 
@@ -517,32 +483,28 @@ class SessionManager:
         Writes one atomic sketch-state file per session plus a manifest
         mapping session ids to filenames; sessions whose algorithms lack
         snapshot support are listed as skipped rather than failing the
-        checkpoint.  Sessions stay open afterwards.  Snapshots are taken
-        under the per-session lock, but all file I/O runs off the event
-        loop (``asyncio.to_thread``) so other sessions keep feeding while
-        the checkpoint streams to disk.
+        checkpoint.  Sessions stay open afterwards.  Every session is
+        captured as bytes in one synchronous sweep before the first
+        await; the file writes then run off the event loop
+        (``asyncio.to_thread``) on those bytes alone, so other requests
+        keep flowing while the checkpoint streams to disk.
         """
         directory = Path(directory)
-        await asyncio.to_thread(_mkdir_sync, directory)
+        files: Dict[str, bytes] = {}
         saved: Dict[str, str] = {}
         skipped: List[str] = []
         for index, sid in enumerate(self.session_ids()):
-            async with self._lock(sid):
-                session = self._get(sid)
-                if not supports_snapshot(session.algorithm):
-                    skipped.append(sid)
-                    continue
-                filename = f"session-{index:05d}.sketch"
-                state = session.snapshot_state()
-                await asyncio.to_thread(state.save, directory / filename)
-                saved[sid] = filename
-                if self.telemetry.enabled:
-                    self.telemetry.count(
-                        "serve_snapshots_total",
-                        help="session snapshots taken (client-requested or shutdown)",
-                    )
-        manifest = {"version": 1, "sessions": saved, "skipped": sorted(skipped)}
-        await asyncio.to_thread(_write_manifest_sync, directory, manifest)
+            session = self._sessions[sid]
+            if not supports_snapshot(session.algorithm):
+                skipped.append(sid)
+                continue
+            filename = f"session-{index:05d}.sketch"
+            files[filename] = session.snapshot_state().to_bytes()
+            saved[sid] = filename
+            if self.telemetry.enabled:
+                self._count_snapshot()
+        manifest = {"version": 1, "sessions": saved, "skipped": skipped}
+        await asyncio.to_thread(_write_checkpoint_sync, directory, files, manifest)
         if self.telemetry.enabled:
             self.telemetry.emit(
                 ServeCheckpointed(directory=str(directory), sessions=len(saved))
@@ -581,7 +543,6 @@ class SessionManager:
             out["checkpointed"] = summary["sessions"]
             out["checkpoint_dir"] = summary["directory"]
         for sid in self.session_ids():
-            async with self._lock(sid):
-                self._uninstall(self._get(sid), "shutdown")
+            self._uninstall(self._sessions[sid], "shutdown")
         out["closed"] = True
         return out

@@ -231,7 +231,6 @@ def _worker_main(index: int, conn: Any, config: Dict[str, Any]) -> None:
             )
         manager = SessionManager(
             max_sessions=config.get("max_sessions", 10_000),
-            max_inflight_feeds=config.get("max_inflight_feeds", 64),
             default_byte_budget=config.get("byte_budget"),
             default_space_budget_words=config.get("space_budget"),
             telemetry=telemetry,
@@ -292,7 +291,6 @@ class ServeRouter(FrontEnd):
         port: int = 0,
         *,
         max_sessions: int = 10_000,
-        max_inflight_feeds: int = 64,
         byte_budget: Optional[int] = None,
         space_budget: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
@@ -335,7 +333,6 @@ class ServeRouter(FrontEnd):
         )
         self._worker_config = {
             "max_sessions": max_sessions,
-            "max_inflight_feeds": max_inflight_feeds,
             "byte_budget": byte_budget,
             "space_budget": space_budget,
             "resume": resume,

@@ -27,7 +27,8 @@ The first pass is validated incrementally with the same
 the first (streams must replay identically).
 
 Sessions are deliberately synchronous and transport-free — the asyncio
-layer (:mod:`repro.serve.manager`) wraps them in per-session locks.
+layer (:mod:`repro.serve.manager`) calls them without awaiting mid-op,
+so each call is atomic with respect to the event loop.
 Everything here raises :class:`~repro.serve.protocol.ServeError` with a
 stable code, never transport exceptions.
 """

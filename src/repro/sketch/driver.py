@@ -89,27 +89,6 @@ def restore_algorithm(state: SketchState) -> StreamingAlgorithm:
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """One shard's work for one pass, in picklable form.
-
-    Self-contained (carries the shard's ``lists``): the serial path and
-    one-shot fan-outs use it directly.  The persistent :class:`ShardPool`
-    ships lists once via its initializer and sends the slimmer
-    :class:`PooledShardTask` per pass instead.  ``trace`` carries the
-    driver tracer's position (the enclosing ``pass:<i>`` span) into the
-    worker so shard spans attach to the right parent; ``None`` means
-    tracing is off.
-    """
-
-    shard_index: int
-    pass_index: int
-    state: SketchState
-    lists: Tuple
-    space_poll_interval: int = 1
-    trace: Optional[TraceContext] = None
-
-
-@dataclass(frozen=True)
 class PooledShardTask:
     """Per-pass work order for a :class:`ShardPool` worker.
 
@@ -175,19 +154,6 @@ def _execute_shard_pass(
         peak_space_words=meter.peak_words,
         pairs=pairs,
         spans=tuple(tracer.encoded_spans()),
-    )
-
-
-def _run_shard_pass(task: ShardTask, column_provider=None) -> ShardPassResult:
-    """Worker entry point for self-contained tasks (serial / one-shot)."""
-    return _execute_shard_pass(
-        task.shard_index,
-        task.pass_index,
-        task.state,
-        task.lists,
-        task.space_poll_interval,
-        task.trace,
-        column_provider=column_provider,
     )
 
 

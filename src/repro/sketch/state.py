@@ -47,6 +47,18 @@ class SketchStateError(ValueError):
     """Raised when a serialised sketch state is malformed or mismatched."""
 
 
+def write_atomic(path: PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file and a rename.
+
+    A reader sees either the previous file or the complete new one, never
+    a torn write.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
 def encode_value(value: Any) -> Any:
     """Encode a payload value into JSON-representable form (tagged)."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -165,10 +177,7 @@ class SketchState:
 
     def save(self, path: PathLike) -> None:
         """Write the binary form to ``path`` atomically (write-then-rename)."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(self.to_bytes())
-        tmp.replace(path)
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: PathLike) -> "SketchState":

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.graph.graph import Graph, Vertex
 from repro.util.rng import SeedLike, resolve_rng
+from repro.util.vectorized import ColumnMemo
 
 Pair = Tuple[Vertex, Vertex]
 
@@ -80,8 +81,7 @@ class AdjacencyListStream:
                 nbrs = list(graph.neighbor_list(v))
                 rng.shuffle(nbrs)
             self._lists[v] = tuple(nbrs)
-        # vertex -> (neighbours tuple, uint64 column or None); see columns_for.
-        self._column_cache: Dict[Vertex, Tuple] = {}
+        self._column_memo = ColumnMemo()
 
     # -- basic facts --------------------------------------------------------
 
@@ -124,13 +124,7 @@ class AdjacencyListStream:
         is identity-checked against the cached entry: a caller replaying
         a different ordering of the same vertex misses and re-converts.
         """
-        entry = self._column_cache.get(vertex)
-        if entry is None or entry[0] is not neighbors:
-            from repro.util.vectorized import as_vertex_array
-
-            entry = (neighbors, as_vertex_array(neighbors))
-            self._column_cache[vertex] = entry
-        return entry[1]
+        return self._column_memo(vertex, neighbors)
 
     # -- iteration ------------------------------------------------------------
 

@@ -107,12 +107,6 @@ class MixHash64:
 
         return mixhash_int_array(encoded_keys, self._key)
 
-    def hash_unit_array(self, encoded_keys: "np.ndarray") -> "np.ndarray":
-        """Columnar :meth:`hash_unit` over pre-encoded ``uint64`` keys."""
-        from repro.util.vectorized import mixhash_unit_array
-
-        return mixhash_unit_array(encoded_keys, self._key)
-
 
 class PairwiseHash:
     """Pairwise-independent hash family ``h(x) = ((a*x + b) mod p) mod 2^64``.

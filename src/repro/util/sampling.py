@@ -150,19 +150,6 @@ class BottomKSampler(Generic[K]):
             return None
         return -self._heap[0][0]
 
-    def candidate_indices(self, priorities: np.ndarray) -> np.ndarray:
-        """Indices of priorities that could belong to (or enter) the sample.
-
-        The vectorized pre-filter of the columnar fast path: with a full
-        sample only ``prio <= threshold`` can be members or displace one,
-        so membership tests and offers need only touch these indices.
-        While the sample is not full every index is a candidate.
-        """
-        threshold = self.threshold()
-        if threshold is None:
-            return np.arange(len(priorities))
-        return np.nonzero(priorities <= np.uint64(threshold))[0]
-
     def offer(self, key: K) -> bool:
         """Offer ``key`` to the sample; return True iff it is now sampled.
 
@@ -387,14 +374,6 @@ class ThresholdSampler(Generic[K]):
     def wants(self, key: K) -> bool:
         """Return whether ``key`` falls under the sampling threshold."""
         return self._hash.hash_unit(key) < self.rate
-
-    def wants_array(self, encoded_keys: np.ndarray) -> np.ndarray:
-        """Columnar :meth:`wants` over pre-encoded ``uint64`` keys.
-
-        Returns a boolean mask; bit-identical to the scalar decision (the
-        unit-interval division rounds identically in both paths).
-        """
-        return self._hash.hash_unit_array(encoded_keys) < self.rate
 
     def offer(self, key: K) -> bool:
         """Offer ``key``; record and return True iff it is sampled."""

@@ -181,9 +181,9 @@ def as_vertex_scalar(vertex: object) -> Optional[np.uint64]:
 class ColumnMemo:
     """Identity-keyed memo of per-list vertex-id columns.
 
-    The callable counterpart of ``AdjacencyListStream.columns_for`` for
-    contexts that hold adjacency lists without a stream object — shard
-    workers in the sharded driver keep one per shard, so a multi-pass
+    The memo behind ``AdjacencyListStream.columns_for``, also used
+    directly where adjacency lists are held without a stream object —
+    shard workers in the sharded driver keep one per shard, so a multi-pass
     algorithm converts each list to a ``uint64`` column once and reuses
     it across passes.  ``neighbors`` is identity-checked against the
     cached entry (the shard's lists are fixed tuples replayed verbatim

@@ -1,9 +1,7 @@
 """Keep pytest out of the planted-violation fixture trees.
 
-The VEC001 fixture tree contains a file literally named
-``test_vectorized.py`` (the rule cross-checks the parity-test file by
-name); without this ignore, pytest would try to collect it and fail
-importing the fixture's fake ``repro.util.vectorized``.
+The fixtures are deliberately broken sources for the rule tests to lint,
+never modules to import or collect.
 """
 
 collect_ignore = ["fixtures"]

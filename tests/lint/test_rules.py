@@ -192,25 +192,6 @@ def test_asy002_planted():
     assert "session manager" in messages
 
 
-def test_vec001_planted():
-    tree = FIXTURES / "vec001_tree"
-    report = lint_with("VEC001", tree / "src")
-    fixture = tree / "src" / "repro" / "util" / "vectorized.py"
-    assert [v.code for v in report.violations] == ["VEC001"] * 3
-    planted = planted_lines(fixture, "VEC001")
-    assert sorted(set(v.line for v in report.violations)) == planted
-    messages = " ".join(v.message for v in report.violations)
-    assert "ghost_kernel" in messages  # stale export
-    assert "stray_public_kernel" in messages  # public but unregistered
-    assert "'uncovered_kernel'" in messages  # exported but never exercised
-    assert "'covered_kernel'" not in messages  # exercised by the mini test
-
-
-def test_vec001_real_module_is_covered():
-    report = lint_with("VEC001", REPO_ROOT / "src")
-    assert report.violations == []
-
-
 def test_srv001_planted():
     tree = FIXTURES / "srv001_tree"
     report = lint_with("SRV001", tree)

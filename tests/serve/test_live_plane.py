@@ -30,7 +30,7 @@ from repro.obs.trace import (
     stitch_chrome_traces,
     write_chrome_trace,
 )
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.manager import SessionManager
 from repro.serve.router import (
     SCRAPE_CONTENT_TYPE,
@@ -199,6 +199,10 @@ class TestStatsMetrics:
             try:
                 await client.open("s1", "triangle-exact", budget=64)
                 await client.feed("s1", TRIANGLE_PAIRS)
+                try:
+                    await client.poll("ghost")
+                except ServeClientError as err:
+                    assert err.code == "NO_SUCH_SESSION"
                 stats = await client.stats(metrics=True)
                 plain = await client.stats()
                 return stats, plain
@@ -211,6 +215,7 @@ class TestStatsMetrics:
         snapshot = stats["metrics"]
         assert snapshot["serve_sessions_total"]["value"] == 1
         assert "serve_op_latency_seconds{op=feed,wire=json}" in snapshot
+        assert snapshot["serve_errors_total{code=NO_SUCH_SESSION}"]["value"] == 1
         assert "metrics" not in plain
 
 

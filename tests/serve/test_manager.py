@@ -37,6 +37,43 @@ from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import derive_seed
 
 
+def _park_to_thread(monkeypatch, park_at):
+    """Park the ``park_at``-th ``asyncio.to_thread`` call until released.
+
+    Returns ``(parked, release)`` events: ``parked`` is set once the call
+    is waiting; setting ``release`` lets it (and every later call) run.
+    """
+    real = asyncio.to_thread
+    parked, release = asyncio.Event(), asyncio.Event()
+    calls = 0
+
+    async def to_thread(func, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == park_at:
+            parked.set()
+            await release.wait()
+        return await real(func, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", to_thread)
+    return parked, release
+
+
+async def _race_checkpoint(manager, directory, parked, release, action):
+    """Run ``action`` while a checkpoint is parked off the event loop.
+
+    If the checkpoint finishes before reaching the parked call, ``action``
+    runs after it instead.  Returns ``(checkpoint summary, action result)``.
+    """
+    checkpoint = asyncio.ensure_future(manager.checkpoint_all(directory))
+    waiter = asyncio.ensure_future(parked.wait())
+    await asyncio.wait({checkpoint, waiter}, return_when=asyncio.FIRST_COMPLETED)
+    waiter.cancel()
+    result = await action()
+    release.set()
+    return await checkpoint, result
+
+
 def _world(noise=120, triangles=15, graph_seed=3, stream_seed=4):
     planted = planted_triangles(
         noise_edges=noise, triangles=triangles, seed=graph_seed
@@ -70,7 +107,7 @@ class TestConcurrentDeterminism:
             return final["estimate"]
 
         async def main():
-            manager = SessionManager(max_inflight_feeds=4)
+            manager = SessionManager()
             return await asyncio.gather(*(drive(manager, s) for s in seeds))
 
         estimates = asyncio.run(main())
@@ -193,6 +230,57 @@ class TestMerge:
         assert closed == {"a": "merged", "b": "merged"}
 
 
+    @pytest.mark.parametrize("park_at", [1, 2])
+    def test_open_of_target_during_checkpoint_cannot_be_overwritten(
+        self, tmp_path, monkeypatch, park_at
+    ):
+        """A merge into ``t`` and an ``open("t")`` racing a parked
+        checkpoint: exactly one wins, and the table holds its result."""
+
+        async def main():
+            parked, release = _park_to_thread(monkeypatch, park_at)
+            manager = SessionManager()
+            for sid in ("a", "b"):
+                await manager.open(sid, "triangle-two-pass", 32, 1)
+
+            async def race():
+                merge = asyncio.ensure_future(manager.merge("t", ["a", "b"]))
+                await asyncio.sleep(0)
+                try:
+                    await manager.open("t", "fourcycle-two-pass", 32, 1)
+                    opened = True
+                except ServeError as err:
+                    assert err.code == SESSION_EXISTS
+                    opened = False
+                return merge, opened
+
+            _, (merge, opened) = await _race_checkpoint(
+                manager, tmp_path / "ckpt", parked, release, race
+            )
+            try:
+                await merge
+                merged = True
+            except ServeError as err:
+                assert err.code == SESSION_EXISTS
+                merged = False
+            assert merged != opened
+            table = {
+                sid: (await manager.stats(sid))["algorithm"]
+                for sid in manager.session_ids()
+            }
+            return table, merged
+
+        table, merged = asyncio.run(main())
+        if merged:
+            assert table == {"t": "triangle-two-pass"}
+        else:
+            assert table == {
+                "a": "triangle-two-pass",
+                "b": "triangle-two-pass",
+                "t": "fourcycle-two-pass",
+            }
+
+
 class TestAdmission:
     def test_session_limit(self):
         async def main():
@@ -288,6 +376,32 @@ class TestCheckpointing:
         assert (tmp_path / "ckpt" / "serve-checkpoint.json").exists()
         events = sink.of_type(ServeCheckpointed)
         assert len(events) == 1 and events[0].sessions == 1
+
+
+    @pytest.mark.parametrize("park_at", [1, 2])
+    def test_close_during_checkpoint_keeps_the_sweep(
+        self, tmp_path, monkeypatch, park_at
+    ):
+        """Closing a session while the checkpoint's file I/O is parked
+        neither aborts the checkpoint nor drops the closed session from it."""
+
+        async def main():
+            parked, release = _park_to_thread(monkeypatch, park_at)
+            manager = SessionManager()
+            for sid in ("a", "b"):
+                await manager.open(sid, "triangle-two-pass", 8, 0)
+
+            async def close_b():
+                return await manager.close("b")
+
+            summary, _ = await _race_checkpoint(
+                manager, tmp_path / "ckpt", parked, release, close_b
+            )
+            assert summary["sessions"] == 2
+            assert manager.session_ids() == ["a"]
+            return await SessionManager().load_checkpoints(tmp_path / "ckpt")
+
+        assert asyncio.run(main()) == ["a", "b"]
 
 
 class TestTelemetry:

@@ -8,6 +8,10 @@ integer comparisons of the hash values.  These hypothesis properties pin
 that contract over random ints, int-pair tuples and batch boundaries.
 """
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +389,30 @@ class TestColumnarSwitch:
                 assert not vectorized.columnar_enabled()
                 raise RuntimeError("boom")
         assert vectorized.columnar_enabled()
+
+
+class TestPublicApi:
+    def test_every_kernel_is_exported_and_exercised_here(self):
+        """``__all__`` is the kernel registry: it resolves, it covers every
+        public function and class, it exports the scalar-oracle switch, and
+        this file references each entry (no kernel ships without a test)."""
+        exported = set(vectorized.__all__)
+        assert exported <= set(vars(vectorized)), "stale __all__ entry"
+        switch = {"scalar_oracle", "set_columnar_enabled", "columnar_enabled"}
+        assert switch <= exported, "scalar-oracle switch not exported"
+        public = {
+            name for name, obj in vars(vectorized).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == vectorized.__name__
+        }
+        assert public <= exported, "public kernel missing from __all__"
+        referenced = set()
+        for node in ast.walk(ast.parse(Path(__file__).read_text())):
+            referenced.add(getattr(node, "id", getattr(node, "attr", None)))
+            if isinstance(node, ast.alias):
+                referenced.add(node.name)
+        assert exported <= referenced, "kernel never referenced by this file"
 
 
 class TestShortListCutoff:
