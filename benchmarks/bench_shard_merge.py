@@ -19,6 +19,14 @@ It measures, on a G(n, m) workload, and writes a JSON artifact (default
 3. **Scaling** — wall time of 1/2/4/8-shard runs, serial vs. process
    fan-out, asserting serial and parallel schedules agree bit-for-bit.
 4. **Shard balance** — pairs per shard under each partition strategy.
+5. **Dense pool** (``dense``) — repeated 2-shard runs of both two-pass
+   counters over one dense G(n, m) stream, warm serial against a
+   2-worker pool: the warm pool and the stream's shared block make every
+   run after the first ship nothing but merged states.
+
+The artifact self-declares one **gate** (see :mod:`repro.obs.bench_report`):
+``dense.pool_speedup >= 1.0``, marked ``needs_parallelism`` so
+bench-report skips it, with a note, on a single-core machine.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -134,6 +143,46 @@ def bench_scaling(graph, stream, sample_size, shard_counts, workers):
     return rows
 
 
+def bench_dense(n, m, sample_size, repeats):
+    """Warm serial vs. 2-worker pool on repeated runs over one dense stream.
+
+    One untimed run per schedule first (the serial path's graph memos,
+    the pool's fork and the stream's shared block), then ``repeats``
+    timed units of both counters per schedule, alternating; the medians
+    give ``pool_speedup``.
+    """
+    graph = gnm_random_graph(n, m, seed=5)
+    stream = AdjacencyListStream(graph, seed=6)
+    makers = (
+        lambda: TwoPassTriangleCounter(sample_size=sample_size, seed=9, sharded=True),
+        lambda: TwoPassFourCycleCounter(sample_size=sample_size, seed=9),
+    )
+
+    def unit(workers):
+        start = time.perf_counter()
+        estimates = [run_sharded(make(), stream, 2, workers=workers).estimate
+                     for make in makers]
+        return time.perf_counter() - start, estimates
+
+    _, serial_estimates = unit(None)
+    _, pool_estimates = unit(2)
+    serial_s, pool_s = [], []
+    for _ in range(repeats):
+        serial_s.append(unit(None)[0])
+        pool_s.append(unit(2)[0])
+    serial_median = statistics.median(serial_s)
+    pool_median = statistics.median(pool_s)
+    return {
+        "n": n,
+        "m": m,
+        "serial_seconds": serial_median,
+        "pool_seconds": pool_median,
+        "pool_speedup": serial_median / pool_median if pool_median > 0 else None,
+        "effective_parallelism": min(2, os.cpu_count() or 1),
+        "bit_identical": serial_estimates == pool_estimates,
+    }
+
+
 def bench_balance(stream, n_shards):
     """Pairs per shard under each strategy (max/mean imbalance ratio)."""
     out = {}
@@ -159,8 +208,10 @@ def main(argv=None) -> int:
 
     if args.quick:
         n, m, sample_size, shard_counts = 400, 4000, 256, (2, 4)
+        dense_n, dense_m = 2000, 200_000  # the benchmark suite's dense graph
     else:
         n, m, sample_size, shard_counts = 4000, 40_000, 1024, (1, 2, 4, 8)
+        dense_n, dense_m = 4000, 400_000
 
     print(f"building G(n={n}, m={m}) workload ...")
     graph = gnm_random_graph(n, m, seed=1)
@@ -189,6 +240,12 @@ def main(argv=None) -> int:
     for strategy, row in balance.items():
         print(f"  {strategy}: imbalance x{row['imbalance']:.3f}")
 
+    print(f"dense pool: G(n={dense_n}, m={dense_m}), 2 shards, "
+          f"warm serial vs 2 workers ...")
+    dense = bench_dense(dense_n, dense_m, sample_size=512, repeats=5)
+    print(f"  serial {dense['serial_seconds']:.3f}s, pool {dense['pool_seconds']:.3f}s "
+          f"(x{dense['pool_speedup']:.2f}, identical={dense['bit_identical']})")
+
     artifact = {
         "workload": {"n": n, "m": m, "quick": args.quick},
         "cpu_count": os.cpu_count(),
@@ -196,6 +253,10 @@ def main(argv=None) -> int:
         "exactness": exact,
         "scaling": scaling,
         "balance": balance,
+        "dense": dense,
+        "gates": [
+            {"metric": "dense.pool_speedup", "min": 1.0, "needs_parallelism": True},
+        ],
     }
     with open(args.out, "w") as fh:
         json.dump(artifact, fh, indent=2)
@@ -206,6 +267,7 @@ def main(argv=None) -> int:
         and exact["fourcycle_matches_conventional"]
         and exact["triangle_shard_invariant"]
         and all(row["bit_identical"] for row in scaling)
+        and dense["bit_identical"]
     )
     if not ok:
         print("ERROR: a merge-identity or exactness check failed")

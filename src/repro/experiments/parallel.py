@@ -2,8 +2,9 @@
 
 The Table-1 / Figure-1 sweeps run many fully independent trials (fresh
 algorithm, fresh stream ordering, same graph).  This module fans those
-trials out over a ``concurrent.futures.ProcessPoolExecutor`` while keeping
-results bit-identical to the historical serial loop:
+trials out over the process's warm worker pool
+(:mod:`repro.util.warmpool`) while keeping results bit-identical to the
+historical serial loop:
 
 * **Seed material is derived serially in the parent.**  The harness used to
   call ``spawn_rng(rng, stream=2*i)`` / ``spawn_rng(rng, stream=2*i+1)``
@@ -11,12 +12,16 @@ results bit-identical to the historical serial loop:
   draws up front and records the resulting integer seeds in pickle-friendly
   :class:`TrialSpec` records, so workers reconstruct the very same child
   generators with ``resolve_rng(seed)``.
-* **Only specs cross the process boundary per task.**  The trial factory
-  and the graph are shipped once per worker via the pool initializer; with
-  ``workers > 1`` the factory must therefore be picklable (a module-level
-  function or a dataclass instance — not a lambda or closure).
-* **Order is preserved.**  ``Executor.map`` returns results in spec order,
-  so estimate lists match the serial loop element for element.
+* **Only specs cross the process boundary per task.**  A
+  :class:`TrialExecutor` publishes the pickled factory, graph and
+  telemetry settings once into a shared-memory block; every task names
+  that block and carries a chunk of specs, and each warm worker unpickles
+  the block once.  With ``workers > 1`` the factory must therefore be
+  picklable (a module-level function or a dataclass instance — not a
+  lambda or closure); an unpicklable one raises ``TypeError`` before any
+  task is sent.
+* **Order is preserved.**  Results come back in spec order, so estimate
+  lists match the serial loop element for element.
 
 ``workers=None`` or ``1`` means the serial in-process path (no pool, no
 pickling constraints); ``workers=0`` means ``os.cpu_count()``.
@@ -25,10 +30,10 @@ pickling constraints); ``workers=0`` means ``os.cpu_count()``.
 from __future__ import annotations
 
 import os
+import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
 from repro.obs.telemetry import Telemetry
@@ -37,6 +42,7 @@ from repro.streaming.algorithm import StreamingAlgorithm
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import SeedLike, resolve_rng, spawn_seed
+from repro.util.warmpool import SharedBlock, fan_out
 
 #: factory(space_budget, seed) -> algorithm (mirrors harness.SizedFactory)
 TrialFactory = Callable[[int, SeedLike], StreamingAlgorithm]
@@ -94,15 +100,10 @@ class TrialResult:
 class ExecutionConfig:
     """How a batch of trials is executed.
 
-    ``chunk_size`` controls how many specs each pool task carries (default:
-    enough for ~4 tasks per worker); ``space_poll_interval`` is forwarded
-    to :func:`repro.streaming.runner.run_algorithm` (values above 1 can
-    perturb observed space peaks, never estimates).
+    Pooled batches are cut into about four tasks per worker.
     """
 
     workers: Optional[int] = None
-    chunk_size: Optional[int] = None
-    space_poll_interval: int = 1
     #: Collect a per-trial metric snapshot (``TrialResult.metrics``) via a
     #: metrics-only Telemetry inside each trial.  Off by default: the
     #: zero-overhead null path stays the norm for benchmarks.
@@ -145,7 +146,6 @@ def run_trial(
     factory: TrialFactory,
     graph: Graph,
     spec: TrialSpec,
-    space_poll_interval: int = 1,
     collect_metrics: bool = False,
     trace: Optional[TraceContext] = None,
 ) -> TrialResult:
@@ -164,16 +164,9 @@ def run_trial(
     telemetry = Telemetry(sink=None) if collect_metrics else None
     with tracer.span(f"trial:{spec.index}", category="trial", budget=spec.budget):
         if telemetry is not None:
-            result = run_algorithm(
-                algorithm, stream,
-                space_poll_interval=space_poll_interval, telemetry=telemetry,
-                tracer=tracer,
-            )
+            result = run_algorithm(algorithm, stream, telemetry=telemetry, tracer=tracer)
         else:
-            result = run_algorithm(
-                algorithm, stream,
-                space_poll_interval=space_poll_interval, tracer=tracer,
-            )
+            result = run_algorithm(algorithm, stream, tracer=tracer)
     metrics = telemetry.metrics_snapshot() if telemetry is not None else None
     return TrialResult(
         index=spec.index,
@@ -198,46 +191,21 @@ def trial_spans(results: Sequence[TrialResult]) -> List[Dict[str, Any]]:
     return spans
 
 
-# Per-worker state installed once by the pool initializer, so each task
-# pickles only its TrialSpec rather than the factory and graph.
-_worker_factory: Optional[TrialFactory] = None
-_worker_graph: Optional[Graph] = None
-_worker_poll_interval: int = 1
-_worker_collect_metrics: bool = False
-_worker_trace: Optional[TraceContext] = None
-
-
-def _init_worker(
-    factory: TrialFactory,
-    graph: Graph,
-    poll_interval: int,
-    collect_metrics: bool = False,
-    trace: Optional[TraceContext] = None,
-) -> None:
-    global _worker_factory, _worker_graph, _worker_poll_interval
-    global _worker_collect_metrics, _worker_trace
-    _worker_factory = factory
-    _worker_graph = graph
-    _worker_poll_interval = poll_interval
-    _worker_collect_metrics = collect_metrics
-    _worker_trace = trace
-
-
-def _run_in_worker(spec: TrialSpec) -> TrialResult:
-    assert _worker_factory is not None and _worker_graph is not None
-    return run_trial(
-        _worker_factory, _worker_graph, spec,
-        _worker_poll_interval, _worker_collect_metrics, _worker_trace,
-    )
+def _run_trials(inputs: Tuple[TrialFactory, Graph, bool, Optional[TraceContext]],
+                specs: List[TrialSpec]) -> List[TrialResult]:
+    """Worker entry point: one chunk of specs over the executor's block."""
+    factory, graph, collect_metrics, trace = inputs
+    return [run_trial(factory, graph, spec, collect_metrics, trace) for spec in specs]
 
 
 class TrialExecutor:
     """Runs batches of :class:`TrialSpec` for one ``(factory, graph)`` pair.
 
-    Create once per sweep and reuse across budgets: the process pool (when
-    parallel) is started lazily on the first parallel batch and ships the
-    factory and graph to each worker a single time.  Usable as a context
-    manager; serial configurations never start a pool.
+    Create once per sweep and reuse across budgets: the first parallel
+    batch publishes the factory and graph into a shared-memory block,
+    which every later batch reuses, and runs on the process's warm pool.
+    Usable as a context manager; ``close()`` unlinks the block.  Serial
+    configurations never touch the pool.
     """
 
     def __init__(
@@ -249,7 +217,7 @@ class TrialExecutor:
         self.factory = factory
         self.graph = graph
         self.config = config or ExecutionConfig()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._block: Optional[SharedBlock] = None
 
     @property
     def workers(self) -> int:
@@ -257,40 +225,35 @@ class TrialExecutor:
 
     def run(self, specs: Sequence[TrialSpec]) -> List[TrialResult]:
         """Execute ``specs`` (in order) and return their results (in order)."""
-        poll = self.config.space_poll_interval
-        collect = self.config.collect_metrics
-        trace = self.config.trace_context()
         if self.workers <= 1 or len(specs) <= 1:
-            return [
-                run_trial(self.factory, self.graph, s, poll, collect, trace)
-                for s in specs
-            ]
-        pool = self._ensure_pool()
-        chunk = self.config.chunk_size
-        if chunk is None:
-            chunk = max(1, -(-len(specs) // (self.workers * 4)))
-        return list(pool.map(_run_in_worker, specs, chunksize=chunk))
+            collect = self.config.collect_metrics
+            trace = self.config.trace_context()
+            return [run_trial(self.factory, self.graph, s, collect, trace) for s in specs]
+        chunk = max(1, -(-len(specs) // (self.workers * 4)))
+        chunks = [list(specs[i:i + chunk]) for i in range(0, len(specs), chunk)]
+        results = fan_out(self.workers, _run_trials, self._shared(), chunks)
+        return [result for batch in results for result in batch]
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(
-                    self.factory,
-                    self.graph,
-                    self.config.space_poll_interval,
-                    self.config.collect_metrics,
-                    self.config.trace_context(),
-                ),
-            )
-        return self._pool
+    def _shared(self) -> SharedBlock:
+        if self._block is None:
+            inputs = (self.factory, self.graph, self.config.collect_metrics,
+                      self.config.trace_context())
+            try:
+                data = pickle.dumps(inputs, pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise TypeError(
+                    "with workers > 1 the trial factory must be picklable (a "
+                    "module-level function or a dataclass instance, not a "
+                    f"lambda or closure); got {self.factory!r}"
+                ) from exc
+            self._block = SharedBlock(None, data)
+        return self._block
 
     def close(self) -> None:
-        """Shut down the pool (if one was started)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Unlink the shared block (if one was published)."""
+        if self._block is not None:
+            self._block.release()
+            self._block = None
 
     def __enter__(self) -> "TrialExecutor":
         return self

@@ -6,8 +6,8 @@ sharding over warm workers and merging through the bit-exact shard-merge
 layer:
 
 * **Workers** are persistent child processes (forked before the router's
-  event loop exists, mirroring the warm ``ShardPool`` discipline of
-  ``sketch/driver.py``), each running an ordinary
+  event loop exists, mirroring the warm pool of
+  ``util/warmpool.py``), each running an ordinary
   :class:`~repro.serve.server.ServeServer` on a loopback port.  Their
   ports travel back over a pipe; readiness is confirmed with
   :func:`~repro.serve.net.wait_for_port`.

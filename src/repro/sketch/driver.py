@@ -14,15 +14,18 @@ layer (:mod:`repro.sketch.merge`):
 
 Because every shard starts each pass from the merged state of the
 previous one, counters merge as deltas over a common base and the
-bottom-k edge sample merges bit-exactly.  Parallel fan-out uses a
-*persistent* :class:`ShardPool`: the pool's initializer ships every
-shard's adjacency lists to each worker once, so per-pass tasks carry
-only the (small) merged state — not the stream — and workers keep a
-:class:`~repro.util.vectorized.ColumnMemo` of vertex-id columns warm
-across passes for the counters' vectorized fast path.  ``workers=None``
-runs shards serially in-process (with the same column memoisation),
-which is bit-identical to the parallel schedule (merging is
-order-deterministic).
+bottom-k edge sample merges bit-exactly.  Parallel fan-out runs on the
+process's warm pool (:mod:`repro.util.warmpool`), forked once and reused
+by every run.  The shards' adjacency lists are published once into a
+shared-memory block owned by the stream object, keyed by
+``(n_shards, strategy)``, so repeated runs over the same stream neither
+re-partition nor re-ship it; per-pass tasks carry only the block's name
+and the (small) merged state.  Workers unpickle a shard on first use and
+keep it, with a :class:`~repro.util.vectorized.ColumnMemo` of vertex-id
+columns for the counters' vectorized fast path, warm across passes and
+runs.  ``workers=None`` runs shards serially in-process (with the same
+column memoisation), which is bit-identical to the parallel schedule
+(merging is order-deterministic).
 
 Checkpoints are written at pass boundaries only — each shard pass is the
 atomic unit of work — so resuming a sharded run replays at most one
@@ -32,8 +35,8 @@ logical pass.
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,8 +51,10 @@ from repro.sketch.state import SketchState, SketchStateError
 from repro.streaming.algorithm import StreamingAlgorithm, supports_snapshot
 from repro.streaming.runner import run_single_pass
 from repro.streaming.space import SpaceMeter
+from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import derive_seed
 from repro.util.vectorized import ColumnMemo
+from repro.util.warmpool import SharedBlock, fan_out, owned_block, retire_pool
 
 #: factory(state) -> restored algorithm instance.
 AlgorithmFactory = Callable[[SketchState], StreamingAlgorithm]
@@ -58,22 +63,29 @@ _ALGORITHM_KINDS: Dict[str, AlgorithmFactory] = {}
 
 
 def register_algorithm_kind(kind: str, factory: AlgorithmFactory) -> None:
-    """Register a restorer for snapshot ``kind`` (used by shard workers)."""
-    _ALGORITHM_KINDS[kind] = factory
+    """Register a restorer for snapshot ``kind`` (used by shard workers).
+
+    A new or changed restorer retires the warm pool: its workers were
+    forked before the registration and would not know the kind.
+    """
+    if _ALGORITHM_KINDS.get(kind) != factory:
+        _ALGORITHM_KINDS[kind] = factory
+        retire_pool()
 
 
 def _ensure_default_kinds() -> None:
     # Imported lazily: the core counters import repro.sketch.state at module
     # load, so a top-level import here would be circular through the package
-    # __init__.
+    # __init__.  Every process registers the defaults the same way, so they
+    # bypass register_algorithm_kind and never retire the pool.
     if "triangle-two-pass" not in _ALGORITHM_KINDS:
         from repro.core.triangle_two_pass import TwoPassTriangleCounter
 
-        register_algorithm_kind("triangle-two-pass", TwoPassTriangleCounter.from_state)
+        _ALGORITHM_KINDS["triangle-two-pass"] = TwoPassTriangleCounter.from_state
     if "fourcycle-two-pass" not in _ALGORITHM_KINDS:
         from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 
-        register_algorithm_kind("fourcycle-two-pass", TwoPassFourCycleCounter.from_state)
+        _ALGORITHM_KINDS["fourcycle-two-pass"] = TwoPassFourCycleCounter.from_state
 
 
 def restore_algorithm(state: SketchState) -> StreamingAlgorithm:
@@ -90,18 +102,19 @@ def restore_algorithm(state: SketchState) -> StreamingAlgorithm:
 
 @dataclass(frozen=True)
 class PooledShardTask:
-    """Per-pass work order for a :class:`ShardPool` worker.
+    """Per-pass work order for a pool worker.
 
     Carries only what changes between passes — the merged state and the
     tracer position.  The shard's adjacency lists (the bulky, pass-
-    invariant part) live in the worker process already, installed once
-    by the pool initializer.
+    invariant part) come from the run's shared block, which the worker
+    keeps warm across passes and calls.
     """
 
     shard_index: int
     pass_index: int
     state: SketchState
     trace: Optional[TraceContext] = None
+    space_poll_interval: int = 1
 
 
 @dataclass(frozen=True)
@@ -157,73 +170,51 @@ def _execute_shard_pass(
     )
 
 
-# Per-worker state installed once by the ShardPool initializer: every
-# shard's lists plus one ColumnMemo per shard, kept warm across passes.
-_worker_shard_lists: Dict[int, Tuple] = {}
-_worker_shard_memos: Dict[int, ColumnMemo] = {}
-_worker_poll_interval: int = 1
+class _ShardLists:
+    """Every shard's lists as one shared-block payload.
+
+    Each shard is pickled on its own, so a worker unpickles only the
+    shards it is handed, on first use, and keeps them — with a
+    :class:`~repro.util.vectorized.ColumnMemo` each — warm from then on.
+    """
+
+    def __init__(self, shards: Sequence[StreamShard]):
+        self.packed = tuple(
+            pickle.dumps(shard.lists, pickle.HIGHEST_PROTOCOL) for shard in shards
+        )
+        self.warm: Dict[int, Tuple[Tuple, ColumnMemo]] = {}
+
+    def __getstate__(self) -> Tuple[bytes, ...]:
+        return self.packed
+
+    def __setstate__(self, packed: Tuple[bytes, ...]) -> None:
+        self.packed = packed
+        self.warm = {}
+
+    def shard(self, index: int) -> Tuple[Tuple, ColumnMemo]:
+        entry = self.warm.get(index)
+        if entry is None:
+            entry = self.warm[index] = (pickle.loads(self.packed[index]), ColumnMemo())
+        return entry
 
 
-def _init_shard_worker(lists_by_shard: Dict[int, Tuple], space_poll_interval: int) -> None:
-    global _worker_shard_lists, _worker_shard_memos, _worker_poll_interval
-    _worker_shard_lists = dict(lists_by_shard)
-    _worker_shard_memos = {index: ColumnMemo() for index in _worker_shard_lists}
-    _worker_poll_interval = space_poll_interval
+def _shard_block(stream, n_shards: int, strategy: str) -> Tuple[List[StreamShard], bytes]:
+    shards = partition_stream(stream, n_shards, strategy)
+    return shards, pickle.dumps(_ShardLists(shards), pickle.HIGHEST_PROTOCOL)
 
 
-def _run_shard_pass_pooled(task: PooledShardTask) -> ShardPassResult:
-    """Worker entry point for pooled tasks: lists come from worker state."""
+def _run_shard_pass_pooled(lists: _ShardLists, task: PooledShardTask) -> ShardPassResult:
+    """Worker entry point: the shard's lists and memo come from the block."""
+    shard_lists, memo = lists.shard(task.shard_index)
     return _execute_shard_pass(
         task.shard_index,
         task.pass_index,
         task.state,
-        _worker_shard_lists[task.shard_index],
-        _worker_poll_interval,
+        shard_lists,
+        task.space_poll_interval,
         task.trace,
-        column_provider=_worker_shard_memos[task.shard_index],
+        column_provider=memo,
     )
-
-
-class ShardPool:
-    """Persistent worker pool for a sharded run.
-
-    Started once per :func:`run_sharded` call (when it resolves to more
-    than one worker) and reused for every pass: the initializer ships the
-    full ``{shard_index: lists}`` map to each worker a single time, so
-    the per-pass IPC payload is one merged :class:`SketchState` per shard
-    instead of the whole stream re-pickled every pass — the dominant
-    fan-out cost for multi-pass algorithms on large streams.  Workers
-    hold per-shard column memos across passes, matching the warm-cache
-    behaviour of the serial path.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[StreamShard],
-        workers: int,
-        space_poll_interval: int = 1,
-    ):
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_shard_worker,
-            initargs=(
-                {shard.index: shard.lists for shard in shards},
-                space_poll_interval,
-            ),
-        )
-
-    def run_pass(self, tasks: Sequence[PooledShardTask]) -> List[ShardPassResult]:
-        """Execute one pass's shard tasks; results in task (= shard) order."""
-        return list(self._pool.map(_run_shard_pass_pooled, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 @dataclass(frozen=True)
@@ -278,10 +269,11 @@ def run_sharded(
     drives the randomised parts of merging (per pass, statelessly derived,
     so a resumed run merges identically); the default is deterministic.
 
-    With ``workers`` resolving above 1 (and more than one shard), the
-    run starts one persistent :class:`ShardPool` and reuses it for every
-    pass; otherwise shards run serially in-process with per-shard column
-    memos.  Both schedules produce bit-identical results.
+    With ``workers`` resolving above 1 (and more than one shard), every
+    pass fans out over the process's warm pool
+    (:mod:`repro.util.warmpool`); otherwise shards run serially
+    in-process with per-shard column memos.  Both schedules produce
+    bit-identical results.
 
     ``telemetry`` records per-shard pass completions, merge boundaries and
     the fleet-wide space picture; shard *workers* run with the default
@@ -304,10 +296,25 @@ def run_sharded(
             f"{type(algorithm).__name__} was constructed in conventional "
             "mode; pass sharded=True to its constructor for run_sharded"
         )
-    shards = partition_stream(stream, n_shards, strategy)
-    meter = SpaceMeter()
-    n_workers = min(resolve_workers(workers), max(len(shards), 1))
+    n_workers = min(resolve_workers(workers), max(n_shards, 1))
     effective = min(n_workers, os.cpu_count() or 1)
+    # Pooled runs read the shards from a shared block.  A stream object
+    # owns its blocks, so repeated runs over it partition and ship once;
+    # any other iterable gets a block for this call only.
+    block: Optional[SharedBlock] = None
+    call_block: Optional[SharedBlock] = None
+    if n_workers > 1:
+        if isinstance(stream, AdjacencyListStream):
+            block = owned_block(
+                stream, ("shards", n_shards, strategy),
+                lambda: _shard_block(stream, n_shards, strategy),
+            )
+        else:
+            block = call_block = SharedBlock(*_shard_block(stream, n_shards, strategy))
+        shards = block.value
+    else:
+        shards = partition_stream(stream, n_shards, strategy)
+    meter = SpaceMeter()
 
     state = algorithm.snapshot()
     start_pass = 0
@@ -333,31 +340,27 @@ def run_sharded(
         )
 
     base_seed = 0 if merge_seed is None else int(merge_seed)
-    # Serial path: one column memo per shard, warm across passes (the
-    # pooled path gets the same via the workers' initializer state).
-    pool: Optional[ShardPool] = None
-    serial_memos: Dict[int, ColumnMemo] = {}
-    if n_workers > 1 and len(shards) > 1:
-        pool = ShardPool(shards, workers=n_workers, space_poll_interval=space_poll_interval)
-    else:
-        serial_memos = {shard.index: ColumnMemo() for shard in shards}
+    # Serial path: one column memo per shard, warm across passes (pool
+    # workers keep theirs with the block's lists).
+    serial_memos = {shard.index: ColumnMemo() for shard in shards} if block is None else {}
     # repro-lint: disable=DET003 -- wall-time telemetry for ShardRunResult only; never touches sketch state
     start = time.perf_counter()
     try:
         for pass_index in range(start_pass, algorithm.n_passes):
             with tracer.span(f"pass:{pass_index}", category="pass") as pass_span:
                 trace_ctx = tracer.context()
-                if pool is not None:
+                if block is not None:
                     tasks = [
                         PooledShardTask(
                             shard_index=shard.index,
                             pass_index=pass_index,
                             state=state,
                             trace=trace_ctx,
+                            space_poll_interval=space_poll_interval,
                         )
                         for shard in shards
                     ]
-                    results = pool.run_pass(tasks)
+                    results = fan_out(n_workers, _run_shard_pass_pooled, block, tasks)
                 else:
                     results = [
                         _execute_shard_pass(
@@ -411,8 +414,8 @@ def run_sharded(
                 with tracer.span(f"checkpoint:pass:{pass_index + 1}", category="checkpoint"):
                     checkpoint.write(state, pass_index + 1, 0, meter.state_dict())
     finally:
-        if pool is not None:
-            pool.close()
+        if call_block is not None:
+            call_block.release()
     elapsed = time.perf_counter() - start  # repro-lint: disable=DET003 -- telemetry field, mirrors streaming/runner.py
 
     algorithm.restore(state)

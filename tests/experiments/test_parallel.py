@@ -6,6 +6,7 @@ AccuracyPoints.  Factories used with worker processes live at module level
 so they pickle.
 """
 
+import os
 import random
 
 import pytest
@@ -20,11 +21,30 @@ from repro.experiments.parallel import (
     run_trial,
     trial_specs,
 )
+from repro.streaming.algorithm import StreamingAlgorithm
+from repro.util import warmpool
 from repro.util.rng import resolve_rng, spawn_rng
+from repro.util.vectorized import columnar_enabled, scalar_oracle
 
 
 def _two_pass(budget, seed):
     return TwoPassTriangleCounter(sample_size=max(budget, 1), seed=seed)
+
+
+class _WhereItRan(StreamingAlgorithm):
+    """Estimates its process id, negated when the columnar path was off."""
+
+    def __init__(self, budget, seed):
+        self.value = 0.0
+
+    def begin_pass(self, pass_index):
+        self.value = float(os.getpid() if columnar_enabled() else -os.getpid())
+
+    def result(self):
+        return self.value
+
+    def space_words(self):
+        return 1
 
 
 class TestResolveWorkers:
@@ -83,6 +103,46 @@ class TestTrialExecutor:
         assert [(r.index, r.estimate, r.peak_space_words) for r in serial] == [
             (r.index, r.estimate, r.peak_space_words) for r in parallel
         ]
+
+    def test_reused_executor_and_graph_match_serial(self, triangle_workload):
+        g = triangle_workload.graph
+        batches = [trial_specs(resolve_rng(seed), budget=budget, runs=3)
+                   for seed, budget in ((1, 40), (2, 80), (3, 40))]
+        with TrialExecutor(_two_pass, g) as ex_serial:
+            serial = [ex_serial.run(specs) for specs in batches]
+        with TrialExecutor(_two_pass, g, ExecutionConfig(workers=2)) as ex_par:
+            parallel = [ex_par.run(specs) for specs in batches]
+        with TrialExecutor(_two_pass, g, ExecutionConfig(workers=2)) as ex_again:
+            again = [ex_again.run(specs) for specs in batches]
+        for runs in (parallel, again):
+            assert [[(r.index, r.estimate, r.peak_space_words) for r in batch]
+                    for batch in runs] == [
+                [(r.index, r.estimate, r.peak_space_words) for r in batch]
+                for batch in serial
+            ]
+
+    def test_scalar_oracle_entered_after_pool_start_reaches_workers(self, triangle_workload):
+        g = triangle_workload.graph
+        specs = trial_specs(resolve_rng(2), budget=10, runs=4)
+        with TrialExecutor(_WhereItRan, g, ExecutionConfig(workers=2)) as ex:
+            warm = [r.estimate for r in ex.run(specs)]
+            pool = warmpool._pool
+            with scalar_oracle():
+                oracle = [r.estimate for r in ex.run(specs)]
+        assert warmpool._pool is pool  # the same warm pool ran both batches
+        assert all(pid > 0 and pid != os.getpid() for pid in warm)
+        assert all(pid < 0 and -pid != os.getpid() for pid in oracle)
+
+    def test_unpicklable_factory_rejected_before_any_task(self, triangle_workload):
+        g = triangle_workload.graph
+        specs = trial_specs(resolve_rng(1), budget=20, runs=2)
+        factory = lambda budget, seed: _two_pass(budget, seed)  # noqa: E731
+        with TrialExecutor(factory, g, ExecutionConfig(workers=2)) as ex:
+            with pytest.raises(TypeError, match="factory must be picklable"):
+                ex.run(specs)
+        # The serial path never pickles, so lambdas stay fine there.
+        with TrialExecutor(factory, g) as ex:
+            assert len(ex.run(specs)) == 2
 
     def test_spec_is_picklable(self):
         import pickle
