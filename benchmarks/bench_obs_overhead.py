@@ -59,7 +59,7 @@ from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import resolve_rng
 
 
-def _bare_run(algorithm, stream, space_poll_interval: int = 1) -> float:
+def _bare_run(algorithm, stream) -> float:
     """Replica of the seed fast-path loop with zero telemetry code.
 
     Mirrors ``run_algorithm``'s batched dispatch, space polling and
@@ -74,17 +74,13 @@ def _bare_run(algorithm, stream, space_poll_interval: int = 1) -> float:
     for pass_index in range(algorithm.n_passes):
         algorithm.begin_pass(pass_index)
         lists_done = 0
-        lists_since_poll = 0
         for vertex, neighbors in stream.iter_lists():
             algorithm.begin_list(vertex)
             algorithm.process_list(vertex, neighbors)
             algorithm.end_list(vertex, neighbors)
             pairs_run += len(neighbors)
             lists_done += 1
-            lists_since_poll += 1
-            if lists_since_poll >= space_poll_interval:
-                meter.observe(algorithm.space_words())
-                lists_since_poll = 0
+            meter.observe(algorithm.space_words())
             if checkpoint is not None:
                 pass
         algorithm.end_pass(pass_index)

@@ -5,7 +5,7 @@ is a plain script (CI runs it with ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py [--quick]
 
-It measures four things, three on a large G(n, m) workload, and writes a
+It measures three things, two on a large G(n, m) workload, and writes a
 JSON artifact (default ``BENCH_parallel.json``):
 
 1. **Harness parallelism** — wall time of an ``accuracy_sweep`` serially
@@ -27,8 +27,6 @@ JSON artifact (default ``BENCH_parallel.json``):
    Table 1's sparse regime: planted triangles / planted 4-cycles over
    noise with a mean list length of about 2, where the counters route
    lists below ``SHORT_LIST`` around the columnar kernels.
-4. **Space-poll interval** — pairs/sec with ``space_words()`` polled every
-   list vs. every 64 lists.
 
 The artifact self-declares **gates** (see
 :mod:`repro.obs.bench_report`): at the full bench size the columnar path
@@ -154,23 +152,6 @@ def bench_fast_path(graphs, budget, repeats):
     return out
 
 
-def bench_poll_interval(graph, budget, interval, repeats):
-    """Pairs/sec polling space every list vs. every ``interval`` lists."""
-    stream = AdjacencyListStream(graph, seed=13)
-    best = {1: 0.0, interval: 0.0}
-    for poll in (1, interval):
-        for _ in range(repeats):
-            algo = TwoPassTriangleCounter(sample_size=budget, seed=5)
-            run = run_algorithm(algo, stream, space_poll_interval=poll)
-            best[poll] = max(best[poll], run.pairs_per_second)
-    return {
-        "interval": interval,
-        "every_list_pairs_per_second": best[1],
-        "sparse_pairs_per_second": best[interval],
-        "speedup": best[interval] / best[1] if best[1] > 0 else None,
-    }
-
-
 #: Sparse columnar_speedup floors.  The triangle counter's scalar tiers
 #: scan the whole k-edge sample per list, so probing neighbour pairs
 #: instead pays about 5x.  The 4-cycle counter's scalar scan covers only
@@ -278,19 +259,12 @@ def main(argv=None) -> int:
     fast_sparse = bench_fast_path(sparse_graphs, budget=512, repeats=3)
     _print_fast_path(fast_sparse)
 
-    print("space polling: every list vs every 64 lists ...")
-    poll = bench_poll_interval(graph, budget=max(budgets), interval=64, repeats=repeats)
-    print(f"  poll=1   {poll['every_list_pairs_per_second']:,.0f} pairs/s")
-    print(f"  poll=64  {poll['sparse_pairs_per_second']:,.0f} pairs/s "
-          f"(x{poll['speedup']:.2f})")
-
     artifact = {
         "workload": {"n": n, "m": m, "quick": args.quick},
         "cpu_count": cpu_count,
         "sweep": sweep,
         "fast_path": fast,
         "fast_path_sparse": fast_sparse,
-        "poll_interval": poll,
         "gates": gate_declarations(args.quick),
     }
     with open(args.out, "w") as fh:

@@ -800,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Render a self-contained run report (phase timeline, "
         "throughput, sampler occupancy, convergence curves) from a "
         "--telemetry JSONL log and/or a --trace Chrome trace file.  "
-        "Formats: text, markdown, html (single file, CI-artifact ready).",
+        "Formats: text, html (single file, CI-artifact ready).",
     )
     build_obs_parser(obs)
     obs.set_defaults(func=cmd_obs_report)

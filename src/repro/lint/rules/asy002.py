@@ -1,15 +1,15 @@
 """ASY002 — coroutines must not mutate module-level shared state.
 
 Sessions are isolated by design: all cross-session state lives in the
-:class:`~repro.serve.manager.SessionManager`, whose coroutines serialize
-access per session (``asyncio.Lock``) and admit feeds through one gate
-(the backpressure semaphore).  A coroutine that instead mutates a
-*module-level* mutable — a cache dict, a list of live sessions, a global
-counter — creates state the manager's locking discipline never covers:
-two interleaved coroutines read-modify-write it unsynchronized, and the
-interleaving (hence the stored value) depends on scheduling, which breaks
-both correctness under concurrency and the serve benchmarks'
-bit-identity audit.
+:class:`~repro.serve.manager.SessionManager`, and no manager op awaits
+mid-session — feed, poll, snapshot, stats, close and merge each run from
+reading a session to finishing with it without yielding, so no lock is
+needed.  A coroutine that instead mutates a *module-level* mutable — a
+cache dict, a list of live sessions, a global counter — creates state
+outside that table, which other coroutines can read-modify-write across
+an await: the interleaving (hence the stored value) depends on
+scheduling, which breaks both correctness under concurrency and the
+serve benchmarks' bit-identity audit.
 
 Flagged inside the body of an ``async def`` in ``repro/serve``:
 
@@ -22,8 +22,8 @@ Flagged inside the body of an ``async def`` in ``repro/serve``:
 * subscript or augmented assignment targeting such a name.
 
 Shared state that genuinely must be module-level (none currently exists
-in the tree) needs a justified suppression explaining which lock guards
-it.
+in the tree) needs a justified suppression explaining why no await can
+interleave its updates.
 """
 
 from __future__ import annotations

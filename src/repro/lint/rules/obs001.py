@@ -7,9 +7,9 @@ crashes.  The vocabulary lives in :mod:`repro.obs.names`; this rule
 resolves every *literal* metric name at a telemetry call site in
 ``src/repro`` against it.
 
-A call site is ``<receiver>.count(...)``, ``<receiver>.set_gauge(...)``,
-``<receiver>.observe_seconds(...)`` or ``<receiver>.observe_histogram(...)``
-where the receiver's terminal identifier contains ``telemetry`` (``telemetry``, ``self._telemetry``,
+A call site is ``<receiver>.count(...)``, ``<receiver>.set_gauge(...)``
+or ``<receiver>.observe_histogram(...)`` where the receiver's terminal
+identifier contains ``telemetry`` (``telemetry``, ``self._telemetry``,
 ``run_telemetry`` all match; ``path.count("/")`` does not).  Dynamic
 names (f-strings, variables) are out of scope — the registry check is
 for the static vocabulary, and every in-tree emission uses a literal.
@@ -26,9 +26,7 @@ from repro.lint.violations import Violation
 from repro.obs.names import METRIC_NAMES, is_valid_metric_name
 
 #: Telemetry facade methods whose first argument is a metric name.
-_METRIC_METHODS = frozenset(
-    {"count", "set_gauge", "observe_seconds", "observe_histogram"}
-)
+_METRIC_METHODS = frozenset({"count", "set_gauge", "observe_histogram"})
 
 
 def _telemetry_receiver(func: ast.expr) -> Optional[str]:

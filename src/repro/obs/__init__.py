@@ -41,7 +41,6 @@ from repro.obs.events import (
     SpaceHighWater,
     SpanFinished,
     TelemetryEvent,
-    TrialFinished,
     decode_event,
     encode_event,
 )
@@ -50,7 +49,6 @@ from repro.obs.metrics import (
     GAUGE,
     HISTOGRAM,
     HISTOGRAM_BOUNDS,
-    TIMER,
     Histogram,
     MetricFamily,
     MetricRegistry,
@@ -106,7 +104,6 @@ __all__ = [
     "OccupancySample",
     "ShardPassFinished",
     "MergeCompleted",
-    "TrialFinished",
     "RunFinished",
     "MetricsReport",
     "EstimateSample",
@@ -129,7 +126,6 @@ __all__ = [
     "Snapshot",
     "COUNTER",
     "GAUGE",
-    "TIMER",
     "HISTOGRAM",
     "HISTOGRAM_BOUNDS",
     "Histogram",

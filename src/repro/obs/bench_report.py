@@ -133,8 +133,8 @@ def _flatten_telemetry(snapshot: Snapshot) -> Dict[str, Any]:
         elif kind == GAUGE:
             out[f"{series_key}.value"] = blob["value"]
             out[f"{series_key}.high_water"] = blob["high_water"]
-        else:
-            out[f"{series_key}.total_seconds"] = blob["total_seconds"]
+        else:  # histogram: every one records wall time
+            out[f"{series_key}.total_seconds"] = blob["total"]
             out[f"{series_key}.count"] = blob["count"]
     return out
 

@@ -9,8 +9,8 @@ original.
 
 The vocabulary covers the streaming runner (pass boundaries, per-pass
 throughput, space high-water marks, sampler/reservoir occupancy), the
-shard-and-merge driver (per-shard passes, merges), the experiment
-harness (per-trial summaries), and a final :class:`MetricsReport`
+shard-and-merge driver (per-shard passes, merges), the serve sessions,
+trace spans, and a final :class:`MetricsReport`
 carrying the run's full metric-registry snapshot.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "OccupancySample",
     "ShardPassFinished",
     "MergeCompleted",
-    "TrialFinished",
     "RunFinished",
     "MetricsReport",
     "EstimateSample",
@@ -113,17 +112,6 @@ class MergeCompleted(TelemetryEvent):
 
     pass_index: int
     n_shards: int
-
-
-@dataclass(frozen=True)
-class TrialFinished(TelemetryEvent):
-    """One independent experiment trial completed."""
-
-    index: int
-    budget: int
-    estimate: float
-    peak_space_words: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -236,7 +224,6 @@ EVENT_TYPES: Dict[str, Type[TelemetryEvent]] = {
         OccupancySample,
         ShardPassFinished,
         MergeCompleted,
-        TrialFinished,
         RunFinished,
         MetricsReport,
         EstimateSample,

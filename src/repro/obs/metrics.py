@@ -1,4 +1,4 @@
-"""Labelled metric families: counters, gauges, and timers.
+"""Labelled metric families: counters, gauges, and histograms.
 
 The model follows the Prometheus client shape without the dependency: a
 :class:`MetricRegistry` holds :class:`MetricFamily` objects (one per
@@ -8,23 +8,21 @@ instrument for that series.  Three instrument kinds exist:
 
 * :class:`Counter` — monotonically increasing total (``inc``);
 * :class:`Gauge` — instantaneous value plus its high-water mark (``set``);
-* :class:`Timer` — accumulated wall-time observations (sum / count / max),
-  with a context-manager ``time()`` helper;
 * :class:`Histogram` — bucketed observations over *fixed* exponential
   bounds (:data:`HISTOGRAM_BOUNDS`), so independently collected
-  histograms merge deterministically bucket-by-bucket.
+  histograms merge deterministically bucket-by-bucket.  Every wall-time
+  quantity in the tree is a histogram.
 
 Everything serialises through :meth:`MetricRegistry.snapshot`: a flat,
 JSON-safe ``{series_key: {kind, ...values}}`` dict whose series keys look
 like ``stream_pairs_total{pass=0}``.  Snapshots from independent workers
 merge with :func:`merge_snapshots` (counters add, gauges keep the
-high-water, timers pool their observations), which is what the
+high-water, histograms add bucket-by-bucket), which is what the
 experiment harness's per-trial roll-up uses.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,13 +30,8 @@ Snapshot = Dict[str, Dict[str, Any]]
 
 COUNTER = "counter"
 GAUGE = "gauge"
-TIMER = "timer"
 HISTOGRAM = "histogram"
-KINDS = (COUNTER, GAUGE, TIMER, HISTOGRAM)
-
-#: Metric kinds that record wall-clock quantities and are therefore
-#: excluded from determinism comparisons (see :func:`strip_timers`).
-WALL_CLOCK_KINDS = (TIMER, HISTOGRAM)
+KINDS = (COUNTER, GAUGE, HISTOGRAM)
 
 #: The one fixed bucket layout every histogram in the tree uses: upper
 #: bounds in seconds, powers of two from 1 µs to ~8.4 s (24 buckets),
@@ -116,44 +109,6 @@ class Gauge:
         self.high_water = blob["high_water"]
 
 
-class Timer:
-    """Accumulated duration observations (sum, count, max), in seconds."""
-
-    kind = TIMER
-
-    __slots__ = ("total_seconds", "count", "max_seconds")
-
-    def __init__(self) -> None:
-        self.total_seconds: float = 0.0
-        self.count: int = 0
-        self.max_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("durations cannot be negative")
-        self.total_seconds += seconds
-        self.count += 1
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    def time(self) -> "_TimerContext":
-        """Context manager recording the wall time of its ``with`` block."""
-        return _TimerContext(self)
-
-    def dump(self) -> Dict[str, Any]:
-        return {
-            "kind": TIMER,
-            "total_seconds": self.total_seconds,
-            "count": self.count,
-            "max_seconds": self.max_seconds,
-        }
-
-    def load(self, blob: Mapping[str, Any]) -> None:
-        self.total_seconds = blob["total_seconds"]
-        self.count = int(blob["count"])
-        self.max_seconds = blob["max_seconds"]
-
-
 class Histogram:
     """Bucketed observations over fixed exponential bounds.
 
@@ -225,24 +180,7 @@ class Histogram:
         self.count = int(blob["count"])
 
 
-class _TimerContext:
-    __slots__ = ("_timer", "_start")
-
-    def __init__(self, timer: Timer) -> None:
-        self._timer = timer
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        # repro-lint: disable=DET003 -- wall clock is the quantity a Timer measures; values never feed estimator or sketch state
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        # repro-lint: disable=DET003 -- closing bracket of the timed interval; telemetry only
-        self._timer.observe(time.perf_counter() - self._start)
-
-
-_INSTRUMENTS = {COUNTER: Counter, GAUGE: Gauge, TIMER: Timer, HISTOGRAM: Histogram}
+_INSTRUMENTS = {COUNTER: Counter, GAUGE: Gauge, HISTOGRAM: Histogram}
 
 
 class MetricFamily:
@@ -303,9 +241,6 @@ class MetricRegistry:
     def gauge(self, name: str, help: str = "", labelnames: Tuple[str, ...] = ()) -> MetricFamily:
         return self._family(name, GAUGE, help, labelnames)
 
-    def timer(self, name: str, help: str = "", labelnames: Tuple[str, ...] = ()) -> MetricFamily:
-        return self._family(name, TIMER, help, labelnames)
-
     def histogram(self, name: str, help: str = "", labelnames: Tuple[str, ...] = ()) -> MetricFamily:
         return self._family(name, HISTOGRAM, help, labelnames)
 
@@ -337,9 +272,9 @@ def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
     """Roll independent worker snapshots into one.
 
     Counters add; gauges keep the maximum value and high-water mark (the
-    roll-up of per-worker peaks is the fleet peak); timers pool their
-    observations (sums and counts add, max of max).  Mixing kinds under
-    one series key is an error.
+    roll-up of per-worker peaks is the fleet peak); histograms add
+    bucket-by-bucket, with sums and counts.  Mixing kinds under one
+    series key is an error.
     """
     merged: Snapshot = {}
     for snapshot in snapshots:
@@ -359,7 +294,7 @@ def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
             elif kind == GAUGE:
                 slot["value"] = max(slot["value"], blob["value"])
                 slot["high_water"] = max(slot["high_water"], blob["high_water"])
-            elif kind == HISTOGRAM:
+            else:  # histogram
                 if list(slot["bounds"]) != list(blob["bounds"]):
                     raise ValueError(
                         f"series {series_key!r} has conflicting histogram "
@@ -369,10 +304,6 @@ def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
                 slot["buckets"] = [a + b for a, b in zip(slot["buckets"], blob["buckets"])]
                 slot["total"] += blob["total"]
                 slot["count"] += blob["count"]
-            else:  # timer
-                slot["total_seconds"] += blob["total_seconds"]
-                slot["count"] += blob["count"]
-                slot["max_seconds"] = max(slot["max_seconds"], blob["max_seconds"])
     return {key: merged[key] for key in sorted(merged)}
 
 
@@ -393,14 +324,14 @@ def label_snapshot(snapshot: Snapshot, **labels: str) -> Snapshot:
 
 
 def strip_timers(snapshot: Snapshot) -> Snapshot:
-    """Drop wall-clock series (timers *and* histograms) from a snapshot.
+    """Drop the wall-clock series (every histogram) from a snapshot.
 
     Counters and gauges emitted by the instrumented runner are pure
-    functions of (stream, seed); timers and latency histograms are not.
-    Determinism assertions (serial roll-up == parallel roll-up) compare
-    stripped snapshots.
+    functions of (stream, seed); histograms record wall time, which is
+    not.  Determinism assertions (serial roll-up == parallel roll-up)
+    compare stripped snapshots.
     """
-    return {k: v for k, v in snapshot.items() if v["kind"] not in WALL_CLOCK_KINDS}
+    return {k: v for k, v in snapshot.items() if v["kind"] != HISTOGRAM}
 
 
 def histogram_quantile(blob: Mapping[str, Any], q: float) -> float:

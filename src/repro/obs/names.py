@@ -1,7 +1,7 @@
 """The declared registry of telemetry metric names.
 
 Every metric the instrumented runners emit (``telemetry.count(...)``,
-``telemetry.set_gauge(...)``, ``telemetry.observe_seconds(...)``) must use
+``telemetry.set_gauge(...)``, ``telemetry.observe_histogram(...)``) must use
 a name declared here.  The registry exists so that a typo'd metric name —
 which would otherwise silently create a parallel, never-aggregated series
 — is caught *statically*: lint rule OBS001 resolves every literal metric
@@ -38,7 +38,7 @@ _NAME_RE = re.compile(METRIC_NAME_PATTERN)
 #: authoritative vocabulary the linter checks against.
 METRIC_NAMES: Dict[str, str] = {
     # streaming/runner.py
-    "stream_space_words": "algorithm live state in machine words, polled per list batch",
+    "stream_space_words": "algorithm live state in machine words, polled after every list",
     "stream_pairs_total": "adjacency pairs consumed",
     "stream_lists_total": "adjacency lists consumed",
     "stream_pass_space_words": "live state in machine words at the pass boundary",
@@ -55,8 +55,6 @@ METRIC_NAMES: Dict[str, str] = {
     "serve_session_pairs_total": "adjacency pairs ingested across all serve sessions",
     "serve_session_chunks_total": "feed chunks ingested across all serve sessions",
     "serve_polls_total": "anytime-estimate polls answered",
-    "serve_poll_seconds": "server-side wall time answering one poll",
-    "serve_feed_seconds": "server-side wall time ingesting one chunk",
     "serve_merges_total": "cross-session sketch merges performed",
     "serve_snapshots_total": "session snapshots taken (client-requested or shutdown)",
     "serve_errors_total": "requests rejected with a protocol error",

@@ -22,7 +22,7 @@ The ``stitch-trace`` mode skips the report entirely: it stitches the
 ``--trace`` files into one Chrome trace written to ``--out`` (the CI
 artifact for routed gauntlet runs).
 
-Formats: ``text`` (default), ``markdown``, and ``html`` — the HTML is a
+Formats: ``text`` (default) and ``html`` — the HTML is a
 single self-contained file (inline CSS + SVG, no external assets) so CI
 can upload it as an artifact.  Exit code 0 on success, 2 on unreadable
 inputs; pass at least one of the two input flags.
@@ -36,7 +36,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
     OccupancySample,
@@ -304,46 +304,6 @@ def render_text(data: RunData, truth: Optional[float] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_markdown(data: RunData, truth: Optional[float] = None) -> str:
-    lines: List[str] = ["# Run report", ""]
-    rows = _summary_rows(data)
-    if rows:
-        lines.extend(["| | |", "|---|---|"])
-        lines.extend(f"| {k} | {v} |" for k, v in rows)
-        lines.append("")
-
-    lines.extend(["## Phase timeline", "", "```"])
-    lines.extend(_timeline_text(_timeline_rows(data)))
-    lines.extend(["```", ""])
-
-    throughput = _throughput_rows(data)
-    if throughput:
-        lines.extend(
-            ["## Throughput", "", "| pass | pairs | seconds | pairs/s |", "|---|---:|---:|---:|"]
-        )
-        lines.extend(f"| {a} | {b} | {c} | {d} |" for a, b, c, d in throughput)
-        lines.append("")
-
-    occupancy = _occupancy_rows(data)
-    if occupancy:
-        lines.extend(["## Sampler occupancy (final)", "", "| gauge | value |", "|---|---:|"])
-        lines.extend(f"| {k} | {v} |" for k, v in occupancy)
-        lines.append("")
-
-    points = estimate_trace(data.events, truth)
-    if points:
-        sampled = _downsample(points)
-        lines.extend(["## Convergence", ""])
-        lines.append(f"{len(points)} samples, final estimate {points[-1].estimate:g}")
-        lines.extend(["", "```", f"estimate  {_sparkline([p.estimate for p in sampled])}"])
-        if truth is not None:
-            errors = [p.relative_error for p in sampled if p.relative_error is not None]
-            if errors:
-                lines.append(f"rel error {_sparkline(errors)}")
-        lines.extend(["```", ""])
-    return "\n".join(lines) + "\n"
-
-
 _CATEGORY_COLORS = {
     "run": "#5b7aa9",
     "pass": "#4c9f70",
@@ -451,11 +411,11 @@ def render_html(data: RunData, truth: Optional[float] = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-_RENDERERS = {"text": render_text, "markdown": render_markdown, "html": render_html}
+_RENDERERS = {"text": render_text, "html": render_html}
 
 
 def render_report(data: RunData, fmt: str = "text", truth: Optional[float] = None) -> str:
-    """Render ``data`` in one of ``text`` / ``markdown`` / ``html``."""
+    """Render ``data`` as ``text`` or ``html``."""
     try:
         renderer = _RENDERERS[fmt]
     except KeyError:

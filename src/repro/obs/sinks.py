@@ -15,11 +15,11 @@ one attribute lookup (``telemetry.enabled``) and no call.  Four sinks:
   a metric snapshot (and help texts), so the in-memory model round-trips.
 
 Textfile conventions (node-exporter textfile-collector compatible):
-``# HELP``/``# TYPE`` headers per family, ``kind timer`` families expand
-to ``<name>_total`` / ``<name>_count`` / ``<name>_max`` samples, gauges
-also export their ``<name>_high_water`` mark, and histograms expand to
-the standard cumulative ``<name>_bucket{le="..."}`` series (ending at
-``le="+Inf"``) plus ``<name>_sum`` / ``<name>_count``.
+``# HELP``/``# TYPE`` headers per family (``counter``, ``gauge`` or
+``histogram``, all Prometheus text-format types), gauges also export
+their ``<name>_high_water`` mark, and histograms expand to the standard
+cumulative ``<name>_bucket{le="..."}`` series (ending at ``le="+Inf"``)
+plus ``<name>_sum`` / ``<name>_count``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     COUNTER,
     GAUGE,
     HISTOGRAM,
-    TIMER,
     Snapshot,
     format_series,
     parse_series,
@@ -246,7 +245,7 @@ def render_textfile(snapshot: Snapshot, help_texts: Optional[Mapping[str, str]] 
                 lines.append(
                     _sample_line(f"{name}_high_water", labels, blob["high_water"])
                 )
-            elif kind == HISTOGRAM:
+            else:  # histogram
                 running = 0
                 for bound, n in zip(blob["bounds"], blob["buckets"]):
                     running += n
@@ -256,10 +255,6 @@ def render_textfile(snapshot: Snapshot, help_texts: Optional[Mapping[str, str]] 
                 lines.append(_sample_line(f"{name}_bucket", inf, blob["count"]))
                 lines.append(_sample_line(f"{name}_sum", labels, blob["total"]))
                 lines.append(_sample_line(f"{name}_count", labels, blob["count"]))
-            else:  # timer
-                lines.append(_sample_line(f"{name}_total", labels, blob["total_seconds"]))
-                lines.append(_sample_line(f"{name}_count", labels, blob["count"]))
-                lines.append(_sample_line(f"{name}_max", labels, blob["max_seconds"]))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -287,8 +282,7 @@ def _parse_sample(line: str) -> Tuple[str, Dict[str, str], float]:
 def parse_textfile(text: str) -> Tuple[Snapshot, Dict[str, str]]:
     """Invert :func:`render_textfile`: ``(snapshot, help_texts)``.
 
-    Timer families reassemble from their ``_total``/``_count``/``_max``
-    samples, gauges from their value + ``_high_water`` pair, and
+    Gauges reassemble from their value + ``_high_water`` pair and
     histograms from their cumulative ``_bucket{le=...}`` ladder plus
     ``_sum``/``_count``, guided by the ``# TYPE`` declarations.
     """
@@ -319,10 +313,6 @@ def parse_textfile(text: str) -> Tuple[Snapshot, Dict[str, str]]:
         elif kind == GAUGE:
             slots[name] = (name, "value")
             slots[f"{name}_high_water"] = (name, "high_water")
-        elif kind == TIMER:
-            slots[f"{name}_total"] = (name, "total_seconds")
-            slots[f"{name}_count"] = (name, "count")
-            slots[f"{name}_max"] = (name, "max_seconds")
         elif kind == HISTOGRAM:
             slots[f"{name}_bucket"] = (name, "_bucket")
             slots[f"{name}_sum"] = (name, "total")
@@ -332,7 +322,6 @@ def parse_textfile(text: str) -> Tuple[Snapshot, Dict[str, str]]:
     defaults = {
         COUNTER: lambda: {"kind": COUNTER, "value": 0},
         GAUGE: lambda: {"kind": GAUGE, "value": 0, "high_water": 0},
-        TIMER: lambda: {"kind": TIMER, "total_seconds": 0.0, "count": 0, "max_seconds": 0.0},
         HISTOGRAM: lambda: {"kind": HISTOGRAM, "total": 0.0, "count": 0, "_cum": {}},
     }
     snapshot: Snapshot = {}

@@ -68,11 +68,6 @@ class Telemetry:
         family = self.registry.gauge(name, help=help, labelnames=tuple(sorted(labels)))
         family.labels(**labels).set(value)
 
-    def observe_seconds(self, name: str, seconds: float, help: str = "", **labels: str) -> None:
-        """Record one duration observation on timer ``name``."""
-        family = self.registry.timer(name, help=help, labelnames=tuple(sorted(labels)))
-        family.labels(**labels).observe(seconds)
-
     def observe_histogram(self, name: str, value: float, help: str = "", **labels: str) -> None:
         """Record one observation on histogram ``name`` (fixed bounds)."""
         family = self.registry.histogram(name, help=help, labelnames=tuple(sorted(labels)))
@@ -129,9 +124,6 @@ class _NullTelemetry(Telemetry):
         pass
 
     def set_gauge(self, name: str, value: float, help: str = "", **labels: str) -> None:
-        pass
-
-    def observe_seconds(self, name: str, seconds: float, help: str = "", **labels: str) -> None:
         pass
 
     def observe_histogram(self, name: str, value: float, help: str = "", **labels: str) -> None:

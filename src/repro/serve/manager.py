@@ -305,13 +305,7 @@ class SessionManager:
         session.account_bytes(nbytes)
         out = ingest(session)
         if self.telemetry.enabled:
-            elapsed = _now() - start
-            self.telemetry.observe_seconds(
-                "serve_feed_seconds",
-                elapsed,
-                help="server-side wall time ingesting one chunk",
-            )
-            self._observe_op("feed", elapsed, wire)
+            self._observe_op("feed", _now() - start, wire)
             self.telemetry.count(
                 "serve_session_pairs_total",
                 out["pairs"],
@@ -337,13 +331,7 @@ class SessionManager:
         start = _now()
         out = session.poll(**kwargs)
         if self.telemetry.enabled:
-            elapsed = _now() - start
-            self.telemetry.observe_seconds(
-                "serve_poll_seconds",
-                elapsed,
-                help="server-side wall time answering one poll",
-            )
-            self._observe_op("poll", elapsed)
+            self._observe_op("poll", _now() - start)
             self.telemetry.count(
                 "serve_polls_total", help="anytime-estimate polls answered"
             )

@@ -114,7 +114,6 @@ class PooledShardTask:
     pass_index: int
     state: SketchState
     trace: Optional[TraceContext] = None
-    space_poll_interval: int = 1
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,6 @@ def _execute_shard_pass(
     pass_index: int,
     state: SketchState,
     lists: Tuple,
-    space_poll_interval: int,
     trace: Optional[TraceContext],
     column_provider=None,
 ) -> ShardPassResult:
@@ -153,11 +151,7 @@ def _execute_shard_pass(
     tracer = Tracer.from_context(trace) if trace is not None else NULL_TRACER
     with tracer.span(f"shard:{shard_index}", category="shard") as span:
         meter = run_single_pass(
-            algorithm,
-            lists,
-            pass_index,
-            space_poll_interval=space_poll_interval,
-            column_provider=column_provider,
+            algorithm, lists, pass_index, column_provider=column_provider
         )
         pairs = sum(len(neighbors) for _, neighbors in lists)
         span.set(pairs=pairs, peak_space_words=meter.peak_words)
@@ -211,7 +205,6 @@ def _run_shard_pass_pooled(lists: _ShardLists, task: PooledShardTask) -> ShardPa
         task.pass_index,
         task.state,
         shard_lists,
-        task.space_poll_interval,
         task.trace,
         column_provider=memo,
     )
@@ -253,7 +246,6 @@ def run_sharded(
     *,
     workers: Optional[int] = None,
     strategy: str = "balanced",
-    space_poll_interval: int = 1,
     merge_seed: Optional[int] = None,
     checkpoint: Optional[CheckpointConfig] = None,
     resume_from: Optional[Checkpoint] = None,
@@ -356,7 +348,6 @@ def run_sharded(
                             pass_index=pass_index,
                             state=state,
                             trace=trace_ctx,
-                            space_poll_interval=space_poll_interval,
                         )
                         for shard in shards
                     ]
@@ -368,7 +359,6 @@ def run_sharded(
                             pass_index,
                             state,
                             shard.lists,
-                            space_poll_interval,
                             trace_ctx,
                             column_provider=serial_memos[shard.index],
                         )

@@ -11,9 +11,8 @@ The runner has two dispatch strategies:
 Both paths are observably identical for conforming algorithms; the fast
 path only removes per-pair Python dispatch.  :class:`PassCursor` holds
 that decision and the per-list hook order; the runner and the serve
-session both push their lists through it.  ``space_poll_interval``
-controls how often ``space_words()`` is polled (every list by default;
-larger intervals trade peak-resolution for speed on huge graphs).
+session both push their lists through it.  ``space_words()`` is polled
+after every list and once more at each pass end.
 
 Long runs can be made durable: pass a
 :class:`repro.sketch.checkpoint.CheckpointConfig` as ``checkpoint`` and
@@ -130,7 +129,7 @@ class PassCursor:
 
 def _drive_pass(
     cursor: PassCursor, lists: Iterable, pass_index: int, meter: SpaceMeter,
-    space_poll_interval: int, telemetry: Telemetry, tracer: Tracer,
+    telemetry: Telemetry, tracer: Tracer,
     *, skip_lists: int = 0, checkpoint=None,
 ) -> int:
     """One pass over ``lists``: hooks, space polls, telemetry and span.
@@ -154,21 +153,17 @@ def _drive_pass(
         push = cursor.push
         lists_done = skip_lists
         pairs_run = 0
-        lists_since_poll = 0
         for vertex, neighbors in lists:
             push(vertex, neighbors)
             pairs_run += len(neighbors)
             lists_done += 1
-            lists_since_poll += 1
-            if lists_since_poll >= space_poll_interval:
-                words = algorithm.space_words()
-                if telemetry.enabled:
-                    _record_poll(
-                        telemetry, algorithm, meter, pass_index, lists_done,
-                        words, emit_estimate,
-                    )
-                meter.observe(words)
-                lists_since_poll = 0
+            words = algorithm.space_words()
+            if telemetry.enabled:
+                _record_poll(
+                    telemetry, algorithm, meter, pass_index, lists_done,
+                    words, emit_estimate,
+                )
+            meter.observe(words)
             if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
                 with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
                     checkpoint.write(
@@ -205,7 +200,7 @@ def _drive_pass(
                 "stream_pass_space_words", words,
                 help="live state in machine words at the pass boundary", pass_index=label,
             )
-            telemetry.observe_seconds(
+            telemetry.observe_histogram(
                 "stream_pass_seconds", seconds,
                 help="wall time of one stream pass", pass_index=label,
             )
@@ -219,7 +214,6 @@ def run_single_pass(
     pass_index: int,
     meter: Optional[SpaceMeter] = None,
     *,
-    space_poll_interval: int = 1,
     use_fast_path: Optional[bool] = None,
     column_provider=None,
     telemetry: Telemetry = NULL_TELEMETRY,
@@ -241,15 +235,11 @@ def run_single_pass(
     pass in a ``pass:<i>`` span (default :data:`NULL_TRACER`: a shared
     no-op context manager).
     """
-    if space_poll_interval < 1:
-        raise ValueError("space_poll_interval must be at least 1")
     meter = meter if meter is not None else SpaceMeter()
     cursor = PassCursor(algorithm, use_fast_path)
     if column_provider is not None:
         algorithm.bind_columns(column_provider)
-    _drive_pass(
-        cursor, lists, pass_index, meter, space_poll_interval, telemetry, tracer
-    )
+    _drive_pass(cursor, lists, pass_index, meter, telemetry, tracer)
     return meter
 
 
@@ -274,7 +264,7 @@ def _record_poll(
     telemetry.set_gauge(
         "stream_space_words",
         words,
-        help="algorithm live state in machine words, polled per list batch",
+        help="algorithm live state in machine words, polled after every list",
     )
     gauges = algorithm.observables()
     if gauges:
@@ -303,7 +293,6 @@ def run_algorithm(
     stream: AdjacencyListStream,
     meter: Optional[SpaceMeter] = None,
     *,
-    space_poll_interval: int = 1,
     use_fast_path: Optional[bool] = None,
     checkpoint=None,
     resume_from=None,
@@ -314,10 +303,10 @@ def run_algorithm(
 
     The same stream object is replayed for each pass, which satisfies the
     same-ordering requirement automatically (``AdjacencyListStream`` is
-    deterministic).  Space is polled after every ``space_poll_interval``
-    adjacency lists (and always at the end of each pass); ``use_fast_path``
-    forces batched (True) or per-pair (False) dispatch, defaulting to
-    auto-detection via :func:`supports_list_dispatch`.
+    deterministic).  Space is polled after every adjacency list and at
+    the end of each pass; ``use_fast_path`` forces batched (True) or
+    per-pair (False) dispatch, defaulting to auto-detection via
+    :func:`supports_list_dispatch`.
 
     ``checkpoint`` (a :class:`~repro.sketch.checkpoint.CheckpointConfig`)
     enables periodic snapshots; ``resume_from`` (a loaded
@@ -334,8 +323,6 @@ def run_algorithm(
     ``pass:<i>`` / ``checkpoint:<...>`` / ``resume`` spans under the
     caller's current position (default :data:`NULL_TRACER`).
     """
-    if space_poll_interval < 1:
-        raise ValueError("space_poll_interval must be at least 1")
     meter = meter if meter is not None else SpaceMeter()
     cursor = PassCursor(algorithm, use_fast_path)
 
@@ -369,8 +356,7 @@ def run_algorithm(
     pairs_run = 0
     for pass_index in range(start_pass, algorithm.n_passes):
         pairs_run += _drive_pass(
-            cursor, stream.iter_lists(), pass_index, meter, space_poll_interval,
-            telemetry, tracer,
+            cursor, stream.iter_lists(), pass_index, meter, telemetry, tracer,
             skip_lists=skip_lists if pass_index == start_pass else 0,
             checkpoint=checkpoint,
         )

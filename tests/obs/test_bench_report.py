@@ -18,6 +18,8 @@ from repro.obs.bench_report import (
     load_flat_metrics,
     main,
 )
+from repro.obs.sinks import JsonlSink
+from repro.obs.telemetry import Telemetry
 
 BASELINE = {
     "quick": True,
@@ -135,6 +137,21 @@ def test_cli_writes_report_file(tmp_path, capsys):
     assert main([base, "--against", base, "--format", "markdown",
                  "--out", str(out_path)]) == 0
     assert out_path.read_text().strip() == capsys.readouterr().out.strip()
+
+
+def test_cli_compares_serve_telemetry_log_with_histograms(tmp_path, capsys):
+    """A JSONL log holding a latency histogram flattens to total/count."""
+    log = str(tmp_path / "serve.jsonl")
+    with Telemetry(sink=JsonlSink(log)) as telemetry:
+        for seconds in (0.001, 0.004):
+            telemetry.observe_histogram(
+                "serve_op_latency_seconds", seconds, op="feed", wire="json"
+            )
+    assert main([log, "--against", log, "--format", "json"]) == 0
+    keys = {d["key"] for d in json.loads(capsys.readouterr().out)["pairs"][0]["deltas"]}
+    series = "serve_op_latency_seconds{op=feed,wire=json}"
+    assert {f"{series}.total_seconds", f"{series}.count"} <= keys
+    assert classify(f"{series}.total_seconds", 0.005) == TIMING_LOW
 
 
 def test_cli_pairing_mismatch_is_an_error(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The telemetry subsystem must satisfy the repo's own determinism linter.
 
-``repro.obs`` necessarily touches wall clocks (timers measure them), so it
-carries justified ``repro-lint: disable=DET003`` suppressions; this test
-pins that those suppressions are the *only* thing standing between the
-subsystem and a clean bill — no unexplained violations may creep in.
+``repro.obs`` necessarily touches wall clocks (trace spans and the live
+dashboard read them), so it carries justified ``repro-lint:
+disable=DET003`` suppressions; this test pins that those suppressions are
+the *only* thing standing between the subsystem and a clean bill — no
+unexplained violations may creep in.
 """
 
 import os
@@ -30,4 +31,4 @@ def test_obs_timer_suppressions_are_justified():
                 if "repro-lint: disable=DET003" in line:
                     found += 1
                     assert " -- " in line, f"unjustified suppression in {name}: {line!r}"
-    assert found >= 2, "the Timer context manager must carry suppressions"
+    assert found >= 2, "the trace span clock reads must carry suppressions"

@@ -5,7 +5,9 @@ import pytest
 from repro.obs.metrics import (
     COUNTER,
     GAUGE,
-    TIMER,
+    HISTOGRAM,
+    HISTOGRAM_BOUNDS,
+    KINDS,
     MetricRegistry,
     format_series,
     merge_snapshots,
@@ -39,23 +41,19 @@ def test_gauge_tracks_high_water():
     assert gauge.high_water == 10
 
 
-def test_timer_accumulates():
-    timer = MetricRegistry().timer("pass_seconds").labels()
-    timer.observe(0.5)
-    timer.observe(0.25)
-    assert timer.total_seconds == 0.75
-    assert timer.count == 2
-    assert timer.max_seconds == 0.5
+def test_histogram_accumulates():
+    assert KINDS == (COUNTER, GAUGE, HISTOGRAM)
+    histogram = MetricRegistry().histogram("pass_seconds").labels()
+    histogram.observe(0.5)
+    histogram.observe(0.25)
+    assert histogram.total == 0.75
+    assert histogram.count == 2
+    assert sum(histogram.buckets) == 2
+    # The top occupied bucket bounds the largest observation.
+    top = max(i for i, n in enumerate(histogram.buckets) if n)
+    assert HISTOGRAM_BOUNDS[top - 1] < 0.5 <= HISTOGRAM_BOUNDS[top]
     with pytest.raises(ValueError):
-        timer.observe(-0.1)
-
-
-def test_timer_context_manager():
-    timer = MetricRegistry().timer("block_seconds").labels()
-    with timer.time():
-        pass
-    assert timer.count == 1
-    assert timer.total_seconds >= 0
+        histogram.observe(-0.1)
 
 
 def test_labelled_series_are_independent():
@@ -83,7 +81,7 @@ def test_snapshot_load_round_trip():
     g = registry.gauge("b_words").labels()
     g.set(9)
     g.set(2)
-    registry.timer("c_seconds").labels().observe(1.5)
+    registry.histogram("c_seconds").labels().observe(1.5)
     snap = registry.snapshot()
 
     reloaded = MetricRegistry()
@@ -91,23 +89,29 @@ def test_snapshot_load_round_trip():
     assert reloaded.snapshot() == snap
 
 
+def _histogram_blob(observations):
+    registry = MetricRegistry()
+    histogram = registry.histogram("t").labels()
+    for seconds in observations:
+        histogram.observe(seconds)
+    return registry.snapshot()["t"]
+
+
 def test_merge_snapshots_semantics():
     a = {
         "pairs_total": {"kind": COUNTER, "value": 10},
         "space": {"kind": GAUGE, "value": 5, "high_water": 8},
-        "t": {"kind": TIMER, "total_seconds": 1.0, "count": 2, "max_seconds": 0.8},
+        "t": _histogram_blob([0.2, 0.8]),
     }
     b = {
         "pairs_total": {"kind": COUNTER, "value": 4},
         "space": {"kind": GAUGE, "value": 7, "high_water": 7},
-        "t": {"kind": TIMER, "total_seconds": 0.5, "count": 1, "max_seconds": 0.5},
+        "t": _histogram_blob([0.5]),
     }
     merged = merge_snapshots([a, b])
     assert merged["pairs_total"]["value"] == 14
     assert merged["space"] == {"kind": GAUGE, "value": 7, "high_water": 8}
-    assert merged["t"] == {
-        "kind": TIMER, "total_seconds": 1.5, "count": 3, "max_seconds": 0.8,
-    }
+    assert merged["t"] == _histogram_blob([0.2, 0.8, 0.5])
     # inputs untouched
     assert a["pairs_total"]["value"] == 10
 
@@ -123,6 +127,7 @@ def test_merge_rejects_kind_conflicts():
 def test_strip_timers():
     snap = {
         "a_total": {"kind": COUNTER, "value": 1},
-        "t": {"kind": TIMER, "total_seconds": 1.0, "count": 1, "max_seconds": 1.0},
+        "b_words": {"kind": GAUGE, "value": 1, "high_water": 1},
+        "t": _histogram_blob([1.0]),
     }
-    assert set(strip_timers(snap)) == {"a_total"}
+    assert set(strip_timers(snap)) == {"a_total", "b_words"}

@@ -70,7 +70,7 @@ class TestLoadRunData:
 
 
 class TestRendering:
-    @pytest.mark.parametrize("fmt", ["text", "markdown", "html"])
+    @pytest.mark.parametrize("fmt", ["text", "html"])
     def test_all_formats_have_the_core_sections(self, run_artifacts, fmt):
         data = load_run_data(run_artifacts["log"], run_artifacts["trace"])
         report = render_report(data, fmt=fmt, truth=float(WORKLOAD.true_count))
@@ -104,13 +104,13 @@ class TestRendering:
 
 class TestCli:
     def test_exit_0_and_writes_out(self, run_artifacts, tmp_path, capsys):
-        out = tmp_path / "report.md"
+        out = tmp_path / "report.html"
         args = build_parser().parse_args(
             [
                 "--log", run_artifacts["log"],
                 "--trace", run_artifacts["trace"],
                 "--truth", str(WORKLOAD.true_count),
-                "--format", "markdown",
+                "--format", "html",
                 "--out", str(out),
             ]
         )

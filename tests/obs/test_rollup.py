@@ -7,7 +7,7 @@ from repro.experiments.parallel import (
     run_trial,
     trial_specs,
 )
-from repro.obs.metrics import TIMER
+from repro.obs.metrics import HISTOGRAM
 from repro.obs.rollup import deterministic_rollup, rollup_metrics
 from repro.util.rng import resolve_rng
 
@@ -51,9 +51,9 @@ def test_parallel_rollup_equals_serial(triangle_workload):
     parallel_roll = deterministic_rollup([r.metrics for r in parallel])
     assert serial_roll == parallel_roll
     assert serial_roll, "roll-up must not be empty"
-    # The full roll-up differs only in timers (wall clock is schedule-bound).
+    # The full roll-up differs only in histograms (wall clock is schedule-bound).
     assert not any(
-        blob["kind"] == TIMER for blob in serial_roll.values()
+        blob["kind"] == HISTOGRAM for blob in serial_roll.values()
     )
 
 

@@ -44,7 +44,7 @@ def test_decode_rejects_unknown_type_and_fields():
         decode_event({"event": "NoSuchEvent"})
     with pytest.raises(ValueError):
         decode_event({"event": "PassStarted", "pass_index": 0, "bogus": 1})
-    assert len(EVENT_TYPES) == 16
+    assert len(EVENT_TYPES) == 15
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -83,7 +83,7 @@ def test_null_telemetry_records_nothing():
     assert NULL_TELEMETRY.enabled is False
     NULL_TELEMETRY.count("x_total")
     NULL_TELEMETRY.set_gauge("y", 3)
-    NULL_TELEMETRY.observe_seconds("z_seconds", 0.1)
+    NULL_TELEMETRY.observe_histogram("z_seconds", 0.1)
     NULL_TELEMETRY.emit(EVENTS[0])
     NULL_TELEMETRY.close()
     assert NULL_TELEMETRY.metrics_snapshot() == {}
@@ -97,7 +97,7 @@ def test_textfile_round_trip():
     gauge = registry.gauge("space_words", help="live space").labels()
     gauge.set(12)
     gauge.set(7)
-    registry.timer("pass_seconds").labels().observe(0.25)
+    registry.histogram("pass_seconds").labels().observe(0.25)
     snapshot = registry.snapshot()
     text = render_textfile(snapshot, {"pairs_total": "pairs consumed"})
 
@@ -106,6 +106,8 @@ def test_textfile_round_trip():
     assert 'pairs_total{pass="0"} 550' in text
     assert "space_words_high_water 12" in text
     assert "pass_seconds_count 1" in text
+    types = {line.split()[-1] for line in text.splitlines() if line.startswith("# TYPE")}
+    assert types == {"counter", "gauge", "histogram"}
 
     parsed, helps = parse_textfile(text)
     assert parsed == snapshot

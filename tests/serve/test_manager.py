@@ -19,7 +19,7 @@ from repro.obs.events import (
     SessionOpened,
     SessionsMerged,
 )
-from repro.obs.sinks import InMemorySink
+from repro.obs.sinks import InMemorySink, render_textfile
 from repro.obs.telemetry import Telemetry
 from repro.serve.manager import SessionManager
 from repro.serve.protocol import (
@@ -425,6 +425,31 @@ class TestTelemetry:
         names = set(telemetry.metrics_snapshot())
         assert {"serve_sessions_open", "serve_session_pairs_total",
                 "serve_polls_total"} <= names
+
+    def test_exposition_uses_prometheus_types_and_times_each_op_once(self):
+        """A fed-and-polled manager's textfile declares only counter, gauge
+        and histogram families, and each feed and poll lands exactly one
+        latency observation."""
+        telemetry = Telemetry(sink=None)
+
+        async def main():
+            manager = SessionManager(telemetry=telemetry)
+            await manager.open("a", "triangle-two-pass", 32, 1)
+            await manager.feed("a", [(0, 1), (1, 0)])
+            await manager.feed("a", [(1, 2)])
+            await manager.poll("a")
+
+        asyncio.run(main())
+        snapshot = telemetry.metrics_snapshot()
+        types = [line.split()[-1] for line in render_textfile(snapshot).splitlines()
+                 if line.startswith("# TYPE ")]
+        assert types and set(types) <= {"counter", "gauge", "histogram"}
+        seconds = {key: blob["count"] for key, blob in snapshot.items()
+                   if key.partition("{")[0].endswith("_seconds")}
+        assert seconds == {
+            "serve_op_latency_seconds{op=feed,wire=json}": 2,
+            "serve_op_latency_seconds{op=poll,wire=json}": 1,
+        }
 
     def test_feed_metrics_agree_across_wires(self):
         """One equal chunk over ``feed`` and over ``feed_arrays`` counts the

@@ -161,25 +161,13 @@ class TestFastPath:
 
 
 class TestSpacePollInterval:
-    def test_sparse_polling_observes_fewer_samples(self, stream):
-        dense, sparse = SpaceMeter(), SpaceMeter()
-        run_algorithm(CallRecorder(passes=1), stream, meter=dense)
-        run_algorithm(CallRecorder(passes=1), stream, meter=sparse,
-                      space_poll_interval=4)
-        assert len(sparse._samples) < len(dense._samples)
-        # Constant-space algorithm: the peak survives sparse polling.
-        assert sparse.peak_words == dense.peak_words == 7
-
     def test_end_of_pass_always_polled(self, stream):
         meter = SpaceMeter()
-        result = run_algorithm(CallRecorder(passes=2), stream, meter=meter,
-                               space_poll_interval=10**9)
-        assert len(meter._samples) == 2  # once per pass
+        result = run_algorithm(CallRecorder(passes=2), stream, meter=meter)
+        # One poll per list, plus one at each pass end.
+        n_lists = sum(1 for _ in stream.iter_lists())
+        assert meter.n_observations == 2 * (n_lists + 1)
         assert result.peak_space_words == 7
-
-    def test_invalid_interval_rejected(self, stream):
-        with pytest.raises(ValueError):
-            run_algorithm(FixedValueAlgorithm(1.0), stream, space_poll_interval=0)
 
 
 class TestSpaceMeter:

@@ -312,7 +312,7 @@ class TestObservability:
         assert main(
             [
                 "obs-report", "--log", str(log), "--trace", str(trace),
-                "--truth", "40", "--format", "markdown",
+                "--truth", "40", "--format", "text",
             ]
         ) == 0
         out = capsys.readouterr().out
