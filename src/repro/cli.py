@@ -390,8 +390,7 @@ def cmd_serve(args) -> int:
     ``--workers N`` scales out horizontally: N persistent worker
     processes behind a hash-sharding router, with binary pair-batch
     framing negotiated per connection and cross-worker merges that stay
-    bit-identical to single-process runs.  ``--auth`` (router mode only)
-    loads per-tenant tokens and quotas from a JSON file.
+    bit-identical to single-process runs.
 
     ``--metrics-port`` (router mode) exposes the live observability
     plane: a ``/metrics`` Prometheus scrape endpoint aggregating
@@ -414,10 +413,6 @@ def cmd_serve(args) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.auth and not args.workers:
-        print("--auth requires --workers (quotas are router-enforced)",
-              file=sys.stderr)
-        return 2
     if args.metrics_port is not None and not args.workers:
         print("--metrics-port requires --workers (the scrape endpoint "
               "aggregates the router's worker fleet)", file=sys.stderr)
@@ -425,17 +420,8 @@ def cmd_serve(args) -> int:
 
     if args.workers:
         from repro.obs.slo import SLOPolicy
-        from repro.serve.router import (
-            ServeRouter,
-            load_tenants,
-            worker_artifact_path,
-        )
+        from repro.serve.router import ServeRouter, worker_artifact_path
 
-        try:
-            tenants = load_tenants(args.auth) if args.auth else None
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"serve: bad --auth file: {exc}", file=sys.stderr)
-            return 2
         try:
             telemetry = (
                 open_telemetry(args.telemetry) if args.telemetry
@@ -469,7 +455,6 @@ def cmd_serve(args) -> int:
             space_budget=args.space_budget,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            tenants=tenants,
             metrics_port=args.metrics_port,
             slo=slo,
             slo_interval_s=args.slo_interval,
@@ -756,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="scale out: run a hash-sharding router over N "
                        "worker processes (0 = single in-process server)")
-    serve.add_argument("--auth", default=None,
-                       help="tenant config JSON (tokens + quotas), enforced "
-                       "at the router; requires --workers")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="serve a Prometheus /metrics scrape endpoint on "
                        "this port (0 picks a free one); requires --workers")

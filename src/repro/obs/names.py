@@ -65,7 +65,6 @@ METRIC_NAMES: Dict[str, str] = {
     "serve_loop_lag_seconds": "event-loop scheduling lag histogram (sleep overshoot)",
     # live plane: serve/router.py
     "router_relay_seconds": "router-side relay latency histogram per relayed op",
-    "router_tenant_bytes_total": "accepted feed payload bytes per tenant (router-metered)",
     "router_workers": "worker processes behind the router",
     "router_scrapes_total": "/metrics scrapes served by the router",
     "router_slo_ok": "1 when the labelled SLO objective currently holds, else 0",

@@ -2,12 +2,12 @@
 
 Turns the library's batch machinery (registry algorithms, incremental
 stream validation, snapshot/restore, bit-exact shard merge, anytime
-``current_estimate()``) into a long-lived multi-tenant service:
+``current_estimate()``) into a long-lived service:
 
 * :mod:`repro.serve.protocol` — the wire protocol: JSON-line control
   ops, the binary pair-batch feed frame, error codes, framing,
   session-snapshot encoding;
-* :mod:`repro.serve.session` — one tenant's stream: incremental
+* :mod:`repro.serve.session` — one client's stream: incremental
   validation, list assembly, algorithm dispatch identical to the batch
   runner (estimates are bit-identical to offline runs);
 * :mod:`repro.serve.manager` — the session table: budgets, backpressure,
@@ -16,7 +16,7 @@ stream validation, snapshot/restore, bit-exact shard merge, anytime
   (``repro-cycles serve``) and the transport-free request dispatcher;
 * :mod:`repro.serve.router` — horizontal scale-out
   (``repro-cycles serve --workers N``): hash-sharded sessions over
-  persistent worker processes, cross-worker merge, tenant quotas;
+  persistent worker processes, cross-worker merge;
 * :mod:`repro.serve.client` — ``ServeClient`` (TCP, multiplexing,
   binary-frame negotiation) and ``InProcessClient`` (same surface,
   no sockets);

@@ -110,10 +110,6 @@ class _ClientOps:
     ) -> Dict[str, Any]:
         return await self.request("feed", session=session, pairs=encode_pairs(pairs))
 
-    async def auth(self, token: str) -> Dict[str, Any]:
-        """Authenticate this connection with a tenant token (router op)."""
-        return await self.request("auth", token=token)
-
     async def finish_pass(self, session: str) -> Dict[str, Any]:
         return await self.request("finish_pass", session=session)
 

@@ -17,9 +17,9 @@ Response::
     {"id": 7, "ok": true, "pairs": 2, "pairs_total": 128}
     {"id": 7, "ok": false, "error": {"code": "STREAM_FORMAT", "message": "..."}}
 
-Ops: ``hello``, ``algorithms``, ``auth``, ``open``, ``feed``,
-``finish_pass``, ``poll``, ``snapshot``, ``merge``, ``close``, ``stats``,
-``shutdown``.  See ``docs/SERVING.md`` for the full parameter tables.
+Ops: ``hello``, ``algorithms``, ``open``, ``feed``, ``finish_pass``,
+``poll``, ``snapshot``, ``merge``, ``close``, ``stats``, ``shutdown``.
+See ``docs/SERVING.md`` for the full parameter tables.
 
 **Binary pair-batch frames.**  JSON pair arrays dominate ingest CPU, so
 feeds may instead travel as length-prefixed binary frames: a 16-byte
@@ -40,7 +40,7 @@ session share a deterministic span id and per-process trace files
 stitch into a single tree (``obs-report stitch-trace``).  Binary frames
 carry no trace field; they inherit the context of the session they
 reference, negotiated at ``open``.  Both fields are optional and
-ignorable, so the protocol version stays 2.
+ignorable, so they need no protocol version bump.
 
 Session snapshots travel as the JSON-dict form of a
 :class:`~repro.sketch.state.SketchState` of kind ``serve-session`` —
@@ -60,8 +60,9 @@ import numpy as np
 from repro.sketch.state import SketchState, SketchStateError
 
 #: Bumped on wire-visible changes; ``hello`` reports it so clients can refuse.
-#: Version 2 added binary pair-batch frames, ``auth`` and tenant quotas.
-PROTOCOL_VERSION = 2
+#: Version 2 added binary pair-batch frames.  Version 3 removed the
+#: ``auth`` op and its three quota codes.
+PROTOCOL_VERSION = 3
 
 #: Session-snapshot container identity (see ``session.py`` for the payload).
 SESSION_STATE_KIND = "serve-session"
@@ -91,9 +92,6 @@ INTERNAL = "INTERNAL"
 BAD_FRAME = "BAD_FRAME"
 FRAME_TOO_LARGE = "FRAME_TOO_LARGE"
 BINARY_NOT_NEGOTIATED = "BINARY_NOT_NEGOTIATED"
-UNAUTHENTICATED = "UNAUTHENTICATED"
-QUOTA_EXCEEDED = "QUOTA_EXCEEDED"
-RATE_LIMITED = "RATE_LIMITED"
 
 ERROR_CODES = (
     BAD_REQUEST,
@@ -114,9 +112,6 @@ ERROR_CODES = (
     BAD_FRAME,
     FRAME_TOO_LARGE,
     BINARY_NOT_NEGOTIATED,
-    UNAUTHENTICATED,
-    QUOTA_EXCEEDED,
-    RATE_LIMITED,
 )
 
 #: Validation modes a session can be opened with.

@@ -26,19 +26,13 @@ layer:
   coupling between sessions on different workers.
 * **Control ops** (open/close/merge/stats/shutdown) go through one shared
   :class:`~repro.serve.client.ServeClient` per worker so the router can
-  account tenant quotas and orchestrate cross-worker merges.  A merge
+  orchestrate cross-worker merges.  A merge
   whose sources live on several workers snapshots the remote sources,
   restores them under temporary ids on the target's worker (restore
   preserves the lineage origin), and merges there — the same
   origin/fork-point rule as a single-process merge, so a multi-worker run
   merged at pass boundaries stays **bit-identical to** ``run_sharded``
   (pinned in ``tests/serve/test_router.py``).
-* **Tenants** (optional) authenticate with per-tenant tokens (``auth``
-  op) and are metered at the router: concurrent sessions
-  (``QUOTA_EXCEEDED``), accepted payload bytes (``QUOTA_EXCEEDED``), and
-  a pairs-per-second token bucket (``RATE_LIMITED``).  With no tenant
-  file the router is open, like a bare server.
-
 * **Live plane** (optional): with ``metrics_port`` set the router runs a
   tiny HTTP listener serving Prometheus text exposition at ``/metrics``.
   Workers run metrics-only telemetry (``Telemetry(sink=None)`` — no I/O
@@ -71,15 +65,13 @@ children synchronously after the event loop exits.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import signal
 import time
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Coroutine, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Coroutine, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Snapshot, label_snapshot, merge_snapshots
 from repro.obs.names import METRIC_NAMES, unregistered_series
@@ -107,9 +99,6 @@ from repro.serve.protocol import (
     INTERNAL,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    QUOTA_EXCEEDED,
-    RATE_LIMITED,
-    UNAUTHENTICATED,
     UNKNOWN_OP,
     ServeError,
     encode_frame,
@@ -122,8 +111,6 @@ from repro.serve.protocol import (
 from repro.serve.server import ServeServer, _algorithms_listing, parse_trace_field
 
 __all__ = [
-    "Tenant",
-    "load_tenants",
     "ServeRouter",
     "worker_for",
     "worker_artifact_path",
@@ -141,7 +128,7 @@ def _now() -> float:
 
 #: Ops the router answers (or orchestrates) itself; everything else with a
 #: ``session`` field relays raw to the owning worker.
-_ROUTER_OPS = ("hello", "auth", "algorithms", "open", "close", "merge", "shutdown")
+_ROUTER_OPS = ("hello", "algorithms", "open", "close", "merge", "shutdown")
 
 #: Prefix for the transient ids a cross-worker merge parks snapshots under.
 _MERGE_TEMP_PREFIX = "__router-merge__"
@@ -160,45 +147,6 @@ def worker_artifact_path(base: str, index: int) -> str:
     suffix = "".join(path.suffixes)
     stem = path.name[: len(path.name) - len(suffix)] if suffix else path.name
     return str(path.with_name(f"{stem}.worker-{index}{suffix}"))
-
-
-# -- tenants -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Tenant:
-    """One tenant's identity and quota envelope (``None`` = unlimited)."""
-
-    name: str
-    token: str
-    max_sessions: Optional[int] = None
-    max_bytes: Optional[int] = None
-    max_pairs_per_second: Optional[float] = None
-
-
-def load_tenants(path: Any) -> Dict[str, Tenant]:
-    """Parse a tenant config file into a token → :class:`Tenant` map.
-
-    Format::
-
-        {"tenants": [{"name": "alice", "token": "s3cret",
-                      "max_sessions": 100, "max_bytes": 10000000,
-                      "max_pairs_per_second": 200000}, ...]}
-    """
-    blob = json.loads(Path(path).read_text())
-    tenants: Dict[str, Tenant] = {}
-    for entry in blob.get("tenants", []):
-        tenant = Tenant(
-            name=str(entry["name"]),
-            token=str(entry["token"]),
-            max_sessions=entry.get("max_sessions"),
-            max_bytes=entry.get("max_bytes"),
-            max_pairs_per_second=entry.get("max_pairs_per_second"),
-        )
-        if tenant.token in tenants:
-            raise ValueError(f"duplicate tenant token for {tenant.name!r}")
-        tenants[tenant.token] = tenant
-    return tenants
 
 
 # -- worker process ------------------------------------------------------------
@@ -271,18 +219,17 @@ def _worker_main(index: int, conn: Any, config: Dict[str, Any]) -> None:
 class _Connection(Connection):
     """Per-client-connection routing state."""
 
-    __slots__ = ("tenant", "upstreams", "pumps")
+    __slots__ = ("upstreams", "pumps")
 
     def __init__(self, writer: asyncio.StreamWriter):
         super().__init__(writer)
-        self.tenant: Optional[Tenant] = None
         # worker index -> (reader, writer) raw relay link
         self.upstreams: Dict[int, Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
         self.pumps: List[asyncio.Task] = []
 
 
 class ServeRouter(FrontEnd):
-    """The multi-worker front-end: spawn, route, meter, merge, reap."""
+    """The multi-worker front-end: spawn, route, merge, reap."""
 
     def __init__(
         self,
@@ -295,7 +242,6 @@ class ServeRouter(FrontEnd):
         space_budget: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
-        tenants: Optional[Dict[str, Tenant]] = None,
         metrics_port: Optional[int] = None,
         slo: Optional[SLOPolicy] = None,
         slo_interval_s: float = 5.0,
@@ -303,7 +249,6 @@ class ServeRouter(FrontEnd):
         tracer: Tracer = NULL_TRACER,
         worker_telemetry_paths: Optional[Sequence[Optional[str]]] = None,
         worker_trace_paths: Optional[Sequence[Optional[str]]] = None,
-        worker_metrics: bool = False,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be at least 1")
@@ -326,20 +271,16 @@ class ServeRouter(FrontEnd):
         self._worker_trace_paths = (
             list(worker_trace_paths) if worker_trace_paths else [None] * n_workers
         )
-        # The scrape/SLO planes need worker registries accumulating even
-        # when the workers write no telemetry files of their own.
-        self._worker_metrics = bool(
-            worker_metrics or metrics_port is not None or slo is not None
-        )
         self._worker_config = {
             "max_sessions": max_sessions,
             "byte_budget": byte_budget,
             "space_budget": space_budget,
             "resume": resume,
-            "metrics": self._worker_metrics,
+            # The scrape/SLO planes need worker registries accumulating
+            # even when the workers write no telemetry files of their own.
+            "metrics": metrics_port is not None or slo is not None,
             "trace_seed": int(tracer.seed),
         }
-        self.tenants = tenants or {}
         self.worker_ports: List[int] = []
         self._processes: List[multiprocessing.process.BaseProcess] = []
         self._metrics_server: Optional[asyncio.AbstractServer] = None
@@ -352,11 +293,6 @@ class ServeRouter(FrontEnd):
         self._last_poll_s: Optional[float] = None
         self._started_s: Optional[float] = None
         self._slo_window: Optional[Tuple[float, float]] = None
-        # Tenant accounting, all keyed by tenant name (router-enforced).
-        self._tenant_sessions: Dict[str, Set[str]] = {}
-        self._tenant_bytes: Dict[str, int] = {}
-        self._buckets: Dict[str, Tuple[float, float]] = {}
-        self._session_tenant: Dict[str, str] = {}
 
     # -- worker lifecycle (synchronous: fork before the event loop) -----------
 
@@ -479,80 +415,6 @@ class ServeRouter(FrontEnd):
                 self._controls[index] = client
             return client
 
-    # -- tenant metering -------------------------------------------------------
-
-    def _require_tenant(self, conn: _Connection) -> Optional[Tenant]:
-        if not self.tenants:
-            return None  # open router: no metering
-        if conn.tenant is None:
-            raise ServeError(
-                UNAUTHENTICATED,
-                "this router requires an 'auth' op with a tenant token "
-                "before session ops",
-            )
-        return conn.tenant
-
-    def _charge_open(self, tenant: Optional[Tenant], session_id: str) -> None:
-        if tenant is None:
-            return
-        held = self._tenant_sessions.setdefault(tenant.name, set())
-        if (
-            tenant.max_sessions is not None
-            and session_id not in held
-            and len(held) >= tenant.max_sessions
-        ):
-            raise ServeError(
-                QUOTA_EXCEEDED,
-                f"tenant {tenant.name!r} is at its session quota "
-                f"({tenant.max_sessions} open)",
-            )
-
-    def _charge_feed(
-        self, tenant: Optional[Tenant], nbytes: int, n_pairs: int
-    ) -> None:
-        if tenant is None:
-            return
-        if tenant.max_bytes is not None:
-            used = self._tenant_bytes.get(tenant.name, 0)
-            if used + nbytes > tenant.max_bytes:
-                raise ServeError(
-                    QUOTA_EXCEEDED,
-                    f"tenant {tenant.name!r} byte quota exhausted: "
-                    f"{used} + {nbytes} > {tenant.max_bytes}",
-                )
-            self._tenant_bytes[tenant.name] = used + nbytes
-        limit = tenant.max_pairs_per_second
-        if limit is not None:
-            now = time.monotonic()  # repro-lint: disable=DET003 -- rate limiting is a wall-clock policy at the router edge; no estimator state depends on it
-            tokens, last = self._buckets.get(tenant.name, (float(limit), now))
-            tokens = min(float(limit), tokens + (now - last) * limit)
-            if n_pairs > tokens:
-                raise ServeError(
-                    RATE_LIMITED,
-                    f"tenant {tenant.name!r} exceeds {limit} pairs/s "
-                    f"(chunk of {n_pairs} with {tokens:.0f} tokens left); "
-                    "retry after a pause",
-                )
-            self._buckets[tenant.name] = (tokens - n_pairs, now)
-        if self.telemetry.enabled:
-            self.telemetry.count(
-                "router_tenant_bytes_total",
-                nbytes,
-                help="accepted feed payload bytes per tenant (router-metered)",
-                tenant=tenant.name,
-            )
-
-    def _record_session(self, tenant: Optional[Tenant], session_id: str) -> None:
-        if tenant is None:
-            return
-        self._tenant_sessions.setdefault(tenant.name, set()).add(session_id)
-        self._session_tenant[session_id] = tenant.name
-
-    def _release_session(self, session_id: str) -> None:
-        name = self._session_tenant.pop(session_id, None)
-        if name is not None:
-            self._tenant_sessions.get(name, set()).discard(session_id)
-
     # -- raw relay -------------------------------------------------------------
 
     async def _upstream(
@@ -629,32 +491,15 @@ class ServeRouter(FrontEnd):
                     server="repro-router",
                     workers=self.n_workers,
                     binary=1 if conn.binary else 0,
-                    auth_required=bool(self.tenants),
-                )
-            if op == "auth":
-                token = get_str(message, "token")
-                tenant = self.tenants.get(token)
-                if tenant is None:
-                    raise ServeError(UNAUTHENTICATED, "unknown tenant token")
-                conn.tenant = tenant
-                return ok_response(
-                    req_id,
-                    tenant=tenant.name,
-                    max_sessions=tenant.max_sessions,
-                    max_bytes=tenant.max_bytes,
-                    max_pairs_per_second=tenant.max_pairs_per_second,
                 )
             if op == "algorithms":
                 return ok_response(req_id, algorithms=_algorithms_listing())
-            tenant = self._require_tenant(conn)
             if op == "open":
                 session_id = get_str(message, "session")
                 trace_ctx = parse_trace_field(message)
-                self._charge_open(tenant, session_id)
                 out = await self._forward(
                     self.worker_index(session_id), message
                 )
-                self._record_session(tenant, session_id)
                 if trace_ctx is not None and self.tracer.enabled:
                     # The worker records session:<sid> under this context;
                     # the router adds its relay view on close (same span
@@ -666,11 +511,10 @@ class ServeRouter(FrontEnd):
                 out = await self._forward(
                     self.worker_index(session_id), message
                 )
-                self._release_session(session_id)
                 self._record_relay_span(session_id)
                 return self._rewrite(req_id, out)
             if op == "merge":
-                return await self._merge(conn, tenant, message)
+                return await self._merge(message)
             if op == "stats":
                 return await self._stats(req_id)
             if op == "shutdown":
@@ -915,12 +759,7 @@ class ServeRouter(FrontEnd):
                     help="p99 event-loop lag estimated from the live histogram",
                 )
 
-    async def _merge(
-        self,
-        conn: _Connection,
-        tenant: Optional[Tenant],
-        message: Dict[str, Any],
-    ) -> Dict[str, Any]:
+    async def _merge(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Cross-worker merge via snapshot → restore-on-target → local merge.
 
         Restoring a snapshot preserves the source's lineage origin, so the
@@ -936,7 +775,6 @@ class ServeRouter(FrontEnd):
             raise ServeError(BAD_REQUEST, "'sources' must be a list of session ids")
         merge_seed = get_int(message, "merge_seed", 0)
         close_sources = bool(message.get("close_sources", True))
-        self._charge_open(tenant, target)
         target_worker = self.worker_index(target)
         local_sources: List[str] = []
         remote_sources: List[Tuple[int, str]] = []
@@ -948,13 +786,14 @@ class ServeRouter(FrontEnd):
                 remote_sources.append((index, sid))
         target_client = await self._control(target_worker)
         temp_ids: List[str] = []
-        for index, sid in remote_sources:
-            client = await self._control(index)
-            snap = await client.request("snapshot", session=sid)
-            temp = f"{_MERGE_TEMP_PREFIX}{sid}"
-            await target_client.request("open", session=temp, state=snap["state"])
-            temp_ids.append(temp)
+        consumed = False
         try:
+            for index, sid in remote_sources:
+                client = await self._control(index)
+                snap = await client.request("snapshot", session=sid)
+                temp = f"{_MERGE_TEMP_PREFIX}{sid}"
+                await target_client.request("open", session=temp, state=snap["state"])
+                temp_ids.append(temp)
             out = await target_client.request(
                 "merge",
                 target=target,
@@ -962,10 +801,11 @@ class ServeRouter(FrontEnd):
                 merge_seed=merge_seed,
                 close_sources=close_sources,
             )
+            consumed = close_sources
         finally:
-            if not close_sources:
-                # The client asked to keep its sources; the parked
-                # snapshot copies are router plumbing and always go.
+            if not consumed:
+                # The parked snapshot copies are router plumbing: they go
+                # unless a successful merge already consumed them.
                 for temp in temp_ids:
                     try:
                         await target_client.request("close", session=temp)
@@ -979,9 +819,7 @@ class ServeRouter(FrontEnd):
                 except ServeClientError:
                     pass
             for sid in sources:
-                self._release_session(sid)
                 self._record_relay_span(sid)
-        self._record_session(tenant, target)
         return self._rewrite(req_id, out)
 
     # -- connection hooks ------------------------------------------------------
@@ -1010,11 +848,6 @@ class ServeRouter(FrontEnd):
         # original line verbatim to the owning worker.
         try:
             session_id = get_str(message, "session")
-            tenant = self._require_tenant(conn)
-            if op == "feed":
-                pairs = message.get("pairs")
-                n_pairs = len(pairs) if isinstance(pairs, list) else 0
-                self._charge_feed(tenant, len(line), n_pairs)
         except ServeError as exc:
             await conn.send(error_response(request_id(message), exc))
             return True
@@ -1033,11 +866,5 @@ class ServeRouter(FrontEnd):
         header: bytes,
         body: bytes,
     ) -> None:
-        try:
-            tenant = self._require_tenant(conn)
-            self._charge_feed(tenant, len(header) + len(body), len(srcs))
-        except ServeError as exc:
-            await conn.send(error_response(req_id, exc))
-            return
         # Relay the original header and body bytes verbatim.
         await self._relay(conn, session_id, header + body, op="feed", wire="binary")

@@ -1,4 +1,4 @@
-"""One tenant's stream: a registry algorithm fed incrementally.
+"""One client's stream: a registry algorithm fed incrementally.
 
 A :class:`ServeSession` owns a live :class:`StreamingAlgorithm` and
 replays the exact hook discipline of the batch runner

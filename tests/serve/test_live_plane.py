@@ -90,7 +90,6 @@ def _run_live_fleet(fn, tmp_path, **extra):
         telemetry=telemetry,
         tracer=tracer,
         worker_trace_paths=worker_traces,
-        worker_metrics=True,
         **extra,
     )
     router.spawn_workers()
@@ -185,6 +184,24 @@ class TestScrapeEndpoint:
             return result["status"]
 
         assert _run_live_fleet(scenario, tmp_path) == 405
+
+
+class TestSLOFeedRate:
+    def test_feed_rate_gauge_emitted_over_two_evaluations(self):
+        # Unspawned: _evaluate_slo works on a given snapshot, no fleet.
+        router = ServeRouter(
+            1,
+            slo=SLOPolicy(feed_pairs_per_second=1.0),
+            telemetry=Telemetry(sink=None),
+        )
+        for pairs in (0.0, 600.0):
+            router._evaluate_slo(
+                {"serve_session_pairs_total": {"kind": "counter", "value": pairs}}
+            )
+        snapshot = router.telemetry.metrics_snapshot()
+        assert snapshot["router_slo_feed_pairs_per_second"]["value"] > 0.0
+        ok = snapshot["router_slo_ok{objective=feed_pairs_per_second}"]
+        assert ok["value"] == 1.0
 
 
 class TestStatsMetrics:

@@ -1,4 +1,4 @@
-"""Router tests: multi-worker bit identity, checkpoint-all, tenant quotas.
+"""Router tests: multi-worker bit identity, checkpoint-all, binary relay.
 
 Each test forks a real worker fleet (multiprocessing, pre-event-loop)
 and talks to the router over TCP.  The headline property mirrors
@@ -9,7 +9,6 @@ horizontal scale-out is an execution detail, not an approximation.
 """
 
 import asyncio
-import json
 
 import numpy as np
 import pytest
@@ -17,12 +16,7 @@ import pytest
 from repro.graph.planted import planted_triangles
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.manager import SessionManager
-from repro.serve.protocol import (
-    QUOTA_EXCEEDED,
-    RATE_LIMITED,
-    UNAUTHENTICATED,
-)
-from repro.serve.router import ServeRouter, load_tenants, worker_for
+from repro.serve.router import ServeRouter, worker_for
 from repro.sketch.driver import partition_stream, run_sharded
 from repro.streaming.registry import get as get_spec
 from repro.streaming.stream import AdjacencyListStream
@@ -130,6 +124,30 @@ class TestCrossWorkerMerge:
         assert stats["sessions_open"] == 2  # m0 (unclosed snapshot src) + m1
 
 
+class TestMergeFailure:
+    def test_refused_merge_closes_parked_copies(self):
+        # Different seeds give different origin states: the target worker
+        # refuses the merge after the router parked the remote snapshot.
+        local = _sid_on_worker("leak-a-", 0)
+        remote = _sid_on_worker("leak-b-", 1)
+        target = _sid_on_worker("leak-m-", 0)
+
+        async def scenario(host, port):
+            async with ServeClient(host, port) as client:
+                await client.open(local, "triangle-two-pass-sharded", 32, seed=1)
+                await client.open(remote, "triangle-two-pass-sharded", 32, seed=2)
+                codes = []
+                for _ in range(2):
+                    with pytest.raises(ServeClientError) as err:
+                        await client.merge(target, [local, remote])
+                    codes.append(err.value.code)
+                return codes, await client.stats()
+
+        codes, stats = _run_with_router(scenario)
+        assert codes == ["MERGE_INCOMPATIBLE", "MERGE_INCOMPATIBLE"]
+        assert stats["sessions_open"] == 2
+
+
 class TestCheckpointAll:
     def test_shutdown_checkpoints_merge_offline_bit_identical(self, tmp_path):
         expected, shard_pairs, budget, seed, merge_seed = _sharded_world()
@@ -182,7 +200,6 @@ class TestBinaryThroughRouter:
                 hello = await client.hello()
                 assert hello["server"] == "repro-router"
                 assert hello["workers"] == N_WORKERS
-                assert hello["auth_required"] is False
                 assert await client.negotiate_binary()
                 sids = [_sid_on_worker("bin-", 0), _sid_on_worker("bin-", 1)]
                 for sid in sids:
@@ -199,54 +216,3 @@ class TestBinaryThroughRouter:
                 assert per_worker == [1, 1]
 
         _run_with_router(scenario)
-
-
-class TestTenants:
-    def _tenants(self, tmp_path):
-        config = tmp_path / "tenants.json"
-        config.write_text(json.dumps({
-            "tenants": [
-                {"name": "alice", "token": "tok-a",
-                 "max_sessions": 1, "max_pairs_per_second": 64},
-                {"name": "bob", "token": "tok-b", "max_bytes": 600},
-            ]
-        }))
-        return load_tenants(config)
-
-    def test_quota_and_rate_codes_over_the_wire(self, tmp_path):
-        async def scenario(host, port):
-            async with ServeClient(host, port) as client:
-                hello = await client.hello()
-                assert hello["auth_required"] is True
-                with pytest.raises(ServeClientError) as err:
-                    await client.open("s", "triangle-two-pass", 32, seed=1)
-                assert err.value.code == UNAUTHENTICATED
-                with pytest.raises(ServeClientError) as err:
-                    await client.auth("wrong-token")
-                assert err.value.code == UNAUTHENTICATED
-
-                out = await client.auth("tok-a")
-                assert out["tenant"] == "alice"
-                await client.open("s", "triangle-two-pass", 32, seed=1)
-                with pytest.raises(ServeClientError) as err:
-                    await client.open("s2", "triangle-two-pass", 32, seed=1)
-                assert err.value.code == QUOTA_EXCEEDED  # max_sessions=1
-                with pytest.raises(ServeClientError) as err:
-                    # 100 pairs in one chunk against a 64/s token bucket.
-                    await client.feed(
-                        "s", [(2 * i, 2 * i + 1) for i in range(100)]
-                    )
-                assert err.value.code == RATE_LIMITED
-
-            async with ServeClient(host, port) as client:
-                await client.auth("tok-b")
-                await client.open("b", "triangle-two-pass", 32, seed=1)
-                with pytest.raises(ServeClientError) as err:
-                    for i in range(100):
-                        await client.feed(
-                            "b", [(2 * i, 2 * i + 1)]
-                        )
-                assert err.value.code == QUOTA_EXCEEDED  # max_bytes=600
-                assert i < 99, "byte quota never tripped"
-
-        _run_with_router(scenario, tenants=self._tenants(tmp_path))

@@ -55,7 +55,7 @@ class TestDispatcher:
         async def main():
             manager = SessionManager()
             hello = await handle_request(manager, {"id": 1, "op": "hello"})
-            assert hello["ok"] and hello["protocol"] == 2
+            assert hello["ok"] and hello["protocol"] == 3
             algos = await handle_request(manager, {"id": 2, "op": "algorithms"})
             assert len(algos["algorithms"]) == 13
             by_name = {a["name"]: a for a in algos["algorithms"]}
