@@ -178,7 +178,7 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             return
         columnar = vectorized.columnar_enabled()
         if columnar and len(neighbors) < vectorized.SHORT_LIST:
-            self._complete_probe(vertex, neighbors)
+            self._complete_probe(((vertex, neighbors),))
             return
         nbrs = self._neighbor_column(vertex, neighbors) if columnar else None
         cols = self._wedge_columns() if nbrs is not None else None
@@ -208,10 +208,58 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 if self.mode == "distinct":
                     self._distinct_cycles.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
 
-    def _complete_probe(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        """Completion test of a short list: look up each neighbour pair.
+    def process_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[List[int]]:
+        """Run a stretch of short lists at once (the runner's run route).
 
-        A wedge is completed by the list iff its endpoint pair is one of
+        Pass 1 hashes every pair of the run in one batch
+        (:class:`~repro.util.vectorized.RunOffers`); while the sample
+        fills, each list is offered on its own so its reading ``2·|S|``
+        plus the rest is exact, and once it is full the remaining lists
+        go in one ``offer_array`` call and every reading is the same.
+        Pass 2 probes each list as ``end_list`` would; the reading moves
+        only with the distinct-cycle set.  Declines (pass 1 only) on a
+        label with no ``uint64`` value.
+        """
+        if self._pass == 0:
+            return self._offer_run(run)
+        if self._pass != 1:
+            return None
+        rest = self.space_words() - 4 * len(self._distinct_cycles)
+        if self.mode == "multiplicity":
+            self._complete_probe(run)
+            return [rest] * len(run)
+        readings = []
+        distinct = self._distinct_cycles
+        for entry in run:
+            self._complete_probe((entry,))
+            readings.append(rest + 4 * len(distinct))
+        return readings
+
+    def _offer_run(self, run: List[Tuple[Vertex, Sequence[Vertex]]]) -> Optional[List[int]]:
+        """First-pass offers of a run; the space reading after each list."""
+        sampler = self._sampler
+        offers = vectorized.RunOffers.of(sampler, run)
+        if offers is None:
+            return None
+        self._pair_count += offers.pairs
+        self._offers_total += offers.pairs
+        rest = self.space_words() - sampler.space_words()
+        readings: List[int] = []
+        for index in range(len(run)):
+            if len(sampler) >= sampler.capacity:
+                self._offers_accepted += offers.offer_rest(index)
+                readings.extend([sampler.space_words() + rest] * (len(run) - index))
+                break
+            self._offers_accepted += offers.offer(index)
+            readings.append(sampler.space_words() + rest)
+        return readings
+
+    def _complete_probe(self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]) -> None:
+        """Completion test of short lists: look up each neighbour pair.
+
+        A wedge is completed by a list iff its endpoint pair is one of
         the list's neighbour pairs, so probing the d(d-1)/2 pairs against
         the wedge index finds exactly the scalar scan's matches; the
         multiplicity count and the distinct-cycle set do not depend on
@@ -223,13 +271,20 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             for wedge in self._wedges:
                 index.setdefault((wedge.u, wedge.v), []).append(wedge.center)
             self._wedge_index = index
+        if not index:
+            return
         distinct = self.mode == "distinct"
-        for u, v in itertools.combinations(sorted(set(neighbors)), 2):
-            for center in index.get((u, v), ()):
-                if center != vertex:
-                    self._multiplicity_total += 1
-                    if distinct:
-                        self._distinct_cycles.add(cycle_key(u, center, v, vertex))
+        hits = 0
+        for vertex, neighbors in run:
+            if len(neighbors) < 2:
+                continue
+            for u, v in itertools.combinations(sorted(set(neighbors)), 2):
+                for center in index.get((u, v), ()):
+                    if center != vertex:
+                        hits += 1
+                        if distinct:
+                            self._distinct_cycles.add(cycle_key(u, center, v, vertex))
+        self._multiplicity_total += hits
 
     def _wedge_columns(self) -> Optional[tuple]:
         """Endpoint columns over Q, payload the wedge (built once)."""

@@ -442,14 +442,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 deferred = None  # stale deferral from a skipped list
         columnar = vectorized.columnar_enabled()
         if columnar and len(neighbors) < vectorized.SHORT_LIST:
-            # Short list: probe its canonical neighbour pairs, in sorted
-            # order, against the hash indexes instead of scanning them.
             # (process_list defers no seen-edge scan for a short list.)
-            pairs = list(itertools.combinations(sorted(set(neighbors)), 2))
-            if pairs:
-                if self._pass == 1:
-                    self._count_h_probe(vertex, pairs)
-                self._detect_probe(vertex, pairs)
+            self._probe_short(vertex, neighbors)
             return
         nbrs: Optional[np.ndarray] = None
         if columnar:
@@ -481,6 +475,61 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             if wcols is not None:
                 self._count_h_col(vertex, wcols, mask)
             self._detect_col(vertex, mcols, mask, hit)
+
+    def _probe_short(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
+        """End-of-list work of a short list: probe its canonical neighbour
+        pairs, in sorted order, against the hash indexes instead of
+        scanning them."""
+        if len(neighbors) > 1:
+            pairs = list(itertools.combinations(sorted(set(neighbors)), 2))
+            if self._pass == 1:
+                self._count_h_probe(vertex, pairs)
+            self._detect_probe(vertex, pairs)
+
+    def process_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[List[int]]:
+        """Run a stretch of short lists at once (the runner's run route).
+
+        Each list gets the short-list route's work in the per-list hook
+        order.  Pass 1 hashes every pair of the run in one batch
+        (:class:`~repro.util.vectorized.RunOffers`), then per list offers
+        its pairs, flushes the evictions and detects; pass 2 marks the
+        arrived watchers, updates the seen edges, then counts and detects.
+        Declines (pass 1 only) on a label with no ``uint64`` value.
+        """
+        space_words, probe = self.space_words, self._probe_short
+        readings: List[int] = []
+        if self._pass == 0:
+            offers = vectorized.RunOffers.of(self._sampler, run)
+            if offers is None:
+                return None
+            self._evict_buffer = []
+            try:
+                for index, (vertex, neighbors) in enumerate(run):
+                    self._pair_count += len(neighbors)
+                    self._offers_total += len(neighbors)
+                    self._offers_accepted += offers.offer(index)
+                    if self._evict_buffer:
+                        self._flush_evictions()
+                    if not self.sharded:
+                        probe(vertex, neighbors)
+                    readings.append(space_words())
+            finally:
+                self._flush_evictions()
+                self._evict_buffer = None
+            return readings
+        if self._pass != 1:
+            return None
+        by_apex = self._watchers_by_apex
+        for vertex, neighbors in run:
+            for watcher in by_apex.get(vertex, ()):
+                watcher.x_arrived = True
+            if not self.sharded:
+                self._seen_scan_scalar(vertex, neighbors)
+            probe(vertex, neighbors)
+            readings.append(space_words())
+        return readings
 
     # -- columnar per-list views ----------------------------------------------
 

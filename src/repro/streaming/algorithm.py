@@ -22,7 +22,7 @@ whether a given algorithm overrides them.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Vertex
 from repro.util import vectorized
@@ -100,6 +100,25 @@ class StreamingAlgorithm(abc.ABC):
         Implementations must not retain ``neighbors`` beyond the call
         unless they account for it in :meth:`space_words`.
         """
+
+    def process_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[List[int]]:
+        """Optional batch hook for a run of consecutive short lists.
+
+        ``run`` holds ``(vertex, neighbors)`` entries, each shorter than
+        :data:`repro.util.vectorized.SHORT_LIST`.  An override does the
+        work of ``begin_list``, ``process_list`` and ``end_list`` for every
+        entry in order and returns one space reading per list, each equal
+        to what :meth:`space_words` would return after that list's
+        ``end_list``.  It must be observably identical to the per-list
+        calls — state, RNG use, readings — and may only be faster.  It
+        returns ``None`` to decline, and must decline before mutating
+        anything; the runner then pushes the lists one at a time.  The
+        runner calls it only on the batched fast path with the columnar
+        kernels enabled and telemetry off.  The default declines.
+        """
+        return None
 
     def end_pass(self, pass_index: int) -> None:
         """Called after pass ``pass_index`` completes."""

@@ -11,8 +11,19 @@ The runner has two dispatch strategies:
 Both paths are observably identical for conforming algorithms; the fast
 path only removes per-pair Python dispatch.  :class:`PassCursor` holds
 that decision and the per-list hook order; the runner and the serve
-session both push their lists through it.  ``space_words()`` is polled
-after every list and once more at each pass end.
+session both push their lists through it.  The meter records one space
+reading after every list and one more at each pass end.
+
+On the fast path, with the columnar kernels on and telemetry off, the
+runner also takes the **run route**: :meth:`PassCursor.push_lists` hands
+stretches of consecutive short lists to an algorithm's
+:meth:`~repro.streaming.algorithm.StreamingAlgorithm.process_run` hook,
+which returns the run's per-list space readings in one call, and the
+meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  Results,
+readings and checkpoints are those of the per-list route; an algorithm
+without the hook, or one that declines a run, gets its lists pushed one
+at a time.  With telemetry on every list is pushed and polled on its
+own, so each poll emits its events.
 
 Long runs can be made durable: pass a
 :class:`repro.sketch.checkpoint.CheckpointConfig` as ``checkpoint`` and
@@ -29,7 +40,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
     EstimateSample,
@@ -45,6 +56,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.streaming.algorithm import StreamingAlgorithm, supports_current_estimate
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
+from repro.util import vectorized
 
 
 @dataclass(frozen=True)
@@ -103,15 +115,24 @@ class PassCursor:
     batch runner pushes from ``iter_lists()``, a serve session from
     decoded frames, so both make exactly the same hook calls for the
     same lists.
+
+    :meth:`push_lists` also owns the run route: on the fast path it hands
+    stretches of consecutive short lists to the algorithm's
+    :meth:`~StreamingAlgorithm.process_run` hook (``runs`` says whether
+    the algorithm has one) and falls back to :meth:`push` per list when
+    the hook declines.
     """
 
-    __slots__ = ("algorithm", "fast", "skip_pairs")
+    __slots__ = ("algorithm", "fast", "skip_pairs", "runs")
 
     def __init__(
         self, algorithm: StreamingAlgorithm, use_fast_path: Optional[bool] = None
     ):
         self.algorithm = algorithm
         self.fast, self.skip_pairs = _dispatch_flags(algorithm, use_fast_path)
+        self.runs = self.fast and (
+            type(algorithm).process_run is not StreamingAlgorithm.process_run
+        )
 
     def push(self, vertex, neighbors) -> None:
         """Run one complete adjacency list through the per-list hooks."""
@@ -126,6 +147,64 @@ class PassCursor:
                 process(vertex, nbr)
         algorithm.end_list(vertex, neighbors)
 
+    def push_run(self, run: List[Tuple[Any, Sequence[Any]]]) -> List[int]:
+        """Push a run of short lists; return the space reading after each."""
+        algorithm = self.algorithm
+        readings = algorithm.process_run(run)
+        if readings is None:
+            push, space_words = self.push, algorithm.space_words
+            readings = []
+            for vertex, neighbors in run:
+                push(vertex, neighbors)
+                readings.append(space_words())
+        return readings
+
+    def push_lists(
+        self, lists: Iterable, meter: SpaceMeter, lists_done: int,
+        every: int, boundary: Callable[[int], None],
+    ) -> Tuple[int, int]:
+        """Push every list of ``lists`` in runs, one space reading per list.
+
+        A run is a stretch of consecutive lists shorter than
+        :data:`~repro.util.vectorized.SHORT_LIST`.  It ends at a longer
+        list, once it holds :data:`~repro.util.vectorized.RUN_PAIRS`
+        pairs, at the end of ``lists``, and whenever the list count
+        (starting from ``lists_done``) reaches a multiple of ``every``
+        (0: never), where ``boundary(lists_done)`` is then called.
+        Longer lists go through :meth:`push`.  ``meter`` ends exactly as
+        per-list pushes and polls would leave it.  Returns the list
+        count and the pairs pushed.
+        """
+        algorithm = self.algorithm
+        push, space_words, observe = self.push, algorithm.space_words, meter.observe
+        short, cap = vectorized.SHORT_LIST, vectorized.RUN_PAIRS
+        stop = (lists_done // every + 1) * every if every else -1
+        run: List[Tuple[Any, Sequence[Any]]] = []
+        run_pairs = pairs = 0
+        for entry in lists:
+            size = len(entry[1])
+            lists_done += 1
+            pairs += size
+            if size < short:
+                run.append(entry)
+                run_pairs += size
+                if run_pairs < cap and lists_done != stop:
+                    continue
+                meter.observe_many(self.push_run(run))
+                run, run_pairs = [], 0
+            else:
+                if run:
+                    meter.observe_many(self.push_run(run))
+                    run, run_pairs = [], 0
+                push(*entry)
+                observe(space_words())
+            if lists_done == stop:
+                boundary(lists_done)
+                stop += every
+        if run:
+            meter.observe_many(self.push_run(run))
+        return lists_done, pairs
+
 
 def _drive_pass(
     cursor: PassCursor, lists: Iterable, pass_index: int, meter: SpaceMeter,
@@ -139,37 +218,52 @@ def _drive_pass(
     ``skip_lists`` lists are consumed without being pushed, though they
     still count towards the pass's lists.  ``checkpoint`` snapshots the
     algorithm every ``every_lists`` lists.  Returns the pairs pushed.
+
+    Without telemetry, on the fast path with the columnar kernels on,
+    the lists take the run route (:meth:`PassCursor.push_lists`);
+    otherwise each list is pushed and polled on its own, so telemetry
+    sees every poll.
     """
     algorithm = cursor.algorithm
     emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
     if telemetry.enabled:
         telemetry.emit(PassStarted(pass_index=pass_index))
     pass_start = time.perf_counter()
+
+    def write_checkpoint(lists_done: int) -> None:
+        with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
+            checkpoint.write(
+                algorithm.snapshot(), pass_index, lists_done, meter.state_dict(),
+            )
+
     with tracer.span(f"pass:{pass_index}", category="pass") as span:
         if skip_lists:
             lists = itertools.islice(lists, skip_lists, None)
         else:
             algorithm.begin_pass(pass_index)
-        push = cursor.push
-        lists_done = skip_lists
-        pairs_run = 0
-        for vertex, neighbors in lists:
-            push(vertex, neighbors)
-            pairs_run += len(neighbors)
-            lists_done += 1
-            words = algorithm.space_words()
-            if telemetry.enabled:
-                _record_poll(
-                    telemetry, algorithm, meter, pass_index, lists_done,
-                    words, emit_estimate,
-                )
-            meter.observe(words)
-            if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
-                with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
-                    checkpoint.write(
-                        algorithm.snapshot(), pass_index, lists_done,
-                        meter.state_dict(),
+        if cursor.runs and not telemetry.enabled and vectorized.columnar_enabled():
+            lists_done, pairs_run = cursor.push_lists(
+                lists, meter, skip_lists,
+                checkpoint.every_lists if checkpoint is not None else 0,
+                write_checkpoint,
+            )
+        else:
+            push = cursor.push
+            lists_done = skip_lists
+            pairs_run = 0
+            for vertex, neighbors in lists:
+                push(vertex, neighbors)
+                pairs_run += len(neighbors)
+                lists_done += 1
+                words = algorithm.space_words()
+                if telemetry.enabled:
+                    _record_poll(
+                        telemetry, algorithm, meter, pass_index, lists_done,
+                        words, emit_estimate,
                     )
+                meter.observe(words)
+                if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
+                    write_checkpoint(lists_done)
         algorithm.end_pass(pass_index)
         words = algorithm.space_words()
         span.set(lists=lists_done, pairs=pairs_run)

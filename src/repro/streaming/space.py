@@ -3,8 +3,9 @@
 The paper's bounds are stated in machine words (edges sampled, counters,
 flags), up to ``O(log n)``-bit word size.  :class:`SpaceMeter` tracks the
 peak word count an algorithm reports over a run; the multi-pass runner
-polls the algorithm after every adjacency list so peaks inside a pass are
-captured, not just end-of-pass state.
+records a reading after every adjacency list so peaks inside a pass are
+captured, not just end-of-pass state (a run of short lists hands its
+readings over in one :meth:`SpaceMeter.observe_many` call).
 
 The meter itself must not dominate the space it measures: the raw sample
 buffer is **bounded** (``max_samples``, default 4096).  When it fills, it
@@ -18,7 +19,7 @@ thinning never perturbs reported statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -58,15 +59,57 @@ class SpaceMeter:
             self._samples.append(words)
             self._since_kept = 0
             if len(self._samples) >= self.max_samples:
-                # Thin to every other retained reading; the survivors are
-                # exactly the readings at the doubled stride.  When the
-                # buffer's last entry is dropped (even length), the stream
-                # is already one old stride past the last survivor.
-                dropped_tail = (len(self._samples) - 1) % 2 == 1
-                self._samples = self._samples[::2]
-                if dropped_tail:
-                    self._since_kept = self._stride
-                self._stride *= 2
+                self._thin()
+
+    def observe_many(self, readings: Sequence[int]) -> None:
+        """Record ``readings`` in order, as one :meth:`observe` call each.
+
+        Leaves the meter in exactly the state the per-reading calls would
+        (peak, sum, count, retained samples, stride and the keep phase),
+        but updates the running statistics in bulk and keeps samples by
+        slicing every ``stride``-th reading between thinnings.  A negative
+        reading raises before anything is recorded.
+        """
+        if not readings:
+            return
+        if min(readings) < 0:
+            raise ValueError("space cannot be negative")
+        count = len(readings)
+        self.current_words = readings[-1]
+        peak = max(readings)
+        if peak > self.peak_words:
+            self.peak_words = peak
+        self._sum += sum(readings)
+        self._count += count
+        if self.max_samples == 0:
+            return
+        pos = 0  # readings[:pos] are recorded in the keep phase
+        while True:
+            stride = self._stride
+            first = pos + max(0, stride - self._since_kept - 1)
+            if first >= count:
+                self._since_kept += count - pos
+                return
+            room = max(1, self.max_samples - len(self._samples))
+            kept = readings[first : min(count, first + room * stride) : stride]
+            self._samples.extend(kept)
+            self._since_kept = 0
+            pos = first + (len(kept) - 1) * stride + 1
+            if len(self._samples) >= self.max_samples:
+                self._thin()
+
+    def _thin(self) -> None:
+        """Thin the full buffer to every other retained reading.
+
+        The survivors are exactly the readings at the doubled stride.
+        When the buffer's last entry is dropped (even length), the stream
+        is already one old stride past the last survivor.
+        """
+        dropped_tail = (len(self._samples) - 1) % 2 == 1
+        self._samples = self._samples[::2]
+        if dropped_tail:
+            self._since_kept = self._stride
+        self._stride *= 2
 
     @property
     def mean_words(self) -> float:

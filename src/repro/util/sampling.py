@@ -178,13 +178,16 @@ class BottomKSampler(Generic[K]):
             self._on_evict(worst_key)
         return True
 
-    def offer_many(self, keys) -> int:
+    def offer_many(self, keys, priorities: Optional[Sequence[int]] = None) -> int:
         """Offer each key in order; return how many offers were accepted.
 
         Observably identical to calling :meth:`offer` per key — the return
         value is the number of per-key calls that would have returned True
         (repeat members included) — with the per-call overhead hoisted out
         of the loop (the batched streaming fast path's inner loop).
+        ``priorities``, when given, holds ``priority(keys[i])`` as Python
+        ints (e.g. a :meth:`priority_array` result's ``tolist()``), so a
+        caller that hashed many keys in one batch skips the scalar hash.
         """
         if self.capacity == 0:
             return 0
@@ -194,11 +197,11 @@ class BottomKSampler(Generic[K]):
         hash_int = self._hash.hash_int
         capacity = self.capacity
         on_evict = self._on_evict
-        for key in keys:
+        for index, key in enumerate(keys):
             if key in members:
                 admitted += 1
                 continue
-            prio = hash_int(key)
+            prio = hash_int(key) if priorities is None else priorities[index]
             if len(members) < capacity:
                 heapq.heappush(heap, (-prio, key))
                 members[key] = prio

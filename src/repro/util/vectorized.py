@@ -20,7 +20,8 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
 On top of them sits the two-pass counters' one per-list layer:
 :func:`offer_list` (the first-pass offer), :class:`EndpointColumns` (sample
 edges as growable ``uint64`` endpoint columns) and :class:`ListMask` (one
-adjacency list tested against such columns).
+adjacency list tested against such columns), plus :class:`RunOffers`, the
+first-pass offers of a whole run of short lists hashed in one batch.
 
 Bit-identity is pinned by hypothesis property tests
 (``tests/util/test_vectorized.py``); the scalar implementations remain the
@@ -32,19 +33,25 @@ the two-pass counters route each adjacency list by its length: a list of
 fewer than :data:`SHORT_LIST` neighbours skips the kernels, offering its
 edges through the scalar sampler loop and probing its d(d-1)/2 canonical
 neighbour pairs against hash indexes (sampler membership, watched edges,
-the wedge set's endpoint pairs) instead of scanning the sample.
+the wedge set's endpoint pairs) instead of scanning the sample.  The
+runner goes one step further for stretches of consecutive short lists:
+it hands each such run, of at most about :data:`RUN_PAIRS` pairs, to the
+counters' ``process_run`` hook, which hashes the run's first-pass pairs
+with one kernel call (:class:`RunOffers`) and returns the run's space
+readings at once (see :mod:`repro.streaming.runner`).
 
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
 onto the scalar path, which is how columnar-vs-scalar equivalence and
-throughput are measured end to end.  The short-list route belongs to the
-columnar side: under the oracle the counters keep their O(k) scans for
-every list, so the probes are checked against them, not against
-themselves.
+throughput are measured end to end.  The short-list and run routes
+belong to the columnar side: under the oracle the counters keep their
+O(k) scans for every list, so the probes are checked against them, not
+against themselves.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 from typing import (
     Any,
@@ -75,6 +82,8 @@ __all__ = [
     "offer_list",
     "pairwise_int_array",
     "PairColumns",
+    "RUN_PAIRS",
+    "RunOffers",
     "scalar_oracle",
     "set_columnar_enabled",
     "SHORT_LIST",
@@ -145,6 +154,13 @@ def scalar_oracle() -> Iterator[None]:
 #: 10 µs per call, outweighs their gain.  Measured, not derived — see
 #: docs/PERFORMANCE.md.
 SHORT_LIST = 14
+
+#: Pair cap of one run: the runner hands stretches of consecutive short
+#: lists to an algorithm's ``process_run`` hook, and ends a run once it
+#: holds this many pairs, so a run's temporary key and priority columns
+#: stay bounded however long the stream is.  Measured, not derived — see
+#: docs/PERFORMANCE.md.
+RUN_PAIRS = 2048
 
 
 # -- input adaptation ----------------------------------------------------------
@@ -486,6 +502,146 @@ def offer_list(
             return accepted, column
     pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
     return sampler.offer_many(pairs), None
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def _uint64_column(labels: List[Any]) -> Optional[np.ndarray]:
+    """``labels`` as a ``uint64`` column, or None unless every label is an
+    ``int`` (not a bool or other subclass) in ``[0, 2^64)``."""
+    if not set(map(type, labels)) <= _INT_ONLY:
+        return None
+    try:
+        return np.array(labels, dtype=np.uint64)
+    except OverflowError:
+        return None
+
+
+class RunOffers:
+    """The first-pass offers of a run of lists, hashed in one batch.
+
+    :meth:`of` hashes the canonical pairs of every ``(vertex,
+    neighbors)`` list of the run, in stream order, with one
+    :func:`encode_pair_keys` + ``priority_array`` call, or returns None
+    when a label has no ``uint64`` value, before anything is mutated.
+    :meth:`offer` then offers one list's pairs with the hashes hoisted,
+    and :meth:`offer_rest` every remaining list in one ``offer_array``
+    call.  Lists must be offered in order, each once.  Keys are built
+    from the run's own labels, as the per-list route builds them.  The
+    sampler, its eviction callbacks and the accepted counts end exactly
+    as per-key ``offer`` calls would leave them: once the sample is full
+    its threshold only tightens, so a pair above the threshold at that
+    moment is rejected wherever it sits, and :meth:`offer` skips it
+    without a lookup (the argument of ``offer_array``).
+    """
+
+    __slots__ = ("pairs", "_sampler", "_labels", "_priorities", "_survivors", "_next")
+
+    def __init__(self, sampler: Any, labels: "_RunPairs", priorities: np.ndarray) -> None:
+        self.pairs = len(priorities)  # the run's pair count
+        self._sampler = sampler
+        self._labels = labels
+        self._priorities = priorities
+        # Indices of the pairs at or below the threshold the sample had
+        # when first seen full, plus a sentinel; None until then.
+        self._survivors: Optional[List[int]] = None
+        self._next = 0
+
+    @classmethod
+    def of(cls, sampler: Any, run: Sequence[Tuple[Any, Sequence[Any]]]) -> Optional["RunOffers"]:
+        """Hash every pair of ``run`` for ``sampler``; None to decline."""
+        labels = _RunPairs(run)
+        sources = _uint64_column(labels.sources)
+        nbrs = _uint64_column(labels.flat) if sources is not None else None
+        if nbrs is None:
+            return None
+        counts = [len(neighbors) for _, neighbors in run]
+        u, v = canonical_pair_columns(np.repeat(sources, counts), nbrs)
+        return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)))
+
+    def offer(self, index: int) -> int:
+        """Offer list ``index``'s pairs in order; return the accepted count."""
+        sampler = self._sampler
+        if not sampler.capacity:
+            return 0
+        labels = self._labels
+        start, end = labels.bounds(index)
+        survivors = self._survivors
+        if survivors is not None and survivors[self._next] >= end:
+            return 0  # the common case once the sample is full
+        if survivors is None and len(sampler) < sampler.capacity:
+            picked: Sequence[int] = range(start, end)
+        else:
+            picked = self._survivors_in(start, end)
+            if not picked:
+                return 0
+        source, flat = labels.sources[index], labels.flat
+        keys = [
+            (source, flat[j]) if source <= flat[j] else (flat[j], source) for j in picked
+        ]
+        priorities = self._priorities
+        accepted: int = sampler.offer_many(keys, [int(priorities[j]) for j in picked])
+        return accepted
+
+    def _survivors_in(self, start: int, end: int) -> List[int]:
+        """The pairs in ``[start, end)`` not above the full sample's threshold."""
+        survivors = self._survivors
+        if survivors is None:
+            below = self._priorities[start:] <= np.uint64(self._sampler.threshold())
+            survivors = (np.flatnonzero(below) + start).tolist()
+            survivors.append(self.pairs)
+            self._survivors = survivors
+        first = pos = self._next
+        while survivors[pos] < end:
+            pos += 1
+        self._next = pos
+        return survivors[first:pos]
+
+    def offer_rest(self, index: int) -> int:
+        """Offer lists ``index`` onward in one batch; return the accepted count."""
+        start = self._labels.bounds(index)[0]
+        accepted: int = self._sampler.offer_array(
+            self._priorities[start:], _Offset(self._labels, start)
+        )
+        return accepted
+
+
+class _RunPairs:
+    """A run's pairs as its own labels: ``self[j]`` is pair ``j``'s
+    canonical tuple, built as the per-list route builds it."""
+
+    __slots__ = ("sources", "flat", "ends")
+
+    def __init__(self, run: Sequence[Tuple[Any, Sequence[Any]]]) -> None:
+        self.sources = [vertex for vertex, _ in run]
+        self.flat: List[Any] = []
+        self.ends: List[int] = []  # ends[i]: one past list i's last pair
+        for _, neighbors in run:
+            self.flat.extend(neighbors)
+            self.ends.append(len(self.flat))
+
+    def bounds(self, index: int) -> Tuple[int, int]:
+        """The pair index range of list ``index``."""
+        return (self.ends[index - 1] if index else 0), self.ends[index]
+
+    def __getitem__(self, j: int) -> Tuple[Any, Any]:
+        source = self.sources[bisect.bisect_right(self.ends, j)]
+        nbr = self.flat[j]
+        return (source, nbr) if source <= nbr else (nbr, source)
+
+
+class _Offset:
+    """``keys[start + i]`` as ``self[i]``: a lazy tail view."""
+
+    __slots__ = ("_keys", "_start")
+
+    def __init__(self, keys: Any, start: int) -> None:
+        self._keys = keys
+        self._start = start
+
+    def __getitem__(self, i: int) -> Any:
+        return self._keys[self._start + i]
 
 
 # -- key encoding --------------------------------------------------------------

@@ -1,14 +1,24 @@
 """Tests for the multi-pass runner, the algorithm interface and SpaceMeter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.generators import gnm_random_graph
+from repro.graph.planted import planted_four_cycles, planted_triangles
+from repro.lowerbounds.problems import random_three_disj_instance
+from repro.lowerbounds.reductions import triangle_multipass
+from repro.obs.telemetry import Telemetry
+from repro.sketch.checkpoint import CheckpointConfig, load_checkpoint
 from repro.streaming.algorithm import FixedValueAlgorithm, StreamingAlgorithm
 from repro.streaming.runner import run_algorithm, supports_list_dispatch
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
+from repro.util import vectorized
+from repro.util.sampling import BottomKSampler
+from repro.util.vectorized import SHORT_LIST, scalar_oracle
 
 
 class CallRecorder(StreamingAlgorithm):
@@ -202,3 +212,179 @@ class TestSpaceMeter:
         meter = SpaceMeter()
         run_algorithm(CallRecorder(passes=1), stream, meter=meter)
         assert meter.peak_words == 7
+
+
+class TestObserveMany:
+    @given(
+        batches=st.lists(st.lists(st.integers(0, 10**6), max_size=40), max_size=8),
+        max_samples=st.sampled_from([0, 1, 2, 3, 4, 5, 8, 4096]),
+    )
+    @settings(max_examples=200)
+    def test_matches_one_observe_per_reading(self, batches, max_samples):
+        bulk, single = SpaceMeter(max_samples=max_samples), SpaceMeter(max_samples=max_samples)
+        for readings in batches:
+            bulk.observe_many(readings)
+            for words in readings:
+                single.observe(words)
+            assert bulk.state_dict() == single.state_dict()
+        assert bulk.mean_words == single.mean_words
+
+    def test_negative_rejected_before_recording(self):
+        meter = SpaceMeter()
+        with pytest.raises(ValueError):
+            meter.observe_many([3, -1])
+        assert meter.state_dict() == SpaceMeter().state_dict()
+
+
+class TestOfferManyPriorities:
+    @given(
+        keys=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=60),
+        capacity=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_matches_per_key_offer(self, keys, capacity, seed):
+        """Hoisted priorities leave the sampler, its evictions and the
+        accepted count as per-key ``offer`` calls do, before and after
+        the sample fills (small key space: duplicates are common)."""
+        logs = ([], [])
+        hoisted, scalar = (
+            BottomKSampler(capacity, seed=seed, on_evict=log.append) for log in logs
+        )
+        priorities = [hoisted.priority(key) for key in keys]
+        assert hoisted.offer_many(keys, priorities) == sum(scalar.offer(k) for k in keys)
+        assert logs[0] == logs[1]
+        assert hoisted.state_dict() == scalar.state_dict()
+        assert hoisted.members() == scalar.members()
+
+
+def _mixed_length_graph(planted):
+    """A sparse planted graph plus two hubs of ``SHORT_LIST + 4`` neighbours,
+    so runs of short lists end at long lists too."""
+    graph = planted.graph
+    for hub in (10**6, 10**6 + 1):
+        for nbr in range(SHORT_LIST + 4):
+            graph.add_edge(hub, nbr)
+    return graph
+
+
+RUN_FACTORIES = {
+    "triangle": lambda: TwoPassTriangleCounter(sample_size=40, seed=3),
+    "triangle-sharded": lambda: TwoPassTriangleCounter(sample_size=40, seed=3, sharded=True),
+    "fourcycle": lambda: TwoPassFourCycleCounter(sample_size=40, seed=3),
+    "fourcycle-distinct": lambda: TwoPassFourCycleCounter(
+        sample_size=40, mode="distinct", seed=3
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def run_streams():
+    return {
+        "triangle": AdjacencyListStream(
+            _mixed_length_graph(planted_triangles(300, 40, seed=1)), seed=4
+        ),
+        "fourcycle": AdjacencyListStream(
+            _mixed_length_graph(planted_four_cycles(300, 30, seed=2)), seed=4
+        ),
+    }
+
+
+def _outcome(algorithm, result):
+    return (
+        result.estimate,
+        result.peak_space_words,
+        result.mean_space_words,
+        algorithm.snapshot().payload,
+    )
+
+
+def _per_list(make, stream):
+    """The per-list route: a metrics-only telemetry keeps runs off."""
+    algorithm = make()
+    return _outcome(algorithm, run_algorithm(algorithm, stream, telemetry=Telemetry(sink=None)))
+
+
+class _KeepEveryCheckpoint(CheckpointConfig):
+    """Keeps every checkpoint it writes, not just the latest on disk."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.kept = []
+
+    def write(self, *args, **kwargs):
+        record = super().write(*args, **kwargs)
+        self.kept.append(load_checkpoint(self.path))
+        return record
+
+
+class TestRunRoute:
+    """Runs of short lists match the per-list route and the scalar oracle."""
+
+    @pytest.mark.parametrize("cap", [vectorized.RUN_PAIRS, 16])
+    @pytest.mark.parametrize("name", sorted(RUN_FACTORIES))
+    def test_checkpoint_cuts_runs_and_resume_is_identical(
+        self, name, cap, run_streams, tmp_path, monkeypatch
+    ):
+        """``every_lists`` = 37 is aligned to no run (nor the pair cap),
+        and a mid-pass resume in either pass finishes like the whole run."""
+        monkeypatch.setattr(vectorized, "RUN_PAIRS", cap)
+        make = RUN_FACTORIES[name]
+        stream = run_streams[name.split("-")[0]]
+        reference = _per_list(make, stream)
+        config = _KeepEveryCheckpoint(tmp_path / "run.ckpt", every_lists=37)
+        algorithm = make()
+        assert _outcome(algorithm, run_algorithm(algorithm, stream, checkpoint=config)) == reference
+        mid_pass = [c for c in config.kept if c.lists_done]
+        for pass_index in (0, 1):
+            checkpoint = [c for c in mid_pass if c.pass_index == pass_index][1]
+            algorithm = make()
+            resumed = run_algorithm(algorithm, stream, resume_from=checkpoint)
+            assert _outcome(algorithm, resumed) == reference
+        with scalar_oracle():
+            algorithm = make()
+            assert _outcome(algorithm, run_algorithm(algorithm, stream)) == reference
+
+    @pytest.mark.parametrize("name", sorted(RUN_FACTORIES))
+    def test_tuple_labels_decline(self, name, monkeypatch):
+        graph = triangle_multipass.build_gadget(
+            random_three_disj_instance(5, True, seed=1), 4
+        ).graph
+        stream = AdjacencyListStream(graph, seed=2)
+        make = RUN_FACTORIES[name]
+        cls = type(make())
+        hook = cls.process_run
+        returned = []
+
+        def recording(self, run):
+            readings = hook(self, run)
+            returned.append((self._pass, readings is None))
+            return readings
+
+        monkeypatch.setattr(cls, "process_run", recording)
+        algorithm = make()
+        outcome = _outcome(algorithm, run_algorithm(algorithm, stream))
+        assert (0, True) in returned and (0, False) not in returned
+        assert outcome == _per_list(make, stream)
+        with scalar_oracle():
+            algorithm = make()
+            assert _outcome(algorithm, run_algorithm(algorithm, stream)) == outcome
+
+    @pytest.mark.parametrize("name", sorted(RUN_FACTORIES))
+    def test_runs_never_entered_off_the_fast_path(self, name, run_streams, monkeypatch):
+        make = RUN_FACTORIES[name]
+        stream = run_streams[name.split("-")[0]]
+        reference = _per_list(make, stream)
+
+        def forbidden(self, run):
+            raise AssertionError("run route entered")
+
+        monkeypatch.setattr(type(make()), "process_run", forbidden)
+        with scalar_oracle():
+            algorithm = make()
+            assert _outcome(algorithm, run_algorithm(algorithm, stream)) == reference
+        algorithm = make()
+        slow = run_algorithm(algorithm, stream, use_fast_path=False)
+        assert _outcome(algorithm, slow) == reference
+        with pytest.raises(AssertionError, match="run route entered"):
+            run_algorithm(make(), stream)

@@ -9,15 +9,17 @@ axes:
 * graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), and
   seeded planted-triangle and planted-4-cycle graphs;
 * execution paths — the scalar oracle, the columnar kernels without the
-  stream's column memo, ``run_single_pass`` chained per pass,
+  stream's column memo, the per-list route (a metrics-only telemetry
+  keeps the runner from batching runs of short lists, which the
+  reference takes), ``run_single_pass`` chained per pass,
   ``run_sharded``, and serve sessions fed JSON, binary, or a seeded mix
   of both (binary only on int-labelled graphs);
 * chunkings — single pairs, one chunk per pass, and seeded random sizes
   (serve paths only; batch paths read whole lists).
 
 Each case compares the estimate, and where the path exposes them the
-space peak and the algorithm's final sketch state, against one cached
-``run_algorithm`` reference.
+space peak and mean and the algorithm's final sketch state, against one
+cached ``run_algorithm`` reference.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.graph.generators import gnm_random_graph
 from repro.graph.planted import planted_four_cycles, planted_triangles
 from repro.lowerbounds.problems import random_three_disj_instance
 from repro.lowerbounds.reductions import triangle_multipass
+from repro.obs.telemetry import Telemetry
 from repro.serve.session import ServeSession
 from repro.sketch.driver import run_sharded
 from repro.streaming.algorithm import supports_snapshot
@@ -64,7 +67,7 @@ GRAPHS = {
 }
 INT_GRAPHS = ("gnm", "planted3", "planted4")
 CHUNKINGS = ("pairs", "pass", "random")
-BATCH_PATHS = ("scalar", "columnar", "single-pass")
+BATCH_PATHS = ("scalar", "columnar", "per-list", "single-pass")
 SESSION_PATHS = ("json", "binary", "mixed")
 
 
@@ -161,21 +164,24 @@ def test_path_matches_run_algorithm(algorithm, ordering, graph, path, chunking):
     budget = SHARD_BUDGETS[algorithm] if path == "sharded" else BUDGET
     reference, reference_state = _reference(algorithm, budget, ordering, graph)
     algo = get_spec(algorithm).make(budget, seed=SEED)
-    peak = None
-    if path == "scalar":
-        with scalar_oracle():
-            result = run_algorithm(algo, stream)
+    peak = mean = None
+    if path in ("scalar", "columnar", "per-list"):
+        if path == "scalar":
+            with scalar_oracle():
+                result = run_algorithm(algo, stream)
+        elif path == "columnar":
+            result = run_algorithm(algo, _ListsOnly(stream))
+        else:
+            result = run_algorithm(algo, stream, telemetry=Telemetry(sink=None))
         estimate, peak = result.estimate, result.peak_space_words
-    elif path == "columnar":
-        result = run_algorithm(algo, _ListsOnly(stream))
-        estimate, peak = result.estimate, result.peak_space_words
+        mean = result.mean_space_words
     elif path == "single-pass":
         meter, memo = SpaceMeter(), ColumnMemo()
         for pass_index in range(algo.n_passes):
             run_single_pass(
                 algo, stream.iter_lists(), pass_index, meter, column_provider=memo
             )
-        estimate, peak = algo.result(), meter.peak_words
+        estimate, peak, mean = algo.result(), meter.peak_words, meter.mean_words
     elif path == "sharded":
         estimate = run_sharded(algo, stream, 3, merge_seed=1).estimate
         # The merged pair reservoir holds a serial run's pairs in merge
@@ -187,6 +193,7 @@ def test_path_matches_run_algorithm(algorithm, ordering, graph, path, chunking):
     assert estimate == reference.estimate
     if peak is not None:
         assert peak == reference.peak_space_words
+        assert mean == reference.mean_space_words
     if algo is not None and reference_state is not None:
         assert algo.snapshot().payload == reference_state
 

@@ -31,6 +31,8 @@ from repro.util.vectorized import (
     EndpointColumns,
     ListMask,
     PairColumns,
+    RUN_PAIRS,
+    RunOffers,
     VertexTable,
     as_vertex_array,
     as_vertex_scalar,
@@ -227,6 +229,81 @@ class TestOfferArrayMatchesScalarSampler:
             assert self._offer_both(0, list(range(1, 2 * SHORT_LIST))) is None
         finally:
             set_columnar_enabled(previous)
+
+
+class TestRunOffers:
+    """A run hashed once and offered list by list (or the rest in one
+    batch) leaves the sampler, its evictions and every list's accepted
+    count exactly as per-key offers would."""
+
+    @staticmethod
+    def _twins(capacity, seed):
+        """Two equal samplers, each logging its evictions."""
+        logs = ([], [])
+        batch, scalar = (
+            BottomKSampler(capacity, seed=seed, on_evict=log.append) for log in logs
+        )
+        return batch, scalar, logs
+
+    @given(
+        run=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.lists(st.integers(0, 40), max_size=SHORT_LIST)
+            ),
+            max_size=30,
+        ),
+        capacity=st.integers(0, 10),
+        split=st.integers(0, 30),
+        seed=seeds,
+    )
+    @settings(max_examples=80)
+    def test_matches_per_key_offers(self, run, capacity, split, seed):
+        batch, scalar, (batch_log, scalar_log) = self._twins(capacity, seed)
+        expected = [
+            scalar.offer_many([canonical_edge(v, n) for n in neighbors])
+            for v, neighbors in run
+        ]
+        offers = RunOffers.of(batch, run)
+        assert offers is not None
+        split = min(split, len(run))
+        got = [offers.offer(i) for i in range(split)]
+        if split < len(run):
+            got.append(offers.offer_rest(split))
+            expected[split:] = [sum(expected[split:])]
+        assert got == expected
+        assert batch_log == scalar_log
+        assert batch.state_dict() == scalar.state_dict()
+        assert batch.members() == scalar.members()
+        assert batch.admission_log == scalar.admission_log
+
+    def test_run_past_the_pair_cap(self):
+        """Runs over ``RUN_PAIRS`` pairs (the runner cuts them there) and
+        lists just under ``SHORT_LIST`` still match."""
+        run = [(v, tuple(range(v + 1, v + SHORT_LIST))) for v in range(RUN_PAIRS // 4)]
+        batch, scalar, logs = self._twins(64, 3)
+        offers = RunOffers.of(batch, run)
+        assert sum(offers.offer(i) for i in range(len(run))) == sum(
+            scalar.offer_many([canonical_edge(v, n) for n in ns]) for v, ns in run
+        )
+        assert logs[0] == logs[1] and batch.state_dict() == scalar.state_dict()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            [(0, (1, 2)), ("a", ("b",))],
+            [(0, (1, ("x", 2)))],
+            [(0, (1, -2))],
+            [(0, (1, 2**64))],
+            [(0, (True, 2))],
+            [(0, (1.0, 2))],
+        ],
+        ids=["str", "tuple", "negative", "huge", "bool", "float"],
+    )
+    def test_declines_without_mutating(self, run):
+        sampler = BottomKSampler(4, seed=1)
+        before = sampler.state_dict()
+        assert RunOffers.of(sampler, run) is None
+        assert sampler.state_dict() == before
 
 
 class TestEndpointColumns:
