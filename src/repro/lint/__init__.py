@@ -12,7 +12,6 @@ DET001   randomness bypasses ``resolve_rng``/``spawn_rng``
 DET002   unordered set/``dict.keys()`` iteration in hot paths
 DET003   wall clock / OS entropy outside the runner's timing fields
 SKT001   ``restore()`` misses attributes ``__init__``/``snapshot`` set
-SKT002   persistence ``RECORD_TYPES`` round-trip contract broken
 LNT001   suppression pragma without justification
 LNT002   suppression pragma naming an unknown code
 ======== =============================================================

@@ -13,7 +13,6 @@ from repro.lint.rules.det003 import Det003WallClock
 from repro.lint.rules.det004 import Det004RngTaint
 from repro.lint.rules.obs001 import Obs001MetricRegistry
 from repro.lint.rules.skt001 import Skt001RestoreCoverage
-from repro.lint.rules.skt002 import Skt002PersistenceRegistry
 from repro.lint.rules.srv001 import Srv001ErrorCodeTable
 
 __all__ = [
@@ -33,7 +32,6 @@ ALL_RULE_CLASSES: List[Type[Rule]] = [
     Srv001ErrorCodeTable,
     Obs001MetricRegistry,
     Skt001RestoreCoverage,
-    Skt002PersistenceRegistry,
 ]
 
 

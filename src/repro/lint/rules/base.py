@@ -3,8 +3,9 @@
 A rule is a small class with a ``code``, a ``summary``, and a ``check``
 method yielding :class:`~repro.lint.violations.Violation` records.  Most
 rules are *per-file* (``check`` sees one parsed module); rules that need
-the whole tree (SKT002's registry cross-check) set ``project_wide`` and
-implement ``check_project`` over every parsed file at once.
+the whole tree (SRV001's error-code table cross-check) set
+``project_wide`` and implement ``check_project`` over every parsed file
+at once.
 """
 
 from __future__ import annotations

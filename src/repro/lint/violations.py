@@ -6,8 +6,7 @@ grouped by family:
 * ``DET***`` — determinism contract: all randomness threads through
   :mod:`repro.util.rng`, no iteration-order or wall-clock leakage into
   estimator state (`docs/LINTING.md` has the full catalogue).
-* ``SKT***`` — sketch state contract: snapshot/restore completeness and
-  persistence registration.
+* ``SKT***`` — sketch state contract: snapshot/restore completeness.
 * ``LNT***`` — meta: malformed suppression comments.
 
 Violations are plain data so the engine can sort and render them without
@@ -31,7 +30,6 @@ CODE_SUMMARIES: Dict[str, str] = {
     "ASY002": "module-level mutable state mutated from a coroutine body",
     "SRV001": "serve error code missing from the protocol's stable table",
     "SKT001": "restore() does not cover every attribute snapshot/__init__ sets",
-    "SKT002": "persistence registry round-trip contract broken",
     "LNT001": "suppression comment lacks a justification",
     "LNT002": "suppression names an unknown rule code",
 }

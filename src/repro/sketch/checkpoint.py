@@ -30,7 +30,7 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """Summary of one written checkpoint (persistence-registered)."""
+    """Summary of one written checkpoint."""
 
     path: str
     algorithm_kind: str
@@ -101,7 +101,7 @@ class Checkpoint:
         )
 
     def save(self, path: PathLike) -> CheckpointRecord:
-        """Write atomically; return the persistence-friendly record."""
+        """Write atomically; return a summary record."""
         self.to_state().save(path)
         return CheckpointRecord(
             path=str(path),

@@ -117,7 +117,6 @@ class PooledShardTask:
 
 
 @dataclass(frozen=True)
-# repro-lint: disable=SKT002 -- in-memory IPC record; carries a SketchState, which JSON persistence cannot round-trip
 class ShardPassResult:
     """What one shard pass sends back to the driver.
 
@@ -212,7 +211,7 @@ def _run_shard_pass_pooled(lists: _ShardLists, task: PooledShardTask) -> ShardPa
 
 @dataclass(frozen=True)
 class ShardRunResult:
-    """Outcome of a sharded run (persistence-registered; flat JSON fields).
+    """Outcome of a sharded run.
 
     ``peak_space_words`` is the largest per-shard peak — the worst-case
     footprint of any single worker, the number the paper's space bounds

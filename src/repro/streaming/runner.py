@@ -116,11 +116,12 @@ class PassCursor:
     decoded frames, so both make exactly the same hook calls for the
     same lists.
 
-    :meth:`push_lists` also owns the run route: on the fast path it hands
-    stretches of consecutive short lists to the algorithm's
-    :meth:`~StreamingAlgorithm.process_run` hook (``runs`` says whether
-    the algorithm has one) and falls back to :meth:`push` per list when
-    the hook declines.
+    :meth:`push_lists` is the one list loop of a batch pass.  It also
+    owns the run route: it can hand stretches of consecutive short
+    lists to the algorithm's :meth:`~StreamingAlgorithm.process_run`
+    hook (the ``runs`` attribute says whether the algorithm has one on
+    the fast path) and falls back to :meth:`push` per list when the
+    hook declines.
     """
 
     __slots__ = ("algorithm", "fast", "skip_pairs", "runs")
@@ -161,23 +162,29 @@ class PassCursor:
 
     def push_lists(
         self, lists: Iterable, meter: SpaceMeter, lists_done: int,
-        every: int, boundary: Callable[[int], None],
+        every: int, boundary: Callable[[int], None], runs: bool,
+        poll: Optional[Callable[[int, int], None]] = None,
     ) -> Tuple[int, int]:
-        """Push every list of ``lists`` in runs, one space reading per list.
+        """Push every list of ``lists``, one space reading per list.
 
-        A run is a stretch of consecutive lists shorter than
-        :data:`~repro.util.vectorized.SHORT_LIST`.  It ends at a longer
-        list, once it holds :data:`~repro.util.vectorized.RUN_PAIRS`
-        pairs, at the end of ``lists``, and whenever the list count
-        (starting from ``lists_done``) reaches a multiple of ``every``
-        (0: never), where ``boundary(lists_done)`` is then called.
-        Longer lists go through :meth:`push`.  ``meter`` ends exactly as
-        per-list pushes and polls would leave it.  Returns the list
-        count and the pairs pushed.
+        With ``runs`` on, each stretch of consecutive lists shorter than
+        :data:`~repro.util.vectorized.SHORT_LIST` goes to :meth:`push_run`;
+        a run ends at a longer list, at
+        :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at the end of
+        ``lists`` and at each boundary.  With ``runs`` off every list goes
+        through :meth:`push`, and so does any longer list.  After such a
+        list ``poll(lists_done, words)``, when given, sees the reading
+        before ``meter`` does; the lists of a run are not polled one by
+        one, so a caller that polls turns ``runs`` off.  Whenever the
+        list count (starting from ``lists_done``) reaches a multiple of
+        ``every`` (0: never), ``boundary(lists_done)`` is called.
+        ``meter`` ends exactly as per-list pushes and observations would
+        leave it.  Returns the list count and the pairs pushed.
         """
         algorithm = self.algorithm
         push, space_words, observe = self.push, algorithm.space_words, meter.observe
-        short, cap = vectorized.SHORT_LIST, vectorized.RUN_PAIRS
+        short = vectorized.SHORT_LIST if runs else 0
+        cap = vectorized.RUN_PAIRS
         stop = (lists_done // every + 1) * every if every else -1
         run: List[Tuple[Any, Sequence[Any]]] = []
         run_pairs = pairs = 0
@@ -197,7 +204,10 @@ class PassCursor:
                     meter.observe_many(self.push_run(run))
                     run, run_pairs = [], 0
                 push(*entry)
-                observe(space_words())
+                words = space_words()
+                if poll is not None:
+                    poll(lists_done, words)
+                observe(words)
             if lists_done == stop:
                 boundary(lists_done)
                 stop += every
@@ -220,15 +230,19 @@ def _drive_pass(
     algorithm every ``every_lists`` lists.  Returns the pairs pushed.
 
     Without telemetry, on the fast path with the columnar kernels on,
-    the lists take the run route (:meth:`PassCursor.push_lists`);
-    otherwise each list is pushed and polled on its own, so telemetry
-    sees every poll.
+    :meth:`PassCursor.push_lists` takes the run route; otherwise it
+    pushes and polls each list on its own, so telemetry sees every poll.
     """
     algorithm = cursor.algorithm
     emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
     if telemetry.enabled:
         telemetry.emit(PassStarted(pass_index=pass_index))
     pass_start = time.perf_counter()
+
+    def poll(lists_done: int, words: int) -> None:
+        _record_poll(
+            telemetry, algorithm, meter, pass_index, lists_done, words, emit_estimate
+        )
 
     def write_checkpoint(lists_done: int) -> None:
         with tracer.span(f"checkpoint:{lists_done}", category="checkpoint"):
@@ -241,29 +255,13 @@ def _drive_pass(
             lists = itertools.islice(lists, skip_lists, None)
         else:
             algorithm.begin_pass(pass_index)
-        if cursor.runs and not telemetry.enabled and vectorized.columnar_enabled():
-            lists_done, pairs_run = cursor.push_lists(
-                lists, meter, skip_lists,
-                checkpoint.every_lists if checkpoint is not None else 0,
-                write_checkpoint,
-            )
-        else:
-            push = cursor.push
-            lists_done = skip_lists
-            pairs_run = 0
-            for vertex, neighbors in lists:
-                push(vertex, neighbors)
-                pairs_run += len(neighbors)
-                lists_done += 1
-                words = algorithm.space_words()
-                if telemetry.enabled:
-                    _record_poll(
-                        telemetry, algorithm, meter, pass_index, lists_done,
-                        words, emit_estimate,
-                    )
-                meter.observe(words)
-                if checkpoint is not None and lists_done % checkpoint.every_lists == 0:
-                    write_checkpoint(lists_done)
+        lists_done, pairs_run = cursor.push_lists(
+            lists, meter, skip_lists,
+            checkpoint.every_lists if checkpoint is not None else 0,
+            write_checkpoint,
+            runs=cursor.runs and not telemetry.enabled and vectorized.columnar_enabled(),
+            poll=poll if telemetry.enabled else None,
+        )
         algorithm.end_pass(pass_index)
         words = algorithm.space_words()
         span.set(lists=lists_done, pairs=pairs_run)

@@ -165,23 +165,38 @@ RUN_PAIRS = 2048
 
 # -- input adaptation ----------------------------------------------------------
 
+_INT_ONLY = frozenset((int,))
+
+
+def _uint64_column(labels: Sequence[Any]) -> Optional[np.ndarray]:
+    """``labels`` as a ``uint64`` column, or None unless every label is an
+    ``int`` in ``[0, 2^64)``.
+
+    The one label rule of every columnar route.  The kernels are exact
+    only for such labels (the universal case for generated graphs): a
+    float would be truncated, and a bool or other ``int`` subclass need
+    not convert to what the scalar hash sees, so any of them sends the
+    caller down its scalar route.
+    """
+    if not set(map(type, labels)) <= _INT_ONLY:
+        return None
+    try:
+        return np.array(labels, dtype=np.uint64)
+    except OverflowError:
+        return None
+
+
 def as_vertex_array(vertices: Sequence) -> Optional[np.ndarray]:
     """Convert a neighbour list to a ``uint64`` array, or None to fall back.
 
-    The columnar kernels are exact only for vertices that are non-negative
-    Python ints below 2^64 (the universal case for generated graphs).
-    Anything else — structured tuples from the lower-bound gadgets,
-    strings, negative or huge ints — returns ``None`` and the caller uses
-    the scalar path.  The leading ``type(...) is int`` probe keeps the
-    common rejection (gadget labels) cheap and refuses bools and numeric
-    subclasses whose ``__index__`` could diverge from the scalar hash.
+    None for an empty list and for any list holding a label outside the
+    rule of :func:`_uint64_column` — structured tuples from the
+    lower-bound gadgets, strings, floats, bools, negative or huge ints —
+    and the caller uses the scalar path.
     """
-    if not vertices or type(vertices[0]) is not int:
+    if not vertices:
         return None
-    try:
-        return np.asarray(vertices, dtype=np.uint64)
-    except (OverflowError, ValueError, TypeError):
-        return None
+    return _uint64_column(vertices)
 
 
 def as_vertex_scalar(vertex: object) -> Optional[np.uint64]:
@@ -317,10 +332,6 @@ class VertexTable:
 
 # -- the counters' per-list layer ----------------------------------------------
 
-#: What laying out an edge whose label has no ``uint64`` value raises.
-_NOT_UINT64 = (OverflowError, ValueError, TypeError, IndexError)
-
-
 class EndpointColumns:
     """Growable ``uint64`` endpoint columns over edges, one payload each.
 
@@ -329,9 +340,10 @@ class EndpointColumns:
     later edges in place, so a set that grows a little per list costs a
     few buffer writes, not a rebuild.  Entries are never removed: callers
     skip stale hits and count them in ``dead``, and :meth:`stale` asks
-    for a rebuild once more than half are dead.  The first label that is
-    not a ``uint64`` turns the columns off until the object is replaced:
-    :meth:`view` returns None and the caller takes its scalar path.
+    for a rebuild once more than half are dead.  The first label outside
+    the rule of :func:`_uint64_column` turns the columns off until the
+    object is replaced: :meth:`view` returns None and the caller takes
+    its scalar path.
     """
 
     __slots__ = ("payloads", "pending", "dead", "_version", "_a", "_b", "_view", "_on")
@@ -363,20 +375,19 @@ class EndpointColumns:
         if not self._on:
             return
         count = len(edges)
-        a = np.empty(2 * count + 64, dtype=np.uint64)
-        b = np.empty(2 * count + 64, dtype=np.uint64)
-        try:
-            a[:count] = np.fromiter((e[0] for e in edges), dtype=np.uint64, count=count)
-            b[:count] = np.fromiter((e[1] for e in edges), dtype=np.uint64, count=count)
-        except _NOT_UINT64:
+        ends = _uint64_column([label for edge in edges for label in edge])
+        if ends is None:
             self._turn_off()
             return
+        a = np.empty(2 * count + 64, dtype=np.uint64)
+        b = np.empty(2 * count + 64, dtype=np.uint64)
+        a[:count], b[:count] = ends[0::2], ends[1::2]
         self.payloads = list(payloads)
         self.pending = []
         self.dead = 0
         self._version = version
         self._a, self._b = a, b
-        qmax = int(max(a[:count].max(), b[:count].max())) if count else -1
+        qmax = int(ends.max()) if count else -1
         self._view = (a[:count], b[:count], self.payloads, qmax)
 
     def extend(self, items: Iterable[Tuple[Any, Any]]) -> None:
@@ -384,28 +395,25 @@ class EndpointColumns:
         payloads = self.payloads
         if payloads is None:
             return
-        a, b = self._a, self._b
-        n = len(payloads)
-        assert self._view is not None
-        qmax = self._view[3]
-        try:
-            for (x, y), payload in items:
-                if n == len(a):
-                    a = np.concatenate((a, np.empty(n + 64, dtype=np.uint64)))
-                    b = np.concatenate((b, np.empty(n + 64, dtype=np.uint64)))
-                a[n] = x  # numpy rejects non-int / negative labels
-                b[n] = y
-                payloads.append(payload)
-                n += 1
-                if x > qmax:
-                    qmax = x
-                if y > qmax:
-                    qmax = y
-        except _NOT_UINT64:
+        items = list(items)
+        if not items:
+            return
+        labels = [label for edge, _ in items for label in edge]
+        ends = _uint64_column(labels)
+        if ends is None:
             self._turn_off()
             return
+        a, b = self._a, self._b
+        n, k = len(payloads), len(items)
+        if n + k > len(a):
+            a = np.concatenate((a[:n], np.empty(n + k + 64, dtype=np.uint64)))
+            b = np.concatenate((b[:n], np.empty(n + k + 64, dtype=np.uint64)))
+        a[n : n + k], b[n : n + k] = ends[0::2], ends[1::2]
+        payloads.extend(payload for _, payload in items)
+        assert self._view is not None
+        qmax = max(self._view[3], max(labels))
         self._a, self._b = a, b
-        self._view = (a[:n], b[:n], payloads, int(qmax))
+        self._view = (a[: n + k], b[: n + k], payloads, qmax)
 
     def queue(self, edge: Any, payload: Any) -> None:
         """Queue one item for the next :meth:`view` (built columns only).
@@ -502,20 +510,6 @@ def offer_list(
             return accepted, column
     pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
     return sampler.offer_many(pairs), None
-
-
-_INT_ONLY = frozenset((int,))
-
-
-def _uint64_column(labels: List[Any]) -> Optional[np.ndarray]:
-    """``labels`` as a ``uint64`` column, or None unless every label is an
-    ``int`` (not a bool or other subclass) in ``[0, 2^64)``."""
-    if not set(map(type, labels)) <= _INT_ONLY:
-        return None
-    try:
-        return np.array(labels, dtype=np.uint64)
-    except OverflowError:
-        return None
 
 
 class RunOffers:

@@ -105,40 +105,6 @@ def test_skt001_planted():
     assert "FaithfulCounter" not in messages
 
 
-def test_skt002_planted():
-    tree = FIXTURES / "skt002_tree"
-    report = lint_with("SKT002", tree)
-    fixture = tree / "experiments" / "persistence.py"
-    assert [v.code for v in report.violations] == ["SKT002"] * 4
-    assert sorted(v.line for v in report.violations) == planted_lines(
-        fixture, "SKT002"
-    )
-    messages = " ".join(v.message for v in report.violations)
-    assert "GhostRecord" in messages  # stale registration
-    assert "OrphanResult" in messages  # unregistered record
-    assert "tuple" in messages  # JSON-unsafe field
-    assert "_InnerBits" in messages  # unregistered nested dataclass
-
-
-def test_skt002_key_mismatch(tmp_path):
-    pkg = tmp_path / "experiments"
-    pkg.mkdir()
-    (pkg / "persistence.py").write_text(
-        "from dataclasses import dataclass\n"
-        "\n"
-        "\n"
-        "@dataclass\n"
-        "class GoodRow:\n"
-        "    value: float\n"
-        "\n"
-        "\n"
-        'RECORD_TYPES = {"Renamed": GoodRow}\n'
-    )
-    report = lint_with("SKT002", tmp_path)
-    assert len(report.violations) == 1
-    assert "key to equal the class name" in report.violations[0].message
-
-
 def test_det003_allows_benchmarks(tmp_path):
     bench_dir = tmp_path / "benchmarks"
     bench_dir.mkdir()

@@ -11,7 +11,7 @@ from repro.graph.planted import planted_four_cycles, planted_triangles
 from repro.lowerbounds.problems import random_three_disj_instance
 from repro.lowerbounds.reductions import triangle_multipass
 from repro.obs.telemetry import Telemetry
-from repro.sketch.checkpoint import CheckpointConfig, load_checkpoint
+from repro.sketch.checkpoint import Checkpoint, CheckpointConfig, load_checkpoint
 from repro.streaming.algorithm import FixedValueAlgorithm, StreamingAlgorithm
 from repro.streaming.runner import run_algorithm, supports_list_dispatch
 from repro.streaming.space import SpaceMeter
@@ -201,13 +201,6 @@ class TestSpaceMeter:
         with pytest.raises(ValueError):
             SpaceMeter().observe(-1)
 
-    def test_reset(self):
-        meter = SpaceMeter()
-        meter.observe(9)
-        meter.reset()
-        assert meter.peak_words == 0
-        assert meter.mean_words == 0.0
-
     def test_external_meter_is_populated(self, stream):
         meter = SpaceMeter()
         run_algorithm(CallRecorder(passes=1), stream, meter=meter)
@@ -215,13 +208,10 @@ class TestSpaceMeter:
 
 
 class TestObserveMany:
-    @given(
-        batches=st.lists(st.lists(st.integers(0, 10**6), max_size=40), max_size=8),
-        max_samples=st.sampled_from([0, 1, 2, 3, 4, 5, 8, 4096]),
-    )
+    @given(batches=st.lists(st.lists(st.integers(0, 10**6), max_size=40), max_size=8))
     @settings(max_examples=200)
-    def test_matches_one_observe_per_reading(self, batches, max_samples):
-        bulk, single = SpaceMeter(max_samples=max_samples), SpaceMeter(max_samples=max_samples)
+    def test_matches_one_observe_per_reading(self, batches):
+        bulk, single = SpaceMeter(), SpaceMeter()
         for readings in batches:
             bulk.observe_many(readings)
             for words in readings:
@@ -316,6 +306,35 @@ class _KeepEveryCheckpoint(CheckpointConfig):
         record = super().write(*args, **kwargs)
         self.kept.append(load_checkpoint(self.path))
         return record
+
+
+class TestOldMeterState:
+    @pytest.mark.parametrize("pass_index", [0, 1])
+    @pytest.mark.parametrize("name", ["triangle", "fourcycle"])
+    def test_profile_keys_resume_identically(self, name, pass_index, run_streams, tmp_path):
+        """A checkpoint whose meter state still carries the profile buffer
+        that older versions wrote (``max_samples``, ``samples``,
+        ``stride``, ``since_kept``) resumes, from disk, to the
+        uninterrupted run's estimate, space peak and mean."""
+        make = RUN_FACTORIES[name]
+        stream = run_streams[name]
+        algorithm = make()
+        reference = _outcome(algorithm, run_algorithm(algorithm, stream))
+        config = _KeepEveryCheckpoint(tmp_path / "run.ckpt", every_lists=37)
+        run_algorithm(make(), stream, checkpoint=config)
+        new = [c for c in config.kept if c.pass_index == pass_index and c.lists_done][1]
+        meter = new.meter_state
+        old = dict(
+            meter, max_samples=4096, samples=[meter["current_words"]] * 5, stride=1,
+            since_kept=0,
+        )
+        Checkpoint(new.algorithm_state, pass_index, new.lists_done, old).save(
+            tmp_path / "old.ckpt"
+        )
+        loaded = load_checkpoint(tmp_path / "old.ckpt")
+        assert loaded.meter_state == old
+        algorithm = make()
+        assert _outcome(algorithm, run_algorithm(algorithm, stream, resume_from=loaded)) == reference
 
 
 class TestRunRoute:

@@ -1,4 +1,4 @@
-"""Tests for the bounded-buffer SpaceMeter."""
+"""Tests for the SpaceMeter."""
 
 import pytest
 
@@ -19,60 +19,16 @@ class TestExactStatistics:
         meter = SpaceMeter()
         assert meter.mean_words == 0.0
         assert meter.peak_words == 0
-        assert meter.samples() == ()
+        assert meter.n_observations == 0
 
     def test_negative_reading_rejected(self):
         with pytest.raises(ValueError):
             SpaceMeter().observe(-1)
 
 
-class TestBoundedBuffer:
-    def test_buffer_stays_bounded(self):
-        meter = SpaceMeter(max_samples=16)
-        for i in range(10_000):
-            meter.observe(i)
-        assert len(meter._samples) < 16
-        assert meter.n_observations == 10_000
-
-    def test_stride_doubles_on_fill(self):
-        meter = SpaceMeter(max_samples=8)
-        for i in range(8):
-            meter.observe(i)
-        assert meter.sample_stride == 2
-        assert meter.samples() == (0, 2, 4, 6)
-
-    def test_samples_are_evenly_strided(self):
-        meter = SpaceMeter(max_samples=8)
-        for i in range(100):
-            meter.observe(i)
-        stride = meter.sample_stride
-        kept = meter.samples()
-        assert all(b - a == stride for a, b in zip(kept, kept[1:]))
-
-    def test_mean_exact_despite_thinning(self):
-        meter = SpaceMeter(max_samples=4)
-        readings = list(range(1, 101))
-        for words in readings:
-            meter.observe(words)
-        assert meter.mean_words == pytest.approx(sum(readings) / len(readings))
-        assert meter.peak_words == 100
-
-    def test_zero_max_samples_disables_retention(self):
-        meter = SpaceMeter(max_samples=0)
-        for i in range(50):
-            meter.observe(i)
-        assert meter.samples() == ()
-        assert meter.peak_words == 49
-        assert meter.mean_words == pytest.approx(24.5)
-
-    def test_negative_max_samples_rejected(self):
-        with pytest.raises(ValueError):
-            SpaceMeter(max_samples=-1)
-
-
 class TestStateRoundTrip:
     def test_state_dict_round_trip(self):
-        meter = SpaceMeter(max_samples=8)
+        meter = SpaceMeter()
         for i in range(37):
             meter.observe(i * 3)
         clone = SpaceMeter()
@@ -82,13 +38,3 @@ class TestStateRoundTrip:
         meter.observe(500)
         clone.observe(500)
         assert clone.state_dict() == meter.state_dict()
-
-    def test_reset(self):
-        meter = SpaceMeter(max_samples=4)
-        for i in range(20):
-            meter.observe(i)
-        meter.reset()
-        assert meter.peak_words == 0
-        assert meter.mean_words == 0.0
-        assert meter.samples() == ()
-        assert meter.sample_stride == 1

@@ -6,14 +6,16 @@ axes:
 
 * algorithms — every serve-compatible registry algorithm;
 * orderings — every entry of ``ORDERING_FACTORIES``;
-* graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), and
-  seeded planted-triangle and planted-4-cycle graphs;
+* graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), a
+  G(n, m) with three float labels, and seeded planted-triangle and
+  planted-4-cycle graphs;
 * execution paths — the scalar oracle, the columnar kernels without the
   stream's column memo, the per-list route (a metrics-only telemetry
   keeps the runner from batching runs of short lists, which the
   reference takes), ``run_single_pass`` chained per pass,
   ``run_sharded``, and serve sessions fed JSON, binary, or a seeded mix
-  of both (binary only on int-labelled graphs);
+  of both (binary only on int-labelled graphs; the wire refuses float
+  labels, so the float-labelled graph skips the serve paths);
 * chunkings — single pairs, one chunk per pass, and seeded random sizes
   (serve paths only; batch paths read whole lists).
 
@@ -32,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import gnm_random_graph
+from repro.graph.graph import Graph
 from repro.graph.planted import planted_four_cycles, planted_triangles
 from repro.lowerbounds.problems import random_three_disj_instance
 from repro.lowerbounds.reductions import triangle_multipass
@@ -57,15 +60,28 @@ SHARD_BUDGETS = {"fourcycle-two-pass": 24, "triangle-two-pass-sharded": 4096}
 BUDGET = 24
 SEED = 5
 
+
+def _float_labelled() -> Graph:
+    """A dense G(43, 400) whose last three vertices are labelled 2.5, 7.5
+    and 11.5: each columnar route must refuse the list or the columns
+    holding them, not truncate them to ints."""
+    labels = {40: 2.5, 41: 7.5, 42: 11.5}
+    graph = gnm_random_graph(43, 400, seed=6)
+    return Graph.from_edges((labels.get(u, u), labels.get(v, v)) for u, v in graph.edges())
+
+
 GRAPHS = {
     "gadget": lambda: triangle_multipass.build_gadget(
         random_three_disj_instance(5, True, seed=1), 4
     ).graph,
     "gnm": lambda: gnm_random_graph(60, 240, seed=2),
+    "float": _float_labelled,
     "planted3": lambda: planted_triangles(noise_edges=150, triangles=20, seed=3).graph,
     "planted4": lambda: planted_four_cycles(noise_edges=120, cycles=12, seed=4).graph,
 }
 INT_GRAPHS = ("gnm", "planted3", "planted4")
+#: Graphs no serve wire can carry.
+BATCH_ONLY_GRAPHS = ("float",)
 CHUNKINGS = ("pairs", "pass", "random")
 BATCH_PATHS = ("scalar", "columnar", "per-list", "single-pass")
 SESSION_PATHS = ("json", "binary", "mixed")
@@ -79,6 +95,8 @@ def _cases():
                     yield algorithm, ordering, graph, path, None
                 if algorithm in SHARD_BUDGETS:
                     yield algorithm, ordering, graph, "sharded", None
+                if graph in BATCH_ONLY_GRAPHS:
+                    continue
                 for path in SESSION_PATHS:
                     if path != "json" and graph not in INT_GRAPHS:
                         continue

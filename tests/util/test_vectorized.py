@@ -108,6 +108,9 @@ class TestInputAdaptation:
         assert as_vertex_array(["a", "b"]) is None
         assert as_vertex_array([(1, 2), (3, 4)]) is None
         assert as_vertex_array([True, False]) is None  # bool is not a vertex id
+        # Every label is checked, not just the first: 2.5 must not become 2.
+        assert as_vertex_array([1, 2.5, 3]) is None
+        assert as_vertex_array([1, True]) is None
         assert as_vertex_array([]) is None
         assert as_vertex_scalar("x") is None
         assert as_vertex_scalar(True) is None
@@ -328,7 +331,7 @@ class TestEndpointColumns:
         assert qmax == max((max(e) for e in edges), default=-1)
         assert not cols.pending and not cols.stale(1)
 
-    @pytest.mark.parametrize("bad", [-1, 2**64, "a", None])
+    @pytest.mark.parametrize("bad", [-1, 2**64, "a", None, 2.5, True])
     def test_non_uint64_label_turns_columns_off(self, bad):
         built_bad = EndpointColumns()
         built_bad.build([(1, 2), (3, bad)], ["x", "y"])
