@@ -211,22 +211,34 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     def process_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
     ) -> Optional[List[int]]:
-        """Run a stretch of short lists at once (the runner's run route).
+        """Run a stretch of lists of one length class at once (the
+        runner's run route).
 
         Pass 1 hashes every pair of the run in one batch
-        (:class:`~repro.util.vectorized.RunOffers`); while the sample
-        fills, each list is offered on its own so its reading ``2·|S|``
-        plus the rest is exact, and once it is full the remaining lists
-        go in one ``offer_array`` call and every reading is the same.
-        Pass 2 probes each list as ``end_list`` would; the reading moves
-        only with the distinct-cycle set.  Declines (pass 1 only) on a
-        label with no ``uint64`` value.
+        (:class:`~repro.util.vectorized.RunOffers`, over the memoised
+        columns for a long run); while the sample fills, each list is
+        offered on its own so its reading ``2·|S|`` plus the rest is
+        exact, and once it is full the remaining lists go in one
+        ``offer_array`` call and every reading is the same.  Pass 2
+        probes each short list as ``end_list`` would, and tests a long
+        run's lists against Q with one
+        :class:`~repro.util.vectorized.RunMask`; the reading moves only
+        with the distinct-cycle set.  Declines on a label with no
+        ``uint64`` value (in pass 2, long runs only).
         """
+        long = len(run[0][1]) >= vectorized.SHORT_LIST
+        columns = None
+        if long:
+            columns = self._run_columns(run)
+            if columns is None:
+                return None
         if self._pass == 0:
-            return self._offer_run(run)
+            return self._offer_run(run, columns)
         if self._pass != 1:
             return None
         rest = self.space_words() - 4 * len(self._distinct_cycles)
+        if long:
+            return self._complete_run(run, columns, rest)
         if self.mode == "multiplicity":
             self._complete_probe(run)
             return [rest] * len(run)
@@ -237,23 +249,55 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             readings.append(rest + 4 * len(distinct))
         return readings
 
-    def _offer_run(self, run: List[Tuple[Vertex, Sequence[Vertex]]]) -> Optional[List[int]]:
+    def _offer_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns=None
+    ) -> Optional[List[int]]:
         """First-pass offers of a run; the space reading after each list."""
         sampler = self._sampler
-        offers = vectorized.RunOffers.of(sampler, run)
+        offers = vectorized.RunOffers.of(sampler, run, columns)
         if offers is None:
             return None
         self._pair_count += offers.pairs
         self._offers_total += offers.pairs
-        rest = self.space_words() - sampler.space_words()
-        readings: List[int] = []
-        for index in range(len(run)):
-            if len(sampler) >= sampler.capacity:
-                self._offers_accepted += offers.offer_rest(index)
-                readings.extend([sampler.space_words() + rest] * (len(run) - index))
-                break
-            self._offers_accepted += offers.offer(index)
-            readings.append(sampler.space_words() + rest)
+        accepted, readings = offers.offer_all(self.space_words() - sampler.space_words())
+        self._offers_accepted += accepted
+        return readings
+
+    def _complete_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list, rest: int
+    ) -> List[int]:
+        """Completion test of a long run: every list against Q at once.
+
+        Q is fixed in pass 2, so one table over the run's lists finds the
+        same (wedge, list) matches as ``end_list`` per list; a run whose
+        table would pass the cap goes through ``end_list`` list by list.
+        """
+        distinct = self._distinct_cycles
+        cols = self._wedge_columns()
+        mask = vectorized.RunMask.of(columns, cols[3]) if cols is not None else None
+        if mask is None:
+            readings = []
+            for vertex, neighbors in run:
+                self.end_list(vertex, neighbors)
+                readings.append(rest + 4 * len(distinct))
+            return readings
+        wu, wv, wedges, _ = cols
+        hit = mask.both(wu, wv)
+        wedges_at = self._wedges_at
+        for row, (vertex, _) in enumerate(run):
+            own = wedges_at.get(vertex)
+            if own:
+                hit[own, row] = False
+        if self.mode == "multiplicity":
+            self._multiplicity_total += int(np.count_nonzero(hit))
+            return [rest] * len(run)
+        readings = []
+        for (vertex, _), found in zip(run, mask.by_row(hit)):
+            self._multiplicity_total += len(found)
+            for i in found:
+                wedge = wedges[i]
+                distinct.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
+            readings.append(rest + 4 * len(distinct))
         return readings
 
     def _complete_probe(self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]) -> None:

@@ -204,7 +204,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # O(1) bookkeeping mirrors for the hot path (derived state; restore
         # recomputes them from the restored reservoir):
         self._live_watchers = 0  # == sum(len(p.watchers) for p in reservoir)
-        self._pairs_per_edge: Dict[Edge, int] = {}  # reservoir pairs per edge
+        # Reservoir pairs by first-pass edge, so an eviction names the
+        # pairs it drops without scanning the reservoir.
+        self._pairs_at: Dict[Edge, List[_Pair]] = {}
         # Columnar views for the vectorized per-list scans; derived state
         # only, rebuilt (not serialised) across snapshot/restore.  Both
         # are supersets: member columns hold every key admitted since the
@@ -220,10 +222,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._vtable = vectorized.VertexTable()
         self._nbrs_cache: Optional[Tuple[Vertex, np.ndarray]] = None
         # Eviction batching for list-level offers: while a buffer list is
-        # installed, _edge_evicted defers its reservoir scans into it and
-        # process_list flushes them in one combined scan per list.
-        self._evict_buffer: Optional[List[Edge]] = None
-        self._evict_pairs = 0  # pairs owed by the buffered edges
+        # installed, _edge_evicted defers the pairs it drops into it and
+        # process_list removes them in one combined scan per list.
+        self._evict_buffer: Optional[List[_Pair]] = None
         # Pass-2 fused scan: process_list defers the seen-edge update to
         # end_list so both share one membership-table mark and one pair of
         # endpoint lookups; holds (vertex, src64) for the pending list.
@@ -239,8 +240,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # has no collected pairs — O(1) instead of a reservoir scan.
         # Skipping the scan is state-identical: discarding with no matching
         # pairs touches neither the reservoir contents nor its RNG.
-        count = self._pairs_per_edge.pop(edge, 0)
-        if count == 0:
+        doomed = self._pairs_at.pop(edge, None)
+        if doomed is None:
             return
         buffer = self._evict_buffer
         if buffer is not None:
@@ -248,28 +249,23 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # (see process_list); discards never touch the reservoir RNG
             # and sequential per-edge removals keep survivor order, so one
             # combined scan leaves bit-identical reservoir state.
-            buffer.append(edge)
-            self._evict_pairs += count
+            buffer.extend(doomed)
             return
-        removed = self._reservoir.discard_collect(
-            lambda p: p.edge == edge, limit=count
-        )
-        for pair in removed:
-            self._unregister_watchers(pair)
+        self._drop_pairs(doomed)
 
     def _flush_evictions(self) -> None:
-        """Drop pairs for every edge buffered by ``_edge_evicted``."""
+        """Drop the pairs buffered by ``_edge_evicted``."""
         buffer = self._evict_buffer
-        if not buffer:
-            return
-        dead = set(buffer)
-        del buffer[:]
-        count = self._evict_pairs
-        self._evict_pairs = 0
-        removed = self._reservoir.discard_collect(
-            lambda p: p.edge in dead, limit=count
-        )
-        for pair in removed:
+        if buffer:
+            doomed = buffer[:]
+            del buffer[:]
+            self._drop_pairs(doomed)
+
+    def _drop_pairs(self, doomed: List[_Pair]) -> None:
+        """Remove ``doomed`` from the reservoir in one scan, keeping the
+        survivors' order, and unregister their watchers in reservoir order.
+        Pairs compare by identity, so the scan tests membership directly."""
+        for pair in self._reservoir.discard_items(set(doomed), len(doomed)):
             self._unregister_watchers(pair)
 
     def _register_watchers(self, pair: _Pair, current_list: Optional[Vertex]) -> None:
@@ -332,15 +328,13 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         if displaced is not None:
             self._displaced += 1
             self._unregister_watchers(displaced)
-            counts = self._pairs_per_edge
-            remaining = counts.get(displaced.edge, 0) - 1
-            if remaining > 0:
-                counts[displaced.edge] = remaining
-            else:
-                counts.pop(displaced.edge, None)
+            pairs = self._pairs_at.get(displaced.edge)
+            if pairs is not None:
+                pairs.remove(displaced)
+                if not pairs:
+                    del self._pairs_at[displaced.edge]
         if admitted:
-            counts = self._pairs_per_edge
-            counts[edge] = counts.get(edge, 0) + 1
+            self._pairs_at.setdefault(edge, []).append(pair)
         elif in_pass_two:
             self._unregister_watchers(pair)
 
@@ -489,21 +483,45 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
     def process_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
     ) -> Optional[List[int]]:
-        """Run a stretch of short lists at once (the runner's run route).
+        """Run a stretch of lists of one length class at once (the
+        runner's run route).
 
-        Each list gets the short-list route's work in the per-list hook
-        order.  Pass 1 hashes every pair of the run in one batch
-        (:class:`~repro.util.vectorized.RunOffers`), then per list offers
-        its pairs, flushes the evictions and detects; pass 2 marks the
-        arrived watchers, updates the seen edges, then counts and detects.
-        Declines (pass 1 only) on a label with no ``uint64`` value.
+        Each list gets its route's work in the per-list hook order.  Pass
+        1 hashes every pair of the run in one batch
+        (:class:`~repro.util.vectorized.RunOffers`, over the memoised
+        columns for a long run), then per list offers its pairs, flushes
+        the evictions and detects.  In pass 2 a short run marks the
+        arrived watchers, updates the seen edges, then counts and
+        detects; a long run of the sharded discipline, whose sample and
+        watchers no longer change, detects against one
+        :class:`~repro.util.vectorized.RunMask`, while the conventional
+        one declines (its watcher set grows mid-run).  Also declines on a
+        label with no ``uint64`` value (in pass 2, long runs only).
         """
+        long = len(run[0][1]) >= vectorized.SHORT_LIST
+        columns = None
+        if long:
+            if self._pass == 1 and not self.sharded:
+                return None
+            columns = self._run_columns(run)
+            if columns is None:
+                return None
         space_words, probe = self.space_words, self._probe_short
         readings: List[int] = []
         if self._pass == 0:
-            offers = vectorized.RunOffers.of(self._sampler, run)
+            offers = vectorized.RunOffers.of(self._sampler, run, columns)
             if offers is None:
                 return None
+            if long and self.sharded:
+                # Nothing is collected before pass 2 in this discipline,
+                # so an eviction drops no pair and only the sample moves.
+                self._pair_count += offers.pairs
+                self._offers_total += offers.pairs
+                accepted, readings = offers.offer_all(
+                    space_words() - self._sampler.space_words()
+                )
+                self._offers_accepted += accepted
+                return readings
             self._evict_buffer = []
             try:
                 for index, (vertex, neighbors) in enumerate(run):
@@ -512,7 +530,11 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                     self._offers_accepted += offers.offer(index)
                     if self._evict_buffer:
                         self._flush_evictions()
-                    if not self.sharded:
+                    if columns is not None:
+                        # end_list's columnar detection, on this column.
+                        self._nbrs_cache = (vertex, columns[index])
+                        self.end_list(vertex, neighbors)
+                    elif not self.sharded:
                         probe(vertex, neighbors)
                     readings.append(space_words())
             finally:
@@ -521,6 +543,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             return readings
         if self._pass != 1:
             return None
+        if columns is not None:
+            return self._detect_run(run, columns)
         by_apex = self._watchers_by_apex
         for vertex, neighbors in run:
             for watcher in by_apex.get(vertex, ()):
@@ -528,6 +552,36 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             if not self.sharded:
                 self._seen_scan_scalar(vertex, neighbors)
             probe(vertex, neighbors)
+            readings.append(space_words())
+        return readings
+
+    def _detect_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
+    ) -> List[int]:
+        """Sharded pass-2 detection of a long run, in stream order.
+
+        The sample is frozen in pass 2, so one table over the run's lists
+        finds the same matches as ``end_list`` per list; each list's
+        matches are then offered in canonical order before the next
+        list's.  A run whose table would pass the cap goes through
+        ``end_list`` list by list.
+        """
+        space_words = self.space_words
+        mcols = self._member_columns()
+        mask = vectorized.RunMask.of(columns, mcols[3]) if mcols is not None else None
+        readings: List[int] = []
+        if mask is None:
+            for vertex, neighbors in run:
+                self.end_list(vertex, neighbors)
+                readings.append(space_words())
+            return readings
+        mu, mv, keys, _ = mcols
+        membership = self._sampler.membership()
+        for (vertex, _), found in zip(run, mask.by_row(mask.both(mu, mv))):
+            if found:
+                matched = {keys[i] for i in found if keys[i] in membership}
+                if matched:
+                    self._offer_matched(sorted(matched), vertex)
             readings.append(space_words())
         return readings
 
@@ -757,11 +811,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._live_watchers = sum(
             len(pair.watchers) for pair in self._reservoir.items()
         )
-        self._pairs_per_edge = {}
+        self._pairs_at = {}
         for pair in self._reservoir.items():
-            self._pairs_per_edge[pair.edge] = (
-                self._pairs_per_edge.get(pair.edge, 0) + 1
-            )
+            self._pairs_at.setdefault(pair.edge, []).append(pair)
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0
         self._wcols = vectorized.EndpointColumns()
@@ -769,7 +821,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._nbrs_cache = None
         self._col_provider = None
         self._evict_buffer = None
-        self._evict_pairs = 0
         self._p2_deferred = None
 
     @classmethod

@@ -23,9 +23,9 @@ re-partition nor re-ship it; per-pass tasks carry only the block's name
 and the (small) merged state.  Workers unpickle a shard on first use and
 keep it, with a :class:`~repro.util.vectorized.ColumnMemo` of vertex-id
 columns for the counters' vectorized fast path, warm across passes and
-runs.  ``workers=None`` runs shards serially in-process (with the same
-column memoisation), which is bit-identical to the parallel schedule
-(merging is order-deterministic).
+runs.  ``workers=None`` runs shards serially in-process, reading columns
+from the stream's own memo, which is bit-identical to the parallel
+schedule (merging is order-deterministic).
 
 Checkpoints are written at pass boundaries only — each shard pass is the
 atomic unit of work — so resuming a sharded run replays at most one
@@ -142,9 +142,10 @@ def _execute_shard_pass(
 ) -> ShardPassResult:
     """Restore, run one pass over the shard's lists, snapshot.
 
-    ``column_provider`` (a :class:`~repro.util.vectorized.ColumnMemo`
-    scoped to this shard) lets the counters' vectorized fast path reuse
-    vertex-id columns across passes; it never changes results.
+    ``column_provider`` (the stream's ``columns_for`` or a
+    :class:`~repro.util.vectorized.ColumnMemo` holding this shard's
+    lists) lets the counters' vectorized fast path reuse vertex-id
+    columns across passes; it never changes results.
     """
     algorithm = restore_algorithm(state)
     tracer = Tracer.from_context(trace) if trace is not None else NULL_TRACER
@@ -263,7 +264,7 @@ def run_sharded(
     With ``workers`` resolving above 1 (and more than one shard), every
     pass fans out over the process's warm pool
     (:mod:`repro.util.warmpool`); otherwise shards run serially
-    in-process with per-shard column memos.  Both schedules produce
+    in-process, with the stream's column memo.  Both schedules produce
     bit-identical results.
 
     ``telemetry`` records per-shard pass completions, merge boundaries and
@@ -331,9 +332,15 @@ def run_sharded(
         )
 
     base_seed = 0 if merge_seed is None else int(merge_seed)
-    # Serial path: one column memo per shard, warm across passes (pool
-    # workers keep theirs with the block's lists).
-    serial_memos = {shard.index: ColumnMemo() for shard in shards} if block is None else {}
+    # Serial path: a shard's lists are the stream's own tuples (``tuple(t)
+    # is t``), so the stream's column memo serves every shard, pass and
+    # call; other inputs get one memo for this call (shards hold disjoint
+    # vertices).  Pool workers keep theirs with the block's lists.
+    columns = None
+    if block is None:
+        columns = (
+            stream.columns_for if isinstance(stream, AdjacencyListStream) else ColumnMemo()
+        )
     # repro-lint: disable=DET003 -- wall-time telemetry for ShardRunResult only; never touches sketch state
     start = time.perf_counter()
     try:
@@ -359,7 +366,7 @@ def run_sharded(
                             state,
                             shard.lists,
                             trace_ctx,
-                            column_provider=serial_memos[shard.index],
+                            column_provider=columns,
                         )
                         for shard in shards
                     ]

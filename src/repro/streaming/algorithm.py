@@ -68,6 +68,14 @@ class StreamingAlgorithm(abc.ABC):
             return provider(vertex, neighbors)
         return vectorized.as_vertex_array(neighbors)
 
+    def _run_columns(
+        self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[list]:
+        """Every list's column (as :meth:`_neighbor_column`), or None when
+        one list has no columnar labels."""
+        columns = [self._neighbor_column(vertex, neighbors) for vertex, neighbors in run]
+        return None if any(column is None for column in columns) else columns
+
     def begin_pass(self, pass_index: int) -> None:
         """Called before pass ``pass_index`` (0-based) starts."""
 
@@ -104,13 +112,15 @@ class StreamingAlgorithm(abc.ABC):
     def process_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
     ) -> Optional[List[int]]:
-        """Optional batch hook for a run of consecutive short lists.
+        """Optional batch hook for a run of consecutive lists of one class.
 
-        ``run`` holds ``(vertex, neighbors)`` entries, each shorter than
-        :data:`repro.util.vectorized.SHORT_LIST`.  An override does the
-        work of ``begin_list``, ``process_list`` and ``end_list`` for every
-        entry in order and returns one space reading per list, each equal
-        to what :meth:`space_words` would return after that list's
+        ``run`` holds ``(vertex, neighbors)`` entries that are either all
+        shorter than :data:`repro.util.vectorized.SHORT_LIST` (a short
+        run) or all at least that long (a long run), so an override reads
+        the class off the first entry.  It does the work of
+        ``begin_list``, ``process_list`` and ``end_list`` for every entry
+        in order and returns one space reading per list, each equal to
+        what :meth:`space_words` would return after that list's
         ``end_list``.  It must be observably identical to the per-list
         calls — state, RNG use, readings — and may only be faster.  It
         returns ``None`` to decline, and must decline before mutating

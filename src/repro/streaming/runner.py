@@ -16,7 +16,9 @@ reading after every list and one more at each pass end.
 
 On the fast path, with the columnar kernels on and telemetry off, the
 runner also takes the **run route**: :meth:`PassCursor.push_lists` hands
-stretches of consecutive short lists to an algorithm's
+stretches of consecutive lists of one length class — all shorter than
+:data:`~repro.util.vectorized.SHORT_LIST`, or all at least that long —
+to an algorithm's
 :meth:`~repro.streaming.algorithm.StreamingAlgorithm.process_run` hook,
 which returns the run's per-list space readings in one call, and the
 meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  Results,
@@ -117,11 +119,11 @@ class PassCursor:
     same lists.
 
     :meth:`push_lists` is the one list loop of a batch pass.  It also
-    owns the run route: it can hand stretches of consecutive short
-    lists to the algorithm's :meth:`~StreamingAlgorithm.process_run`
-    hook (the ``runs`` attribute says whether the algorithm has one on
-    the fast path) and falls back to :meth:`push` per list when the
-    hook declines.
+    owns the run route: it can hand stretches of consecutive lists of
+    one length class to the algorithm's
+    :meth:`~StreamingAlgorithm.process_run` hook (the ``runs``
+    attribute says whether the algorithm has one on the fast path) and
+    falls back to :meth:`push` per list when the hook declines.
     """
 
     __slots__ = ("algorithm", "fast", "skip_pairs", "runs")
@@ -149,7 +151,8 @@ class PassCursor:
         algorithm.end_list(vertex, neighbors)
 
     def push_run(self, run: List[Tuple[Any, Sequence[Any]]]) -> List[int]:
-        """Push a run of short lists; return the space reading after each."""
+        """Push a run of lists of one length class; return the space
+        reading after each."""
         algorithm = self.algorithm
         readings = algorithm.process_run(run)
         if readings is None:
@@ -167,50 +170,59 @@ class PassCursor:
     ) -> Tuple[int, int]:
         """Push every list of ``lists``, one space reading per list.
 
-        With ``runs`` on, each stretch of consecutive lists shorter than
-        :data:`~repro.util.vectorized.SHORT_LIST` goes to :meth:`push_run`;
-        a run ends at a longer list, at
-        :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at the end of
-        ``lists`` and at each boundary.  With ``runs`` off every list goes
-        through :meth:`push`, and so does any longer list.  After such a
-        list ``poll(lists_done, words)``, when given, sees the reading
-        before ``meter`` does; the lists of a run are not polled one by
-        one, so a caller that polls turns ``runs`` off.  Whenever the
-        list count (starting from ``lists_done``) reaches a multiple of
-        ``every`` (0: never), ``boundary(lists_done)`` is called.
-        ``meter`` ends exactly as per-list pushes and observations would
-        leave it.  Returns the list count and the pairs pushed.
+        With ``runs`` on, the lists go to :meth:`push_run` in runs:
+        stretches of consecutive lists of one length class, either all
+        shorter than :data:`~repro.util.vectorized.SHORT_LIST` or all at
+        least that long.  A run ends where the class changes, once it
+        holds :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at each
+        boundary and at the end of ``lists``.  With ``runs`` off every
+        list goes through :meth:`push`, and ``poll(lists_done, words)``,
+        when given, sees each reading before ``meter`` does; the lists of
+        a run are not polled one by one, so a caller that polls turns
+        ``runs`` off.  Whenever the list count (starting from
+        ``lists_done``) reaches a multiple of ``every`` (0: never),
+        ``boundary(lists_done)`` is called.  ``meter`` ends exactly as
+        per-list pushes and observations would leave it.  Returns the
+        list count and the pairs pushed.
         """
-        algorithm = self.algorithm
-        push, space_words, observe = self.push, algorithm.space_words, meter.observe
-        short = vectorized.SHORT_LIST if runs else 0
-        cap = vectorized.RUN_PAIRS
         stop = (lists_done // every + 1) * every if every else -1
-        run: List[Tuple[Any, Sequence[Any]]] = []
-        run_pairs = pairs = 0
-        for entry in lists:
-            size = len(entry[1])
-            lists_done += 1
-            pairs += size
-            if size < short:
-                run.append(entry)
-                run_pairs += size
-                if run_pairs < cap and lists_done != stop:
-                    continue
-                meter.observe_many(self.push_run(run))
-                run, run_pairs = [], 0
-            else:
-                if run:
-                    meter.observe_many(self.push_run(run))
-                    run, run_pairs = [], 0
+        pairs = 0
+        if not runs:
+            push, space_words = self.push, self.algorithm.space_words
+            observe = meter.observe
+            for entry in lists:
+                pairs += len(entry[1])
+                lists_done += 1
                 push(*entry)
                 words = space_words()
                 if poll is not None:
                     poll(lists_done, words)
                 observe(words)
-            if lists_done == stop:
-                boundary(lists_done)
-                stop += every
+                if lists_done == stop:
+                    boundary(lists_done)
+                    stop += every
+            return lists_done, pairs
+        short, cap = vectorized.SHORT_LIST, vectorized.RUN_PAIRS
+        run: List[Tuple[Any, Sequence[Any]]] = []
+        run_long = False
+        run_pairs = 0
+        for entry in lists:
+            size = len(entry[1])
+            lists_done += 1
+            pairs += size
+            long = size >= short
+            if long != run_long and run:
+                meter.observe_many(self.push_run(run))
+                run, run_pairs = [], 0
+            run_long = long
+            run.append(entry)
+            run_pairs += size
+            if run_pairs >= cap or lists_done == stop:
+                meter.observe_many(self.push_run(run))
+                run, run_pairs = [], 0
+                if lists_done == stop:
+                    boundary(lists_done)
+                    stop += every
         if run:
             meter.observe_many(self.push_run(run))
         return lists_done, pairs

@@ -5,7 +5,7 @@ flags), up to ``O(log n)``-bit word size, as the peak an algorithm holds.
 :class:`SpaceMeter` tracks that peak, and the mean, over a run's
 readings: the multi-pass runner records a reading after every adjacency
 list, so peaks inside a pass are captured, not just end-of-pass state (a
-run of short lists hands its readings over in one
+run of lists hands its readings over in one
 :meth:`SpaceMeter.observe_many` call).  The meter holds four numbers —
 the last reading, the peak, the running sum and the count — so it never
 adds to the space it measures.

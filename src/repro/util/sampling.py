@@ -24,6 +24,7 @@ import heapq
 from typing import (
     Any,
     Callable,
+    Container,
     Dict,
     Generic,
     Hashable,
@@ -462,29 +463,33 @@ class ReservoirSampler(Generic[V]):
         return False, None
 
     def discard(self, predicate: Callable[[V], bool]) -> int:
-        """Remove all items matching ``predicate``; return how many."""
-        return len(self.discard_collect(predicate))
+        """Remove all items matching ``predicate``; return how many.
 
-    def discard_collect(
-        self, predicate: Callable[[V], bool], limit: Optional[int] = None
-    ) -> List[V]:
-        """Remove all items matching ``predicate``; return them, in order.
+        Keeps the survivors' relative order: Algorithm R replaces by
+        index, so order is part of the reproducible state.
+        """
+        items = self._items
+        self._items = [item for item in items if not predicate(item)]
+        return len(items) - len(self._items)
 
-        One partitioning scan: callers that need the removed items to
-        unregister side indexes would otherwise pay a second full scan
-        (collect, then :meth:`discard`).  Keeps the survivors' relative
-        order, exactly like :meth:`discard`.  ``limit``, when the caller
-        knows the exact match count up front (e.g. from a side index),
-        stops the predicate scan at the last match and keeps the tail
-        wholesale — same result, about half the predicate calls.
+    def discard_items(self, doomed: Container, limit: Optional[int] = None) -> List[V]:
+        """Remove the items that are in ``doomed``; return them, in order.
+
+        One partitioning scan that keeps the survivors' relative order, as
+        :meth:`discard` does, for callers that know the items to drop
+        (e.g. from a side index) and need them back to unregister side
+        indexes.  Each item's membership is tested directly, with no
+        Python call per item.  ``limit``, when the caller knows the match
+        count, stops the scan at the last match and keeps the tail
+        wholesale.
         """
         items = self._items
         kept: List[V] = []
         removed: List[V] = []
         for i, item in enumerate(items):
-            if predicate(item):
+            if item in doomed:
                 removed.append(item)
-                if limit is not None and len(removed) == limit:
+                if len(removed) == limit:
                     kept.extend(items[i + 1:])
                     break
             else:

@@ -20,8 +20,10 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
 On top of them sits the two-pass counters' one per-list layer:
 :func:`offer_list` (the first-pass offer), :class:`EndpointColumns` (sample
 edges as growable ``uint64`` endpoint columns) and :class:`ListMask` (one
-adjacency list tested against such columns), plus :class:`RunOffers`, the
-first-pass offers of a whole run of short lists hashed in one batch.
+adjacency list tested against such columns), plus its per-run
+counterparts: :class:`RunOffers`, the first-pass offers of a whole run of
+lists hashed in one batch, and :class:`RunMask`, every list of a run
+tested against columns that stay fixed during it.
 
 Bit-identity is pinned by hypothesis property tests
 (``tests/util/test_vectorized.py``); the scalar implementations remain the
@@ -34,11 +36,17 @@ fewer than :data:`SHORT_LIST` neighbours skips the kernels, offering its
 edges through the scalar sampler loop and probing its d(d-1)/2 canonical
 neighbour pairs against hash indexes (sampler membership, watched edges,
 the wedge set's endpoint pairs) instead of scanning the sample.  The
-runner goes one step further for stretches of consecutive short lists:
-it hands each such run, of at most about :data:`RUN_PAIRS` pairs, to the
-counters' ``process_run`` hook, which hashes the run's first-pass pairs
-with one kernel call (:class:`RunOffers`) and returns the run's space
-readings at once (see :mod:`repro.streaming.runner`).
+runner goes one step further for stretches of consecutive lists of one
+length class: it hands each such run, of at most about
+:data:`RUN_PAIRS` pairs, to the counters' ``process_run`` hook, which
+hashes the run's first-pass pairs with one kernel call
+(:class:`RunOffers`; a long run concatenates the lists' memoised
+columns) and returns the run's space readings at once (see
+:mod:`repro.streaming.runner`).  Short runs keep the short-list route's
+probes; in pass 2, where the sample is frozen, a long run is tested
+against it with one :class:`RunMask` instead of one :class:`ListMask` per
+list, and a run whose table would pass :class:`VertexTable`'s cap is
+done list by list.
 
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
@@ -83,6 +91,7 @@ __all__ = [
     "pairwise_int_array",
     "PairColumns",
     "RUN_PAIRS",
+    "RunMask",
     "RunOffers",
     "scalar_oracle",
     "set_columnar_enabled",
@@ -520,9 +529,11 @@ class RunOffers:
     :func:`encode_pair_keys` + ``priority_array`` call, or returns None
     when a label has no ``uint64`` value, before anything is mutated.
     :meth:`offer` then offers one list's pairs with the hashes hoisted,
-    and :meth:`offer_rest` every remaining list in one ``offer_array``
-    call.  Lists must be offered in order, each once.  Keys are built
-    from the run's own labels, as the per-list route builds them.  The
+    :meth:`offer_rest` every remaining list in one ``offer_array``
+    call, and :meth:`offer_all` the whole run, switching from the first
+    to the second once the sample is full.  Lists must be offered in
+    order, each once.  Keys are built from the run's own labels, as the
+    per-list route builds them (only the hashing reads the columns).  The
     sampler, its eviction callbacks and the accepted counts end exactly
     as per-key ``offer`` calls would leave them: once the sample is full
     its threshold only tightens, so a pair above the threshold at that
@@ -543,13 +554,28 @@ class RunOffers:
         self._next = 0
 
     @classmethod
-    def of(cls, sampler: Any, run: Sequence[Tuple[Any, Sequence[Any]]]) -> Optional["RunOffers"]:
-        """Hash every pair of ``run`` for ``sampler``; None to decline."""
+    def of(
+        cls,
+        sampler: Any,
+        run: Sequence[Tuple[Any, Sequence[Any]]],
+        columns: Optional[Sequence[np.ndarray]] = None,
+    ) -> Optional["RunOffers"]:
+        """Hash every pair of ``run`` for ``sampler``; None to decline.
+
+        ``columns``, when given, holds each list's ``uint64`` column (a
+        run of long lists passes the bound provider's memoised ones), so
+        the neighbours are concatenated instead of converted again.
+        """
         labels = _RunPairs(run)
         sources = _uint64_column(labels.sources)
-        nbrs = _uint64_column(labels.flat) if sources is not None else None
-        if nbrs is None:
+        if sources is None:
             return None
+        if columns is None:
+            nbrs = _uint64_column(labels.flat)
+            if nbrs is None:
+                return None
+        else:
+            nbrs = np.concatenate(columns)
         counts = [len(neighbors) for _, neighbors in run]
         u, v = canonical_pair_columns(np.repeat(sources, counts), nbrs)
         return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)))
@@ -592,6 +618,28 @@ class RunOffers:
         self._next = pos
         return survivors[first:pos]
 
+    def offer_all(self, rest: int) -> Tuple[int, List[int]]:
+        """Offer every list in order; return the accepted count and the
+        reading ``sampler.space_words() + rest`` after each list.
+
+        For callers whose other state does not move during the offers.
+        While the sample fills each list is offered on its own, so each
+        reading is exact; once it is full the remaining lists go in one
+        :meth:`offer_rest` call, and every later reading is the same.
+        """
+        sampler = self._sampler
+        count = len(self._labels.ends)
+        accepted = 0
+        readings: List[int] = []
+        for index in range(count):
+            if len(sampler) >= sampler.capacity:
+                accepted += self.offer_rest(index)
+                readings.extend([sampler.space_words() + rest] * (count - index))
+                break
+            accepted += self.offer(index)
+            readings.append(sampler.space_words() + rest)
+        return accepted, readings
+
     def offer_rest(self, index: int) -> int:
         """Offer lists ``index`` onward in one batch; return the accepted count."""
         start = self._labels.bounds(index)[0]
@@ -599,6 +647,53 @@ class RunOffers:
             self._priorities[start:], _Offset(self._labels, start)
         )
         return accepted
+
+
+class RunMask:
+    """Every list of a run marked in one 2-D boolean table.
+
+    The pass-2 counterpart of :class:`ListMask` for a run of lists tested
+    against endpoint columns that do not change during the run: cell
+    ``(id, row)`` is set iff list ``row`` holds vertex ``id``, so one
+    gather per endpoint column answers every list at once.  :meth:`of`
+    returns None when the table would pass :class:`VertexTable`'s cell
+    cap, and the caller does the run's lists one at a time.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        self._table = table
+
+    @classmethod
+    def of(
+        cls, columns: Sequence[np.ndarray], query_max: int, cap: int = 1 << 22
+    ) -> Optional["RunMask"]:
+        """Mark list ``i``'s column in row ``i``; None past ``cap`` cells."""
+        flat = np.concatenate(columns)
+        hi = max(int(flat.max()), query_max)
+        if (hi + 1) * len(columns) > cap:
+            return None
+        table = np.zeros((hi + 1, len(columns)), dtype=bool)
+        rows = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
+        table[flat, rows] = True
+        return cls(table)
+
+    def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``hit[i, row]``: list ``row`` holds both ends of ``(a[i], b[i])``
+        (every id ``<= query_max``)."""
+        table = self._table
+        result: np.ndarray = table[a] & table[b]
+        return result
+
+    @staticmethod
+    def by_row(hit: np.ndarray) -> List[List[int]]:
+        """For each list of the run, in order, the ascending edge indices
+        ``i`` with ``hit[i, row]`` set."""
+        rows, found = np.nonzero(hit.T)
+        ends = np.searchsorted(rows, np.arange(1, hit.shape[1] + 1)).tolist()
+        flat = found.tolist()
+        return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
 class _RunPairs:

@@ -21,7 +21,7 @@ from repro.streaming.algorithm import FixedValueAlgorithm, StreamingAlgorithm
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.vectorized import columnar_enabled, scalar_oracle
-from repro.util import warmpool
+from repro.util import vectorized, warmpool
 from repro.util.warmpool import owned_block
 
 
@@ -148,6 +148,29 @@ class TestExactness:
         algo = TwoPassTriangleCounter(sample_size=2 * graph.m, seed=7, sharded=True)
         result = run_sharded(algo, stream, 2)
         assert algo.result() == result.estimate
+
+    def test_serial_runs_convert_each_list_once(self, workload, monkeypatch):
+        """Serial runs read the stream's own column memo, so a repeated
+        run over one stream converts no list again; a raw iterable gets
+        one memo per call, so each list converts at most once per call."""
+        graph, _ = workload
+        stream = AdjacencyListStream(graph, seed=13)  # a memo no test warmed
+        converted = []
+        convert = vectorized.as_vertex_array
+
+        def counting(neighbors):
+            converted.append(len(neighbors))
+            return convert(neighbors)
+
+        monkeypatch.setattr(vectorized, "as_vertex_array", counting)
+        make = lambda: TwoPassFourCycleCounter(sample_size=16, seed=1)  # noqa: E731
+        first = run_sharded(make(), stream, 2).estimate
+        assert 0 < len(converted) <= stream.n
+        converted.clear()
+        assert run_sharded(make(), stream, 2).estimate == first
+        assert converted == []
+        assert run_sharded(make(), list(stream.iter_lists()), 2).estimate == first
+        assert 0 < len(converted) <= stream.n
 
     def test_shard_pairs_cover_stream(self, workload):
         _, stream = workload

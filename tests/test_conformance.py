@@ -22,6 +22,12 @@ axes:
 Each case compares the estimate, and where the path exposes them the
 space peak and mean and the algorithm's final sketch state, against one
 cached ``run_algorithm`` reference.
+
+A second, smaller matrix pins the run route over long lists: hubs of at
+least ``3 * SHORT_LIST`` neighbours laid out in blocks among short-listed
+leaves, once with small labels and once with labels past the
+``VertexTable`` cap, for the counters with long-run branches, with a
+checkpoint that cuts a long run and serial and pooled ``run_sharded``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import Graph
 from repro.graph.planted import planted_four_cycles, planted_triangles
@@ -40,6 +47,7 @@ from repro.lowerbounds.problems import random_three_disj_instance
 from repro.lowerbounds.reductions import triangle_multipass
 from repro.obs.telemetry import Telemetry
 from repro.serve.session import ServeSession
+from repro.sketch.checkpoint import CheckpointConfig
 from repro.sketch.driver import run_sharded
 from repro.streaming.algorithm import supports_snapshot
 from repro.streaming.orderings import ORDERING_FACTORIES
@@ -47,7 +55,8 @@ from repro.streaming.registry import get as get_spec
 from repro.streaming.registry import iter_specs, serve_capabilities
 from repro.streaming.runner import run_algorithm, run_single_pass
 from repro.streaming.space import SpaceMeter
-from repro.util.vectorized import ColumnMemo, scalar_oracle
+from repro.util import vectorized
+from repro.util.vectorized import RUN_PAIRS, SHORT_LIST, ColumnMemo, scalar_oracle
 
 ALGORITHMS = sorted(
     spec.name for spec in iter_specs() if serve_capabilities(spec).serve_compatible
@@ -225,3 +234,189 @@ def test_matrix_covers_every_shard_capable_spec():
         if getattr(get_spec(name).make(8, seed=0), "sharded", True) is not False
     ]
     assert sorted(SHARD_BUDGETS) == capable
+
+
+# -- long runs -------------------------------------------------------------------
+
+#: Sample size of the long-run rows: the edge sample fills and evicts on
+#: these graphs (about 3000 edges), and the sharded triangle counter's
+#: pair reservoir never overflows (under 512 candidate pairs), so its
+#: merge is exact.
+LONG_BUDGET = 512
+#: Checkpoint cadence of the ``checkpoint`` rows: list 185 lies inside
+#: the first hub block under ``sorted`` and list 37 inside the hubs under
+#: ``degree_desc``, each after the block has passed ``RUN_PAIRS`` pairs,
+#: so a boundary cuts a long run.
+LONG_EVERY = 37
+
+
+def _hubs_and_leaves(offset: int) -> Graph:
+    """600 leaves and 40 hubs of 70 or more neighbours, labelled so that
+    sorted order reads 150 leaves, a block of 36 hubs (more than
+    ``RUN_PAIRS`` pairs), 250 leaves, 4 hubs, then the other leaves.
+
+    Hub-hub and leaf-leaf edges close about a hundred triangles; pairs of
+    hubs sharing leaves close thousands of 4-cycles.  Every label is
+    shifted by ``offset``.
+    """
+    rng = random.Random(8)
+    hubs = list(range(150, 186)) + list(range(436, 440))
+    leaves = [v for v in range(640) if v not in set(hubs)]
+    edges = set()
+    for hub in hubs:
+        edges.update((hub, leaf) for leaf in rng.sample(leaves, 70))
+    for pool, count in ((hubs, 8), (leaves, 100)):
+        while count:
+            u, v = sorted(rng.sample(pool, 2))
+            if (u, v) not in edges:
+                edges.add((u, v))
+                count -= 1
+    graph = Graph.from_edges((u + offset, v + offset) for u, v in edges)
+    for vertex in range(640):  # leaves no edge reached keep their place
+        graph.add_vertex(vertex + offset)
+    return graph
+
+
+LONG_GRAPHS = {"hubs": 0, "hubs-wide": 1 << 22}
+LONG_ORDERINGS = ("sorted", "degree_desc", "random")
+LONG_FACTORIES = {
+    "fourcycle": lambda: get_spec("fourcycle-two-pass").make(LONG_BUDGET, seed=SEED),
+    "fourcycle-distinct": lambda: TwoPassFourCycleCounter(
+        LONG_BUDGET, mode="distinct", seed=SEED
+    ),
+    "triangle-sharded": lambda: get_spec("triangle-two-pass-sharded").make(
+        LONG_BUDGET, seed=SEED
+    ),
+    "triangle": lambda: get_spec("triangle-two-pass").make(LONG_BUDGET, seed=SEED),
+}
+LONG_PATHS = ("scalar", "columnar", "per-list", "single-pass", "checkpoint")
+SHARDED_PATHS = ("sharded-serial", "sharded-pooled")
+
+
+def _long_cases():
+    for name in LONG_FACTORIES:
+        for ordering in LONG_ORDERINGS:
+            for graph in LONG_GRAPHS:
+                for path in LONG_PATHS:
+                    yield name, ordering, graph, path
+                if name != "triangle":  # the conventional counter cannot shard
+                    for path in SHARDED_PATHS:
+                        yield name, ordering, graph, path
+
+
+LONG_CASES = list(_long_cases())
+
+
+@functools.lru_cache(maxsize=None)
+def _long_stream(ordering, graph):
+    return ORDERING_FACTORIES[ordering](_hubs_and_leaves(LONG_GRAPHS[graph]), seed=7)
+
+
+@functools.lru_cache(maxsize=None)
+def _long_reference(name, ordering, graph):
+    algo = LONG_FACTORIES[name]()
+    result = run_algorithm(algo, _long_stream(ordering, graph))
+    return result, algo.snapshot().payload
+
+
+@pytest.mark.parametrize(
+    "name, ordering, graph, path",
+    LONG_CASES,
+    ids=["-".join(case) for case in LONG_CASES],
+)
+def test_long_runs_match_run_algorithm(name, ordering, graph, path, tmp_path):
+    stream = _long_stream(ordering, graph)
+    reference, reference_state = _long_reference(name, ordering, graph)
+    algo = LONG_FACTORIES[name]()
+    if path.startswith("sharded"):
+        workers = 2 if path == "sharded-pooled" else None
+        estimate = run_sharded(algo, stream, 3, workers=workers, merge_seed=1).estimate
+        assert estimate == reference.estimate
+        return
+    if path == "scalar":
+        with scalar_oracle():
+            result = run_algorithm(algo, stream)
+    elif path == "columnar":
+        result = run_algorithm(algo, _ListsOnly(stream))
+    elif path == "per-list":
+        result = run_algorithm(algo, stream, telemetry=Telemetry(sink=None))
+    elif path == "checkpoint":
+        config = CheckpointConfig(tmp_path / "run.ckpt", every_lists=LONG_EVERY)
+        result = run_algorithm(algo, stream, checkpoint=config)
+        assert len(config.history) > 2 * algo.n_passes
+    else:
+        meter, memo = SpaceMeter(), ColumnMemo()
+        for pass_index in range(algo.n_passes):
+            run_single_pass(
+                algo, stream.iter_lists(), pass_index, meter, column_provider=memo
+            )
+        result = None
+        estimate, peak, mean = algo.result(), meter.peak_words, meter.mean_words
+    if result is not None:
+        estimate, peak = result.estimate, result.peak_space_words
+        mean = result.mean_space_words
+    assert estimate == reference.estimate
+    assert peak == reference.peak_space_words
+    assert mean == reference.mean_space_words
+    assert algo.snapshot().payload == reference_state
+
+
+def _recorded_runs(monkeypatch, name, ordering, graph, **kwargs):
+    """Run ``name`` with every ``process_run`` call recorded as
+    ``(pass, long, lists, pairs, declined)``; return the records."""
+    algo = LONG_FACTORIES[name]()
+    hook = type(algo).process_run
+    records = []
+
+    def recording(self, run):
+        readings = hook(self, run)
+        long = len(run[0][1]) >= SHORT_LIST
+        pairs = sum(len(neighbors) for _, neighbors in run)
+        records.append((self._pass, long, len(run), pairs, readings is None))
+        return readings
+
+    monkeypatch.setattr(type(algo), "process_run", recording)
+    run_algorithm(algo, _long_stream(ordering, graph), **kwargs)
+    return records
+
+
+@pytest.mark.parametrize("ordering", ["sorted", "degree_desc"])
+def test_long_runs_cut_at_class_pair_cap_and_checkpoint(ordering, monkeypatch, tmp_path):
+    """The rows above exercise what they claim: runs switch length class
+    mid-pass, and a long run ends at ``RUN_PAIRS`` and at a checkpoint
+    boundary with the next list still long."""
+    config = CheckpointConfig(tmp_path / "run.ckpt", every_lists=LONG_EVERY)
+    records = _recorded_runs(
+        monkeypatch, "fourcycle", ordering, "hubs", checkpoint=config
+    )
+    first = [r for r in records if r[0] == 0]
+    classes = [long for _, long, _, _, _ in first]
+    assert any(a != b for a, b in zip(classes, classes[1:]))
+    assert any(long and pairs >= RUN_PAIRS for _, long, _, pairs, _ in first)
+    done = 0
+    cut = False
+    for (_, long, lists, _, _), following in zip(first, first[1:]):
+        done += lists
+        cut = cut or (long and following[1] and done % LONG_EVERY == 0)
+    assert cut
+    assert not any(declined for *_, declined in records)
+
+
+@pytest.mark.parametrize("name", ["fourcycle", "fourcycle-distinct", "triangle-sharded"])
+def test_wide_labels_take_the_per_list_fallback(name, monkeypatch):
+    """Past the table cap a long pass-2 run builds no run table and does
+    its lists one at a time; on small labels the table is built."""
+    built = []
+    of = vectorized.RunMask.of
+
+    def recording(columns, query_max):
+        mask = of(columns, query_max)
+        built.append(mask is not None)
+        return mask
+
+    monkeypatch.setattr(vectorized.RunMask, "of", staticmethod(recording))
+    _recorded_runs(monkeypatch, name, "sorted", "hubs-wide")
+    assert built and not any(built)
+    built.clear()
+    _recorded_runs(monkeypatch, name, "sorted", "hubs")
+    assert built and all(built)

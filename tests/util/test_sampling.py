@@ -175,6 +175,21 @@ class TestReservoirSampler:
         assert removed == 5
         assert all(x % 2 == 1 for x in r.items())
 
+    @pytest.mark.parametrize("limit", [None, 4])
+    def test_discard_items_keeps_both_orders(self, limit):
+        """Dropping named items removes what ``discard`` would, and keeps
+        the survivors and the removed items in reservoir order; a
+        ``limit`` equal to the match count (4) stops at the last match
+        and keeps the tail as it is."""
+        named, plain = ReservoirSampler(10, seed=2), ReservoirSampler(10, seed=2)
+        for i in range(10):
+            named.offer(i)
+            plain.offer(i)
+        doomed = {7, 0, 5, 2}
+        assert named.discard_items(doomed, limit) == [0, 2, 5, 7]
+        assert plain.discard(lambda x: x in doomed) == 4
+        assert named.items() == plain.items() == [1, 3, 4, 6, 8, 9]
+
     def test_refills_after_discard(self):
         r = ReservoirSampler(4, seed=3)
         for i in range(4):

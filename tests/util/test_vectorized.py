@@ -32,6 +32,7 @@ from repro.util.vectorized import (
     ListMask,
     PairColumns,
     RUN_PAIRS,
+    RunMask,
     RunOffers,
     VertexTable,
     as_vertex_array,
@@ -382,6 +383,35 @@ class TestListMask:
             ]
         if cap > 600:  # the table path: leaving the mask cleared the marks
             assert not table.lookup(values).any()
+
+
+class TestRunMask:
+    @given(
+        lists=st.lists(
+            st.lists(st.integers(0, 500), min_size=1, max_size=40), min_size=1, max_size=12
+        ),
+        pairs=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=40),
+    )
+    def test_both_matches_python_membership(self, lists, pairs):
+        """Row ``r`` of the answer is list ``r``'s :class:`ListMask` answer."""
+        mask = RunMask.of([_as_u64(members) for members in lists], query_max=600)
+        a = _as_u64([p[0] for p in pairs])
+        b = _as_u64([p[1] for p in pairs])
+        hit = mask.both(a, b)
+        assert hit.T.tolist() == [
+            [x in members and y in members for x, y in pairs] for members in lists
+        ]
+        assert RunMask.by_row(hit) == [
+            [i for i, (x, y) in enumerate(pairs) if x in members and y in members]
+            for members in lists
+        ]
+
+    def test_declines_past_the_cap(self):
+        columns = [_as_u64([1, 2]), _as_u64([3, 4])]
+        assert RunMask.of(columns, query_max=99, cap=200) is not None
+        assert RunMask.of(columns, query_max=100, cap=200) is None
+        assert RunMask.of(columns, query_max=0) is not None
+        assert RunMask.of([_as_u64([1 << 21])] * 2, query_max=0) is None
 
 
 class TestAdmissionLog:
