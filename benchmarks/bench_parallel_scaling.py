@@ -1,7 +1,6 @@
 """Benchmark: parallel trial execution and the columnar/batched fast path.
 
-Unlike the ``bench_table1_*`` / ``bench_figure1*`` pytest benchmarks, this
-is a plain script (CI runs it with ``--quick``)::
+A plain script (CI runs it with ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py [--quick]
 

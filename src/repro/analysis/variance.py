@@ -4,7 +4,7 @@ The paper motivates the lightest-edge rule by the variance blow-up of
 naive edge sampling on heavy edges.  This module runs any streaming
 estimator many times over a graph (fresh sampler randomness, optionally
 fresh stream orders) and summarises the error distribution, enabling the
-head-to-head comparison in ``benchmarks/bench_ablation_heavy_edges.py``.
+head-to-head comparison of the ``ablation/lightest_edge`` experiment.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ is unbiased.  The random-order model's role (as in [17]) is to make each
 of the three wedges equally likely to be the closable one, which the
 variance analysis uses; the adjacency-list model removes the issue
 entirely (closure is visible on a full list regardless of edge order),
-which is what :mod:`benchmarks.bench_model_comparison` demonstrates.
+which is what the ``models/adjacency_vs_arbitrary`` experiment demonstrates.
 """
 
 from __future__ import annotations

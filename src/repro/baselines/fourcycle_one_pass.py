@@ -8,7 +8,7 @@ assembled.  On benign (random) orderings it detects a constant fraction of
 cycles; on the INDEX-gadget ordering of Figure 1c it detects essentially
 none, because each cycle's closing lists all precede the lists revealing
 its wedge.  The contrast is exactly the content of the lower bound, and
-``benchmarks/bench_figure1c.py`` demonstrates it.
+the ``figure1/c_one_pass_fourcycle`` experiment demonstrates it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ edges, with multiplicity.  The estimate ``(m / m') · X / 3`` is unbiased
 (each triangle is counted once per sampled edge, three chances), but its
 variance is ``Θ(k · Σ_e T_e²)``, which a single heavy edge can blow up to
 ``Θ(k T²)`` — the failure mode the paper's lightest-edge rule ρ(τ)
-eliminates.  Kept as the ablation baseline for
-``benchmarks/bench_ablation_heavy_edges.py``.
+eliminates.  Kept as the baseline of the ``ablation/lightest_edge``
+experiment.
 """
 
 from __future__ import annotations

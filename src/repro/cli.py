@@ -8,8 +8,10 @@ Installed as ``repro-cycles``.  Subcommands:
   planted cycle counts) to an edge-list / adjacency-list file;
 * ``validate`` — check that a raw pair file respects the adjacency-list
   streaming model's promise;
-* ``experiment`` — regenerate the paper's Table-1 rows or Figure-1 panels
-  and print them;
+* ``experiment`` — regenerate paper artifacts (Table-1 rows, Figure-1
+  panels, lemma checks, ablations; the registry in
+  ``repro.experiments.artifacts``), print their tables and check each
+  artifact's claims, exiting non-zero if one fails;
 * ``algorithms`` — list every registered estimator (cycle length, passes,
   budget kind) and whether the serve subsystem supports its full session
   lifecycle;
@@ -38,7 +40,8 @@ Examples::
     repro-cycles count g.adj --checkpoint run.ckpt --resume
     repro-cycles count g.adj --telemetry run.jsonl --trace run.trace
     repro-cycles obs-report --log run.jsonl --trace run.trace --format html --out report.html
-    repro-cycles experiment table1
+    repro-cycles experiment table1 --workers 2
+    repro-cycles experiment all --quick
     repro-cycles bench-report fresh/BENCH_parallel.json --against BENCH_parallel.json
     repro-cycles algorithms
     repro-cycles serve --port 7340 --telemetry serve.jsonl --checkpoint-dir ckpt/
@@ -311,29 +314,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    """Regenerate a paper artifact (Table-1 row / Figure-1 panel) inline."""
-    from repro.experiments.report import print_table
+    """Regenerate paper artifacts, print their tables, and check their claims."""
+    from repro.experiments.artifacts import run_artifact, select
 
-    if args.which == "table1":
-        from repro.experiments.table1 import (
-            rows_as_dicts,
-            triangle_two_pass_rows,
-        )
-
-        rows = rows_as_dicts(
-            triangle_two_pass_rows(runs=args.runs, seed=args.seed, workers=args.workers)
-        )
-        print_table(list(rows[0].keys()), [list(r.values()) for r in rows],
-                    title="Table 1 / Theorem 3.7 row")
-    elif args.which == "figure1":
-        from repro.experiments.figure1 import panel_e_rows, rows_as_dicts
-
-        rows = rows_as_dicts(panel_e_rows(seed=args.seed))
-        print_table(list(rows[0].keys()), [list(r.values()) for r in rows],
-                    title="Figure 1e")
-    else:
-        raise SystemExit("experiments: table1, figure1 (full set: pytest benchmarks/)")
-    return 0
+    size = "quick" if args.quick else "full"
+    failed = total = 0
+    for artifact in select(args.which):
+        print(f"\n== {artifact.id} ({size}): {artifact.title}")
+        for text, holds in run_artifact(artifact, quick=args.quick, workers=args.workers):
+            print(f"{'PASS' if holds else 'FAIL'}  {artifact.id}: {text}")
+            total += 1
+            failed += not holds
+    print(f"\n{total - failed}/{total} claims pass")
+    return 1 if failed else 0
 
 
 def cmd_algorithms(args) -> int:
@@ -684,10 +677,20 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=0)
     val.set_defaults(func=cmd_validate)
 
-    exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("which", help="table1 | figure1")
-    exp.add_argument("--runs", type=int, default=12)
-    exp.add_argument("--seed", type=int, default=0)
+    exp = sub.add_parser(
+        "experiment",
+        help="regenerate paper artifacts and check their claims (exit 1 on a failed claim)",
+    )
+    exp.add_argument(
+        "which",
+        help="an artifact id (table1/crossover), an id prefix (table1, figure1) "
+        "or 'all'; an unknown id lists them",
+    )
+    exp.add_argument(
+        "--quick",
+        action="store_true",
+        help="reduced run counts and sweeps (same seeds) for smoke runs",
+    )
     exp.add_argument(
         "--workers",
         type=int,

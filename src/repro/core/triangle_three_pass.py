@@ -17,8 +17,8 @@ needs a dedicated pass to measure the loads ``T(e)`` exactly:
 The two-pass algorithm of Theorem 3.7 replaces ``T(f)`` with the
 stream-order statistic ``H_{f,τ}`` to save the third pass; this class
 exists to validate that replacement empirically (the two estimators'
-accuracy should be indistinguishable — see
-``benchmarks/bench_ablation_three_pass.py``).
+accuracy should be indistinguishable — see the ``ablation/h_vs_exact``
+experiment).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Plain-text table rendering for experiment results.
 
-Benchmarks print these tables so that the regenerated "rows" of the
-paper's Table 1 and the Figure-1 verifications are visible in bench
-output (and get captured into ``bench_output.txt``).
+``repro-cycles experiment`` prints these tables so that the regenerated
+"rows" of the paper's Table 1 and the Figure-1 verifications are visible
+in its output.
 """
 
 from __future__ import annotations
@@ -38,6 +38,6 @@ def _fmt(cell) -> str:
 
 
 def print_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> None:
-    """Print an aligned monospace table (convenience for benchmarks)."""
+    """Print an aligned monospace table, after a blank line."""
     print()
     print(format_table(headers, rows, title=title))

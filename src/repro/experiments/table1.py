@@ -18,7 +18,7 @@ relationship empirically:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.distinguisher import TwoPassTriangleDistinguisher
 from repro.baselines.one_pass_triangle import OnePassTriangleCounter
@@ -30,7 +30,7 @@ from repro.experiments.harness import (
     min_budget_for_accuracy,
 )
 from repro.graph.generators import random_bipartite_graph
-from repro.graph.planted import planted_cycles, planted_triangles
+from repro.graph.planted import PlantedGraph, planted_cycles, planted_triangles
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import SeedLike, resolve_rng, spawn_rng
@@ -64,12 +64,54 @@ class _OnePassFactory:
         return OnePassTriangleCounter(sample_rate=rate, seed=seed)
 
 
-def _one_pass_factory_for(m: int) -> _OnePassFactory:
-    return _OnePassFactory(m)
-
-
 def _fourcycle_factory(budget: int, seed: SeedLike) -> TwoPassFourCycleCounter:
     return TwoPassFourCycleCounter(sample_size=max(budget, 2), seed=seed)
+
+
+def _accuracy_rows(
+    label: str,
+    budget_rule: str,
+    plant: Callable[[int, SeedLike], PlantedGraph],
+    budget_for: Callable[[int, int], int],
+    factory_for: Callable[[int], Callable],
+    t_values: Sequence[int],
+    runs: int,
+    epsilon: float,
+    seed: SeedLike,
+    workers: Optional[int],
+) -> List[Table1Row]:
+    """One row per T: plant T cycles, then measure accuracy at ``budget_for(m, T)``.
+
+    ``factory_for(m)`` gives the estimator factory for a graph of ``m``
+    edges; it must be picklable when ``workers > 1``.
+    """
+    rng = resolve_rng(seed)
+    rows = []
+    for t in t_values:
+        planted = plant(t, spawn_rng(rng))
+        m = planted.graph.m
+        budget = budget_for(m, t)
+        point = measure_accuracy(
+            factory_for(m),
+            planted.graph,
+            t,
+            budget,
+            runs=runs,
+            epsilon=epsilon,
+            seed=spawn_rng(rng),
+            workers=workers,
+        )
+        rows.append(
+            Table1Row(
+                label=label,
+                m=m,
+                true_count=t,
+                budget_rule=budget_rule,
+                budget=budget,
+                point=point,
+            )
+        )
+    return rows
 
 
 def triangle_two_pass_rows(
@@ -82,33 +124,14 @@ def triangle_two_pass_rows(
     workers: Optional[int] = None,
 ) -> List[Table1Row]:
     """Theorem 3.7 row: (1±ε) accuracy at ``m' = c·m/T^{2/3}``."""
-    rng = resolve_rng(seed)
-    rows = []
-    for t in t_values:
-        planted = planted_triangles(m_target - 3 * t, t, seed=spawn_rng(rng))
-        m = planted.graph.m
-        budget = max(1, round(constant * m / t ** (2.0 / 3.0)))
-        point = measure_accuracy(
-            _two_pass_factory,
-            planted.graph,
-            t,
-            budget,
-            runs=runs,
-            epsilon=epsilon,
-            seed=spawn_rng(rng),
-            workers=workers,
-        )
-        rows.append(
-            Table1Row(
-                label="triangle 2-pass (Thm 3.7)",
-                m=m,
-                true_count=t,
-                budget_rule=f"{constant:g}*m/T^(2/3)",
-                budget=budget,
-                point=point,
-            )
-        )
-    return rows
+    return _accuracy_rows(
+        "triangle 2-pass (Thm 3.7)",
+        f"{constant:g}*m/T^(2/3)",
+        lambda t, s: planted_triangles(m_target - 3 * t, t, seed=s),
+        lambda m, t: max(1, round(constant * m / t ** (2.0 / 3.0))),
+        lambda m: _two_pass_factory,
+        t_values, runs, epsilon, seed, workers,
+    )
 
 
 def triangle_one_pass_rows(
@@ -121,33 +144,14 @@ def triangle_one_pass_rows(
     workers: Optional[int] = None,
 ) -> List[Table1Row]:
     """[27] baseline row: (1±ε) accuracy at ``m' = c·m/√T``."""
-    rng = resolve_rng(seed)
-    rows = []
-    for t in t_values:
-        planted = planted_triangles(m_target - 3 * t, t, seed=spawn_rng(rng))
-        m = planted.graph.m
-        budget = max(1, round(constant * m / t**0.5))
-        point = measure_accuracy(
-            _one_pass_factory_for(m),
-            planted.graph,
-            t,
-            budget,
-            runs=runs,
-            epsilon=epsilon,
-            seed=spawn_rng(rng),
-            workers=workers,
-        )
-        rows.append(
-            Table1Row(
-                label="triangle 1-pass ([27])",
-                m=m,
-                true_count=t,
-                budget_rule=f"{constant:g}*m/sqrt(T)",
-                budget=budget,
-                point=point,
-            )
-        )
-    return rows
+    return _accuracy_rows(
+        "triangle 1-pass ([27])",
+        f"{constant:g}*m/sqrt(T)",
+        lambda t, s: planted_triangles(m_target - 3 * t, t, seed=s),
+        lambda m, t: max(1, round(constant * m / t**0.5)),
+        _OnePassFactory,
+        t_values, runs, epsilon, seed, workers,
+    )
 
 
 @dataclass(frozen=True)
@@ -213,33 +217,14 @@ def fourcycle_rows(
     promises O(1)); the default counts a run successful when the estimate
     lies within (1 ± 0.75)·T.
     """
-    rng = resolve_rng(seed)
-    rows = []
-    for t in t_values:
-        planted = planted_cycles(m_target - 4 * t, t, length=4, seed=spawn_rng(rng))
-        m = planted.graph.m
-        budget = max(2, round(constant * m / t**0.375))
-        point = measure_accuracy(
-            _fourcycle_factory,
-            planted.graph,
-            t,
-            budget,
-            runs=runs,
-            epsilon=epsilon,
-            seed=spawn_rng(rng),
-            workers=workers,
-        )
-        rows.append(
-            Table1Row(
-                label="4-cycle 2-pass (Thm 4.6)",
-                m=m,
-                true_count=t,
-                budget_rule=f"{constant:g}*m/T^(3/8)",
-                budget=budget,
-                point=point,
-            )
-        )
-    return rows
+    return _accuracy_rows(
+        "4-cycle 2-pass (Thm 4.6)",
+        f"{constant:g}*m/T^(3/8)",
+        lambda t, s: planted_cycles(m_target - 4 * t, t, length=4, seed=s),
+        lambda m, t: max(2, round(constant * m / t**0.375)),
+        lambda m: _fourcycle_factory,
+        t_values, runs, epsilon, seed, workers,
+    )
 
 
 @dataclass(frozen=True)
@@ -282,7 +267,7 @@ def scaling_experiment(
             growth=growth, seed=spawn_rng(rng), workers=workers,
         )
         one = min_budget_for_accuracy(
-            _one_pass_factory_for(m), planted.graph, t, epsilon=epsilon, runs=runs,
+            _OnePassFactory(m), planted.graph, t, epsilon=epsilon, runs=runs,
             growth=growth, seed=spawn_rng(rng), workers=workers,
         )
         if two is None or one is None:

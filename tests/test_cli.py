@@ -226,16 +226,18 @@ class TestAdaptiveAndExperiments:
         assert 15 <= value <= 90
 
     def test_experiment_table1(self, capsys):
-        assert main(["experiment", "table1", "--runs", "3"]) == 0
+        assert main(["experiment", "table1/triangle_2pass_upper", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "Thm 3.7" in out
+        assert "FAIL" not in out
 
     def test_experiment_table1_with_workers(self, capsys):
         """--workers N fans trials out over processes; --workers 2 here
-        must print the same rows as the serial run (bit-identical)."""
-        assert main(["experiment", "table1", "--runs", "3"]) == 0
+        must print the same tables as the serial run (bit-identical)."""
+        argv = ["experiment", "table1/triangle_2pass_upper", "--quick"]
+        assert main(argv) == 0
         serial_out = capsys.readouterr().out
-        assert main(["experiment", "table1", "--runs", "3", "--workers", "2"]) == 0
+        assert main(argv + ["--workers", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
     def test_workers_documented_in_help(self, capsys):
