@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph, Vertex
 from repro.streaming.algorithm import StreamingAlgorithm
+from repro.streaming.runner import PassCursor
+from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
 
 
@@ -138,15 +140,11 @@ def run_protocol(
     ]
     messages: List[Message] = []
     n_players = len(segments)
+    cursor, meter = PassCursor(algorithm, use_fast_path=False), SpaceMeter()
     for round_index in range(algorithm.n_passes):
         algorithm.begin_pass(round_index)
         for seg_idx, (player, vertices) in enumerate(segments):
-            for vertex in vertices:
-                neighbors = lists_by_vertex[vertex]
-                algorithm.begin_list(vertex)
-                for nbr in neighbors:
-                    algorithm.process(vertex, nbr)
-                algorithm.end_list(vertex, neighbors)
+            cursor.push_lists(((v, lists_by_vertex[v]) for v in vertices), meter)
             is_final_boundary = (
                 round_index == algorithm.n_passes - 1 and seg_idx == n_players - 1
             )

@@ -5,12 +5,14 @@ replays the exact hook discipline of the batch runner
 (:func:`repro.streaming.runner.run_algorithm`) against pairs that arrive
 in arbitrary chunks:
 
-* pairs are buffered into the current adjacency list until a pair with a
-  new source closes it — only then is the list pushed through the same
-  :class:`~repro.streaming.runner.PassCursor` the runner drives, so the
-  hooks fire in the same order with the same fast-path decision;
+* a chunk's pairs are cut into adjacency lists, and the lists it closes
+  (a later pair has a new source) go in one
+  :meth:`~repro.streaming.runner.PassCursor.push_lists` call of the same
+  cursor the runner drives, so the hooks fire in the same order with the
+  same fast-path and run-route decisions; runs end at chunk ends;
+* the chunk's last list stays open, since the next chunk may extend it;
 * ``begin_pass`` is lazy (first chunk of the pass), ``end_pass`` runs in
-  :meth:`finish_pass` after the final open list is flushed.
+  :meth:`finish_pass` after the final open list is pushed.
 
 JSON and binary chunks differ only in how they are validated and cut
 into adjacency-list segments; both then share one ingest path.  A chunk
@@ -64,6 +66,7 @@ from repro.streaming.algorithm import (
 )
 from repro.streaming.registry import AlgorithmSpec, get as get_spec
 from repro.streaming.runner import PassCursor
+from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import (
     PairSequenceValidator,
     Segments,
@@ -139,15 +142,7 @@ class ServeSession:
         self.origin_state = origin_state
 
         self._cursor = PassCursor(algorithm)
-        # Columnar acceleration: binary feeds arrive as uint64 columns, so
-        # a segment that maps 1:1 onto a frame slice hands its column to
-        # the algorithm through the bind_columns provider channel instead
-        # of re-converting the Python list.  Pure acceleration — the
-        # provider's fallback is exactly the conversion the algorithms
-        # perform themselves — so estimates stay bit-identical.
-        self._column_hint: Optional[Tuple[Any, Any, Any]] = None
-        self._open_list_column: Optional[Any] = None
-        algorithm.bind_columns(self._provide_column)
+        self._meter = SpaceMeter()
         self.pass_index = 0
         self.pass_started = False
         self.passes_completed = 0
@@ -225,37 +220,16 @@ class ServeSession:
             )
         self.bytes_used += nbytes
 
-    def _provide_column(self, vertex: Any, neighbors: Any) -> Any:
-        """The bound column provider: the primed frame slice, or a fresh
-        conversion (exactly what the algorithms do unaided)."""
-        hint = self._column_hint
-        if hint is not None and hint[0] == vertex and hint[1] is neighbors:
-            return hint[2]
-        from repro.util.vectorized import as_vertex_array
-
-        return as_vertex_array(neighbors)
-
     def _begin_pass(self) -> None:
         """Lazy ``begin_pass``: the first chunk (or finish) of a pass opens it."""
         if not self.pass_started:
             self.algorithm.begin_pass(self.pass_index)
             self.pass_started = True
 
-    def _flush_open_list(self) -> None:
-        """Push the buffered adjacency list through the pass cursor."""
-        if self._open_list is None:
-            return
-        vertex, neighbors = self._open_list
-        column = self._open_list_column
-        self._open_list = None
-        self._open_list_column = None
-        if column is not None and len(column) == len(neighbors):
-            self._column_hint = (vertex, neighbors, column)
-        try:
-            self._cursor.push(vertex, neighbors)
-        finally:
-            self._column_hint = None
-        self.lists_this_pass += 1
+    def _push(self, lists: List[Tuple[Any, List[Any]]]) -> None:
+        """Push complete adjacency lists through the pass cursor."""
+        self._cursor.push_lists(lists, self._meter)
+        self.lists_this_pass += len(lists)
 
     def feed(self, pairs: Sequence[Tuple[Any, Any]]) -> Dict[str, Any]:
         """Ingest one chunk of ``(source, neighbour)`` pairs.
@@ -278,18 +252,15 @@ class ServeSession:
 
         Semantically identical to :meth:`feed` over ``zip(srcs, dsts)`` —
         same hooks, same validation, same errors — but the list-boundary
-        split and validation are vectorized, and complete segments hand
-        their frame slices to the algorithm as ready-made columns.  This
-        is the path that lifts ingest from the per-pair JSON rate to the
-        columnar kernels' rate.
+        split and validation are vectorized.  The lists reach the
+        algorithm as Python lists, as JSON ones do; its columnar routes
+        convert them.
         """
         n = int(len(srcs))
         segments = split_segments(srcs, dsts) if n else None
 
-        def accepted(k: int) -> Tuple[Any, ...]:
-            if k < n:
-                return (*split_segments(srcs[:k], dsts[:k]), dsts[:k])
-            return (*segments, dsts)
+        def accepted(k: int) -> Segments:
+            return split_segments(srcs[:k], dsts[:k]) if k < n else segments
 
         return self._ingest(
             n, lambda validator: validator.feed_array(srcs, dsts, segments), accepted
@@ -297,7 +268,7 @@ class ServeSession:
 
     def _ingest(
         self, n: int, validate: Callable[[PairSequenceValidator], None],
-        segments_of: Callable[[int], Tuple[Any, ...]],
+        segments_of: Callable[[int], Segments],
     ) -> Dict[str, Any]:
         """The path both wires share once a chunk of ``n`` pairs is decoded.
 
@@ -342,30 +313,23 @@ class ServeSession:
         return {"pairs": n, "pairs_total": self.pairs_total, "pass": self.pass_index}
 
     def _ingest_segments(
-        self, starts: List[int], heads: List[Any], dst_list: List[Any], column: Any = None
+        self, starts: List[int], heads: List[Any], dst_list: List[Any]
     ) -> None:
-        """Buffer a validated chunk's segments, pushing each list it closes.
+        """Push the lists a validated chunk closes; keep its last one open.
 
         The first segment extends the open list when it has the same
-        source.  ``column`` is the chunk's ``uint64`` neighbour column
-        (binary frames): a list that lies within one frame hands its
-        slice to the algorithm instead of being converted again.
+        source.
         """
+        lists = [(head, dst_list[a:b]) for head, a, b in zip(heads, starts, starts[1:])]
         open_list = self._open_list
-        open_column = self._open_list_column
-        for i, head in enumerate(heads):
-            seg = dst_list[starts[i] : starts[i + 1]]
-            if i == 0 and open_list is not None and open_list[0] == head:
-                open_list[1].extend(seg)
-                open_column = None  # spans chunks; no single slice
-                continue
-            self._open_list = open_list
-            self._open_list_column = open_column
-            self._flush_open_list()
-            open_list = (head, seg)
-            open_column = None if column is None else column[starts[i] : starts[i + 1]]
-        self._open_list = open_list
-        self._open_list_column = open_column
+        if open_list is not None:
+            if open_list[0] == heads[0]:
+                open_list[1].extend(lists[0][1])
+                lists[0] = open_list
+            else:
+                lists.insert(0, open_list)
+        self._open_list = lists.pop()
+        self._push(lists)
         self.pairs_this_pass += starts[-1]
         self.pairs_total += starts[-1]
 
@@ -380,7 +344,9 @@ class ServeSession:
         # An empty pass is legal (empty stream); mirror the runner, which
         # always brackets a pass even over zero lists.
         self._begin_pass()
-        self._flush_open_list()
+        if self._open_list is not None:
+            self._push([self._open_list])
+            self._open_list = None
         if self.pass_index == 0 and self._validator is not None:
             try:
                 self._validator.finish()

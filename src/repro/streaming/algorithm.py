@@ -54,8 +54,9 @@ class StreamingAlgorithm(abc.ABC):
         ``provider(vertex, neighbors)`` returns the list's vertex-id
         column (a ``uint64`` array) or ``None`` when the labels have no
         columnar representation.  The runner binds the stream's memoised
-        provider before a run, and :meth:`_neighbor_column` prefers it
-        over converting each list.  Purely an acceleration channel: the
+        provider before a run, the sharded driver a per-shard memo, and
+        :meth:`_neighbor_column` prefers it over converting each list; a
+        serve session binds none.  Purely an acceleration channel: the
         provider's output is bit-identical to a direct conversion.
         """
         self._col_provider = provider
@@ -124,9 +125,11 @@ class StreamingAlgorithm(abc.ABC):
         ``end_list``.  It must be observably identical to the per-list
         calls — state, RNG use, readings — and may only be faster.  It
         returns ``None`` to decline, and must decline before mutating
-        anything; the runner then pushes the lists one at a time.  The
-        runner calls it only on the batched fast path with the columnar
-        kernels enabled and telemetry off.  The default declines.
+        anything; the lists are then pushed one at a time.
+        :meth:`repro.streaming.runner.PassCursor.push_lists` calls it,
+        for the batch runner and for serve sessions, only on the batched
+        fast path with the columnar kernels enabled and no per-list poll
+        (telemetry off).  The default declines.
         """
         return None
 

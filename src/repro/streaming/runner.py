@@ -10,12 +10,13 @@ The runner has two dispatch strategies:
 
 Both paths are observably identical for conforming algorithms; the fast
 path only removes per-pair Python dispatch.  :class:`PassCursor` holds
-that decision and the per-list hook order; the runner and the serve
-session both push their lists through it.  The meter records one space
-reading after every list and one more at each pass end.
+that decision and the per-list hook order, and :meth:`PassCursor.push_lists`
+is the one list loop: the runner pushes each pass through it, a serve
+session each chunk's complete lists.  The meter records one space
+reading after every list, and the runner one more at each pass end.
 
-On the fast path, with the columnar kernels on and telemetry off, the
-runner also takes the **run route**: :meth:`PassCursor.push_lists` hands
+On the fast path, with the columnar kernels on and no per-list poll
+(telemetry off), the cursor also takes the **run route**: it hands
 stretches of consecutive lists of one length class — all shorter than
 :data:`~repro.util.vectorized.SHORT_LIST`, or all at least that long —
 to an algorithm's
@@ -118,12 +119,12 @@ class PassCursor:
     decoded frames, so both make exactly the same hook calls for the
     same lists.
 
-    :meth:`push_lists` is the one list loop of a batch pass.  It also
-    owns the run route: it can hand stretches of consecutive lists of
-    one length class to the algorithm's
-    :meth:`~StreamingAlgorithm.process_run` hook (the ``runs``
-    attribute says whether the algorithm has one on the fast path) and
-    falls back to :meth:`push` per list when the hook declines.
+    :meth:`push_lists` is the one list loop.  It also owns the run
+    route: it can hand stretches of consecutive lists of one length
+    class to the algorithm's :meth:`~StreamingAlgorithm.process_run`
+    hook (the ``runs`` attribute says whether the algorithm has one on
+    the fast path) and pushes each list on its own when the hook
+    declines.
     """
 
     __slots__ = ("algorithm", "fast", "skip_pairs", "runs")
@@ -137,7 +138,7 @@ class PassCursor:
             type(algorithm).process_run is not StreamingAlgorithm.process_run
         )
 
-    def push(self, vertex, neighbors) -> None:
+    def _push(self, vertex, neighbors) -> None:
         """Run one complete adjacency list through the per-list hooks."""
         algorithm = self.algorithm
         algorithm.begin_list(vertex)
@@ -156,7 +157,7 @@ class PassCursor:
         algorithm = self.algorithm
         readings = algorithm.process_run(run)
         if readings is None:
-            push, space_words = self.push, algorithm.space_words
+            push, space_words = self._push, algorithm.space_words
             readings = []
             for vertex, neighbors in run:
                 push(vertex, neighbors)
@@ -164,31 +165,31 @@ class PassCursor:
         return readings
 
     def push_lists(
-        self, lists: Iterable, meter: SpaceMeter, lists_done: int,
-        every: int, boundary: Callable[[int], None], runs: bool,
+        self, lists: Iterable, meter: SpaceMeter, *, lists_done: int = 0,
+        every: int = 0, boundary: Optional[Callable[[int], None]] = None,
         poll: Optional[Callable[[int, int], None]] = None,
     ) -> Tuple[int, int]:
         """Push every list of ``lists``, one space reading per list.
 
-        With ``runs`` on, the lists go to :meth:`push_run` in runs:
-        stretches of consecutive lists of one length class, either all
-        shorter than :data:`~repro.util.vectorized.SHORT_LIST` or all at
-        least that long.  A run ends where the class changes, once it
-        holds :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at each
-        boundary and at the end of ``lists``.  With ``runs`` off every
-        list goes through :meth:`push`, and ``poll(lists_done, words)``,
-        when given, sees each reading before ``meter`` does; the lists of
-        a run are not polled one by one, so a caller that polls turns
-        ``runs`` off.  Whenever the list count (starting from
-        ``lists_done``) reaches a multiple of ``every`` (0: never),
-        ``boundary(lists_done)`` is called.  ``meter`` ends exactly as
-        per-list pushes and observations would leave it.  Returns the
-        list count and the pairs pushed.
+        On the run route — the algorithm has a ``process_run`` hook on
+        the fast path, the columnar kernels are on and no ``poll`` is
+        given — the lists go to :meth:`push_run` in runs: stretches of
+        consecutive lists of one length class, either all shorter than
+        :data:`~repro.util.vectorized.SHORT_LIST` or all at least that
+        long.  A run ends where the class changes, once it holds
+        :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at each boundary
+        and at the end of ``lists``.  Otherwise every list is pushed on
+        its own, and ``poll(lists_done, words)``, when given, sees each
+        reading before ``meter`` does.  Whenever the list count
+        (starting from ``lists_done``) reaches a multiple of ``every``
+        (0: never), ``boundary(lists_done)`` is called.  ``meter`` ends
+        exactly as per-list pushes and observations would leave it.
+        Returns the list count and the pairs pushed.
         """
         stop = (lists_done // every + 1) * every if every else -1
         pairs = 0
-        if not runs:
-            push, space_words = self.push, self.algorithm.space_words
+        if not (self.runs and poll is None and vectorized.columnar_enabled()):
+            push, space_words = self._push, self.algorithm.space_words
             observe = meter.observe
             for entry in lists:
                 pairs += len(entry[1])
@@ -241,9 +242,8 @@ def _drive_pass(
     still count towards the pass's lists.  ``checkpoint`` snapshots the
     algorithm every ``every_lists`` lists.  Returns the pairs pushed.
 
-    Without telemetry, on the fast path with the columnar kernels on,
-    :meth:`PassCursor.push_lists` takes the run route; otherwise it
-    pushes and polls each list on its own, so telemetry sees every poll.
+    With telemetry on, :meth:`PassCursor.push_lists` pushes and polls
+    each list on its own, so telemetry sees every poll.
     """
     algorithm = cursor.algorithm
     emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)
@@ -268,11 +268,9 @@ def _drive_pass(
         else:
             algorithm.begin_pass(pass_index)
         lists_done, pairs_run = cursor.push_lists(
-            lists, meter, skip_lists,
-            checkpoint.every_lists if checkpoint is not None else 0,
-            write_checkpoint,
-            runs=cursor.runs and not telemetry.enabled and vectorized.columnar_enabled(),
-            poll=poll if telemetry.enabled else None,
+            lists, meter, lists_done=skip_lists,
+            every=checkpoint.every_lists if checkpoint is not None else 0,
+            boundary=write_checkpoint, poll=poll if telemetry.enabled else None,
         )
         algorithm.end_pass(pass_index)
         words = algorithm.space_words()

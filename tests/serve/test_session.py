@@ -5,6 +5,9 @@ produces estimates **bit-identical** to the batch runner over the same
 stream — serving is an execution mode, not an approximation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,24 @@ class TestBitIdentity:
         final = _feed_stream(session, pairs, 17, 1)
         assert final["done"]
         assert final["estimate"] == reference
+
+
+def test_dropped_session_is_freed_without_the_cyclic_gc(triangle_world):
+    """A session holds no reference cycle, so dropping it frees it, and
+    its validator, at once instead of at the next cyclic collection."""
+    _, pairs, _ = triangle_world
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        session.feed(pairs[:50])
+        _feed_binary(session, pairs[50:100], 50)
+        ref = weakref.ref(session)
+        del session
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestValidation:

@@ -27,12 +27,14 @@ A second, smaller matrix pins the run route over long lists: hubs of at
 least ``3 * SHORT_LIST`` neighbours laid out in blocks among short-listed
 leaves, once with small labels and once with labels past the
 ``VertexTable`` cap, for the counters with long-run branches, with a
-checkpoint that cuts a long run and serial and pooled ``run_sharded``.
+checkpoint that cuts a long run, serial and pooled ``run_sharded``, and
+serve sessions fed JSON or binary chunks that cut runs and lists.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import zlib
 
@@ -289,7 +291,20 @@ LONG_FACTORIES = {
     ),
     "triangle": lambda: get_spec("triangle-two-pass").make(LONG_BUDGET, seed=SEED),
 }
-LONG_PATHS = ("scalar", "columnar", "per-list", "single-pass", "checkpoint")
+#: The registry spec a session reports for each long-run counter.
+LONG_SPECS = {
+    "fourcycle": "fourcycle-two-pass",
+    "fourcycle-distinct": "fourcycle-two-pass",
+    "triangle-sharded": "triangle-two-pass-sharded",
+    "triangle": "triangle-two-pass",
+}
+#: Chunk sizes of the long-run session rows, in turn: one chunk holds
+#: more than ``RUN_PAIRS`` pairs, so the pair cap cuts a run inside it;
+#: the next, shorter than any hub list, splits a list across chunks.
+LONG_CHUNKS = (RUN_PAIRS + 501, 61)
+LONG_PATHS = (
+    "scalar", "columnar", "per-list", "single-pass", "checkpoint", "json", "binary"
+)
 SHARDED_PATHS = ("sharded-serial", "sharded-pooled")
 
 
@@ -312,10 +327,20 @@ def _long_stream(ordering, graph):
     return ORDERING_FACTORIES[ordering](_hubs_and_leaves(LONG_GRAPHS[graph]), seed=7)
 
 
+class _WireLists(_ListsOnly):
+    """The lists a pair wire carries: a stream without its empty lists,
+    which no pair announces (the hub graphs hold four isolated
+    vertices, each one space reading of the batch runner)."""
+
+    def iter_lists(self):
+        return ((vertex, nbrs) for vertex, nbrs in self._stream.iter_lists() if nbrs)
+
+
 @functools.lru_cache(maxsize=None)
-def _long_reference(name, ordering, graph):
+def _long_reference(name, ordering, graph, wire=False):
     algo = LONG_FACTORIES[name]()
-    result = run_algorithm(algo, _long_stream(ordering, graph))
+    stream = _long_stream(ordering, graph)
+    result = run_algorithm(algo, _WireLists(stream) if wire else stream)
     return result, algo.snapshot().payload
 
 
@@ -324,7 +349,9 @@ def _long_reference(name, ordering, graph):
     LONG_CASES,
     ids=["-".join(case) for case in LONG_CASES],
 )
-def test_long_runs_match_run_algorithm(name, ordering, graph, path, tmp_path):
+def test_long_runs_match_run_algorithm(
+    name, ordering, graph, path, tmp_path, monkeypatch
+):
     stream = _long_stream(ordering, graph)
     reference, reference_state = _long_reference(name, ordering, graph)
     algo = LONG_FACTORIES[name]()
@@ -344,6 +371,23 @@ def test_long_runs_match_run_algorithm(name, ordering, graph, path, tmp_path):
         config = CheckpointConfig(tmp_path / "run.ckpt", every_lists=LONG_EVERY)
         result = run_algorithm(algo, stream, checkpoint=config)
         assert len(config.history) > 2 * algo.n_passes
+    elif path in SESSION_PATHS:
+        reference, reference_state = _long_reference(name, ordering, graph, wire=True)
+        # A session exposes no space meter: record its meter's readings,
+        # plus the reading the runner takes at each pass end.
+        readings = []
+        monkeypatch.setattr(SpaceMeter, "observe", lambda self, w: readings.append(w))
+        monkeypatch.setattr(SpaceMeter, "observe_many", lambda self, ws: readings.extend(ws))
+        session = _long_session(name, algo)
+        pairs = list(stream.iter_pairs())
+        for _ in range(algo.n_passes):
+            for chunk in _long_chunks(pairs):
+                assert _feed(session, chunk, path)["pairs"] == len(chunk)
+            final = session.finish_pass()
+            readings.append(algo.space_words())
+        result = None
+        estimate, peak = final["estimate"], max(readings)
+        mean = sum(readings) / len(readings)
     else:
         meter, memo = SpaceMeter(), ColumnMemo()
         for pass_index in range(algo.n_passes):
@@ -359,6 +403,20 @@ def test_long_runs_match_run_algorithm(name, ordering, graph, path, tmp_path):
     assert peak == reference.peak_space_words
     assert mean == reference.mean_space_words
     assert algo.snapshot().payload == reference_state
+
+
+def _long_session(name, algo):
+    return ServeSession("long", get_spec(LONG_SPECS[name]), algo, budget=LONG_BUDGET)
+
+
+def _long_chunks(pairs):
+    """``pairs`` cut into chunks of the ``LONG_CHUNKS`` sizes in turn."""
+    start = 0
+    for size in itertools.cycle(LONG_CHUNKS):
+        if start >= len(pairs):
+            return
+        yield pairs[start : start + size]
+        start += size
 
 
 def _recorded_runs(monkeypatch, name, ordering, graph, **kwargs):
@@ -420,3 +478,37 @@ def test_wide_labels_take_the_per_list_fallback(name, monkeypatch):
     built.clear()
     _recorded_runs(monkeypatch, name, "sorted", "hubs")
     assert built and all(built)
+
+
+def test_session_runs_end_at_chunk_ends(monkeypatch):
+    """A session's feeds reach ``process_run``: each feed hands over, in
+    runs, exactly the lists its chunk closes, and ``finish_pass`` the
+    list left open."""
+    algo = LONG_FACTORIES["fourcycle"]()
+    hook = type(algo).process_run
+    runs = []
+
+    def recording(self, run):
+        runs.append([vertex for vertex, _ in run])
+        return hook(self, run)
+
+    monkeypatch.setattr(type(algo), "process_run", recording)
+    session = _long_session("fourcycle", algo)
+    pairs = list(_long_stream("sorted", "hubs").iter_pairs())
+    sources = [src for src, _ in pairs]
+    for _ in range(algo.n_passes):
+        start = 0
+        for chunk in _long_chunks(pairs):
+            end = start + len(chunk)
+            closed = [
+                sources[i - 1]
+                for i in range(max(start, 1), end)
+                if sources[i] != sources[i - 1]
+            ]
+            runs.clear()
+            session.feed(chunk)
+            assert [vertex for run in runs for vertex in run] == closed
+            start = end
+        runs.clear()
+        session.finish_pass()
+        assert runs == [[sources[-1]]]
