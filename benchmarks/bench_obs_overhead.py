@@ -8,8 +8,9 @@ A plain script like ``bench_parallel_scaling.py`` (CI runs it with
 It writes ``BENCH_obs.json`` with two sections:
 
 1. **Overhead** — pairs/sec of the two-pass triangle counter under four
-   configurations: a *bare* replica of the seed fast-path loop (no
-   telemetry code at all), the default **off** path (``NULL_TELEMETRY`` +
+   configurations: a *bare* pass loop over the runner's
+   :class:`~repro.streaming.runner.PassCursor` (no telemetry code at
+   all), the default **off** path (``NULL_TELEMETRY`` +
    ``NULL_TRACER`` — the instrumented runner with every guard false), a
    **jsonl** run streaming events to a ``JsonlSink``, and a **trace** run
    recording hierarchical spans.  The committed gate is the boolean
@@ -53,36 +54,30 @@ from repro.obs.diagnostics import diagnose
 from repro.obs.sinks import JsonlSink
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer
-from repro.streaming.runner import run_algorithm
+from repro.streaming.runner import PassCursor, run_algorithm
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import resolve_rng
 
 
 def _bare_run(algorithm, stream) -> float:
-    """Replica of the seed fast-path loop with zero telemetry code.
+    """The runner's pass loop with zero telemetry code.
 
-    Mirrors ``run_algorithm``'s batched dispatch, space polling and
-    checkpoint-disabled check — everything the pre-observability runner
-    did per list — so the delta against the instrumented runner isolates
-    what the telemetry/tracing guards cost when disabled.
+    Binds the stream's column memo, then per pass ``begin_pass``, one
+    :meth:`PassCursor.push_lists` over the lists (the hook order, the
+    run route and the per-list space readings: the cursor holds no
+    telemetry code), ``end_pass`` and the pass-end reading.  The delta
+    against the instrumented runner, which drives the same cursor,
+    isolates what the telemetry/tracing guards cost when disabled.
     """
     meter = SpaceMeter()
-    checkpoint = None
+    cursor = PassCursor(algorithm)
+    algorithm.bind_columns(stream.columns_for)
     start = time.perf_counter()
     pairs_run = 0
     for pass_index in range(algorithm.n_passes):
         algorithm.begin_pass(pass_index)
-        lists_done = 0
-        for vertex, neighbors in stream.iter_lists():
-            algorithm.begin_list(vertex)
-            algorithm.process_list(vertex, neighbors)
-            algorithm.end_list(vertex, neighbors)
-            pairs_run += len(neighbors)
-            lists_done += 1
-            meter.observe(algorithm.space_words())
-            if checkpoint is not None:
-                pass
+        pairs_run += cursor.push_lists(stream.iter_lists(), meter)[1]
         algorithm.end_pass(pass_index)
         meter.observe(algorithm.space_words())
     elapsed = time.perf_counter() - start

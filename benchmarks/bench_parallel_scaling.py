@@ -45,8 +45,10 @@ only assert sanity floors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -114,41 +116,46 @@ _FAST_PATH_TIERS = (
 def bench_fast_path(graphs, budget, repeats):
     """Per-pair scalar vs. batched scalar vs. columnar pairs/sec.
 
-    ``graphs`` maps each counter's name to its workload graph.  Best of
-    ``repeats`` per tier; every tier must produce bit-identical estimates
-    and space peaks (the scalar path is the columnar kernels' correctness
-    oracle, so any daylight here is a bug, not noise).
+    ``graphs`` maps each counter's name to its workload graph.  Each of
+    ``repeats`` rounds times every tier once, in alternating order
+    (slowest first, then fastest first), so drift in the host's speed
+    reaches every tier alike.  A speedup is the median of the rounds'
+    own ratios, reported with its spread (the smallest and largest
+    round); a tier's pairs/sec is its median.  Every tier must produce
+    bit-identical estimates and space peaks (the scalar path is the
+    columnar kernels' correctness oracle, so any daylight here is a
+    bug, not noise).
     """
     out = {}
     for name, make in _FAST_PATH_ALGORITHMS.items():
         stream = AdjacencyListStream(graphs[name], seed=11)
-        best = {tier: 0.0 for tier, _, _ in _FAST_PATH_TIERS}
+        rates = {tier: [] for tier, _, _ in _FAST_PATH_TIERS}
         results = {}
-        for tier, fast, columnar in _FAST_PATH_TIERS:
-            for _ in range(repeats):
-                if columnar:
+        for round_index in range(repeats):
+            order = _FAST_PATH_TIERS if round_index % 2 == 0 else _FAST_PATH_TIERS[::-1]
+            for tier, fast, columnar in order:
+                with contextlib.nullcontext() if columnar else scalar_oracle():
                     run = run_algorithm(make(budget), stream, use_fast_path=fast)
-                else:
-                    with scalar_oracle():
-                        run = run_algorithm(make(budget), stream, use_fast_path=fast)
-                best[tier] = max(best[tier], run.pairs_per_second)
+                rates[tier].append(run.pairs_per_second)
                 results[tier] = run
-        baseline = best["per_pair_scalar"]
-        out[name] = {
-            "budget": budget,
-            "per_pair_scalar_pairs_per_second": best["per_pair_scalar"],
-            "batched_scalar_pairs_per_second": best["batched_scalar"],
-            "columnar_pairs_per_second": best["columnar"],
-            "batched_speedup": (
-                best["batched_scalar"] / baseline if baseline > 0 else None
-            ),
-            "columnar_speedup": best["columnar"] / baseline if baseline > 0 else None,
-            "bit_identical": all(
-                run.estimate == results["per_pair_scalar"].estimate
-                and run.peak_space_words == results["per_pair_scalar"].peak_space_words
-                for run in results.values()
-            ),
-        }
+        row = {"budget": budget, "rounds": repeats}
+        for tier in rates:
+            row[f"{tier}_pairs_per_second"] = statistics.median(rates[tier])
+        speedups = (("batched_scalar", "batched_speedup"), ("columnar", "columnar_speedup"))
+        for tier, key in speedups:
+            ratios = [
+                rate / baseline
+                for rate, baseline in zip(rates[tier], rates["per_pair_scalar"])
+                if baseline > 0
+            ]
+            row[key] = statistics.median(ratios) if ratios else None
+            row[f"{key}_spread"] = [min(ratios), max(ratios)] if ratios else None
+        row["bit_identical"] = all(
+            run.estimate == results["per_pair_scalar"].estimate
+            and run.peak_space_words == results["per_pair_scalar"].peak_space_words
+            for run in results.values()
+        )
+        out[name] = row
     return out
 
 
@@ -198,11 +205,13 @@ def gate_declarations(quick: bool):
 
 def _print_fast_path(rows) -> None:
     for name, row in rows.items():
+        low, high = row["columnar_speedup_spread"]
         print(f"  {name}: per-pair {row['per_pair_scalar_pairs_per_second']:,.0f} "
               f"pairs/s, batched {row['batched_scalar_pairs_per_second']:,.0f} "
               f"pairs/s (x{row['batched_speedup']:.2f}), columnar "
               f"{row['columnar_pairs_per_second']:,.0f} pairs/s "
-              f"(x{row['columnar_speedup']:.2f}, identical={row['bit_identical']})")
+              f"(x{row['columnar_speedup']:.2f}, rounds x{low:.2f}..x{high:.2f}, "
+              f"identical={row['bit_identical']})")
 
 
 def main(argv=None) -> int:

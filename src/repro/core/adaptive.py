@@ -18,15 +18,14 @@ fallback when every level is thin (tiny T).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
-from repro.graph.graph import Vertex
-from repro.streaming.algorithm import StreamingAlgorithm
+from repro.streaming.algorithm import FanOut
 from repro.util.rng import SeedLike, resolve_rng, spawn_rng
 
 
-class AdaptiveTriangleCounter(StreamingAlgorithm):
+class AdaptiveTriangleCounter(FanOut):
     """Two-pass triangle estimation with no prior knowledge of T.
 
     Parameters
@@ -68,28 +67,7 @@ class AdaptiveTriangleCounter(StreamingAlgorithm):
             self.levels.append(
                 TwoPassTriangleCounter(sample_size=budget, seed=spawn_rng(rng, stream=i))
             )
-
-    # -- streaming fan-out -------------------------------------------------
-
-    def begin_pass(self, pass_index: int) -> None:
-        for level in self.levels:
-            level.begin_pass(pass_index)
-
-    def begin_list(self, vertex: Vertex) -> None:
-        for level in self.levels:
-            level.begin_list(vertex)
-
-    def process(self, source: Vertex, neighbor: Vertex) -> None:
-        for level in self.levels:
-            level.process(source, neighbor)
-
-    def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        for level in self.levels:
-            level.end_list(vertex, neighbors)
-
-    def end_pass(self, pass_index: int) -> None:
-        for level in self.levels:
-            level.end_pass(pass_index)
+        self.parts = self.levels
 
     # -- selection ------------------------------------------------------------
 
@@ -102,9 +80,6 @@ class AdaptiveTriangleCounter(StreamingAlgorithm):
 
     def result(self) -> float:
         return self.chosen_level().result()
-
-    def space_words(self) -> int:
-        return sum(level.space_words() for level in self.levels)
 
     def level_report(self) -> List[dict]:
         """Budget, support and estimate per level (diagnostics)."""

@@ -10,9 +10,9 @@ of the copies' states.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
-from repro.streaming.algorithm import StreamingAlgorithm
+from repro.streaming.algorithm import FanOut, StreamingAlgorithm
 from repro.util.rng import SeedLike, resolve_rng, spawn_rng
 from repro.util.stats import median
 
@@ -30,7 +30,7 @@ def copies_for_confidence(delta: float, constant: float = 12.0) -> int:
     return count if count % 2 == 1 else count + 1
 
 
-class MedianBoosted(StreamingAlgorithm):
+class MedianBoosted(FanOut):
     """Run independent copies of a streaming estimator; report the median.
 
     Parameters
@@ -56,31 +56,12 @@ class MedianBoosted(StreamingAlgorithm):
         self.copies: List[StreamingAlgorithm] = [
             factory(spawn_rng(rng, stream=i)) for i in range(copies)
         ]
+        self.parts = self.copies
         passes = {algo.n_passes for algo in self.copies}
         if len(passes) != 1:
             raise ValueError("all copies must use the same number of passes")
         self.n_passes = passes.pop()
         self.requires_same_order = any(a.requires_same_order for a in self.copies)
-
-    def begin_pass(self, pass_index: int) -> None:
-        for algo in self.copies:
-            algo.begin_pass(pass_index)
-
-    def begin_list(self, vertex) -> None:
-        for algo in self.copies:
-            algo.begin_list(vertex)
-
-    def process(self, source, neighbor) -> None:
-        for algo in self.copies:
-            algo.process(source, neighbor)
-
-    def end_list(self, vertex, neighbors: Sequence) -> None:
-        for algo in self.copies:
-            algo.end_list(vertex, neighbors)
-
-    def end_pass(self, pass_index: int) -> None:
-        for algo in self.copies:
-            algo.end_pass(pass_index)
 
     def estimates(self) -> List[float]:
         """Return each copy's individual estimate."""
@@ -88,6 +69,3 @@ class MedianBoosted(StreamingAlgorithm):
 
     def result(self) -> float:
         return median(self.estimates())
-
-    def space_words(self) -> int:
-        return sum(algo.space_words() for algo in self.copies)

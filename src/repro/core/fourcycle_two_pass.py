@@ -162,44 +162,18 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 self._offers_accepted += 1
 
     def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
-        # Batched fast path: same offers in the same order (and the same
-        # accepted tally) as the per-pair loop, minus per-pair dispatch
-        # (pass 2 does all work in end_list); see vectorized.offer_list.
+        # Batched per-list hook, the scalar reference: same offers in the
+        # same order (and the same accepted tally) as the per-pair loop,
+        # minus per-pair dispatch (pass 2 does all work in end_list).
         if self._pass == 0:
             self._pair_count += len(neighbors)
             self._offers_total += len(neighbors)
-            accepted, _ = vectorized.offer_list(
-                self._sampler, source, neighbors, self._neighbor_column
+            self._offers_accepted += self._sampler.offer_many(
+                [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
             )
-            self._offers_accepted += accepted
 
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         if self._pass != 1:
-            return
-        columnar = vectorized.columnar_enabled()
-        if columnar and len(neighbors) < vectorized.SHORT_LIST:
-            self._complete_probe(((vertex, neighbors),))
-            return
-        nbrs = self._neighbor_column(vertex, neighbors) if columnar else None
-        cols = self._wedge_columns() if nbrs is not None else None
-        if cols is not None:
-            # Columnar completion test: both wedge endpoints adjacent to
-            # the closing vertex, which is not the wedge's centre.
-            wu, wv, wedges, query_max = cols
-            if not wedges:
-                return
-            with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
-                hit = mask.both(wu, wv)
-            own = self._wedges_at.get(vertex)
-            if own:
-                hit[own] = False
-            self._multiplicity_total += int(np.count_nonzero(hit))
-            if self.mode == "distinct":
-                for i in hit.nonzero()[0].tolist():
-                    wedge = wedges[i]
-                    self._distinct_cycles.add(
-                        cycle_key(wedge.u, wedge.center, wedge.v, vertex)
-                    )
             return
         nset = set(neighbors)
         for wedge in self._wedges:
@@ -212,19 +186,21 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
     ) -> Optional[List[int]]:
         """Run a stretch of lists of one length class at once (the
-        runner's run route).
+        runner's run route, and the counter's one columnar route).
 
         Pass 1 hashes every pair of the run in one batch
         (:class:`~repro.util.vectorized.RunOffers`, over the memoised
         columns for a long run); while the sample fills, each list is
         offered on its own so its reading ``2·|S|`` plus the rest is
         exact, and once it is full the remaining lists go in one
-        ``offer_array`` call and every reading is the same.  Pass 2
-        probes each short list as ``end_list`` would, and tests a long
+        ``offer_array`` call and every reading is the same.  A short run
+        of fewer than ``SHORT_LIST`` pairs, or with a label that has no
+        ``uint64`` value, offers through ``process_list`` instead.  Pass
+        2 probes each short list's neighbour pairs, and tests a long
         run's lists against Q with one
         :class:`~repro.util.vectorized.RunMask`; the reading moves only
-        with the distinct-cycle set.  Declines on a label with no
-        ``uint64`` value (in pass 2, long runs only).
+        with the distinct-cycle set.  Declines only a long run holding a
+        list with no ``uint64`` column.
         """
         long = len(run[0][1]) >= vectorized.SHORT_LIST
         columns = None
@@ -234,8 +210,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 return None
         if self._pass == 0:
             return self._offer_run(run, columns)
-        if self._pass != 1:
-            return None
         rest = self.space_words() - 4 * len(self._distinct_cycles)
         if long:
             return self._complete_run(run, columns, rest)
@@ -251,12 +225,18 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
 
     def _offer_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns=None
-    ) -> Optional[List[int]]:
+    ) -> List[int]:
         """First-pass offers of a run; the space reading after each list."""
         sampler = self._sampler
-        offers = vectorized.RunOffers.of(sampler, run, columns)
+        offers = None
+        if columns is not None or sum(len(n) for _, n in run) >= vectorized.SHORT_LIST:
+            offers = vectorized.RunOffers.of(sampler, run, columns)
         if offers is None:
-            return None
+            readings = []
+            for vertex, neighbors in run:
+                self.process_list(vertex, neighbors)
+                readings.append(self.space_words())
+            return readings
         self._pair_count += offers.pairs
         self._offers_total += offers.pairs
         accepted, readings = offers.offer_all(self.space_words() - sampler.space_words())
@@ -269,16 +249,21 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         """Completion test of a long run: every list against Q at once.
 
         Q is fixed in pass 2, so one table over the run's lists finds the
-        same (wedge, list) matches as ``end_list`` per list; a run whose
-        table would pass the cap goes through ``end_list`` list by list.
+        same (wedge, list) matches as ``end_list`` per list.  A run whose
+        table would pass the cap is tested list by list on one
+        :class:`~repro.util.vectorized.ListMask` each, and wedge columns
+        a non-``uint64`` label turned off send it to ``end_list``.
         """
         distinct = self._distinct_cycles
         cols = self._wedge_columns()
         mask = vectorized.RunMask.of(columns, cols[3]) if cols is not None else None
         if mask is None:
             readings = []
-            for vertex, neighbors in run:
-                self.end_list(vertex, neighbors)
+            for (vertex, neighbors), column in zip(run, columns):
+                if cols is None:
+                    self.end_list(vertex, neighbors)
+                else:
+                    self._complete_list(vertex, column, cols)
                 readings.append(rest + 4 * len(distinct))
             return readings
         wu, wv, wedges, _ = cols
@@ -299,6 +284,24 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 distinct.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
             readings.append(rest + 4 * len(distinct))
         return readings
+
+    def _complete_list(self, vertex: Vertex, nbrs: np.ndarray, cols: tuple) -> None:
+        """Completion test of one long list on a list mask: both wedge
+        endpoints adjacent to the closing vertex, which is not the
+        wedge's centre."""
+        wu, wv, wedges, query_max = cols
+        if not wedges:
+            return
+        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
+            hit = mask.both(wu, wv)
+        own = self._wedges_at.get(vertex)
+        if own:
+            hit[own] = False
+        self._multiplicity_total += int(np.count_nonzero(hit))
+        if self.mode == "distinct":
+            for i in hit.nonzero()[0].tolist():
+                wedge = wedges[i]
+                self._distinct_cycles.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
 
     def _complete_probe(self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]) -> None:
         """Completion test of short lists: look up each neighbour pair.

@@ -10,25 +10,41 @@ introduction motivates (clustering analysis of social networks).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.graph import Vertex
-from repro.streaming.algorithm import StreamingAlgorithm
+from repro.streaming.algorithm import FanOut, StreamingAlgorithm
 from repro.util.rng import SeedLike
 
 
 class WedgeCounter(StreamingAlgorithm):
-    """Exact one-pass wedge (length-2 path) counter; O(1) words."""
+    """Exact one-pass wedge (length-2 path) counter; O(1) words.
+
+    Counts in the first pass only, so a multi-pass host can run it as a
+    part next to its other parts.
+    """
 
     n_passes = 1
 
     def __init__(self):
         self._wedges = 0
+        self._pass = 0
+
+    def begin_pass(self, pass_index: int) -> None:
+        self._pass = pass_index
 
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        d = len(neighbors)
-        self._wedges += d * (d - 1) // 2
+        if self._pass == 0:
+            d = len(neighbors)
+            self._wedges += d * (d - 1) // 2
+
+    def process_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[List[int]]:
+        for vertex, neighbors in run:
+            self.end_list(vertex, neighbors)
+        return [1] * len(run)
 
     def result(self) -> float:
         return float(self._wedges)
@@ -37,11 +53,11 @@ class WedgeCounter(StreamingAlgorithm):
         return 1
 
 
-class TransitivityEstimator(StreamingAlgorithm):
+class TransitivityEstimator(FanOut):
     """Two-pass (1 ± ε) transitivity estimation: ``κ̂ = 3 T̂ / P2``.
 
-    Wraps :class:`TwoPassTriangleCounter` (estimating ``T``) plus an exact
-    wedge counter (measuring ``P2`` in pass 1).
+    Fans the stream out to a :class:`TwoPassTriangleCounter` (estimating
+    ``T``) and an exact wedge counter (measuring ``P2`` in pass 1).
     """
 
     n_passes = 2
@@ -50,25 +66,7 @@ class TransitivityEstimator(StreamingAlgorithm):
     def __init__(self, sample_size: int, seed: SeedLike = None):
         self._triangles = TwoPassTriangleCounter(sample_size, seed=seed)
         self._wedges = WedgeCounter()
-        self._pass = 0
-
-    def begin_pass(self, pass_index: int) -> None:
-        self._pass = pass_index
-        self._triangles.begin_pass(pass_index)
-
-    def begin_list(self, vertex: Vertex) -> None:
-        self._triangles.begin_list(vertex)
-
-    def process(self, source: Vertex, neighbor: Vertex) -> None:
-        self._triangles.process(source, neighbor)
-
-    def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        self._triangles.end_list(vertex, neighbors)
-        if self._pass == 0:
-            self._wedges.end_list(vertex, neighbors)
-
-    def end_pass(self, pass_index: int) -> None:
-        self._triangles.end_pass(pass_index)
+        self.parts = [self._triangles, self._wedges]
 
     def triangle_estimate(self) -> float:
         """The underlying triangle count estimate ``T̂``."""
@@ -85,5 +83,3 @@ class TransitivityEstimator(StreamingAlgorithm):
             return 0.0
         return 3.0 * self._triangles.result() / wedges
 
-    def space_words(self) -> int:
-        return self._triangles.space_words() + self._wedges.space_words()

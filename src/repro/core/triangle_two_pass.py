@@ -217,18 +217,12 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0  # admission-log cursor: columns cover log[:pos]
         self._wcols = vectorized.EndpointColumns()
-        # Reusable membership table plus the uint64 neighbour array shared
-        # between process_list and end_list of the same adjacency list.
+        # Reusable membership table for the columnar per-list scans.
         self._vtable = vectorized.VertexTable()
-        self._nbrs_cache: Optional[Tuple[Vertex, np.ndarray]] = None
         # Eviction batching for list-level offers: while a buffer list is
         # installed, _edge_evicted defers the pairs it drops into it and
-        # process_list removes them in one combined scan per list.
+        # the offering hook removes them in one combined scan per list.
         self._evict_buffer: Optional[List[_Pair]] = None
-        # Pass-2 fused scan: process_list defers the seen-edge update to
-        # end_list so both share one membership-table mark and one pair of
-        # endpoint lookups; holds (vertex, src64) for the pending list.
-        self._p2_deferred: Optional[Tuple[Vertex, int]] = None
 
     # -- sampler bookkeeping --------------------------------------------------
 
@@ -344,8 +338,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # A repeated begin_pass(1) must not register the watchers again.
         entering_pass_two = pass_index == 1 and self._pass != 1
         self._pass = pass_index
-        self._nbrs_cache = None
-        self._p2_deferred = None
         if pass_index == 1:
             # Membership is frozen for all of pass 2: rebuild the member
             # columns once, exactly, so the pass-2 scans carry no stale
@@ -376,143 +368,73 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 self._seen_p2.add(edge)
 
     def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
-        # Batched fast path: identical work to the per-pair loop (same edge
-        # order, same sampler offers, same accepted tally) with per-pair
-        # dispatch, the pass check and canonical_edge calls hoisted out of
-        # the inner loop.  Lists of at least SHORT_LIST int labels go
-        # columnar: one vectorized hash and threshold comparison in pass 1
-        # (vectorized.offer_list), one deferred fused scan in pass 2.
-        # Shorter lists take the scalar loops, which beat the kernels'
-        # fixed set-up cost there.
+        # Batched per-list hook, the scalar reference: identical work to the
+        # per-pair loop (same edge order, same sampler offers, same accepted
+        # tally) with per-pair dispatch, the pass check and canonical_edge
+        # calls hoisted out of the inner loop.
         if self._pass == 0:
-            self._pair_count += len(neighbors)
-            self._offers_total += len(neighbors)
             # Batch this list's eviction scans: each evicted edge with
             # collected pairs costs a reservoir scan, and a list-level
             # offer batch can evict several — one combined scan at the end
             # of the batch removes the same pairs in the same order.
             self._evict_buffer = []
             try:
-                accepted, nbrs = vectorized.offer_list(
-                    self._sampler, source, neighbors, self._neighbor_column
-                )
+                self._offer_pairs(source, neighbors)
             finally:
                 self._flush_evictions()
                 self._evict_buffer = None
-            self._offers_accepted += accepted
-            if nbrs is not None:
-                self._nbrs_cache = (source, nbrs)
         elif not self.sharded:
-            if (
-                vectorized.columnar_enabled()
-                and len(neighbors) >= vectorized.SHORT_LIST
-            ):
-                src64 = vectorized.as_vertex_scalar(source)
-                nbrs = (
-                    self._neighbor_column(source, neighbors)
-                    if src64 is not None
-                    else None
-                )
-                cols = self._member_columns() if nbrs is not None else None
-                if cols is not None:
-                    # Defer the inverted membership scan — which sampled
-                    # edges appear in this list — to end_list, where it
-                    # shares one list mask with candidate detection.
-                    # Membership is frozen in pass 2 and the columns were
-                    # rebuilt at the pass boundary, so they are exact.
-                    self._nbrs_cache = (source, nbrs)
-                    if cols[2]:
-                        self._p2_deferred = (source, src64)
-                    return
             self._seen_scan_scalar(source, neighbors)
 
     def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         if self._pass == 0 and self.sharded:
             return  # sharded discipline: nothing to detect until pass 2
-        deferred = self._p2_deferred
-        if deferred is not None:
-            self._p2_deferred = None
-            if deferred[0] != vertex:
-                deferred = None  # stale deferral from a skipped list
-        columnar = vectorized.columnar_enabled()
-        if columnar and len(neighbors) < vectorized.SHORT_LIST:
-            # (process_list defers no seen-edge scan for a short list.)
-            self._probe_short(vertex, neighbors)
-            return
-        nbrs: Optional[np.ndarray] = None
-        if columnar:
-            cache = self._nbrs_cache
-            if cache is not None and cache[0] == vertex:
-                nbrs = cache[1]
-            else:
-                nbrs = self._neighbor_column(vertex, neighbors)
-        if nbrs is not None:
-            # Bring the views up to date *before* building the list mask,
-            # which must cover every id they hold.
-            mcols = self._member_columns()
-            wcols = self._watcher_columns() if self._pass == 1 else None
-            if mcols is None or (self._pass == 1 and wcols is None):
-                nbrs = None  # a non-uint64 label turned the columns off
-        if nbrs is None:
-            if deferred is not None:
-                self._seen_scan_scalar(vertex, neighbors)
-            nset = set(neighbors)
-            if self._pass == 1:
-                self._count_h_scalar(vertex, nset)
-            self._detect_scalar(vertex, nset)
-            return
-        query_max = mcols[3] if wcols is None else max(mcols[3], wcols[3])
-        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
-            hit: Optional[np.ndarray] = None
-            if deferred is not None and mcols[2]:
-                hit = self._seen_scan_col(deferred[1], mcols, mask)
-            if wcols is not None:
-                self._count_h_col(vertex, wcols, mask)
-            self._detect_col(vertex, mcols, mask, hit)
+        nset = set(neighbors)
+        if self._pass == 1:
+            self._count_h_scalar(vertex, nset)
+        self._detect_scalar(vertex, nset)
 
-    def _probe_short(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        """End-of-list work of a short list: probe its canonical neighbour
-        pairs, in sorted order, against the hash indexes instead of
-        scanning them."""
-        if len(neighbors) > 1:
-            pairs = list(itertools.combinations(sorted(set(neighbors)), 2))
-            if self._pass == 1:
-                self._count_h_probe(vertex, pairs)
-            self._detect_probe(vertex, pairs)
+    def _offer_pairs(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
+        """Offer one list's first-pass pairs, in order, through the scalar
+        ``offer_many``."""
+        self._pair_count += len(neighbors)
+        self._offers_total += len(neighbors)
+        pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
+        self._offers_accepted += self._sampler.offer_many(pairs)
 
     def process_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
     ) -> Optional[List[int]]:
         """Run a stretch of lists of one length class at once (the
-        runner's run route).
+        runner's run route, and the counter's one columnar route).
 
-        Each list gets its route's work in the per-list hook order.  Pass
-        1 hashes every pair of the run in one batch
+        Each list gets the per-list hooks' work in their order.  Pass 1
+        hashes every pair of the run in one batch
         (:class:`~repro.util.vectorized.RunOffers`, over the memoised
         columns for a long run), then per list offers its pairs, flushes
-        the evictions and detects.  In pass 2 a short run marks the
-        arrived watchers, updates the seen edges, then counts and
-        detects; a long run of the sharded discipline, whose sample and
-        watchers no longer change, detects against one
-        :class:`~repro.util.vectorized.RunMask`, while the conventional
-        one declines (its watcher set grows mid-run).  Also declines on a
-        label with no ``uint64`` value (in pass 2, long runs only).
+        the evictions and detects; a short run of fewer than
+        ``SHORT_LIST`` pairs, or with a label that has no ``uint64``
+        value, offers through the scalar ``offer_many`` instead.  A short
+        list probes its neighbour pairs (:meth:`_end_list_short`), a long
+        one is scanned on one :class:`~repro.util.vectorized.ListMask`
+        (:meth:`_end_list_col`).  In pass 2 each list marks its arrived
+        watchers, then is scanned the same way, except that the sharded
+        discipline, whose sample no longer changes, detects a long run
+        against one :class:`~repro.util.vectorized.RunMask`.  Declines
+        only a long run holding a list with no ``uint64`` column.
         """
-        long = len(run[0][1]) >= vectorized.SHORT_LIST
         columns = None
-        if long:
-            if self._pass == 1 and not self.sharded:
-                return None
+        if len(run[0][1]) >= vectorized.SHORT_LIST:
             columns = self._run_columns(run)
             if columns is None:
                 return None
-        space_words, probe = self.space_words, self._probe_short
+        space_words = self.space_words
         readings: List[int] = []
         if self._pass == 0:
-            offers = vectorized.RunOffers.of(self._sampler, run, columns)
-            if offers is None:
-                return None
-            if long and self.sharded:
+            offers = None
+            if columns is not None or sum(len(n) for _, n in run) >= vectorized.SHORT_LIST:
+                offers = vectorized.RunOffers.of(self._sampler, run, columns)
+            if offers is not None and columns is not None and self.sharded:
                 # Nothing is collected before pass 2 in this discipline,
                 # so an eviction drops no pair and only the sample moves.
                 self._pair_count += offers.pairs
@@ -522,38 +444,86 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 )
                 self._offers_accepted += accepted
                 return readings
+            end_short = self._end_list_short
             self._evict_buffer = []
             try:
                 for index, (vertex, neighbors) in enumerate(run):
-                    self._pair_count += len(neighbors)
-                    self._offers_total += len(neighbors)
-                    self._offers_accepted += offers.offer(index)
+                    if offers is None:
+                        self._offer_pairs(vertex, neighbors)
+                    else:
+                        self._pair_count += len(neighbors)
+                        self._offers_total += len(neighbors)
+                        self._offers_accepted += offers.offer(index)
                     if self._evict_buffer:
                         self._flush_evictions()
-                    if columns is not None:
-                        # end_list's columnar detection, on this column.
-                        self._nbrs_cache = (vertex, columns[index])
-                        self.end_list(vertex, neighbors)
+                    if columns is None:
+                        end_short(vertex, neighbors)
                     elif not self.sharded:
-                        probe(vertex, neighbors)
+                        self._end_list_col(vertex, neighbors, columns[index])
                     readings.append(space_words())
             finally:
                 self._flush_evictions()
                 self._evict_buffer = None
             return readings
-        if self._pass != 1:
-            return None
-        if columns is not None:
+        if columns is not None and self.sharded:
             return self._detect_run(run, columns)
-        by_apex = self._watchers_by_apex
-        for vertex, neighbors in run:
+        by_apex, end_short = self._watchers_by_apex, self._end_list_short
+        for index, (vertex, neighbors) in enumerate(run):
             for watcher in by_apex.get(vertex, ()):
                 watcher.x_arrived = True
-            if not self.sharded:
-                self._seen_scan_scalar(vertex, neighbors)
-            probe(vertex, neighbors)
+            if columns is not None:
+                self._end_list_col(vertex, neighbors, columns[index])
+            else:
+                if not self.sharded:
+                    self._seen_scan_scalar(vertex, neighbors)
+                end_short(vertex, neighbors)
             readings.append(space_words())
         return readings
+
+    def _end_list_short(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
+        """``end_list`` of a short list: probe its canonical neighbour
+        pairs, in sorted order, against the hash indexes instead of
+        scanning them."""
+        if len(neighbors) < 2 or (self._pass == 0 and self.sharded):
+            return
+        pairs = list(itertools.combinations(sorted(set(neighbors)), 2))
+        if self._pass == 1:
+            self._count_h_probe(vertex, pairs)
+        self._detect_probe(vertex, pairs)
+
+    def _end_list_col(
+        self, vertex: Vertex, neighbors: Sequence[Vertex], nbrs: np.ndarray
+    ) -> None:
+        """``end_list`` of a long list with ``uint64`` column ``nbrs``, on
+        one :class:`~repro.util.vectorized.ListMask`.
+
+        In the conventional second pass it first does ``process_list``'s
+        seen-edge scan, fused with detection: which sampled edges appear
+        in this list shares the list mask and the endpoint lookups with
+        candidate detection.  Membership is frozen in pass 2 and the
+        member columns were rebuilt at the pass boundary, so they are
+        exact.  Columns a non-``uint64`` label turned off send the list
+        to the scalar hooks.
+        """
+        scan = self._pass == 1 and not self.sharded
+        # Bring the views up to date *before* building the list mask,
+        # which must cover every id they hold.
+        mcols = self._member_columns()
+        wcols = self._watcher_columns() if scan else None
+        src64 = vectorized.as_vertex_scalar(vertex) if scan else None
+        if mcols is None or (scan and (wcols is None or src64 is None)):
+            if scan:
+                self._seen_scan_scalar(vertex, neighbors)
+            self.end_list(vertex, neighbors)
+            return
+        query_max = mcols[3] if wcols is None else max(mcols[3], wcols[3])
+        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
+            hit: Optional[np.ndarray] = None
+            if scan and mcols[2]:
+                hit = self._seen_scan_col(src64, mcols, mask)
+            if wcols is not None:
+                self._count_h_col(vertex, wcols, mask)
+            self._detect_col(vertex, mcols, mask, hit)
 
     def _detect_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
@@ -563,16 +533,16 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         The sample is frozen in pass 2, so one table over the run's lists
         finds the same matches as ``end_list`` per list; each list's
         matches are then offered in canonical order before the next
-        list's.  A run whose table would pass the cap goes through
-        ``end_list`` list by list.
+        list's.  A run whose table would pass the cap is scanned list by
+        list.
         """
         space_words = self.space_words
         mcols = self._member_columns()
         mask = vectorized.RunMask.of(columns, mcols[3]) if mcols is not None else None
         readings: List[int] = []
         if mask is None:
-            for vertex, neighbors in run:
-                self.end_list(vertex, neighbors)
+            for (vertex, neighbors), column in zip(run, columns):
+                self._end_list_col(vertex, neighbors, column)
                 readings.append(space_words())
             return readings
         mu, mv, keys, _ = mcols
@@ -616,7 +586,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         return cols.view()
 
     def _seen_scan_scalar(self, src: Vertex, neighbors: Sequence[Vertex]) -> None:
-        """Mark sampled edges appearing in this list (deferred fallback)."""
+        """Mark sampled edges appearing in this list (pass 2's ``process_list``)."""
         members = self._sampler.membership()
         seen = self._seen_p2
         for nbr in neighbors:
@@ -818,10 +788,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcol_pos = 0
         self._wcols = vectorized.EndpointColumns()
         self._vtable = vectorized.VertexTable()
-        self._nbrs_cache = None
         self._col_provider = None
         self._evict_buffer = None
-        self._p2_deferred = None
 
     @classmethod
     def from_state(cls, state: SketchState) -> "TwoPassTriangleCounter":

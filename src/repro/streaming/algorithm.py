@@ -95,7 +95,9 @@ class StreamingAlgorithm(abc.ABC):
         MUST be observably identical to the per-pair loop — same estimates,
         same space trajectory, same RNG consumption order — it may only be
         faster, e.g. by hoisting attribute lookups and the pass check out
-        of the inner loop.  The default simply delegates pair by pair.
+        of the inner loop.  Together with ``begin_list`` and ``end_list``
+        it is an algorithm's scalar reference: columnar kernels belong in
+        :meth:`process_run`.  The default simply delegates pair by pair.
         """
         for neighbor in neighbors:
             self.process(source, neighbor)
@@ -123,13 +125,15 @@ class StreamingAlgorithm(abc.ABC):
         in order and returns one space reading per list, each equal to
         what :meth:`space_words` would return after that list's
         ``end_list``.  It must be observably identical to the per-list
-        calls — state, RNG use, readings — and may only be faster.  It
-        returns ``None`` to decline, and must decline before mutating
-        anything; the lists are then pushed one at a time.
+        calls — state, RNG use, readings — and may only be faster: it is
+        where an algorithm's columnar kernels live, checked against the
+        per-list hooks as their scalar reference.  It returns ``None`` to
+        decline, and must decline before mutating anything; the lists are
+        then pushed one at a time.
         :meth:`repro.streaming.runner.PassCursor.push_lists` calls it,
         for the batch runner and for serve sessions, only on the batched
-        fast path with the columnar kernels enabled and no per-list poll
-        (telemetry off).  The default declines.
+        fast path with the columnar kernels enabled; with a per-list
+        telemetry poll each run holds one list.  The default declines.
         """
         return None
 
@@ -187,6 +191,70 @@ class StreamingAlgorithm(abc.ABC):
         raise SnapshotUnsupported(
             f"{type(self).__name__} does not implement the sketch state protocol"
         )
+
+
+class FanOut(StreamingAlgorithm):
+    """An algorithm made of independent parts that see the same stream.
+
+    Subclasses set ``parts``.  Every hook goes to each part in order, a
+    run included, so each part keeps its own columnar route; the space
+    is the parts' sum.  :meth:`process_run` declines when the first part
+    declines (parts of one class decline on the same runs); a later part
+    that declines a run its predecessors took gets the run's lists
+    through its per-list hooks.
+    """
+
+    parts: List[StreamingAlgorithm]
+
+    def bind_columns(self, provider) -> None:
+        for part in self.parts:
+            part.bind_columns(provider)
+
+    def begin_pass(self, pass_index: int) -> None:
+        for part in self.parts:
+            part.begin_pass(pass_index)
+
+    def begin_list(self, vertex: Vertex) -> None:
+        for part in self.parts:
+            part.begin_list(vertex)
+
+    def process(self, source: Vertex, neighbor: Vertex) -> None:
+        for part in self.parts:
+            part.process(source, neighbor)
+
+    def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
+        for part in self.parts:
+            part.process_list(source, neighbors)
+
+    def end_list(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
+        for part in self.parts:
+            part.end_list(vertex, neighbors)
+
+    def process_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
+    ) -> Optional[List[int]]:
+        first, *rest = self.parts
+        readings = first.process_run(run)
+        if readings is None:
+            return None
+        for part in rest:
+            more = part.process_run(run)
+            if more is None:
+                more = []
+                for vertex, neighbors in run:
+                    part.begin_list(vertex)
+                    part.process_list(vertex, neighbors)
+                    part.end_list(vertex, neighbors)
+                    more.append(part.space_words())
+            readings = [a + b for a, b in zip(readings, more)]
+        return readings
+
+    def end_pass(self, pass_index: int) -> None:
+        for part in self.parts:
+            part.end_pass(pass_index)
+
+    def space_words(self) -> int:
+        return sum(part.space_words() for part in self.parts)
 
 
 def supports_snapshot(algorithm: StreamingAlgorithm) -> bool:

@@ -15,18 +15,18 @@ is the one list loop: the runner pushes each pass through it, a serve
 session each chunk's complete lists.  The meter records one space
 reading after every list, and the runner one more at each pass end.
 
-On the fast path, with the columnar kernels on and no per-list poll
-(telemetry off), the cursor also takes the **run route**: it hands
-stretches of consecutive lists of one length class — all shorter than
+On the fast path, with the columnar kernels on, the cursor also takes
+the **run route**: it hands stretches of consecutive lists of one
+length class — all shorter than
 :data:`~repro.util.vectorized.SHORT_LIST`, or all at least that long —
 to an algorithm's
 :meth:`~repro.streaming.algorithm.StreamingAlgorithm.process_run` hook,
 which returns the run's per-list space readings in one call, and the
 meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  Results,
-readings and checkpoints are those of the per-list route; an algorithm
-without the hook, or one that declines a run, gets its lists pushed one
-at a time.  With telemetry on every list is pushed and polled on its
-own, so each poll emits its events.
+readings and checkpoints are those of the per-list hooks, which are the
+algorithms' scalar reference; an algorithm without the hook, or one
+that declines a run, gets its lists pushed one at a time.  A telemetry
+poll cuts every run to one list, so each poll sees per-list state.
 
 Long runs can be made durable: pass a
 :class:`repro.sketch.checkpoint.CheckpointConfig` as ``checkpoint`` and
@@ -172,23 +172,24 @@ class PassCursor:
         """Push every list of ``lists``, one space reading per list.
 
         On the run route — the algorithm has a ``process_run`` hook on
-        the fast path, the columnar kernels are on and no ``poll`` is
-        given — the lists go to :meth:`push_run` in runs: stretches of
-        consecutive lists of one length class, either all shorter than
+        the fast path and the columnar kernels are on — the lists go to
+        :meth:`push_run` in runs: stretches of consecutive lists of one
+        length class, either all shorter than
         :data:`~repro.util.vectorized.SHORT_LIST` or all at least that
         long.  A run ends where the class changes, once it holds
         :data:`~repro.util.vectorized.RUN_PAIRS` pairs, at each boundary
-        and at the end of ``lists``.  Otherwise every list is pushed on
-        its own, and ``poll(lists_done, words)``, when given, sees each
-        reading before ``meter`` does.  Whenever the list count
-        (starting from ``lists_done``) reaches a multiple of ``every``
-        (0: never), ``boundary(lists_done)`` is called.  ``meter`` ends
-        exactly as per-list pushes and observations would leave it.
-        Returns the list count and the pairs pushed.
+        and at the end of ``lists``; given a ``poll``, after every list.
+        Otherwise every list is pushed on its own.  ``poll(lists_done,
+        words)``, when given, sees each list's reading before ``meter``
+        does.  Whenever the list count (starting from ``lists_done``)
+        reaches a multiple of ``every`` (0: never), ``boundary(lists_done)``
+        is called.  ``meter`` ends exactly as per-list pushes and
+        observations would leave it.  Returns the list count and the
+        pairs pushed.
         """
         stop = (lists_done // every + 1) * every if every else -1
         pairs = 0
-        if not (self.runs and poll is None and vectorized.columnar_enabled()):
+        if not (self.runs and vectorized.columnar_enabled()):
             push, space_words = self._push, self.algorithm.space_words
             observe = meter.observe
             for entry in lists:
@@ -204,6 +205,8 @@ class PassCursor:
                     stop += every
             return lists_done, pairs
         short, cap = vectorized.SHORT_LIST, vectorized.RUN_PAIRS
+        if poll is not None:
+            cap = 0  # a one-list run per poll
         run: List[Tuple[Any, Sequence[Any]]] = []
         run_long = False
         run_pairs = 0
@@ -219,7 +222,10 @@ class PassCursor:
             run.append(entry)
             run_pairs += size
             if run_pairs >= cap or lists_done == stop:
-                meter.observe_many(self.push_run(run))
+                readings = self.push_run(run)
+                if poll is not None:
+                    poll(lists_done, readings[0])
+                meter.observe_many(readings)
                 run, run_pairs = [], 0
                 if lists_done == stop:
                     boundary(lists_done)
@@ -242,8 +248,8 @@ def _drive_pass(
     still count towards the pass's lists.  ``checkpoint`` snapshots the
     algorithm every ``every_lists`` lists.  Returns the pairs pushed.
 
-    With telemetry on, :meth:`PassCursor.push_lists` pushes and polls
-    each list on its own, so telemetry sees every poll.
+    With telemetry on, :meth:`PassCursor.push_lists` polls after every
+    list, on the run route too, so telemetry sees every poll.
     """
     algorithm = cursor.algorithm
     emit_estimate = telemetry.enabled and supports_current_estimate(algorithm)

@@ -17,44 +17,44 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
 * :func:`pairwise_int_array` — vectorized :meth:`PairwiseHash.hash_int`
   (``(a·x + b) mod (2^89 − 1)`` via 32-bit limb arithmetic, exact).
 
-On top of them sits the two-pass counters' one per-list layer:
-:func:`offer_list` (the first-pass offer), :class:`EndpointColumns` (sample
-edges as growable ``uint64`` endpoint columns) and :class:`ListMask` (one
-adjacency list tested against such columns), plus its per-run
-counterparts: :class:`RunOffers`, the first-pass offers of a whole run of
-lists hashed in one batch, and :class:`RunMask`, every list of a run
-tested against columns that stay fixed during it.
+On top of them sits the two-pass counters' columnar layer, all of it
+reached through their ``process_run`` hook: :class:`EndpointColumns`
+(sample edges as growable ``uint64`` endpoint columns) and
+:class:`ListMask` (one adjacency list tested against such columns), plus
+:class:`RunOffers`, the first-pass offers of a whole run of lists hashed
+in one batch, and :class:`RunMask`, every list of a run tested against
+columns that stay fixed during it.
 
 Bit-identity is pinned by hypothesis property tests
-(``tests/util/test_vectorized.py``); the scalar implementations remain the
-oracle and the fallback for exotic vertex labels (see
+(``tests/util/test_vectorized.py``); the counters' per-list hooks remain
+the scalar oracle, and the route for exotic vertex labels (see
 :func:`as_vertex_array`).
 
-The kernels' fixed per-call cost outweighs their gain on short lists, so
-the two-pass counters route each adjacency list by its length: a list of
-fewer than :data:`SHORT_LIST` neighbours skips the kernels, offering its
-edges through the scalar sampler loop and probing its d(d-1)/2 canonical
-neighbour pairs against hash indexes (sampler membership, watched edges,
-the wedge set's endpoint pairs) instead of scanning the sample.  The
-runner goes one step further for stretches of consecutive lists of one
-length class: it hands each such run, of at most about
-:data:`RUN_PAIRS` pairs, to the counters' ``process_run`` hook, which
-hashes the run's first-pass pairs with one kernel call
+The runner hands stretches of consecutive lists of one length class to
+the counters' ``process_run`` hook: runs of lists all shorter than
+:data:`SHORT_LIST` neighbours, or all at least that long, each of at
+most about :data:`RUN_PAIRS` pairs (see :mod:`repro.streaming.runner`).
+The hook hashes a run's first-pass pairs with one kernel call
 (:class:`RunOffers`; a long run concatenates the lists' memoised
-columns) and returns the run's space readings at once (see
-:mod:`repro.streaming.runner`).  Short runs keep the short-list route's
-probes; in pass 2, where the sample is frozen, a long run is tested
-against it with one :class:`RunMask` instead of one :class:`ListMask` per
-list, and a run whose table would pass :class:`VertexTable`'s cap is
-done list by list.
+columns) and returns the run's space readings at once.  The kernels'
+fixed per-call cost outweighs their gain on short lists, so a short
+list takes the short-list route inside the hook: a run of fewer than
+:data:`SHORT_LIST` pairs, or with labels outside the ``uint64`` rule,
+offers its edges through the scalar sampler loop, and every short list
+probes its d(d-1)/2 canonical neighbour pairs against hash indexes
+(sampler membership, watched edges, the wedge set's endpoint pairs)
+instead of scanning the sample.  A long list is scanned on one
+:class:`ListMask`; in pass 2, where the sample is frozen, a long run of
+the sharded triangle or the 4-cycle counter is tested against it with
+one :class:`RunMask` instead, and a run whose table would pass
+:class:`VertexTable`'s cap is done list by list.
 
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
 onto the scalar path, which is how columnar-vs-scalar equivalence and
-throughput are measured end to end.  The short-list and run routes
-belong to the columnar side: under the oracle the counters keep their
-O(k) scans for every list, so the probes are checked against them, not
-against themselves.
+throughput are measured end to end: under the oracle the runner takes no
+runs, so the counters keep their per-list O(k) scans for every list and
+the probes are checked against them, not against themselves.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ import bisect
 import contextlib
 from typing import (
     Any,
-    Callable,
     Collection,
     Iterable,
     Iterator,
@@ -87,7 +86,6 @@ __all__ = [
     "ListMask",
     "mixhash_int_array",
     "mixhash_unit_array",
-    "offer_list",
     "pairwise_int_array",
     "PairColumns",
     "RUN_PAIRS",
@@ -493,34 +491,6 @@ class ListMask:
         return result
 
 
-def offer_list(
-    sampler: Any,
-    source: Any,
-    neighbors: Sequence[Any],
-    column_of: Callable[[Any, Sequence[Any]], Optional[np.ndarray]],
-) -> Tuple[int, Optional[np.ndarray]]:
-    """Offer ``canonical_edge(source, nbr)`` for every neighbour, in order.
-
-    The two-pass counters' first-pass offer.  A list of at least
-    :data:`SHORT_LIST` int labels is hashed in one batch and offered via
-    ``sampler.offer_array``; any other list goes through the scalar
-    ``offer_many``, which leaves the sampler in the same state.
-    ``column_of(source, neighbors)`` supplies the list's ``uint64``
-    column.  Returns the accepted count and that column (None when the
-    list took the scalar route).
-    """
-    if _COLUMNAR_ENABLED and len(neighbors) >= SHORT_LIST:
-        src = as_vertex_scalar(source)
-        column = column_of(source, neighbors) if src is not None else None
-        if column is not None:
-            u, v = canonical_pair_columns(src, column)
-            priorities = sampler.priority_array(encode_pair_keys(u, v))
-            accepted: int = sampler.offer_array(priorities, PairColumns(u, v))
-            return accepted, column
-    pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
-    return sampler.offer_many(pairs), None
-
-
 class RunOffers:
     """The first-pass offers of a run of lists, hashed in one batch.
 
@@ -533,7 +503,7 @@ class RunOffers:
     call, and :meth:`offer_all` the whole run, switching from the first
     to the second once the sample is full.  Lists must be offered in
     order, each once.  Keys are built from the run's own labels, as the
-    per-list route builds them (only the hashing reads the columns).  The
+    per-list hooks build them (only the hashing reads the columns).  The
     sampler, its eviction callbacks and the accepted counts end exactly
     as per-key ``offer`` calls would leave them: once the sample is full
     its threshold only tightens, so a pair above the threshold at that
@@ -698,7 +668,7 @@ class RunMask:
 
 class _RunPairs:
     """A run's pairs as its own labels: ``self[j]`` is pair ``j``'s
-    canonical tuple, built as the per-list route builds it."""
+    canonical tuple, built as the per-list hooks build it."""
 
     __slots__ = ("sources", "flat", "ends")
 

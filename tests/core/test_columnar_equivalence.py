@@ -14,7 +14,10 @@ import random
 
 import pytest
 
+from repro.core.adaptive import AdaptiveTriangleCounter
+from repro.core.boosting import MedianBoosted
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
+from repro.core.transitivity import TransitivityEstimator
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import Graph
@@ -23,6 +26,7 @@ from repro.sketch.checkpoint import CheckpointConfig, load_checkpoint
 from repro.sketch.driver import run_sharded
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
+from repro.util import vectorized
 from repro.util.vectorized import SHORT_LIST, ColumnMemo, scalar_oracle
 
 FACTORIES = {
@@ -293,8 +297,32 @@ class _KeepEveryCheckpoint(CheckpointConfig):
         return record
 
 
+#: The fan-out wrappers, each over two-pass triangle counters.
+WRAPPER_FACTORIES = {
+    "adaptive": lambda: AdaptiveTriangleCounter(96, seed=42),
+    "boosted": lambda: MedianBoosted(
+        lambda seed: TwoPassTriangleCounter(sample_size=96, seed=seed), 3, seed=42
+    ),
+    "transitivity": lambda: TransitivityEstimator(96, seed=42),
+}
+
+
+class _Forbidden:
+    """Stands in for a columnar kernel: any call or attribute raises."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self._name} entered")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self._name} entered")
+
+
 class TestOraclePinned:
-    """The scalar oracle never enters the short-list probe route."""
+    """The scalar oracle never enters the short-list probe route, and the
+    per-list hooks — per-pair dispatch runs nothing else — are scalar."""
 
     PROBES = (
         (TwoPassTriangleCounter, "_count_h_probe"),
@@ -323,3 +351,24 @@ class TestOraclePinned:
     def test_production_path_takes_probes(self, name, mixed_stream, probes_raise):
         with pytest.raises(AssertionError, match="probe route entered"):
             run_algorithm(MIXED_FACTORIES[name](), mixed_stream)
+
+    KERNELS = ("ListMask", "RunOffers", "RunMask", "as_vertex_array")
+
+    @pytest.fixture
+    def kernels_raise(self, monkeypatch, probes_raise):
+        for name in self.KERNELS:
+            monkeypatch.setattr(vectorized, name, _Forbidden(name))
+
+    @pytest.mark.parametrize("name", sorted(MIXED_FACTORIES) + sorted(WRAPPER_FACTORIES))
+    def test_per_list_hooks_are_scalar(self, name, mixed_stream, kernels_raise):
+        """Kernels on, per-pair dispatch: only ``process`` and the
+        per-list hooks run, and they enter no columnar kernel."""
+        make = MIXED_FACTORIES.get(name) or WRAPPER_FACTORIES[name]
+        assert run_algorithm(make(), mixed_stream, use_fast_path=False).estimate > 0
+
+    @pytest.mark.parametrize("name", sorted(WRAPPER_FACTORIES))
+    def test_wrappers_take_the_kernels_on_the_fast_path(
+        self, name, mixed_stream, kernels_raise
+    ):
+        with pytest.raises(AssertionError, match="entered"):
+            run_algorithm(WRAPPER_FACTORIES[name](), mixed_stream)

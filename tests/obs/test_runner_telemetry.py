@@ -1,9 +1,16 @@
 """Runner instrumentation: pass boundaries, high-water events, null parity."""
 
+import contextlib
+from dataclasses import fields, replace
+
+import pytest
+
+from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.planted import planted_triangles
 from repro.obs.events import (
     MergeCompleted,
+    MetricsReport,
     OccupancySample,
     PassFinished,
     PassStarted,
@@ -17,6 +24,7 @@ from repro.obs.telemetry import Telemetry
 from repro.sketch.driver import run_sharded
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
+from repro.util.vectorized import SHORT_LIST, scalar_oracle
 
 
 def _workload():
@@ -115,3 +123,55 @@ def test_sharded_driver_emits_shard_events():
     assert [m.n_shards for m in merges] == [3] * len(merges)
     (run_finished,) = sink.of_type(RunFinished)
     assert run_finished.estimate == result.estimate
+
+
+def _untimed(events):
+    """``events`` without what a clock decides: the timer fields are
+    zeroed and the closing metrics report, which holds the pass-time
+    histograms, is dropped."""
+    out = []
+    for event in events:
+        if isinstance(event, MetricsReport):
+            continue
+        names = {f.name for f in fields(event)}
+        timers = {n: 0.0 for n in ("seconds", "pairs_per_second") if n in names}
+        out.append(replace(event, **timers))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TwoPassTriangleCounter(sample_size=60, seed=7),
+        lambda: TwoPassFourCycleCounter(sample_size=60, mode="distinct", seed=7),
+    ],
+    ids=["triangle", "fourcycle-distinct"],
+)
+def test_telemetry_cuts_runs_to_one_list(make, monkeypatch):
+    """Telemetry keeps the run route but polls after every list: each
+    ``process_run`` call holds one list, short or long, and the events
+    equal the scalar oracle's."""
+    graph = _workload()
+    for hub in (10**6, 10**6 + 1):
+        for nbr in range(3 * SHORT_LIST):
+            graph.add_edge(hub, nbr)
+    stream = AdjacencyListStream(graph, seed=11)
+    cls = type(make())
+    hook = cls.process_run
+    runs = []
+
+    def recording(self, run):
+        runs.append([len(neighbors) for _, neighbors in run])
+        return hook(self, run)
+
+    monkeypatch.setattr(cls, "process_run", recording)
+    sinks = InMemorySink(), InMemorySink()
+    for sink, oracle in zip(sinks, (False, True)):
+        telemetry = Telemetry(sink=sink)
+        with scalar_oracle() if oracle else contextlib.nullcontext():
+            run_algorithm(make(), stream, telemetry=telemetry)
+        telemetry.close()
+        if not oracle:
+            assert runs and all(len(sizes) == 1 for sizes in runs)
+            assert {sizes[0] >= SHORT_LIST for sizes in runs} == {False, True}
+    assert _untimed(sinks[0].events) == _untimed(sinks[1].events)

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.graph.planted import planted_four_cycles, planted_triangles
+from repro.graph.planted import planted_triangles
 from repro.serve.protocol import (
     BAD_REQUEST,
     BUDGET_EXCEEDED,
@@ -58,23 +58,9 @@ def _feed_binary(session, pairs, chunk):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
-    def test_any_chunking_matches_batch_runner(self, triangle_world, chunk):
-        stream, pairs, _ = triangle_world
-        reference = _reference(stream)
-        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
-        final = _feed_stream(session, pairs, chunk, 2)
-        assert final["done"]
-        assert final["estimate"] == reference
-
-    def test_fourcycle_matches_batch_runner(self):
-        planted = planted_four_cycles(noise_edges=150, cycles=20, seed=3)
-        stream = AdjacencyListStream(planted.graph, seed=2)
-        pairs = list(stream.iter_pairs())
-        reference = _reference(stream, "fourcycle-two-pass", budget=64, seed=9)
-        session = ServeSession.open("s", "fourcycle-two-pass", 64, seed=9)
-        final = _feed_stream(session, pairs, 11, 2)
-        assert final["estimate"] == reference
+    """Two-pass counters are pinned against the batch runner, under every
+    chunking and both wires, by ``tests/test_conformance.py``; the
+    one-pass baseline is outside that matrix."""
 
     def test_one_pass_algorithm(self, triangle_world):
         stream, pairs, _ = triangle_world

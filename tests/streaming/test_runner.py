@@ -290,7 +290,7 @@ def _outcome(algorithm, result):
 
 
 def _per_list(make, stream):
-    """The per-list route: a metrics-only telemetry keeps runs off."""
+    """One-list runs: a metrics-only telemetry polls after every list."""
     algorithm = make()
     return _outcome(algorithm, run_algorithm(algorithm, stream, telemetry=Telemetry(sink=None)))
 
@@ -366,24 +366,36 @@ class TestRunRoute:
 
     @pytest.mark.parametrize("name", sorted(RUN_FACTORIES))
     def test_tuple_labels_decline(self, name, monkeypatch):
+        """Tuple labels have no ``uint64`` column: runs of short lists
+        are still taken, through the scalar offers and the probes, and
+        only the long runs decline.  The Figure-1b gadget's lists are
+        short, so two hubs wired to ``SHORT_LIST + 2`` of its vertices
+        make long ones."""
         graph = triangle_multipass.build_gadget(
             random_three_disj_instance(5, True, seed=1), 4
         ).graph
+        gadget = sorted(graph.vertices())
+        for hub in (("hub", 0), ("hub", 1)):
+            for nbr in gadget[: SHORT_LIST + 2]:
+                graph.add_edge(hub, nbr)
         stream = AdjacencyListStream(graph, seed=2)
         make = RUN_FACTORIES[name]
         cls = type(make())
         hook = cls.process_run
-        returned = []
+        returned = set()
 
         def recording(self, run):
             readings = hook(self, run)
-            returned.append((self._pass, readings is None))
+            long = len(run[0][1]) >= SHORT_LIST
+            returned.add((self._pass, long, readings is None))
             return readings
 
         monkeypatch.setattr(cls, "process_run", recording)
         algorithm = make()
         outcome = _outcome(algorithm, run_algorithm(algorithm, stream))
-        assert (0, True) in returned and (0, False) not in returned
+        assert returned == {
+            (pass_index, long, long) for pass_index in (0, 1) for long in (False, True)
+        }
         assert outcome == _per_list(make, stream)
         with scalar_oracle():
             algorithm = make()

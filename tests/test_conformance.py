@@ -4,15 +4,17 @@ The core invariant of the repo is that a counter gives bit-identical
 results however its stream is executed.  This module pins it along five
 axes:
 
-* algorithms — every serve-compatible registry algorithm;
+* algorithms — every serve-compatible registry algorithm, and on the
+  batch paths the fan-out wrappers: ``triangle-adaptive``,
+  ``transitivity`` and a median of three ``triangle-two-pass`` copies;
 * orderings — every entry of ``ORDERING_FACTORIES``;
 * graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), a
   G(n, m) with three float labels, and seeded planted-triangle and
   planted-4-cycle graphs;
 * execution paths — the scalar oracle, the columnar kernels without the
-  stream's column memo, the per-list route (a metrics-only telemetry
-  keeps the runner from batching runs of short lists, which the
-  reference takes), ``run_single_pass`` chained per pass,
+  stream's column memo, one-list runs (a metrics-only telemetry polls
+  after every list, so the runner cuts each run to one list, while the
+  reference batches runs), ``run_single_pass`` chained per pass,
   ``run_sharded``, and serve sessions fed JSON, binary, or a seeded mix
   of both (binary only on int-labelled graphs; the wire refuses float
   labels, so the float-labelled graph skips the serve paths);
@@ -41,6 +43,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.boosting import MedianBoosted
 from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import Graph
@@ -63,6 +66,19 @@ from repro.util.vectorized import RUN_PAIRS, SHORT_LIST, ColumnMemo, scalar_orac
 ALGORITHMS = sorted(
     spec.name for spec in iter_specs() if serve_capabilities(spec).serve_compatible
 )
+#: The fan-out wrappers over two-pass triangle counters, on the batch
+#: paths only: no session serves them.
+WRAPPERS = {
+    "triangle-adaptive": lambda budget, seed: get_spec("triangle-adaptive").make(
+        budget, seed=seed
+    ),
+    "transitivity": lambda budget, seed: get_spec("transitivity").make(budget, seed=seed),
+    "triangle-boosted": lambda budget, seed: MedianBoosted(
+        lambda copy_seed: get_spec("triangle-two-pass").make(budget, seed=copy_seed),
+        3,
+        seed=seed,
+    ),
+}
 #: Sharded rows per shard-capable spec, at a budget where its merge is
 #: exact: the 4-cycle merge always is; the triangle pair reservoir merges
 #: by weighted resampling, which is exact only while no shard's
@@ -99,6 +115,11 @@ SESSION_PATHS = ("json", "binary", "mixed")
 
 
 def _cases():
+    for algorithm in sorted(WRAPPERS):
+        for ordering in sorted(ORDERING_FACTORIES):
+            for graph in GRAPHS:
+                for path in BATCH_PATHS:
+                    yield algorithm, ordering, graph, path, None
     for algorithm in ALGORITHMS:
         for ordering in sorted(ORDERING_FACTORIES):
             for graph in GRAPHS:
@@ -123,12 +144,25 @@ def _stream(ordering, graph):
     return ORDERING_FACTORIES[ordering](GRAPHS[graph](), seed=7)
 
 
+def _make(algorithm, budget):
+    if algorithm in WRAPPERS:
+        return WRAPPERS[algorithm](budget, SEED)
+    return get_spec(algorithm).make(budget, seed=SEED)
+
+
+def _state(algo):
+    """The sketch state of ``algo``, or of each of a wrapper's parts."""
+    if supports_snapshot(algo):
+        return algo.snapshot().payload
+    parts = getattr(algo, "parts", None)
+    return None if parts is None else [_state(part) for part in parts]
+
+
 @functools.lru_cache(maxsize=None)
 def _reference(algorithm, budget, ordering, graph):
-    algo = get_spec(algorithm).make(budget, seed=SEED)
+    algo = _make(algorithm, budget)
     result = run_algorithm(algo, _stream(ordering, graph))
-    state = algo.snapshot().payload if supports_snapshot(algo) else None
-    return result, state
+    return result, _state(algo)
 
 
 class _ListsOnly:
@@ -192,7 +226,7 @@ def test_path_matches_run_algorithm(algorithm, ordering, graph, path, chunking):
     stream = _stream(ordering, graph)
     budget = SHARD_BUDGETS[algorithm] if path == "sharded" else BUDGET
     reference, reference_state = _reference(algorithm, budget, ordering, graph)
-    algo = get_spec(algorithm).make(budget, seed=SEED)
+    algo = _make(algorithm, budget)
     peak = mean = None
     if path in ("scalar", "columnar", "per-list"):
         if path == "scalar":
@@ -224,7 +258,7 @@ def test_path_matches_run_algorithm(algorithm, ordering, graph, path, chunking):
         assert peak == reference.peak_space_words
         assert mean == reference.mean_space_words
     if algo is not None and reference_state is not None:
-        assert algo.snapshot().payload == reference_state
+        assert _state(algo) == reference_state
 
 
 def test_matrix_covers_every_shard_capable_spec():

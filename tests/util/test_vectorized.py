@@ -42,7 +42,6 @@ from repro.util.vectorized import (
     in_sorted,
     mixhash_int_array,
     mixhash_unit_array,
-    offer_list,
     pairwise_int_array,
     set_columnar_enabled,
     SHORT_LIST,
@@ -200,41 +199,6 @@ class TestOfferArrayMatchesScalarSampler:
         assert vec.state_dict() == scalar.state_dict()
 
 
-    @staticmethod
-    def _offer_both(source, neighbors):
-        """``offer_list`` on one sampler, scalar ``offer_many`` on a twin."""
-        vec, scalar = BottomKSampler(8, seed=5), BottomKSampler(8, seed=5)
-        accepted, column = offer_list(vec, source, neighbors, ColumnMemo())
-        expected = scalar.offer_many([canonical_edge(source, n) for n in neighbors])
-        assert accepted == expected
-        assert vec.state_dict() == scalar.state_dict()
-        return column
-
-    @given(
-        source=st.integers(0, 200),
-        neighbors=st.lists(st.integers(0, 200), min_size=0, max_size=3 * SHORT_LIST),
-    )
-    def test_offer_list_matches_offer_many(self, source, neighbors):
-        column = self._offer_both(source, neighbors)
-        if len(neighbors) >= SHORT_LIST:
-            assert column is not None and column.tolist() == neighbors
-        else:
-            assert column is None  # short lists take the scalar route
-
-    def test_offer_list_gadget_fallback(self):
-        long = range(1, SHORT_LIST + 1)
-        assert self._offer_both("a", [f"b{i}" for i in long]) is None
-        assert self._offer_both(("x", 0), [("x", i) for i in long]) is None
-        assert self._offer_both(-1, list(long)) is None
-
-    def test_offer_list_when_disabled(self):
-        previous = set_columnar_enabled(False)
-        try:
-            assert self._offer_both(0, list(range(1, 2 * SHORT_LIST))) is None
-        finally:
-            set_columnar_enabled(previous)
-
-
 class TestRunOffers:
     """A run hashed once and offered list by list (or the rest in one
     batch) leaves the sampler, its evictions and every list's accepted
@@ -288,6 +252,22 @@ class TestRunOffers:
         offers = RunOffers.of(batch, run)
         assert sum(offers.offer(i) for i in range(len(run))) == sum(
             scalar.offer_many([canonical_edge(v, n) for n in ns]) for v, ns in run
+        )
+        assert logs[0] == logs[1] and batch.state_dict() == scalar.state_dict()
+
+    @given(
+        source=st.integers(0, 200),
+        neighbors=st.lists(st.integers(0, 200), min_size=1, max_size=3 * SHORT_LIST),
+    )
+    def test_one_list_over_its_column_matches_offer_many(self, source, neighbors):
+        """A one-list run hashed over the list's memoised column — the
+        first-pass offer of a long list — matches scalar ``offer_many``."""
+        batch, scalar, logs = self._twins(8, 5)
+        column = ColumnMemo()(source, neighbors)
+        assert column.tolist() == neighbors
+        offers = RunOffers.of(batch, [(source, neighbors)], [column])
+        assert offers.offer(0) == scalar.offer_many(
+            [canonical_edge(source, n) for n in neighbors]
         )
         assert logs[0] == logs[1] and batch.state_dict() == scalar.state_dict()
 
@@ -499,6 +479,13 @@ class TestColumnarSwitch:
                 assert not vectorized.columnar_enabled()
                 raise RuntimeError("boom")
         assert vectorized.columnar_enabled()
+
+    def test_set_returns_previous_value(self):
+        assert set_columnar_enabled(False) is True
+        try:
+            assert not vectorized.columnar_enabled()
+        finally:
+            assert set_columnar_enabled(True) is False
 
 
 class TestPublicApi:
