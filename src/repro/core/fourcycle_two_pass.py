@@ -129,8 +129,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         # Telemetry-only churn tallies (observables); deliberately NOT part
         # of the snapshot payload — resumed runs restart them at zero.
         self._evictions = 0
-        self._offers_total = 0  # pass-0 edge offers (repeats included)
-        self._offers_accepted = 0  # offers the bottom-k sample accepted
         # Columnar wedge-endpoint view for the vectorized pass-2 scan,
         # payload the wedge, plus each centre's wedge indices; derived
         # from _wedges (fixed after _build_wedges), built lazily.
@@ -157,9 +155,7 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
     def process(self, source: Vertex, neighbor: Vertex) -> None:
         if self._pass == 0:
             self._pair_count += 1
-            self._offers_total += 1
-            if self._sampler.offer(canonical_edge(source, neighbor)):
-                self._offers_accepted += 1
+            self._sampler.offer(canonical_edge(source, neighbor))
 
     def process_list(self, source: Vertex, neighbors: Sequence[Vertex]) -> None:
         # Batched per-list hook, the scalar reference: same offers in the
@@ -167,8 +163,7 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         # minus per-pair dispatch (pass 2 does all work in end_list).
         if self._pass == 0:
             self._pair_count += len(neighbors)
-            self._offers_total += len(neighbors)
-            self._offers_accepted += self._sampler.offer_many(
+            self._sampler.offer_many(
                 [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
             )
 
@@ -238,10 +233,7 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 readings.append(self.space_words())
             return readings
         self._pair_count += offers.pairs
-        self._offers_total += offers.pairs
-        accepted, readings = offers.offer_all(self.space_words() - sampler.space_words())
-        self._offers_accepted += accepted
-        return readings
+        return offers.offer_all(self.space_words() - sampler.space_words())
 
     def _complete_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list, rest: int
@@ -425,8 +417,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             _decode_cycle_key(blob) for blob in payload["distinct"]
         }
         self._evictions = 0
-        self._offers_total = 0
-        self._offers_accepted = 0
         self._wedge_cols = vectorized.EndpointColumns()
         self._wedges_at = {}
         self._wedge_index = None
@@ -514,8 +504,8 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             "edge_sample_occupancy": len(self._sampler),
             "edge_sample_capacity": self.sample_size,
             "edge_sample_evictions": self._evictions,
-            "edge_offers_total": self._offers_total,
-            "edge_offers_accepted": self._offers_accepted,
+            "edge_offers_total": self._sampler.offers,
+            "edge_offers_accepted": self._sampler.accepted,
             "wedge_set_occupancy": len(self._wedges),
             "wedge_population": self._wedge_population,
             "distinct_cycles_tracked": len(self._distinct_cycles),

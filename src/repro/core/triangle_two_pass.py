@@ -199,8 +199,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # of the snapshot payload — resumed runs restart them at zero.
         self._evictions = 0  # edges that fell out of the bottom-k sample
         self._displaced = 0  # reservoir pairs displaced by later offers
-        self._offers_total = 0  # pass-0 edge offers (repeats included)
-        self._offers_accepted = 0  # offers the bottom-k sample accepted
         # O(1) bookkeeping mirrors for the hot path (derived state; restore
         # recomputes them from the restored reservoir):
         self._live_watchers = 0  # == sum(len(p.watchers) for p in reservoir)
@@ -358,9 +356,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         edge = canonical_edge(source, neighbor)
         if self._pass == 0:
             self._pair_count += 1
-            self._offers_total += 1
-            if self._sampler.offer(edge):
-                self._offers_accepted += 1
+            self._sampler.offer(edge)
         elif not self.sharded:
             # ``seen`` drives the pass-1/pass-2 considered-once split; the
             # sharded discipline collects everything in pass 2 instead.
@@ -398,9 +394,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """Offer one list's first-pass pairs, in order, through the scalar
         ``offer_many``."""
         self._pair_count += len(neighbors)
-        self._offers_total += len(neighbors)
-        pairs = [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
-        self._offers_accepted += self._sampler.offer_many(pairs)
+        self._sampler.offer_many(
+            [(source, nbr) if source <= nbr else (nbr, source) for nbr in neighbors]
+        )
 
     def process_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]]
@@ -438,12 +434,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 # Nothing is collected before pass 2 in this discipline,
                 # so an eviction drops no pair and only the sample moves.
                 self._pair_count += offers.pairs
-                self._offers_total += offers.pairs
-                accepted, readings = offers.offer_all(
-                    space_words() - self._sampler.space_words()
-                )
-                self._offers_accepted += accepted
-                return readings
+                return offers.offer_all(space_words() - self._sampler.space_words())
             end_short = self._end_list_short
             self._evict_buffer = []
             try:
@@ -452,8 +443,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                         self._offer_pairs(vertex, neighbors)
                     else:
                         self._pair_count += len(neighbors)
-                        self._offers_total += len(neighbors)
-                        self._offers_accepted += offers.offer(index)
+                        offers.offer(index)
                     if self._evict_buffer:
                         self._flush_evictions()
                     if columns is None:
@@ -776,8 +766,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 self._watchers_by_apex.setdefault(watcher.x, set()).add(watcher)
         self._evictions = 0
         self._displaced = 0
-        self._offers_total = 0
-        self._offers_accepted = 0
         self._live_watchers = sum(
             len(pair.watchers) for pair in self._reservoir.items()
         )
@@ -857,8 +845,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             "edge_sample_occupancy": len(self._sampler),
             "edge_sample_capacity": self.sample_size,
             "edge_sample_evictions": self._evictions,
-            "edge_offers_total": self._offers_total,
-            "edge_offers_accepted": self._offers_accepted,
+            "edge_offers_total": self._sampler.offers,
+            "edge_offers_accepted": self._sampler.accepted,
             "pair_reservoir_occupancy": len(self._reservoir),
             "pair_reservoir_offered": self._reservoir.offered,
             "pair_reservoir_displaced": self._displaced,

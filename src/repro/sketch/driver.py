@@ -14,13 +14,14 @@ layer (:mod:`repro.sketch.merge`):
 
 Because every shard starts each pass from the merged state of the
 previous one, counters merge as deltas over a common base and the
-bottom-k edge sample merges bit-exactly.  Parallel fan-out runs on the
-process's warm pool (:mod:`repro.util.warmpool`), forked once and reused
-by every run.  The shards' adjacency lists are published once into a
-shared-memory block owned by the stream object, keyed by
-``(n_shards, strategy)``, so repeated runs over the same stream neither
-re-partition nor re-ship it; per-pass tasks carry only the block's name
-and the (small) merged state.  Workers unpickle a shard on first use and
+bottom-k edge sample merges bit-exactly.  A stream object is partitioned
+once per ``(n_shards, strategy)``, and both schedules read that
+partition.  Parallel fan-out runs on the process's warm pool
+(:mod:`repro.util.warmpool`), forked once and reused by every run.  The
+shards' adjacency lists are published once into a shared-memory block
+owned by the stream object, under the same key, so repeated runs over
+the same stream neither re-partition nor re-ship it; per-pass tasks
+carry only the block's name and the (small) merged state.  Workers unpickle a shard on first use and
 keep it, with a :class:`~repro.util.vectorized.ColumnMemo` of vertex-id
 columns for the counters' vectorized fast path, warm across passes and
 runs.  ``workers=None`` runs shards serially in-process, reading columns
@@ -37,8 +38,9 @@ from __future__ import annotations
 import os
 import pickle
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import resolve_workers
 from repro.obs.events import MergeCompleted, RunFinished, RunStarted, ShardPassFinished
@@ -192,8 +194,28 @@ class _ShardLists:
         return entry
 
 
+#: Per stream object, its partitions by ``(n_shards, strategy)``; weakly
+#: keyed, so a stream's partitions die with it.
+_partitions: "weakref.WeakKeyDictionary[Any, Dict[Tuple[int, str], List[StreamShard]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _partition(stream, n_shards: int, strategy: str) -> List[StreamShard]:
+    """``stream``'s shards: made once per stream object and key, and on
+    every call for any other iterable."""
+    if not isinstance(stream, AdjacencyListStream):
+        return partition_stream(stream, n_shards, strategy)
+    by_key = _partitions.setdefault(stream, {})
+    shards = by_key.get((n_shards, strategy))
+    if shards is None:
+        shards = partition_stream(stream, n_shards, strategy)
+        by_key[(n_shards, strategy)] = shards
+    return shards
+
+
 def _shard_block(stream, n_shards: int, strategy: str) -> Tuple[List[StreamShard], bytes]:
-    shards = partition_stream(stream, n_shards, strategy)
+    shards = _partition(stream, n_shards, strategy)
     return shards, pickle.dumps(_ShardLists(shards), pickle.HIGHEST_PROTOCOL)
 
 
@@ -291,8 +313,8 @@ def run_sharded(
     n_workers = min(resolve_workers(workers), max(n_shards, 1))
     effective = min(n_workers, os.cpu_count() or 1)
     # Pooled runs read the shards from a shared block.  A stream object
-    # owns its blocks, so repeated runs over it partition and ship once;
-    # any other iterable gets a block for this call only.
+    # owns its partitions and blocks, so repeated runs over it partition
+    # and ship once; any other iterable gets both for this call only.
     block: Optional[SharedBlock] = None
     call_block: Optional[SharedBlock] = None
     if n_workers > 1:
@@ -305,7 +327,7 @@ def run_sharded(
             block = call_block = SharedBlock(*_shard_block(stream, n_shards, strategy))
         shards = block.value
     else:
-        shards = partition_stream(stream, n_shards, strategy)
+        shards = _partition(stream, n_shards, strategy)
     meter = SpaceMeter()
 
     state = algorithm.snapshot()

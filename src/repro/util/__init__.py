@@ -1,6 +1,6 @@
-"""Shared utilities: seeded RNG, hash families, samplers, statistics."""
+"""Shared utilities: seeded RNG, hashing, samplers, statistics."""
 
-from repro.util.hashing import MixHash64, PairwiseHash
+from repro.util.hashing import MixHash64
 from repro.util.rng import derive_seed, resolve_rng, spawn_rng
 from repro.util.sampling import BottomKSampler, ReservoirSampler, ThresholdSampler
 from repro.util.stats import (
@@ -20,7 +20,6 @@ from repro.util.stats import (
 
 __all__ = [
     "MixHash64",
-    "PairwiseHash",
     "derive_seed",
     "resolve_rng",
     "spawn_rng",

@@ -3,21 +3,13 @@
 The paper's edge samplers are hash based: each edge receives a pseudorandom
 priority fixed for the lifetime of the algorithm, so that both passes agree
 on which edges are sampled and an edge can be admitted the *first* time it
-appears in the stream.  Two families are provided:
-
-* :class:`MixHash64` — a splitmix64-style mixer keyed by a seed.  This is the
-  practical default: fast, stateless, and empirically uniform.
-* :class:`PairwiseHash` — a genuinely pairwise-independent family
-  ``h(x) = (a*x + b) mod p`` over a Mersenne prime, for components whose
-  analysis requires 2-wise independence.
-
-Both map arbitrary hashable keys to integers in ``[0, 2**64)`` and to floats
-in ``[0, 1)``.
+appears in the stream.  :class:`MixHash64`, a splitmix64-style mixer keyed
+by a seed (fast, stateless, and empirically uniform), maps arbitrary
+hashable keys to integers in ``[0, 2**64)`` and to floats in ``[0, 1)``.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.util.rng import SeedLike, resolve_rng
@@ -26,8 +18,6 @@ if TYPE_CHECKING:  # numpy only needed for the columnar batch signatures
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
-#: Mersenne prime 2^89 - 1, comfortably above 64-bit key space.
-_MERSENNE_P = (1 << 89) - 1
 
 
 def _to_int_key(key: Hashable) -> int:
@@ -106,42 +96,3 @@ class MixHash64:
         from repro.util.vectorized import mixhash_int_array
 
         return mixhash_int_array(encoded_keys, self._key)
-
-
-class PairwiseHash:
-    """Pairwise-independent hash family ``h(x) = ((a*x + b) mod p) mod 2^64``.
-
-    ``a`` is drawn from ``[1, p)`` and ``b`` from ``[0, p)`` where ``p`` is a
-    Mersenne prime larger than the key space, giving exact 2-wise
-    independence over 64-bit integer keys.
-    """
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        rng = resolve_rng(seed)
-        self._a = rng.randrange(1, _MERSENNE_P)
-        self._b = rng.randrange(_MERSENNE_P)
-
-    def hash_int(self, key: Hashable) -> int:
-        """Return a pseudorandom integer in ``[0, 2**64)`` for ``key``."""
-        x = _to_int_key(key)
-        return ((self._a * x + self._b) % _MERSENNE_P) & _MASK64
-
-    def hash_unit(self, key: Hashable) -> float:
-        """Return a pseudorandom float in ``[0, 1)`` for ``key``."""
-        return self.hash_int(key) / 2.0**64
-
-    def hash_int_array(self, encoded_keys: "np.ndarray") -> "np.ndarray":
-        """Columnar :meth:`hash_int` over pre-encoded ``uint64`` keys.
-
-        Bit-identical to the scalar modular arithmetic: the kernel carries
-        the full ``a·x + b`` product in 32-bit limbs and reduces modulo the
-        Mersenne prime exactly.
-        """
-        from repro.util.vectorized import pairwise_int_array
-
-        return pairwise_int_array(encoded_keys, self._a, self._b)
-
-
-def fresh_hash(rng: random.Random) -> MixHash64:
-    """Draw a fresh :class:`MixHash64` keyed from ``rng``."""
-    return MixHash64(rng)

@@ -9,7 +9,11 @@ Three samplers back the paper's algorithms:
   first insertion onward (its priority is among the ``k`` smallest of every
   prefix), which is exactly the property Section 3.3.1 of the paper relies
   on: a triangle on a sampled edge is observable from the moment the edge
-  first appears.
+  first appears.  It has one admission path, the loop of
+  :meth:`~BottomKSampler.offer_many`: the per-key
+  :meth:`~BottomKSampler.offer` and the vectorised
+  :meth:`~BottomKSampler.offer_array` are threshold filters in front of
+  it.  The sampler tallies its own offers for the counters' telemetry.
 * :class:`ThresholdSampler` — Bernoulli sampling by hash threshold; a
   simpler, independent-inclusion alternative with the same first-occurrence
   property.
@@ -61,7 +65,12 @@ class BottomKSampler(Generic[K]):
     ``offer(key)`` admits the key if its priority is currently among the
     ``k`` smallest; admitting a new key may evict the current maximum, in
     which case ``on_evict`` (if provided) is called with the evicted key.
-    Offering the same key twice is a no-op the second time.
+    Offering the same key twice is a no-op the second time.  Every
+    admission goes through one step, in :meth:`offer_many`'s loop:
+    :meth:`offer` and :meth:`offer_array` are filters in front of it,
+    and all three are observably identical to per-key offers.
+    ``offers`` and ``accepted`` tally the offers made and those that
+    returned True.
     """
 
     def __init__(
@@ -90,6 +99,10 @@ class BottomKSampler(Generic[K]):
         # cursors) once stale entries dominate, keeping it O(capacity).
         self._admit_log: List[K] = []
         self._admit_epoch = 0
+        # Telemetry-only offer tallies (repeat members count as accepted);
+        # not part of state_dict(), and a restore restarts them at zero.
+        self.offers = 0
+        self.accepted = 0
 
     def __len__(self) -> int:
         return len(self._members)
@@ -151,35 +164,31 @@ class BottomKSampler(Generic[K]):
             return None
         return -self._heap[0][0]
 
+    def reject(self, count: int) -> None:
+        """Count ``count`` offers that a caller's threshold filter turned
+        away: offers :meth:`offer` would have rejected without a change."""
+        self.offers += count
+
     def offer(self, key: K) -> bool:
         """Offer ``key`` to the sample; return True iff it is now sampled.
 
-        Returns True also for keys that were already members.
+        Returns True also for keys that were already members.  A key that
+        gets in is admitted through :meth:`offer_many`.
         """
-        if self.capacity == 0:
-            return False
         if key in self._members:
+            self.offers += 1
+            self.accepted += 1
             return True
-        prio = self.priority(key)
-        if len(self._members) < self.capacity:
-            heapq.heappush(self._heap, (-prio, key))
-            self._members[key] = prio
-            self._version += 1
-            self._note_admit(key)
-            return True
-        worst_neg, worst_key = self._heap[0]
-        if prio >= -worst_neg:
-            return False
-        heapq.heapreplace(self._heap, (-prio, key))
-        self._members[key] = prio
-        del self._members[worst_key]
-        self._version += 1
-        self._note_admit(key)
-        if self._on_evict is not None:
-            self._on_evict(worst_key)
-        return True
+        if self.capacity:
+            prio = self.priority(key)
+            if len(self._members) < self.capacity or prio < -self._heap[0][0]:
+                return self.offer_many((key,), (prio,)) == 1
+        self.offers += 1
+        return False
 
-    def offer_many(self, keys, priorities: Optional[Sequence[int]] = None) -> int:
+    def offer_many(
+        self, keys: Sequence[K], priorities: Optional[Sequence[int]] = None
+    ) -> int:
         """Offer each key in order; return how many offers were accepted.
 
         Observably identical to calling :meth:`offer` per key — the return
@@ -189,7 +198,12 @@ class BottomKSampler(Generic[K]):
         ``priorities``, when given, holds ``priority(keys[i])`` as Python
         ints (e.g. a :meth:`priority_array` result's ``tolist()``), so a
         caller that hashed many keys in one batch skips the scalar hash.
+
+        Its loop holds the sampler's one admission step: a key below the
+        threshold (or any key while the sample fills) is pushed, or
+        replaces the worst member, which is then handed to ``on_evict``.
         """
+        self.offers += len(keys)
         if self.capacity == 0:
             return 0
         admitted = 0
@@ -203,91 +217,60 @@ class BottomKSampler(Generic[K]):
                 admitted += 1
                 continue
             prio = hash_int(key) if priorities is None else priorities[index]
-            if len(members) < capacity:
+            full = len(members) >= capacity
+            if full:
+                if prio >= -heap[0][0]:
+                    continue
+                worst = heapq.heapreplace(heap, (-prio, key))[1]
+                del members[worst]
+            else:
                 heapq.heappush(heap, (-prio, key))
-                members[key] = prio
-                self._version += 1
-                self._note_admit(key)
-                admitted += 1
-                continue
-            worst_neg, worst_key = heap[0]
-            if prio >= -worst_neg:
-                continue
-            heapq.heapreplace(heap, (-prio, key))
             members[key] = prio
-            del members[worst_key]
             self._version += 1
             self._note_admit(key)
             admitted += 1
-            if on_evict is not None:
-                on_evict(worst_key)
+            if full and on_evict is not None:
+                on_evict(worst)
+        self.accepted += admitted
         return admitted
 
     def offer_array(self, priorities: np.ndarray, keys: Sequence[K]) -> int:
         """Batched :meth:`offer` over pre-hashed priorities; return the
         number of accepted offers, exactly as :meth:`offer_many` would.
 
-        ``priorities[i]`` must be ``priority(keys[i])`` (use
-        :meth:`priority_array`); ``keys`` only needs ``__getitem__`` — the
-        lazy :class:`repro.util.vectorized.PairColumns` view qualifies, so
-        tuple keys are materialised solely for batch survivors.
-
-        State and return value are bit-identical to offering per key, by
-        the threshold monotonicity argument: once the sample is full, the
-        admission threshold can only *tighten* within a batch, so any key
-        with ``prio > threshold_at_batch_start`` would be rejected by the
-        scalar loop no matter where in the batch it sits, cannot already
-        be a member (member priorities never exceed the threshold), and
-        changes neither state nor the accepted count.  Keys at exactly the
-        threshold are kept — the worst member itself re-offered must
-        count as accepted.  While the sample is not yet full, keys are
-        processed scalar until it fills, then the remainder is
-        pre-filtered.
+        A filter in front of :meth:`offer_many`.  ``priorities[i]`` must
+        be ``priority(keys[i])`` (use :meth:`priority_array`); ``keys``
+        only needs ``__getitem__``, so a lazy view builds keys solely for
+        the batch survivors.  While the sample fills, chunks of at most
+        the free slots go to :meth:`offer_many` whole, so no chunk can
+        evict.  Once it is full, one vectorised comparison keeps the keys
+        at or below the threshold, and only they are offered: the
+        threshold can only *tighten* within a batch, so a key above it
+        would be rejected by the scalar loop wherever it sits, cannot
+        already be a member, and changes nothing but the offer count.
+        Keys at exactly the threshold are kept — the worst member itself
+        re-offered must count as accepted.
         """
-        if self.capacity == 0:
-            return 0
-        admitted = 0
-        members = self._members
-        heap = self._heap
-        capacity = self.capacity
-        on_evict = self._on_evict
         total = len(priorities)
+        if self.capacity == 0:
+            self.reject(total)
+            return 0
+        accepted = 0
         start = 0
-        # Scalar warm-up: while not full, every offer is accepted, so there
-        # is nothing to pre-filter (and no threshold to filter against).
-        while len(members) < capacity and start < total:
-            key = keys[start]
-            if key not in members:
-                prio = int(priorities[start])
-                heapq.heappush(heap, (-prio, key))
-                members[key] = prio
-                self._version += 1
-                self._note_admit(key)
-            admitted += 1
-            start += 1
-        if start >= total:
-            return admitted
-        # Full sample: one vectorized comparison selects the survivors.
-        survivors = np.nonzero(priorities[start:] <= np.uint64(-heap[0][0]))[0]
-        for offset in survivors:
-            index = start + int(offset)
-            key = keys[index]
-            if key in members:
-                admitted += 1
-                continue
-            prio = int(priorities[index])
-            worst_neg, worst_key = heap[0]
-            if prio >= -worst_neg:
-                continue
-            heapq.heapreplace(heap, (-prio, key))
-            members[key] = prio
-            del members[worst_key]
-            self._version += 1
-            self._note_admit(key)
-            admitted += 1
-            if on_evict is not None:
-                on_evict(worst_key)
-        return admitted
+        while start < total and len(self._members) < self.capacity:
+            stop = min(total, start + self.capacity - len(self._members))
+            accepted += self.offer_many(
+                [keys[i] for i in range(start, stop)], priorities[start:stop].tolist()
+            )
+            start = stop
+        if start < total:
+            survivors = np.flatnonzero(priorities[start:] <= np.uint64(self.threshold()))
+            survivors += start
+            self.reject(total - start - len(survivors))
+            accepted += self.offer_many(
+                [keys[i] for i in survivors.tolist()], priorities[survivors].tolist()
+            )
+        return accepted
 
     def members(self) -> List[K]:
         """Return the currently sampled keys (unspecified order)."""
@@ -321,8 +304,10 @@ class BottomKSampler(Generic[K]):
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore the sampler from :meth:`state_dict` output.
 
-        The hash function, capacity, and membership are all replaced; the
-        ``on_evict`` callback wired at construction is retained.
+        The hash function, capacity, and membership are all replaced, and
+        the offer tallies restart at zero; the ``on_evict`` callback wired
+        at construction is retained.  A state that lists one key twice is
+        rejected with ``ValueError``.
         """
         capacity = int(state["capacity"])
         if capacity < 0:
@@ -333,14 +318,21 @@ class BottomKSampler(Generic[K]):
             raise ValueError(
                 f"state holds {len(members)} members but capacity is {capacity}"
             )
+        by_key = dict(members)
+        if len(by_key) != len(members):
+            # A repeated key would leave a stale heap entry that can
+            # later evict the wrong member.
+            raise ValueError("state lists a member key more than once")
         self.capacity = capacity
         self._hash = MixHash64(key=int(state["hash_key"]))
-        self._members = dict(members)
+        self._members = by_key
         self._heap = [(-p, k) for k, p in members]
         heapq.heapify(self._heap)
         self._version += 1
         self._admit_log = list(self._members)
         self._admit_epoch += 1
+        self.offers = 0
+        self.accepted = 0
 
     @classmethod
     def from_state_dict(

@@ -14,8 +14,6 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
   tuples of non-negative ints (the samplers' canonical edge keys).
 * :func:`splitmix64_array` / :func:`mixhash_int_array` — vectorized
   ``_splitmix64`` / :meth:`MixHash64.hash_int` over encoded key arrays.
-* :func:`pairwise_int_array` — vectorized :meth:`PairwiseHash.hash_int`
-  (``(a·x + b) mod (2^89 − 1)`` via 32-bit limb arithmetic, exact).
 
 On top of them sits the two-pass counters' columnar layer, all of it
 reached through their ``process_run`` hook: :class:`EndpointColumns`
@@ -23,7 +21,10 @@ reached through their ``process_run`` hook: :class:`EndpointColumns`
 :class:`ListMask` (one adjacency list tested against such columns), plus
 :class:`RunOffers`, the first-pass offers of a whole run of lists hashed
 in one batch, and :class:`RunMask`, every list of a run tested against
-columns that stay fixed during it.
+columns that stay fixed during it.  :class:`RunOffers` only hashes and
+filters: its offers go through the sampler's ``offer_many`` and
+``offer_array``, so the sampler keeps the one admission path and the
+one tally of offers.
 
 Bit-identity is pinned by hypothesis property tests
 (``tests/util/test_vectorized.py``); the counters' per-list hooks remain
@@ -85,9 +86,6 @@ __all__ = [
     "in_sorted",
     "ListMask",
     "mixhash_int_array",
-    "mixhash_unit_array",
-    "pairwise_int_array",
-    "PairColumns",
     "RUN_PAIRS",
     "RunMask",
     "RunOffers",
@@ -112,12 +110,6 @@ _SM_MUL2 = np.uint64(0x94D049BB133111EB)
 _SM_S1 = np.uint64(30)
 _SM_S2 = np.uint64(27)
 _SM_S3 = np.uint64(31)
-
-_MASK32 = (1 << 32) - 1
-#: Mersenne prime 2^89 - 1 (matches hashing._MERSENNE_P).
-_MERSENNE_P = (1 << 89) - 1
-_M25 = np.uint64((1 << 25) - 1)  # high 25 bits of an 89-bit value
-_U64_MAX = np.uint64(_MASK64)
 
 # -- global columnar switch ----------------------------------------------------
 
@@ -248,27 +240,6 @@ def canonical_pair_columns(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Columnar ``canonical_edge(source, nbr)``: (min, max) endpoint arrays."""
     return np.minimum(neighbors, source), np.maximum(neighbors, source)
-
-
-class PairColumns:
-    """Lazy tuple view over two endpoint columns.
-
-    ``keys[i]`` materialises the canonical edge tuple ``(u_i, v_i)`` as
-    Python ints — only the few batch survivors that actually reach the
-    heap/dict pay tuple construction.
-    """
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
-        self.u = u
-        self.v = v
-
-    def __len__(self) -> int:
-        return len(self.u)
-
-    def __getitem__(self, index: int) -> Tuple[int, int]:
-        return (int(self.u[index]), int(self.v[index]))
 
 
 def in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -498,17 +469,18 @@ class RunOffers:
     neighbors)`` list of the run, in stream order, with one
     :func:`encode_pair_keys` + ``priority_array`` call, or returns None
     when a label has no ``uint64`` value, before anything is mutated.
-    :meth:`offer` then offers one list's pairs with the hashes hoisted,
-    :meth:`offer_rest` every remaining list in one ``offer_array``
-    call, and :meth:`offer_all` the whole run, switching from the first
-    to the second once the sample is full.  Lists must be offered in
-    order, each once.  Keys are built from the run's own labels, as the
-    per-list hooks build them (only the hashing reads the columns).  The
-    sampler, its eviction callbacks and the accepted counts end exactly
-    as per-key ``offer`` calls would leave them: once the sample is full
-    its threshold only tightens, so a pair above the threshold at that
-    moment is rejected wherever it sits, and :meth:`offer` skips it
-    without a lookup (the argument of ``offer_array``).
+    :meth:`offer` then offers one list's pairs through the sampler's
+    ``offer_many`` with the hashes hoisted, :meth:`offer_rest` every
+    remaining list in one ``offer_array`` call, and :meth:`offer_all`
+    the whole run, switching from the first to the second once the
+    sample is full.  Lists must be offered in order, each once.  Keys
+    are built from the run's own labels, as the per-list hooks build
+    them (only the hashing reads the columns).  The sampler, its
+    eviction callbacks and its offer tallies end exactly as per-key
+    ``offer`` calls would leave them: once the sample is full its
+    threshold only tightens, so a pair above the threshold at that
+    moment is rejected wherever it sits, and :meth:`offer` counts it as
+    rejected without a lookup (the argument of ``offer_array``).
     """
 
     __slots__ = ("pairs", "_sampler", "_labels", "_priorities", "_survivors", "_next")
@@ -550,29 +522,29 @@ class RunOffers:
         u, v = canonical_pair_columns(np.repeat(sources, counts), nbrs)
         return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)))
 
-    def offer(self, index: int) -> int:
-        """Offer list ``index``'s pairs in order; return the accepted count."""
+    def offer(self, index: int) -> None:
+        """Offer list ``index``'s pairs in order."""
         sampler = self._sampler
-        if not sampler.capacity:
-            return 0
         labels = self._labels
         start, end = labels.bounds(index)
         survivors = self._survivors
         if survivors is not None and survivors[self._next] >= end:
-            return 0  # the common case once the sample is full
+            sampler.reject(end - start)  # the common case once the sample is full
+            return
         if survivors is None and len(sampler) < sampler.capacity:
             picked: Sequence[int] = range(start, end)
+        elif not sampler.capacity:
+            sampler.reject(end - start)
+            return
         else:
             picked = self._survivors_in(start, end)
-            if not picked:
-                return 0
+            sampler.reject(end - start - len(picked))
         source, flat = labels.sources[index], labels.flat
         keys = [
             (source, flat[j]) if source <= flat[j] else (flat[j], source) for j in picked
         ]
         priorities = self._priorities
-        accepted: int = sampler.offer_many(keys, [int(priorities[j]) for j in picked])
-        return accepted
+        sampler.offer_many(keys, [int(priorities[j]) for j in picked])
 
     def _survivors_in(self, start: int, end: int) -> List[int]:
         """The pairs in ``[start, end)`` not above the full sample's threshold."""
@@ -588,9 +560,9 @@ class RunOffers:
         self._next = pos
         return survivors[first:pos]
 
-    def offer_all(self, rest: int) -> Tuple[int, List[int]]:
-        """Offer every list in order; return the accepted count and the
-        reading ``sampler.space_words() + rest`` after each list.
+    def offer_all(self, rest: int) -> List[int]:
+        """Offer every list in order; return the reading
+        ``sampler.space_words() + rest`` after each list.
 
         For callers whose other state does not move during the offers.
         While the sample fills each list is offered on its own, so each
@@ -599,24 +571,20 @@ class RunOffers:
         """
         sampler = self._sampler
         count = len(self._labels.ends)
-        accepted = 0
         readings: List[int] = []
         for index in range(count):
             if len(sampler) >= sampler.capacity:
-                accepted += self.offer_rest(index)
+                self.offer_rest(index)
                 readings.extend([sampler.space_words() + rest] * (count - index))
                 break
-            accepted += self.offer(index)
+            self.offer(index)
             readings.append(sampler.space_words() + rest)
-        return accepted, readings
+        return readings
 
-    def offer_rest(self, index: int) -> int:
-        """Offer lists ``index`` onward in one batch; return the accepted count."""
+    def offer_rest(self, index: int) -> None:
+        """Offer lists ``index`` onward in one batch."""
         start = self._labels.bounds(index)[0]
-        accepted: int = self._sampler.offer_array(
-            self._priorities[start:], _Offset(self._labels, start)
-        )
-        return accepted
+        self._sampler.offer_array(self._priorities[start:], _Offset(self._labels, start))
 
 
 class RunMask:
@@ -741,80 +709,3 @@ def mixhash_int_array(encoded_keys: np.ndarray, hash_key: int) -> np.ndarray:
     ``hash_key`` is the hash's 64-bit internal key.
     """
     return splitmix64_array(np.bitwise_xor(encoded_keys, np.uint64(hash_key)))
-
-
-def mixhash_unit_array(encoded_keys: np.ndarray, hash_key: int) -> np.ndarray:
-    """Vectorized :meth:`MixHash64.hash_unit`: floats in ``[0, 1)``.
-
-    ``h / 2**64`` in float64 rounds identically scalar and vectorized
-    (both are one IEEE-754 division), so threshold comparisons agree with
-    the scalar path bit for bit.
-    """
-    return mixhash_int_array(encoded_keys, hash_key) / 2.0**64
-
-
-# -- PairwiseHash kernel -------------------------------------------------------
-
-def pairwise_int_array(encoded_keys: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Vectorized :meth:`PairwiseHash.hash_int`: ``((a·x + b) mod p) & MASK64``.
-
-    ``p = 2^89 − 1`` exceeds uint64, so the product is assembled in 32-bit
-    limbs (every partial product and carry fits a uint64 exactly) and
-    reduced with the Mersenne identity ``2^89 ≡ 1 (mod p)``.  Exact for
-    the family's full parameter range ``a ∈ [1, p), b ∈ [0, p)``.
-    """
-    x = encoded_keys.astype(np.uint64, copy=False)
-    with np.errstate(over="ignore"):
-        x0 = x & np.uint64(_MASK32)
-        x1 = x >> np.uint64(32)
-        # 5 base-2^32 limbs cover a·x + b < 2^153.
-        limbs = [np.zeros(x.shape, dtype=np.uint64) for _ in range(5)]
-        a_limbs = [(a >> shift) & _MASK32 for shift in (0, 32, 64)]
-        b_limbs = [(b >> shift) & _MASK32 for shift in (0, 32, 64)]
-        for i, ai in enumerate(a_limbs):
-            if ai == 0:
-                continue
-            ai64 = np.uint64(ai)
-            for j, xj in enumerate((x0, x1)):
-                t = ai64 * xj  # < 2^64: 32-bit by 32-bit product
-                limbs[i + j] += t & np.uint64(_MASK32)
-                limbs[i + j + 1] += t >> np.uint64(32)
-        for k, bk in enumerate(b_limbs):
-            if bk:
-                limbs[k] += np.uint64(bk)
-        # Carry-normalize (each limb accumulated at most ~2^35).
-        for k in range(4):
-            limbs[k + 1] += limbs[k] >> np.uint64(32)
-            limbs[k] &= np.uint64(_MASK32)
-        # Pack into 64-bit words: n = w0 + w1·2^64 + w2·2^128 < 2^153.
-        w0 = limbs[0] | (limbs[1] << np.uint64(32))
-        w1 = limbs[2] | (limbs[3] << np.uint64(32))
-        w2 = limbs[4]
-        # Mersenne fold #1: n = q·2^89 + r, n ≡ q + r (mod p); q < 2^64
-        # because n < (p−1)·2^64 + p < 2^153.
-        r_lo = w0
-        r_hi = w1 & _M25
-        q = (w1 >> np.uint64(25)) | (w2 << np.uint64(39))
-        s = r_lo + q
-        carry = (s < q).astype(np.uint64)
-        lo = s
-        hi = r_hi + carry  # < 2^26
-        # Mersenne fold #2: value < 2^90 now, one more fold + subtract.
-        q2 = hi >> np.uint64(25)
-        hi &= _M25
-        s2 = lo + q2
-        carry2 = (s2 < q2).astype(np.uint64)
-        lo = s2
-        hi += carry2
-        # Final conditional subtractions: value ≤ 2^89, so at most twice.
-        for _ in range(2):
-            ge = (hi > _M25) | ((hi == _M25) & (lo == _U64_MAX))
-            if not ge.any():
-                break
-            # value − p = value − 2^89 + 1: borrow-aware two-word subtract.
-            new_lo = lo + np.uint64(1)  # − (2^64 − 1) ≡ + 1 with borrow
-            borrow = (lo != _U64_MAX).astype(np.uint64)
-            new_hi = hi - _M25 - borrow
-            lo = np.where(ge, new_lo, lo)
-            hi = np.where(ge, new_hi, hi)
-    return lo

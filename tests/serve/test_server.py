@@ -79,6 +79,34 @@ class TestDispatcher:
 
         asyncio.run(main())
 
+    def test_open_with_a_state_repeating_a_sample_key_is_bad_state(self):
+        _, pairs, _ = _world()
+
+        async def main():
+            manager = SessionManager()
+            await handle_request(
+                manager, {"id": 1, "op": "open", "session": "a",
+                          "algorithm": "triangle-two-pass", "budget": 16, "seed": 6},
+            )
+            await handle_request(
+                manager, {"id": 2, "op": "feed", "session": "a",
+                          "pairs": [list(p) for p in pairs[:200]]},
+            )
+            state = (await handle_request(
+                manager, {"id": 3, "op": "snapshot", "session": "a"}
+            ))["state"]
+            members = state["payload"]["algorithm"]["payload"]["sampler"]["members"]
+            assert len(members) == 16  # full: the copy replaces a member
+            key = members[0]["$t"][0]
+            members[-1] = {"$t": [key, members[-1]["$t"][1]]}
+            out = await handle_request(
+                manager, {"id": 4, "op": "open", "session": "b", "state": state}
+            )
+            assert out["error"]["code"] == "BAD_STATE"
+            assert "more than once" in out["error"]["message"]
+
+        asyncio.run(main())
+
     def test_internal_errors_do_not_leak(self):
         async def main():
             manager = SessionManager()

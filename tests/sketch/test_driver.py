@@ -14,6 +14,7 @@ from repro.core.fourcycle_two_pass import TwoPassFourCycleCounter
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.counting import count_triangles
 from repro.graph.generators import gnm_random_graph
+from repro.sketch import driver
 from repro.sketch.driver import register_algorithm_kind, restore_algorithm, run_sharded
 from repro.sketch.merge import register_merger
 from repro.sketch.state import SketchState, SketchStateError
@@ -171,6 +172,31 @@ class TestExactness:
         assert converted == []
         assert run_sharded(make(), list(stream.iter_lists()), 2).estimate == first
         assert 0 < len(converted) <= stream.n
+
+    def test_one_partition_per_stream_and_key(self, workload, monkeypatch):
+        """Serial and pooled runs over one stream read one partition per
+        ``(n_shards, strategy)``; a raw iterable partitions on every call."""
+        graph, _ = workload
+        stream = AdjacencyListStream(graph, seed=14)  # partitioned by no test
+        calls = []
+        partition = driver.partition_stream
+
+        def counting(source, n_shards, strategy):
+            calls.append((n_shards, strategy))
+            return partition(source, n_shards, strategy)
+
+        monkeypatch.setattr(driver, "partition_stream", counting)
+        make = lambda: TwoPassFourCycleCounter(sample_size=16, seed=1)  # noqa: E731
+        first = run_sharded(make(), stream, 2).estimate
+        assert run_sharded(make(), stream, 2).estimate == first
+        assert run_sharded(make(), stream, 2, workers=2).estimate == first
+        assert calls == [(2, "balanced")]
+        run_sharded(make(), stream, 2, strategy="hash")
+        assert calls == [(2, "balanced"), (2, "hash")]
+        lists = list(stream.iter_lists())
+        for _ in range(2):
+            assert run_sharded(make(), lists, 2).estimate == first
+        assert calls[2:] == [(2, "balanced")] * 2
 
     def test_shard_pairs_cover_stream(self, workload):
         _, stream = workload

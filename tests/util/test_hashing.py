@@ -1,14 +1,13 @@
-"""Tests for the hash families."""
+"""Tests for the samplers' hash function."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.hashing import MixHash64, PairwiseHash, fresh_hash
-from repro.util.rng import resolve_rng
+from repro.util.hashing import MixHash64
 
 
-@pytest.fixture(params=[MixHash64, PairwiseHash])
+@pytest.fixture(params=[MixHash64])
 def hash_family(request):
     return request.param
 
@@ -70,25 +69,3 @@ class TestTupleKeys:
     def test_edge_key_hash_total(self, key):
         h = MixHash64(seed=11)
         assert 0 <= h.hash_int(key) < 2**64
-
-
-def test_fresh_hash_uses_rng():
-    rng1 = resolve_rng(13)
-    rng2 = resolve_rng(13)
-    h1 = fresh_hash(rng1)
-    h2 = fresh_hash(rng2)
-    assert h1.hash_int(5) == h2.hash_int(5)
-
-
-def test_pairwise_hash_pairwise_property_sample():
-    """Empirical check of 2-wise uniformity: joint bucket frequencies."""
-    buckets = [[0] * 2 for _ in range(2)]
-    trials = 400
-    for seed in range(trials):
-        h = PairwiseHash(seed=seed)
-        a = h.hash_int(17) >> 63  # top bit
-        b = h.hash_int(91) >> 63
-        buckets[a][b] += 1
-    for row in buckets:
-        for count in row:
-            assert abs(count - trials / 4) < trials / 4  # loose sanity band

@@ -49,6 +49,36 @@ class TestBottomKBasics:
             s.offer(i)
         assert s.space_words() == 6
 
+    def test_offer_tallies(self):
+        """Every offer counts; repeat members count as accepted."""
+        s = BottomKSampler(3, seed=6)
+        results = [s.offer(key) for key in [1, 2, 1, 3, 4, 5, 6, 2, 1]]
+        assert (s.offers, s.accepted) == (9, sum(results))
+        empty = BottomKSampler(0, seed=6)
+        empty.offer_many([1, 2])
+        assert (empty.offers, empty.accepted) == (2, 0)
+
+    def test_tallies_stay_out_of_state_and_restart_on_restore(self):
+        s = BottomKSampler(3, seed=7)
+        s.offer_many(range(10))
+        state = s.state_dict()
+        assert set(state) == {"capacity", "hash_key", "members"}
+        s.load_state_dict(state)
+        assert (s.offers, s.accepted) == (0, 0)
+        assert s.state_dict() == state
+
+    def test_restore_rejects_a_repeated_member_key(self):
+        """A repeated key would restore one member over two heap entries,
+        and the stale entry could later evict the wrong member."""
+        s = BottomKSampler(2, seed=8)
+        before = s.state_dict()
+        state = {**before, "members": [[[1, 2], 5], [[1, 2], 7]]}
+        with pytest.raises(ValueError, match="more than once"):
+            s.load_state_dict(state)
+        assert s.state_dict() == before
+        with pytest.raises(ValueError, match="more than once"):
+            BottomKSampler.from_state_dict(state)
+
 
 class TestBottomKPrefixProperty:
     """The property Section 3.3.1 relies on: final members never leave."""

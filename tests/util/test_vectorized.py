@@ -24,13 +24,12 @@ from repro.graph.graph import canonical_edge
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util import vectorized
-from repro.util.hashing import MixHash64, PairwiseHash, _splitmix64, _to_int_key
+from repro.util.hashing import MixHash64, _splitmix64, _to_int_key
 from repro.util.sampling import BottomKSampler
 from repro.util.vectorized import (
     ColumnMemo,
     EndpointColumns,
     ListMask,
-    PairColumns,
     RUN_PAIRS,
     RunMask,
     RunOffers,
@@ -41,8 +40,6 @@ from repro.util.vectorized import (
     encode_pair_keys,
     in_sorted,
     mixhash_int_array,
-    mixhash_unit_array,
-    pairwise_int_array,
     set_columnar_enabled,
     SHORT_LIST,
     splitmix64_array,
@@ -77,30 +74,6 @@ class TestHashKernelsBitIdentical:
         # A plain int key encodes to itself (``_to_int_key`` is the identity).
         out = mixhash_int_array(_as_u64([_to_int_key(k) for k in keys]), h.key)
         assert out.tolist() == [h.hash_int(k) for k in keys]
-
-    @given(keys=key_batches, seed=seeds)
-    def test_mixhash_unit(self, keys, seed):
-        h = MixHash64(seed=seed)
-        out = mixhash_unit_array(_as_u64([_to_int_key(k) for k in keys]), h.key)
-        # hash_unit is one IEEE-754 division either way: exact equality.
-        assert out.tolist() == [h.hash_unit(k) for k in keys]
-
-    @given(pairs=pair_batches, seed=seeds)
-    @settings(max_examples=60)
-    def test_pairwise_on_pairs(self, pairs, seed):
-        h = PairwiseHash(seed=seed)
-        u = _as_u64([p[0] for p in pairs])
-        v = _as_u64([p[1] for p in pairs])
-        out = pairwise_int_array(encode_pair_keys(u, v), h._a, h._b)
-        assert out.tolist() == [h.hash_int(p) for p in pairs]
-
-    def test_pairwise_extreme_parameters(self):
-        # The limb arithmetic must be exact at the family's corners.
-        p = (1 << 89) - 1
-        keys = _as_u64([0, 1, 2**63, 2**64 - 1])
-        for a, b in [(1, 0), (p - 1, p - 1), (p // 2, p // 3)]:
-            expected = [((a * int(x) + b) % p) & (2**64 - 1) for x in keys.tolist()]
-            assert pairwise_int_array(keys, a, b).tolist() == expected
 
 
 class TestInputAdaptation:
@@ -158,6 +131,29 @@ class TestMembershipStructures:
         assert table.mark(_as_u64([1]), query_max=999)
 
 
+def _logged_twins(capacity, seed):
+    """Two equal samplers, each logging its evictions."""
+    logs = ([], [])
+    batch, scalar = (
+        BottomKSampler(capacity, seed=seed, on_evict=log.append) for log in logs
+    )
+    return batch, scalar, logs
+
+
+def _offer_per_key(sampler, keys):
+    """The oracle: one ``offer`` call per key; the accepted count."""
+    return sum(sampler.offer(key) for key in keys)
+
+
+def _assert_twins_equal(batch, scalar, logs):
+    """Same state, same eviction sequence, same offer tallies."""
+    assert logs[0] == logs[1]
+    assert batch.state_dict() == scalar.state_dict()
+    assert batch.members() == scalar.members()
+    assert batch.admission_log == scalar.admission_log
+    assert (batch.offers, batch.accepted) == (scalar.offers, scalar.accepted)
+
+
 class TestOfferArrayMatchesScalarSampler:
     """``offer_array`` must leave the sampler in the identical state that
     per-key ``offer``/``offer_many`` calls would, on every prefix."""
@@ -190,6 +186,31 @@ class TestOfferArrayMatchesScalarSampler:
         assert vec.members() == scalar.members()
         assert vec.threshold() == scalar.threshold()
 
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=0, max_size=80
+        ),
+        capacity=st.integers(0, 12),
+        batch_size=st.integers(1, 40),
+        seed=seeds,
+    )
+    @settings(max_examples=60)
+    def test_evictions_and_tallies_match_per_key_offers(
+        self, edges, capacity, batch_size, seed
+    ):
+        """Repeats included: the ``on_evict`` sequence and the
+        ``offers`` / ``accepted`` tallies equal per-key ``offer`` calls'."""
+        edges = [tuple(sorted(e)) for e in edges if e[0] != e[1]]
+        vec, scalar, logs = _logged_twins(capacity, seed)
+        for start in range(0, len(edges), batch_size):
+            batch = edges[start:start + batch_size]
+            u = _as_u64([e[0] for e in batch])
+            v = _as_u64([e[1] for e in batch])
+            accepted = vec.offer_array(vec.priority_array(encode_pair_keys(u, v)), batch)
+            assert accepted == _offer_per_key(scalar, batch)
+            _assert_twins_equal(vec, scalar, logs)
+        assert vec.offers == len(edges)
+
     @given(seed=seeds)
     def test_empty_batch_is_a_no_op(self, seed):
         vec, scalar = self._samplers(4, seed)
@@ -197,21 +218,13 @@ class TestOfferArrayMatchesScalarSampler:
         assert vec.offer_array(np.empty(0, dtype=np.uint64), []) == 0
         assert vec.state_dict() == before
         assert vec.state_dict() == scalar.state_dict()
+        assert vec.offers == vec.accepted == 0
 
 
 class TestRunOffers:
     """A run hashed once and offered list by list (or the rest in one
-    batch) leaves the sampler, its evictions and every list's accepted
-    count exactly as per-key offers would."""
-
-    @staticmethod
-    def _twins(capacity, seed):
-        """Two equal samplers, each logging its evictions."""
-        logs = ([], [])
-        batch, scalar = (
-            BottomKSampler(capacity, seed=seed, on_evict=log.append) for log in logs
-        )
-        return batch, scalar, logs
+    batch) leaves the sampler, its evictions and its offer tallies
+    exactly as per-key offers would."""
 
     @given(
         run=st.lists(
@@ -226,34 +239,54 @@ class TestRunOffers:
     )
     @settings(max_examples=80)
     def test_matches_per_key_offers(self, run, capacity, split, seed):
-        batch, scalar, (batch_log, scalar_log) = self._twins(capacity, seed)
-        expected = [
-            scalar.offer_many([canonical_edge(v, n) for n in neighbors])
-            for v, neighbors in run
-        ]
+        batch, scalar, logs = _logged_twins(capacity, seed)
         offers = RunOffers.of(batch, run)
         assert offers is not None
         split = min(split, len(run))
-        got = [offers.offer(i) for i in range(split)]
+        for index in range(split):
+            offers.offer(index)
+            vertex, neighbors = run[index]
+            _offer_per_key(scalar, [canonical_edge(vertex, n) for n in neighbors])
+            _assert_twins_equal(batch, scalar, logs)
         if split < len(run):
-            got.append(offers.offer_rest(split))
-            expected[split:] = [sum(expected[split:])]
-        assert got == expected
-        assert batch_log == scalar_log
-        assert batch.state_dict() == scalar.state_dict()
-        assert batch.members() == scalar.members()
-        assert batch.admission_log == scalar.admission_log
+            offers.offer_rest(split)
+        for vertex, neighbors in run[split:]:
+            _offer_per_key(scalar, [canonical_edge(vertex, n) for n in neighbors])
+        _assert_twins_equal(batch, scalar, logs)
+        assert batch.offers == offers.pairs
+
+    @given(
+        run=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.lists(st.integers(0, 40), max_size=SHORT_LIST)
+            ),
+            max_size=30,
+        ),
+        capacity=st.integers(0, 10),
+        seed=seeds,
+    )
+    @settings(max_examples=60)
+    def test_offer_all_matches_per_key_offers(self, run, capacity, seed):
+        """``offer_all``'s readings, evictions and tallies, list by list."""
+        batch, scalar, logs = _logged_twins(capacity, seed)
+        offers = RunOffers.of(batch, run)
+        expected = []
+        for vertex, neighbors in run:
+            _offer_per_key(scalar, [canonical_edge(vertex, n) for n in neighbors])
+            expected.append(scalar.space_words() + 3)
+        assert offers.offer_all(3) == expected
+        _assert_twins_equal(batch, scalar, logs)
 
     def test_run_past_the_pair_cap(self):
         """Runs over ``RUN_PAIRS`` pairs (the runner cuts them there) and
         lists just under ``SHORT_LIST`` still match."""
         run = [(v, tuple(range(v + 1, v + SHORT_LIST))) for v in range(RUN_PAIRS // 4)]
-        batch, scalar, logs = self._twins(64, 3)
+        batch, scalar, logs = _logged_twins(64, 3)
         offers = RunOffers.of(batch, run)
-        assert sum(offers.offer(i) for i in range(len(run))) == sum(
-            scalar.offer_many([canonical_edge(v, n) for n in ns]) for v, ns in run
-        )
-        assert logs[0] == logs[1] and batch.state_dict() == scalar.state_dict()
+        for index, (v, ns) in enumerate(run):
+            offers.offer(index)
+            _offer_per_key(scalar, [canonical_edge(v, n) for n in ns])
+        _assert_twins_equal(batch, scalar, logs)
 
     @given(
         source=st.integers(0, 200),
@@ -262,14 +295,13 @@ class TestRunOffers:
     def test_one_list_over_its_column_matches_offer_many(self, source, neighbors):
         """A one-list run hashed over the list's memoised column — the
         first-pass offer of a long list — matches scalar ``offer_many``."""
-        batch, scalar, logs = self._twins(8, 5)
+        batch, scalar, logs = _logged_twins(8, 5)
         column = ColumnMemo()(source, neighbors)
         assert column.tolist() == neighbors
         offers = RunOffers.of(batch, [(source, neighbors)], [column])
-        assert offers.offer(0) == scalar.offer_many(
-            [canonical_edge(source, n) for n in neighbors]
-        )
-        assert logs[0] == logs[1] and batch.state_dict() == scalar.state_dict()
+        offers.offer(0)
+        scalar.offer_many([canonical_edge(source, n) for n in neighbors])
+        _assert_twins_equal(batch, scalar, logs)
 
     @pytest.mark.parametrize(
         "run",
@@ -454,18 +486,6 @@ class TestEdgeColumnsMatchCanonicalEdge:
         u, v = canonical_pair_columns(np.uint64(source), _as_u64(neighbors))
         expected = [canonical_edge(source, n) for n in neighbors]
         assert list(zip(u.tolist(), v.tolist())) == expected
-
-    @given(pairs=pair_batches)
-    def test_pair_columns_view_is_lazy_tuple_oracle(self, pairs):
-        u = _as_u64([min(p) for p in pairs])
-        v = _as_u64([max(p) for p in pairs])
-        view = PairColumns(u, v)
-        assert len(view) == len(pairs)
-        materialised = [view[i] for i in range(len(view))]
-        assert materialised == [(min(p), max(p)) for p in pairs]
-        assert all(
-            type(a) is int and type(b) is int for a, b in materialised
-        )
 
 
 class TestColumnarSwitch:
