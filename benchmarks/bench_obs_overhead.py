@@ -63,16 +63,16 @@ from repro.util.rng import resolve_rng
 def _bare_run(algorithm, stream) -> float:
     """The runner's pass loop with zero telemetry code.
 
-    Binds the stream's column memo, then per pass ``begin_pass``, one
-    :meth:`PassCursor.push_lists` over the lists (the hook order, the
-    run route and the per-list space readings: the cursor holds no
-    telemetry code), ``end_pass`` and the pass-end reading.  The delta
+    A cursor over the stream's column memo, then per pass
+    ``begin_pass``, one :meth:`PassCursor.push_lists` over the lists
+    (the hook order, the run route and the per-list space readings: the
+    cursor holds no telemetry code), ``end_pass`` and the pass-end
+    reading.  The delta
     against the instrumented runner, which drives the same cursor,
     isolates what the telemetry/tracing guards cost when disabled.
     """
     meter = SpaceMeter()
-    cursor = PassCursor(algorithm)
-    algorithm.bind_columns(stream.columns_for)
+    cursor = PassCursor(algorithm, column_provider=stream.columns_for)
     start = time.perf_counter()
     pairs_run = 0
     for pass_index in range(algorithm.n_passes):

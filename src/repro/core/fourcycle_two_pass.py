@@ -178,35 +178,33 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                     self._distinct_cycles.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
 
     def process_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[List[int]]:
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: Optional[List[np.ndarray]],
+    ) -> List[int]:
         """Run a stretch of lists of one length class at once (the
         runner's run route, and the counter's one columnar route).
 
         Pass 1 hashes every pair of the run in one batch
-        (:class:`~repro.util.vectorized.RunOffers`, over the memoised
-        columns for a long run); while the sample fills, each list is
-        offered on its own so its reading ``2·|S|`` plus the rest is
-        exact, and once it is full the remaining lists go in one
-        ``offer_array`` call and every reading is the same.  A short run
-        of fewer than ``SHORT_LIST`` pairs, or with a label that has no
-        ``uint64`` value, offers through ``process_list`` instead.  Pass
-        2 probes each short list's neighbour pairs, and tests a long
-        run's lists against Q with one
-        :class:`~repro.util.vectorized.RunMask`; the reading moves only
-        with the distinct-cycle set.  Declines only a long run holding a
-        list with no ``uint64`` column.
+        (:class:`~repro.util.vectorized.RunOffers`, over the long run's
+        ``columns``); while the sample fills, each list is offered on
+        its own so its reading ``2·|S|`` plus the rest is exact, and once
+        it is full the remaining lists go in one ``offer_array`` call and
+        every reading is the same.  Where :meth:`RunOffers.of
+        <repro.util.vectorized.RunOffers.of>` returns None the run goes
+        through the per-list hooks instead.  Pass 2 probes each short
+        list's neighbour pairs, and tests a long run's lists against Q
+        with one :class:`~repro.util.vectorized.RunMask`; the reading
+        moves only with the distinct-cycle set.
         """
-        long = len(run[0][1]) >= vectorized.SHORT_LIST
-        columns = None
-        if long:
-            columns = self._run_columns(run)
-            if columns is None:
-                return None
         if self._pass == 0:
-            return self._offer_run(run, columns)
+            offers = vectorized.RunOffers.of(self._sampler, run, columns)
+            if offers is None:
+                return super().process_run(run, columns)  # the per-list hooks
+            self._pair_count += offers.pairs
+            return offers.offer_all(self.space_words() - self._sampler.space_words())
         rest = self.space_words() - 4 * len(self._distinct_cycles)
-        if long:
+        if columns is not None:
             return self._complete_run(run, columns, rest)
         if self.mode == "multiplicity":
             self._complete_probe(run)
@@ -217,23 +215,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
             self._complete_probe((entry,))
             readings.append(rest + 4 * len(distinct))
         return readings
-
-    def _offer_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns=None
-    ) -> List[int]:
-        """First-pass offers of a run; the space reading after each list."""
-        sampler = self._sampler
-        offers = None
-        if columns is not None or sum(len(n) for _, n in run) >= vectorized.SHORT_LIST:
-            offers = vectorized.RunOffers.of(sampler, run, columns)
-        if offers is None:
-            readings = []
-            for vertex, neighbors in run:
-                self.process_list(vertex, neighbors)
-                readings.append(self.space_words())
-            return readings
-        self._pair_count += offers.pairs
-        return offers.offer_all(self.space_words() - sampler.space_words())
 
     def _complete_run(
         self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list, rest: int
@@ -421,7 +402,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self._wedges_at = {}
         self._wedge_index = None
         self._vtable = vectorized.VertexTable()
-        self._col_provider = None
 
     @classmethod
     def from_state(cls, state: SketchState) -> "TwoPassFourCycleCounter":

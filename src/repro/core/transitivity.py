@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.triangle_two_pass import TwoPassTriangleCounter
 from repro.graph.graph import Vertex
 from repro.streaming.algorithm import FanOut, StreamingAlgorithm
@@ -40,8 +42,10 @@ class WedgeCounter(StreamingAlgorithm):
             self._wedges += d * (d - 1) // 2
 
     def process_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[List[int]]:
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: Optional[List[np.ndarray]],
+    ) -> List[int]:
         for vertex, neighbors in run:
             self.end_list(vertex, neighbors)
         return [1] * len(run)

@@ -399,37 +399,31 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         )
 
     def process_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[List[int]]:
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: Optional[List[np.ndarray]],
+    ) -> List[int]:
         """Run a stretch of lists of one length class at once (the
         runner's run route, and the counter's one columnar route).
 
         Each list gets the per-list hooks' work in their order.  Pass 1
         hashes every pair of the run in one batch
-        (:class:`~repro.util.vectorized.RunOffers`, over the memoised
-        columns for a long run), then per list offers its pairs, flushes
-        the evictions and detects; a short run of fewer than
-        ``SHORT_LIST`` pairs, or with a label that has no ``uint64``
-        value, offers through the scalar ``offer_many`` instead.  A short
-        list probes its neighbour pairs (:meth:`_end_list_short`), a long
-        one is scanned on one :class:`~repro.util.vectorized.ListMask`
+        (:class:`~repro.util.vectorized.RunOffers`, over the long run's
+        ``columns``), then per list offers its pairs, flushes the
+        evictions and detects; where :meth:`RunOffers.of
+        <repro.util.vectorized.RunOffers.of>` returns None the run offers
+        through the scalar ``offer_many`` instead.  A short list probes
+        its neighbour pairs (:meth:`_end_list_short`), a long one is
+        scanned on one :class:`~repro.util.vectorized.ListMask`
         (:meth:`_end_list_col`).  In pass 2 each list marks its arrived
         watchers, then is scanned the same way, except that the sharded
         discipline, whose sample no longer changes, detects a long run
-        against one :class:`~repro.util.vectorized.RunMask`.  Declines
-        only a long run holding a list with no ``uint64`` column.
+        against one :class:`~repro.util.vectorized.RunMask`.
         """
-        columns = None
-        if len(run[0][1]) >= vectorized.SHORT_LIST:
-            columns = self._run_columns(run)
-            if columns is None:
-                return None
         space_words = self.space_words
         readings: List[int] = []
         if self._pass == 0:
-            offers = None
-            if columns is not None or sum(len(n) for _, n in run) >= vectorized.SHORT_LIST:
-                offers = vectorized.RunOffers.of(self._sampler, run, columns)
+            offers = vectorized.RunOffers.of(self._sampler, run, columns)
             if offers is not None and columns is not None and self.sharded:
                 # Nothing is collected before pass 2 in this discipline,
                 # so an eviction drops no pair and only the sample moves.
@@ -776,7 +770,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcol_pos = 0
         self._wcols = vectorized.EndpointColumns()
         self._vtable = vectorized.VertexTable()
-        self._col_provider = None
         self._evict_buffer = None
 
     @classmethod

@@ -31,6 +31,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Snapshot, histogram_quantile, parse_series
+from repro.obs.obs_report import _sparkline
 from repro.obs.sinks import parse_textfile
 from repro.obs.slo import pooled_histogram
 
@@ -48,18 +49,6 @@ def fetch_metrics(url: str, timeout: float = 5.0) -> Snapshot:
         text = response.read().decode("utf-8")
     snapshot, _ = parse_textfile(text)
     return snapshot
-
-
-def _sparkline(values: Sequence[float]) -> str:
-    """Eight-level unicode sparkline (empty string for no data)."""
-    if not values:
-        return ""
-    blocks = "▁▂▃▄▅▆▇█"
-    low, high = min(values), max(values)
-    if high == low:
-        return blocks[0] * len(values)
-    scale = (len(blocks) - 1) / (high - low)
-    return "".join(blocks[int(round((v - low) * scale))] for v in values)
 
 
 def _series(snapshot: Snapshot, name: str) -> List[Tuple[Dict[str, str], Dict[str, Any]]]:

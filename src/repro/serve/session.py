@@ -253,8 +253,9 @@ class ServeSession:
         Semantically identical to :meth:`feed` over ``zip(srcs, dsts)`` —
         same hooks, same validation, same errors — but the list-boundary
         split and validation are vectorized.  The lists reach the
-        algorithm as Python lists, as JSON ones do; its columnar routes
-        convert them.
+        algorithm as Python lists, as JSON ones do; the session's pass
+        cursor has no column provider, so it converts each long list's
+        column from them.
         """
         n = int(len(srcs))
         segments = split_segments(srcs, dsts) if n else None

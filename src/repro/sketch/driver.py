@@ -146,8 +146,9 @@ def _execute_shard_pass(
 
     ``column_provider`` (the stream's ``columns_for`` or a
     :class:`~repro.util.vectorized.ColumnMemo` holding this shard's
-    lists) lets the counters' vectorized fast path reuse vertex-id
-    columns across passes; it never changes results.
+    lists) goes to the pass cursor, which reads each long list's
+    vertex-id column from it, so the columns are reused across passes;
+    it never changes results.
     """
     algorithm = restore_algorithm(state)
     tracer = Tracer.from_context(trace) if trace is not None else NULL_TRACER

@@ -24,8 +24,9 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graph.graph import Vertex
-from repro.util import vectorized
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sketch.state import SketchState
@@ -44,38 +45,6 @@ class StreamingAlgorithm(abc.ABC):
     #: Whether every pass must replay the first pass's exact ordering
     #: (required by the two-pass triangle algorithm, Section 3.2).
     requires_same_order: bool = False
-
-    #: Column provider bound by :meth:`bind_columns` (None: convert lists).
-    _col_provider = None
-
-    def bind_columns(self, provider) -> None:
-        """Offer a columnar view of the stream's adjacency lists.
-
-        ``provider(vertex, neighbors)`` returns the list's vertex-id
-        column (a ``uint64`` array) or ``None`` when the labels have no
-        columnar representation.  The runner binds the stream's memoised
-        provider before a run, the sharded driver a per-shard memo, and
-        :meth:`_neighbor_column` prefers it over converting each list; a
-        serve session binds none.  Purely an acceleration channel: the
-        provider's output is bit-identical to a direct conversion.
-        """
-        self._col_provider = provider
-
-    def _neighbor_column(self, vertex: Vertex, neighbors: Sequence[Vertex]):
-        """The list's ``uint64`` column (None: no columnar labels), via the
-        bound provider when there is one."""
-        provider = self._col_provider
-        if provider is not None:
-            return provider(vertex, neighbors)
-        return vectorized.as_vertex_array(neighbors)
-
-    def _run_columns(
-        self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[list]:
-        """Every list's column (as :meth:`_neighbor_column`), or None when
-        one list has no columnar labels."""
-        columns = [self._neighbor_column(vertex, neighbors) for vertex, neighbors in run]
-        return None if any(column is None for column in columns) else columns
 
     def begin_pass(self, pass_index: int) -> None:
         """Called before pass ``pass_index`` (0-based) starts."""
@@ -113,29 +82,38 @@ class StreamingAlgorithm(abc.ABC):
         """
 
     def process_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[List[int]]:
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: Optional[List[np.ndarray]],
+    ) -> List[int]:
         """Optional batch hook for a run of consecutive lists of one class.
 
         ``run`` holds ``(vertex, neighbors)`` entries that are either all
         shorter than :data:`repro.util.vectorized.SHORT_LIST` (a short
-        run) or all at least that long (a long run), so an override reads
-        the class off the first entry.  It does the work of
-        ``begin_list``, ``process_list`` and ``end_list`` for every entry
-        in order and returns one space reading per list, each equal to
-        what :meth:`space_words` would return after that list's
-        ``end_list``.  It must be observably identical to the per-list
-        calls — state, RNG use, readings — and may only be faster: it is
-        where an algorithm's columnar kernels live, checked against the
-        per-list hooks as their scalar reference.  It returns ``None`` to
-        decline, and must decline before mutating anything; the lists are
-        then pushed one at a time.
-        :meth:`repro.streaming.runner.PassCursor.push_lists` calls it,
-        for the batch runner and for serve sessions, only on the batched
-        fast path with the columnar kernels enabled; with a per-list
-        telemetry poll each run holds one list.  The default declines.
+        run, ``columns`` None) or all at least that long (a long run,
+        ``columns`` holding each list's ``uint64`` vertex-id column, in
+        run order).  It does the work of ``begin_list``, ``process_list``
+        and ``end_list`` for every entry in order and returns one space
+        reading per list, each equal to what :meth:`space_words` would
+        return after that list's ``end_list``.  It must be observably
+        identical to the per-list calls — state, RNG use, readings — and
+        may only be faster: it is where an algorithm's columnar kernels
+        live, checked against the per-list hooks as their scalar
+        reference.  :meth:`repro.streaming.runner.PassCursor.push_lists`
+        calls an override, for the batch runner and for serve sessions,
+        only on the batched fast path with the columnar kernels enabled;
+        with a per-list telemetry poll each run holds one list.  The
+        cursor looks the columns up and pushes a long list with no
+        ``uint64`` column through the per-list hooks instead, so the
+        hook never sees one.  The default makes the per-list calls.
         """
-        return None
+        readings = []
+        for vertex, neighbors in run:
+            self.begin_list(vertex)
+            self.process_list(vertex, neighbors)
+            self.end_list(vertex, neighbors)
+            readings.append(self.space_words())
+        return readings
 
     def end_pass(self, pass_index: int) -> None:
         """Called after pass ``pass_index`` completes."""
@@ -197,18 +175,13 @@ class FanOut(StreamingAlgorithm):
     """An algorithm made of independent parts that see the same stream.
 
     Subclasses set ``parts``.  Every hook goes to each part in order, a
-    run included, so each part keeps its own columnar route; the space
-    is the parts' sum.  :meth:`process_run` declines when the first part
-    declines (parts of one class decline on the same runs); a later part
-    that declines a run its predecessors took gets the run's lists
-    through its per-list hooks.
+    run and its columns included, so each part keeps its own columnar
+    route and the columns are looked up once for all of them; a part
+    with no :meth:`process_run` hook gets the run's lists through its
+    per-list hooks (the default).  The space is the parts' sum.
     """
 
     parts: List[StreamingAlgorithm]
-
-    def bind_columns(self, provider) -> None:
-        for part in self.parts:
-            part.bind_columns(provider)
 
     def begin_pass(self, pass_index: int) -> None:
         for part in self.parts:
@@ -231,22 +204,14 @@ class FanOut(StreamingAlgorithm):
             part.end_list(vertex, neighbors)
 
     def process_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]]
-    ) -> Optional[List[int]]:
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: Optional[List[np.ndarray]],
+    ) -> List[int]:
         first, *rest = self.parts
-        readings = first.process_run(run)
-        if readings is None:
-            return None
+        readings = first.process_run(run, columns)
         for part in rest:
-            more = part.process_run(run)
-            if more is None:
-                more = []
-                for vertex, neighbors in run:
-                    part.begin_list(vertex)
-                    part.process_list(vertex, neighbors)
-                    part.end_list(vertex, neighbors)
-                    more.append(part.space_words())
-            readings = [a + b for a, b in zip(readings, more)]
+            readings = [a + b for a, b in zip(readings, part.process_run(run, columns))]
         return readings
 
     def end_pass(self, pass_index: int) -> None:

@@ -22,11 +22,14 @@ length class — all shorter than
 to an algorithm's
 :meth:`~repro.streaming.algorithm.StreamingAlgorithm.process_run` hook,
 which returns the run's per-list space readings in one call, and the
-meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  Results,
+meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  A long
+run comes with each list's ``uint64`` column, read from the cursor's
+column provider (the stream's memo in :func:`run_algorithm`).  Results,
 readings and checkpoints are those of the per-list hooks, which are the
-algorithms' scalar reference; an algorithm without the hook, or one
-that declines a run, gets its lists pushed one at a time.  A telemetry
-poll cuts every run to one list, so each poll sees per-list state.
+algorithms' scalar reference; an algorithm without the hook, and a long
+run holding a list with no ``uint64`` column, get their lists pushed
+one at a time.  A telemetry poll cuts every run to one list, so each
+poll sees per-list state.
 
 Long runs can be made durable: pass a
 :class:`repro.sketch.checkpoint.CheckpointConfig` as ``checkpoint`` and
@@ -123,20 +126,24 @@ class PassCursor:
     route: it can hand stretches of consecutive lists of one length
     class to the algorithm's :meth:`~StreamingAlgorithm.process_run`
     hook (the ``runs`` attribute says whether the algorithm has one on
-    the fast path) and pushes each list on its own when the hook
-    declines.
+    the fast path), and it owns each long list's ``uint64`` column:
+    ``column_provider(vertex, neighbors)`` (a stream's ``columns_for``
+    or a :class:`~repro.util.vectorized.ColumnMemo`) when given, else a
+    plain :func:`~repro.util.vectorized.as_vertex_array` conversion.
     """
 
-    __slots__ = ("algorithm", "fast", "skip_pairs", "runs")
+    __slots__ = ("algorithm", "fast", "skip_pairs", "runs", "column_provider")
 
     def __init__(
-        self, algorithm: StreamingAlgorithm, use_fast_path: Optional[bool] = None
+        self, algorithm: StreamingAlgorithm, use_fast_path: Optional[bool] = None,
+        column_provider: Optional[Callable[[Any, Sequence[Any]], Any]] = None,
     ):
         self.algorithm = algorithm
         self.fast, self.skip_pairs = _dispatch_flags(algorithm, use_fast_path)
         self.runs = self.fast and (
             type(algorithm).process_run is not StreamingAlgorithm.process_run
         )
+        self.column_provider = column_provider
 
     def _push(self, vertex, neighbors) -> None:
         """Run one complete adjacency list through the per-list hooks."""
@@ -153,15 +160,28 @@ class PassCursor:
 
     def push_run(self, run: List[Tuple[Any, Sequence[Any]]]) -> List[int]:
         """Push a run of lists of one length class; return the space
-        reading after each."""
+        reading after each.
+
+        A short run goes to ``process_run`` without columns, a long run
+        with every list's column.  A long run holding a list with no
+        ``uint64`` column (an exotic label) goes through the per-list
+        hooks instead: this is the one place that choice is made.
+        """
         algorithm = self.algorithm
-        readings = algorithm.process_run(run)
-        if readings is None:
-            push, space_words = self._push, algorithm.space_words
-            readings = []
-            for vertex, neighbors in run:
-                push(vertex, neighbors)
-                readings.append(space_words())
+        if len(run[0][1]) < vectorized.SHORT_LIST:
+            return algorithm.process_run(run, None)
+        provider = self.column_provider
+        if provider is None:
+            columns = [vectorized.as_vertex_array(neighbors) for _, neighbors in run]
+        else:
+            columns = [provider(vertex, neighbors) for vertex, neighbors in run]
+        if all(column is not None for column in columns):
+            return algorithm.process_run(run, columns)
+        push, space_words = self._push, algorithm.space_words
+        readings = []
+        for vertex, neighbors in run:
+            push(vertex, neighbors)
+            readings.append(space_words())
         return readings
 
     def push_lists(
@@ -333,9 +353,9 @@ def run_single_pass(
     ``iter_lists()`` or one shard's slice of it.  Calls ``begin_pass`` and
     ``end_pass`` around the slice; the shard-and-merge driver is the main
     consumer.  ``column_provider`` (e.g. the source stream's
-    ``columns_for``) is bound to the algorithm when given, letting its
-    vectorized fast path reuse the stream's memoised vertex-id columns.
-    Returns the meter used.
+    ``columns_for``) goes to the :class:`PassCursor`, which reads each
+    long list's ``uint64`` column from it, so the run route reuses the
+    memoised vertex-id columns across passes.  Returns the meter used.
 
     ``telemetry`` receives pass-boundary, throughput, space high-water and
     occupancy events; the default :data:`NULL_TELEMETRY` keeps the loop's
@@ -344,9 +364,7 @@ def run_single_pass(
     no-op context manager).
     """
     meter = meter if meter is not None else SpaceMeter()
-    cursor = PassCursor(algorithm, use_fast_path)
-    if column_provider is not None:
-        algorithm.bind_columns(column_provider)
+    cursor = PassCursor(algorithm, use_fast_path, column_provider)
     _drive_pass(cursor, lists, pass_index, meter, telemetry, tracer)
     return meter
 
@@ -432,7 +450,10 @@ def run_algorithm(
     caller's current position (default :data:`NULL_TRACER`).
     """
     meter = meter if meter is not None else SpaceMeter()
-    cursor = PassCursor(algorithm, use_fast_path)
+    # The stream memoises each list's vertex-id column, so both passes
+    # share one conversion; a duck-typed stream without the memo leaves
+    # the cursor converting each long list itself.
+    cursor = PassCursor(algorithm, use_fast_path, getattr(stream, "columns_for", None))
 
     start_pass, skip_lists = 0, 0
     if resume_from is not None:
@@ -442,15 +463,6 @@ def run_algorithm(
             skip_lists = resume_from.lists_done
             if resume_from.meter_state:
                 meter.load_state_dict(resume_from.meter_state)
-    # Columnar stream handoff: the stream memoises each list's vertex-id
-    # column, so both passes (and all per-list hooks) share one conversion.
-    # (After the resume restore, which resets any bound provider.  Duck-
-    # typed streams without the memo simply leave algorithms converting
-    # their own lists.)
-    provider = getattr(stream, "columns_for", None)
-    if provider is not None:
-        algorithm.bind_columns(provider)
-
     if telemetry.enabled:
         telemetry.emit(
             RunStarted(

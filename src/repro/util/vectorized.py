@@ -35,13 +35,16 @@ The runner hands stretches of consecutive lists of one length class to
 the counters' ``process_run`` hook: runs of lists all shorter than
 :data:`SHORT_LIST` neighbours, or all at least that long, each of at
 most about :data:`RUN_PAIRS` pairs (see :mod:`repro.streaming.runner`).
-The hook hashes a run's first-pass pairs with one kernel call
-(:class:`RunOffers`; a long run concatenates the lists' memoised
-columns) and returns the run's space readings at once.  The kernels'
-fixed per-call cost outweighs their gain on short lists, so a short
-list takes the short-list route inside the hook: a run of fewer than
-:data:`SHORT_LIST` pairs, or with labels outside the ``uint64`` rule,
-offers its edges through the scalar sampler loop, and every short list
+The runner's pass cursor hands a long run each list's ``uint64``
+column, from the stream's memo where there is one, and pushes a long
+list without one through the per-list hooks.  The hook hashes a run's
+first-pass pairs with one kernel call (:class:`RunOffers`; a long run
+concatenates its columns) and returns the run's space readings at
+once.  The kernels' fixed per-call cost outweighs their gain on short
+lists, so a short list takes the short-list route inside the hook: a
+short run of fewer than :data:`SHORT_LIST` pairs, or with labels
+outside the ``uint64`` rule, offers its edges through the scalar
+sampler loop (:meth:`RunOffers.of` returns None), and every short list
 probes its d(d-1)/2 canonical neighbour pairs against hash indexes
 (sampler membership, watched edges, the wedge set's endpoint pairs)
 instead of scanning the sample.  A long list is scanned on one
@@ -468,7 +471,8 @@ class RunOffers:
     :meth:`of` hashes the canonical pairs of every ``(vertex,
     neighbors)`` list of the run, in stream order, with one
     :func:`encode_pair_keys` + ``priority_array`` call, or returns None
-    when a label has no ``uint64`` value, before anything is mutated.
+    (a run without columns of fewer than :data:`SHORT_LIST` pairs, or a
+    label with no ``uint64`` value) before anything is mutated.
     :meth:`offer` then offers one list's pairs through the sampler's
     ``offer_many`` with the hashes hoisted, :meth:`offer_rest` every
     remaining list in one ``offer_array`` call, and :meth:`offer_all`
@@ -502,12 +506,18 @@ class RunOffers:
         run: Sequence[Tuple[Any, Sequence[Any]]],
         columns: Optional[Sequence[np.ndarray]] = None,
     ) -> Optional["RunOffers"]:
-        """Hash every pair of ``run`` for ``sampler``; None to decline.
+        """Hash every pair of ``run`` for ``sampler``, or return None.
 
         ``columns``, when given, holds each list's ``uint64`` column (a
-        run of long lists passes the bound provider's memoised ones), so
-        the neighbours are concatenated instead of converted again.
+        long run's, looked up by the pass cursor), so the neighbours are
+        concatenated instead of converted again.  None, and the caller
+        offers through the scalar loop, for a run without columns that
+        holds fewer than :data:`SHORT_LIST` pairs (the kernels' set-up
+        would outweigh their gain) and for a label with no ``uint64``
+        value.
         """
+        if columns is None and sum(len(n) for _, n in run) < SHORT_LIST:
+            return None
         labels = _RunPairs(run)
         sources = _uint64_column(labels.sources)
         if sources is None:

@@ -24,7 +24,8 @@ from repro.graph.graph import Graph
 from repro.graph.planted import planted_triangles
 from repro.sketch.checkpoint import CheckpointConfig, load_checkpoint
 from repro.sketch.driver import run_sharded
-from repro.streaming.runner import run_algorithm
+from repro.streaming.runner import run_algorithm, run_single_pass
+from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
 from repro.util import vectorized
 from repro.util.vectorized import SHORT_LIST, ColumnMemo, scalar_oracle
@@ -95,13 +96,26 @@ class TestFullRunEquivalence:
             assert algo.observables() == base_algo.observables(), label
 
     def test_explicit_column_provider_is_transparent(self, factory, stream):
-        algo_memo = factory()
-        algo_memo.bind_columns(ColumnMemo())
-        with_memo = run_algorithm(algo_memo, stream)
+        """``run_single_pass`` per pass over an explicit provider reads
+        every long list's column from it, and ends as ``run_algorithm``."""
+        memo, calls = ColumnMemo(), []
+
+        def provider(vertex, neighbors):
+            calls.append(vertex)
+            return memo(vertex, neighbors)
+
+        algo_memo, meter = factory(), SpaceMeter()
+        for pass_index in range(algo_memo.n_passes):
+            run_single_pass(
+                algo_memo, stream.iter_lists(), pass_index, meter, column_provider=provider
+            )
+        long = [v for v, nbrs in stream.iter_lists() if len(nbrs) >= SHORT_LIST]
+        assert long and calls == long * algo_memo.n_passes
         algo_plain = factory()
         plain = run_algorithm(algo_plain, stream)
-        assert with_memo.estimate == plain.estimate
-        assert with_memo.peak_space_words == plain.peak_space_words
+        assert algo_memo.result() == plain.estimate
+        assert meter.peak_words == plain.peak_space_words
+        assert meter.mean_words == plain.mean_space_words
         assert algo_memo.observables() == algo_plain.observables()
 
 

@@ -160,9 +160,9 @@ def test_telemetry_cuts_runs_to_one_list(make, monkeypatch):
     hook = cls.process_run
     runs = []
 
-    def recording(self, run):
+    def recording(self, run, columns):
         runs.append([len(neighbors) for _, neighbors in run])
-        return hook(self, run)
+        return hook(self, run, columns)
 
     monkeypatch.setattr(cls, "process_run", recording)
     sinks = InMemorySink(), InMemorySink()

@@ -365,12 +365,13 @@ class TestRunRoute:
             assert _outcome(algorithm, run_algorithm(algorithm, stream)) == reference
 
     @pytest.mark.parametrize("name", sorted(RUN_FACTORIES))
-    def test_tuple_labels_decline(self, name, monkeypatch):
+    def test_tuple_labels_bypass_long_runs(self, name, monkeypatch):
         """Tuple labels have no ``uint64`` column: runs of short lists
         are still taken, through the scalar offers and the probes, and
-        only the long runs decline.  The Figure-1b gadget's lists are
-        short, so two hubs wired to ``SHORT_LIST + 2`` of its vertices
-        make long ones."""
+        the cursor pushes every long list through the per-list hooks, so
+        no long run reaches ``process_run``.  The Figure-1b gadget's
+        lists are short, so two hubs wired to ``SHORT_LIST + 2`` of its
+        vertices make long ones."""
         graph = triangle_multipass.build_gadget(
             random_three_disj_instance(5, True, seed=1), 4
         ).graph
@@ -384,18 +385,15 @@ class TestRunRoute:
         hook = cls.process_run
         returned = set()
 
-        def recording(self, run):
-            readings = hook(self, run)
-            long = len(run[0][1]) >= SHORT_LIST
-            returned.add((self._pass, long, readings is None))
-            return readings
+        def recording(self, run, columns):
+            returned.add((self._pass, len(run[0][1]) >= SHORT_LIST, columns is not None))
+            return hook(self, run, columns)
 
         monkeypatch.setattr(cls, "process_run", recording)
         algorithm = make()
         outcome = _outcome(algorithm, run_algorithm(algorithm, stream))
-        assert returned == {
-            (pass_index, long, long) for pass_index in (0, 1) for long in (False, True)
-        }
+        assert any(len(neighbors) >= SHORT_LIST for _, neighbors in stream.iter_lists())
+        assert returned == {(pass_index, False, False) for pass_index in (0, 1)}
         assert outcome == _per_list(make, stream)
         with scalar_oracle():
             algorithm = make()
@@ -407,7 +405,7 @@ class TestRunRoute:
         stream = run_streams[name.split("-")[0]]
         reference = _per_list(make, stream)
 
-        def forbidden(self, run):
+        def forbidden(self, run, columns):
             raise AssertionError("run route entered")
 
         monkeypatch.setattr(type(make()), "process_run", forbidden)

@@ -6,7 +6,9 @@ axes:
 
 * algorithms — every serve-compatible registry algorithm, and on the
   batch paths the fan-out wrappers: ``triangle-adaptive``,
-  ``transitivity`` and a median of three ``triangle-two-pass`` copies;
+  ``transitivity``, a median of three ``triangle-two-pass`` copies and
+  a median of three ``triangle-naive`` copies (parts with no
+  ``process_run`` hook, which take a run through their per-list hooks);
 * orderings — every entry of ``ORDERING_FACTORIES``;
 * graphs — a Figure-1b gadget (tuple labels), a seeded G(n, m), a
   G(n, m) with three float labels, and seeded planted-triangle and
@@ -66,8 +68,7 @@ from repro.util.vectorized import RUN_PAIRS, SHORT_LIST, ColumnMemo, scalar_orac
 ALGORITHMS = sorted(
     spec.name for spec in iter_specs() if serve_capabilities(spec).serve_compatible
 )
-#: The fan-out wrappers over two-pass triangle counters, on the batch
-#: paths only: no session serves them.
+#: The fan-out wrappers, on the batch paths only: no session serves them.
 WRAPPERS = {
     "triangle-adaptive": lambda budget, seed: get_spec("triangle-adaptive").make(
         budget, seed=seed
@@ -75,6 +76,11 @@ WRAPPERS = {
     "transitivity": lambda budget, seed: get_spec("transitivity").make(budget, seed=seed),
     "triangle-boosted": lambda budget, seed: MedianBoosted(
         lambda copy_seed: get_spec("triangle-two-pass").make(budget, seed=copy_seed),
+        3,
+        seed=seed,
+    ),
+    "triangle-naive-boosted": lambda budget, seed: MedianBoosted(
+        lambda copy_seed: get_spec("triangle-naive").make(budget, seed=copy_seed),
         3,
         seed=seed,
     ),
@@ -455,17 +461,15 @@ def _long_chunks(pairs):
 
 def _recorded_runs(monkeypatch, name, ordering, graph, **kwargs):
     """Run ``name`` with every ``process_run`` call recorded as
-    ``(pass, long, lists, pairs, declined)``; return the records."""
+    ``(pass, long, lists, pairs)``; return the records."""
     algo = LONG_FACTORIES[name]()
     hook = type(algo).process_run
     records = []
 
-    def recording(self, run):
-        readings = hook(self, run)
-        long = len(run[0][1]) >= SHORT_LIST
+    def recording(self, run, columns):
         pairs = sum(len(neighbors) for _, neighbors in run)
-        records.append((self._pass, long, len(run), pairs, readings is None))
-        return readings
+        records.append((self._pass, columns is not None, len(run), pairs))
+        return hook(self, run, columns)
 
     monkeypatch.setattr(type(algo), "process_run", recording)
     run_algorithm(algo, _long_stream(ordering, graph), **kwargs)
@@ -482,16 +486,15 @@ def test_long_runs_cut_at_class_pair_cap_and_checkpoint(ordering, monkeypatch, t
         monkeypatch, "fourcycle", ordering, "hubs", checkpoint=config
     )
     first = [r for r in records if r[0] == 0]
-    classes = [long for _, long, _, _, _ in first]
+    classes = [long for _, long, _, _ in first]
     assert any(a != b for a, b in zip(classes, classes[1:]))
-    assert any(long and pairs >= RUN_PAIRS for _, long, _, pairs, _ in first)
+    assert any(long and pairs >= RUN_PAIRS for _, long, _, pairs in first)
     done = 0
     cut = False
-    for (_, long, lists, _, _), following in zip(first, first[1:]):
+    for (_, long, lists, _), following in zip(first, first[1:]):
         done += lists
         cut = cut or (long and following[1] and done % LONG_EVERY == 0)
     assert cut
-    assert not any(declined for *_, declined in records)
 
 
 @pytest.mark.parametrize("name", ["fourcycle", "fourcycle-distinct", "triangle-sharded"])
@@ -522,9 +525,9 @@ def test_session_runs_end_at_chunk_ends(monkeypatch):
     hook = type(algo).process_run
     runs = []
 
-    def recording(self, run):
+    def recording(self, run, columns):
         runs.append([vertex for vertex, _ in run])
-        return hook(self, run)
+        return hook(self, run, columns)
 
     monkeypatch.setattr(type(algo), "process_run", recording)
     session = _long_session("fourcycle", algo)

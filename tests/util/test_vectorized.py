@@ -241,7 +241,9 @@ class TestRunOffers:
     def test_matches_per_key_offers(self, run, capacity, split, seed):
         batch, scalar, logs = _logged_twins(capacity, seed)
         offers = RunOffers.of(batch, run)
-        assert offers is not None
+        if sum(len(neighbors) for _, neighbors in run) < SHORT_LIST:
+            assert offers is None
+            return
         split = min(split, len(run))
         for index in range(split):
             offers.offer(index)
@@ -270,6 +272,9 @@ class TestRunOffers:
         """``offer_all``'s readings, evictions and tallies, list by list."""
         batch, scalar, logs = _logged_twins(capacity, seed)
         offers = RunOffers.of(batch, run)
+        if sum(len(neighbors) for _, neighbors in run) < SHORT_LIST:
+            assert offers is None
+            return
         expected = []
         for vertex, neighbors in run:
             _offer_per_key(scalar, [canonical_edge(vertex, n) for n in neighbors])
@@ -316,10 +321,24 @@ class TestRunOffers:
         ids=["str", "tuple", "negative", "huge", "bool", "float"],
     )
     def test_declines_without_mutating(self, run):
+        """A label with no ``uint64`` value, in a run long enough to be
+        hashed, sends the run to the scalar offers."""
+        run = [(100, tuple(range(SHORT_LIST)))] + run
         sampler = BottomKSampler(4, seed=1)
         before = sampler.state_dict()
         assert RunOffers.of(sampler, run) is None
         assert sampler.state_dict() == before
+
+    def test_short_run_without_columns_is_not_hashed(self):
+        """Below ``SHORT_LIST`` pairs a run without columns is left to
+        the scalar offers; given columns, even one short list is hashed."""
+        run = [(0, tuple(range(1, SHORT_LIST // 2 + 1))), (1, (2, 3))]
+        sampler = BottomKSampler(4, seed=1)
+        assert RunOffers.of(sampler, run) is None
+        assert RunOffers.of(sampler, run * 2) is not None
+        column = ColumnMemo()(0, run[0][1])
+        assert RunOffers.of(sampler, run[:1], [column]) is not None
+        assert sampler.offers == 0
 
 
 class TestEndpointColumns:
