@@ -176,8 +176,9 @@ def session_vs_kernel() -> dict:
     kernel run and then one session run back to back, so both sides of a
     pair see the same host load; ``session_over_kernel`` is the median of
     the per-pair time ratios and the rates are from the median times,
-    counting the pairs of all passes.  Over 8 consecutive calls on a
-    shared 2-CPU host the ratio read 1.07-1.20 (median 1.17).
+    counting the pairs of all passes.  Over 5 calls on a shared 2-CPU
+    host, with binary sessions reading each long list's column from its
+    frame, the ratio read 1.32-1.39 (median 1.36).
     """
     stream, pairs, srcs, dsts = ingest_workload()
     step = INGEST_CHUNK_PAIRS

@@ -109,8 +109,17 @@ class _Pair:
     watchers: List[_Watcher] = field(default_factory=list)
 
     def rho_edge(self) -> Edge:
-        """The lightest edge ρ(τ): min H, ties by canonical edge key."""
-        return min(self.watchers, key=lambda w: (w.h, w.edge)).edge
+        """The lightest edge ρ(τ): min H, ties by canonical edge key.
+
+        ``min`` over ``(h, edge)`` without a key call or a tuple per
+        watcher; the first minimum wins, as in ``min``.
+        """
+        first = self.watchers[0]
+        h, edge = first.h, first.edge
+        for watcher in self.watchers:
+            if watcher.h < h or (watcher.h == h and watcher.edge < edge):
+                h, edge = watcher.h, watcher.edge
+        return edge
 
 
 def _encode_pair(pair: "_Pair") -> Dict[str, Any]:
@@ -310,12 +319,14 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         pair.watchers.clear()
 
     def _collect_pair(self, edge: Edge, tri: Triangle, current_list: Optional[Vertex]) -> None:
-        """Offer a candidate pair to the reservoir, maintaining indexes."""
+        """Offer a candidate pair to the reservoir, maintaining indexes.
+
+        Only an admitted pair gets watchers, installed after the displaced
+        pair's are removed: a rejected candidate touches no bucket.  The
+        reservoir's choice never looks at the pair, and watcher increments
+        commute, so the order changes no ``h``.
+        """
         pair = _Pair(edge=edge, triangle=tri)
-        # Sharded mode never installs watchers: ρ is hash-designated there.
-        in_pass_two = self._pass == 1 and not self.sharded
-        if in_pass_two:
-            self._register_watchers(pair, current_list)
         admitted, displaced = self._reservoir.offer_detailed(pair)
         if displaced is not None:
             self._displaced += 1
@@ -327,8 +338,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                     del self._pairs_at[displaced.edge]
         if admitted:
             self._pairs_at.setdefault(edge, []).append(pair)
-        elif in_pass_two:
-            self._unregister_watchers(pair)
+            # Sharded mode never installs watchers: ρ is hash-designated there.
+            if self._pass == 1 and not self.sharded:
+                self._register_watchers(pair, current_list)
 
     # -- streaming interface ---------------------------------------------------
 
@@ -807,13 +819,39 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
 
     def counted_pairs(self) -> int:
         """``|{(e, τ) ∈ Q : ρ(τ) = e}|`` — pairs won by their own edge."""
-        if self.sharded:
-            return sum(
-                1
-                for pair in self._reservoir.items()
-                if self._rho_sharded(pair.triangle) == pair.edge
-            )
-        return sum(1 for pair in self._reservoir.items() if pair.rho_edge() == pair.edge)
+        pairs = self._reservoir.items()
+        if not self.sharded:
+            return sum(1 for pair in pairs if pair.rho_edge() == pair.edge)
+        if pairs and vectorized.columnar_enabled():
+            counted = self._counted_sharded(pairs)
+            if counted is not None:
+                return counted
+        return sum(1 for pair in pairs if self._rho_sharded(pair.triangle) == pair.edge)
+
+    def _counted_sharded(self, pairs: List[_Pair]) -> Optional[int]:
+        """Sharded :meth:`counted_pairs` with all ``3·|Q|`` triangle edges
+        hashed in one kernel call; None when a label is outside the
+        ``uint64`` rule.
+
+        With each triangle's vertices sorted, its edges ``(a, b)``,
+        ``(a, c)``, ``(b, c)`` come in canonical order, so ``argmin``'s
+        first-minimum rule breaks hash ties by the edge, as
+        :meth:`_rho_sharded` does.
+        """
+        labels = vectorized.as_vertex_array(
+            [v for pair in pairs for v in (*pair.triangle, *pair.edge)]
+        )
+        if labels is None:
+            return None
+        rows = labels.reshape(-1, 5)
+        a, b, c = np.sort(rows[:, :3], axis=1).T
+        hashes = self._rho_hash.hash_int_array(
+            vectorized.encode_pair_keys(np.concatenate((a, a, b)), np.concatenate((b, c, c)))
+        )
+        win = hashes.reshape(3, -1).argmin(axis=0)
+        rho_u = np.where(win == 2, b, a)
+        rho_v = np.where(win == 0, b, c)
+        return int(np.count_nonzero((rho_u == rows[:, 3]) & (rho_v == rows[:, 4])))
 
     def result(self) -> float:
         """The triangle estimate ``T̂`` (valid after pass 2)."""

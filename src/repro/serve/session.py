@@ -15,9 +15,10 @@ in arbitrary chunks:
   :meth:`finish_pass` after the final open list is pushed.
 
 JSON and binary chunks differ only in how they are validated and cut
-into adjacency-list segments; both then share one ingest path.  A chunk
-rejected mid-way ingests exactly the pairs the validator accepted before
-the offending one, on either wire.
+into adjacency-list segments, and in that a binary chunk lends the long
+lists it closes their ``uint64`` columns; both then share one ingest
+path.  A chunk rejected mid-way ingests exactly the pairs the validator
+accepted before the offending one, on either wire.
 
 Because the hook sequence is identical, a session's estimates are
 **bit-identical** to an offline ``run_algorithm`` over the same pairs —
@@ -73,6 +74,7 @@ from repro.streaming.stream import (
     StreamFormatError,
     split_segments,
 )
+from repro.util import vectorized
 
 __all__ = ["ServeSession"]
 
@@ -102,6 +104,43 @@ def _unnest_state(blob: Any) -> SketchState:
     return SketchState(
         kind=str(blob["kind"]), version=int(blob["version"]), payload=blob["payload"]
     )
+
+
+class _FrameColumns:
+    """A session cursor's column provider: the long lists a binary frame
+    closes, each mapped to its slice of the frame's ``dsts`` column.
+
+    :meth:`hold` maps a frame's lists just before they are pushed and
+    :meth:`clear` drops them right after, so no frame outlives its chunk.
+    Like :class:`~repro.util.vectorized.ColumnMemo` it is keyed by vertex
+    and checks the list object's identity; any other list (one spanning
+    frames, every JSON list) is converted by
+    :func:`~repro.util.vectorized.as_vertex_array`.  The views share the
+    frame's memory, which is read-only.  It holds no reference to the
+    session, so a dropped session is freed at once.
+    """
+
+    __slots__ = ("_views",)
+
+    def __init__(self) -> None:
+        self._views: Dict[Any, Tuple[List[Any], Any]] = {}
+
+    def __call__(self, vertex: Any, neighbors: Sequence[Any]) -> Any:
+        entry = self._views.get(vertex)
+        if entry is not None and entry[0] is neighbors:
+            return entry[1]
+        return vectorized.as_vertex_array(neighbors)
+
+    def hold(self, lists: List[Tuple[Any, List[Any]]], starts: List[int], dsts: Any) -> None:
+        """Map each long list of ``lists``, list ``i`` being
+        ``dsts[starts[i]:starts[i + 1]]``, to that view."""
+        short, views = vectorized.SHORT_LIST, self._views
+        for (vertex, neighbors), a, b in zip(lists, starts, starts[1:]):
+            if b - a >= short:
+                views[vertex] = (neighbors, dsts[a:b])
+
+    def clear(self) -> None:
+        self._views.clear()
 
 
 class ServeSession:
@@ -141,7 +180,8 @@ class ServeSession:
         self.space_budget_words = space_budget_words
         self.origin_state = origin_state
 
-        self._cursor = PassCursor(algorithm)
+        self._columns = _FrameColumns()
+        self._cursor = PassCursor(algorithm, column_provider=self._columns)
         self._meter = SpaceMeter()
         self.pass_index = 0
         self.pass_started = False
@@ -227,8 +267,12 @@ class ServeSession:
             self.pass_started = True
 
     def _push(self, lists: List[Tuple[Any, List[Any]]]) -> None:
-        """Push complete adjacency lists through the pass cursor."""
-        self._cursor.push_lists(lists, self._meter)
+        """Push complete adjacency lists through the pass cursor, then
+        drop the frame columns held for them."""
+        try:
+            self._cursor.push_lists(lists, self._meter)
+        finally:
+            self._columns.clear()
         self.lists_this_pass += len(lists)
 
     def feed(self, pairs: Sequence[Tuple[Any, Any]]) -> Dict[str, Any]:
@@ -253,9 +297,13 @@ class ServeSession:
         Semantically identical to :meth:`feed` over ``zip(srcs, dsts)`` —
         same hooks, same validation, same errors — but the list-boundary
         split and validation are vectorized.  The lists reach the
-        algorithm as Python lists, as JSON ones do; the session's pass
-        cursor has no column provider, so it converts each long list's
-        column from them.
+        algorithm as Python lists, as JSON ones do, and each long list
+        the chunk closes brings its ``uint64`` column as a view of
+        ``dsts``: the cursor's column provider (:class:`_FrameColumns`)
+        holds those views for one push, so the run route converts
+        nothing.  A list that spans chunks is converted from its Python
+        list.  The kernels only read the views; a decoded frame's
+        columns are read-only.
         """
         n = int(len(srcs))
         segments = split_segments(srcs, dsts) if n else None
@@ -264,19 +312,21 @@ class ServeSession:
             return split_segments(srcs[:k], dsts[:k]) if k < n else segments
 
         return self._ingest(
-            n, lambda validator: validator.feed_array(srcs, dsts, segments), accepted
+            n, lambda validator: validator.feed_array(srcs, dsts, segments), accepted,
+            dsts,
         )
 
     def _ingest(
         self, n: int, validate: Callable[[PairSequenceValidator], None],
-        segments_of: Callable[[int], Segments],
+        segments_of: Callable[[int], Segments], dsts: Any = None,
     ) -> Dict[str, Any]:
         """The path both wires share once a chunk of ``n`` pairs is decoded.
 
         ``validate`` runs the first-pass validator over the chunk;
         ``segments_of(k)`` cuts its first ``k`` pairs into the arguments
-        of :meth:`_ingest_segments`.  Exactly the pairs the validator
-        accepted are ingested; a violation is raised after them.
+        of :meth:`_ingest_segments`, which also gets the binary chunk's
+        neighbour column ``dsts`` (None for JSON).  Exactly the pairs the
+        validator accepted are ingested; a violation is raised after them.
         """
         self._require_live()
         self._begin_pass()
@@ -289,7 +339,7 @@ class ServeSession:
             except StreamFormatError as exc:
                 accepted, error = validator.pairs_seen - before, exc
         if accepted:
-            self._ingest_segments(*segments_of(accepted))
+            self._ingest_segments(*segments_of(accepted), dsts)
         if error is not None:
             raise ServeError(STREAM_FORMAT, str(error)) from error
         self.chunks += 1
@@ -314,14 +364,17 @@ class ServeSession:
         return {"pairs": n, "pairs_total": self.pairs_total, "pass": self.pass_index}
 
     def _ingest_segments(
-        self, starts: List[int], heads: List[Any], dst_list: List[Any]
+        self, starts: List[int], heads: List[Any], dst_list: List[Any], dsts: Any
     ) -> None:
         """Push the lists a validated chunk closes; keep its last one open.
 
         The first segment extends the open list when it has the same
-        source.
+        source.  Given the binary chunk's column ``dsts``, the lists the
+        chunk holds whole are mapped to their views of it for this push.
         """
         lists = [(head, dst_list[a:b]) for head, a, b in zip(heads, starts, starts[1:])]
+        if dsts is not None:
+            self._columns.hold(lists[:-1], starts, dsts)
         open_list = self._open_list
         if open_list is not None:
             if open_list[0] == heads[0]:

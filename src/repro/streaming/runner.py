@@ -24,7 +24,8 @@ to an algorithm's
 which returns the run's per-list space readings in one call, and the
 meter takes them in bulk (:meth:`SpaceMeter.observe_many`).  A long
 run comes with each list's ``uint64`` column, read from the cursor's
-column provider (the stream's memo in :func:`run_algorithm`).  Results,
+column provider (the stream's memo in :func:`run_algorithm`, views of
+the binary frame's neighbour column in a serve session).  Results,
 readings and checkpoints are those of the per-list hooks, which are the
 algorithms' scalar reference; an algorithm without the hook, and a long
 run holding a list with no ``uint64`` column, get their lists pushed
@@ -127,9 +128,12 @@ class PassCursor:
     class to the algorithm's :meth:`~StreamingAlgorithm.process_run`
     hook (the ``runs`` attribute says whether the algorithm has one on
     the fast path), and it owns each long list's ``uint64`` column:
-    ``column_provider(vertex, neighbors)`` (a stream's ``columns_for``
-    or a :class:`~repro.util.vectorized.ColumnMemo`) when given, else a
-    plain :func:`~repro.util.vectorized.as_vertex_array` conversion.
+    ``column_provider(vertex, neighbors)`` (a stream's ``columns_for``,
+    a :class:`~repro.util.vectorized.ColumnMemo`, or a serve session's
+    frame views) when given, else a plain
+    :func:`~repro.util.vectorized.as_vertex_array` conversion.  A
+    provider may hand out read-only views; the kernels never write into
+    a column.
     """
 
     __slots__ = ("algorithm", "fast", "skip_pairs", "runs", "column_provider")

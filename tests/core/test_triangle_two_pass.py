@@ -2,6 +2,7 @@
 
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.analysis.lightest_edge import h_statistics, rho_assignment
@@ -24,6 +25,8 @@ from repro.graph.planted import planted_triangles, planted_triangles_book
 from repro.streaming.orderings import ORDERING_FACTORIES
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
+from repro.util.hashing import _to_int_key
+from repro.util.vectorized import scalar_oracle
 
 
 class TestTriangleHelpers:
@@ -139,6 +142,53 @@ class TestHCountersMatchOracle:
             expected = oracle[pair.triangle]
             for watcher in pair.watchers:
                 assert watcher.h == expected[watcher.edge]
+
+
+class TestShardedRho:
+    """Sharded ``counted_pairs`` hashes every triangle edge in one kernel
+    call; it must count exactly the pairs the scalar ``_rho_sharded`` does."""
+
+    @staticmethod
+    def _scalar_count(algo):
+        return sum(
+            1 for pair in algo._reservoir.items()
+            if algo._rho_sharded(pair.triangle) == pair.edge
+        )
+
+    def _run(self, graph_seed):
+        g = gnm_random_graph(40, 300, seed=graph_seed)
+        algo = TwoPassTriangleCounter(sample_size=200, seed=graph_seed, sharded=True)
+        run_algorithm(algo, AdjacencyListStream(g, seed=graph_seed + 10))
+        assert len(algo._reservoir) > 50
+        return algo
+
+    @pytest.mark.parametrize("graph_seed", [1, 2, 3])
+    def test_kernel_matches_scalar_rho(self, graph_seed):
+        algo = self._run(graph_seed)
+        assert algo.counted_pairs() == self._scalar_count(algo)
+
+    def test_hash_ties_break_by_edge(self):
+        """A two-valued hash ties most edges; the smaller edge must win."""
+
+        class TwoValued:
+            def hash_int(self, key):
+                return _to_int_key(key) % 2
+
+            def hash_int_array(self, keys):
+                return keys % np.uint64(2)
+
+        algo = self._run(4)
+        algo._rho_hash = TwoValued()
+        counted = algo.counted_pairs()
+        assert counted == self._scalar_count(algo)
+        assert 0 < counted < len(algo._reservoir)
+
+    def test_scalar_oracle_keeps_scalar_rho(self):
+        algo = self._run(5)
+        expected = algo.counted_pairs()
+        algo._counted_sharded = lambda pairs: pytest.fail("kernel under the oracle")
+        with scalar_oracle():
+            assert algo.counted_pairs() == expected
 
 
 class TestStatisticalBehaviour:

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.graph.generators import gnm_random_graph
 from repro.graph.planted import planted_triangles
 from repro.serve.protocol import (
     BAD_REQUEST,
@@ -20,12 +21,15 @@ from repro.serve.protocol import (
     STREAM_FORMAT,
     UNSUPPORTED,
     ServeError,
+    decode_binary_feed,
+    encode_binary_feed,
 )
 from repro.serve.session import ServeSession
 from repro.sketch.state import SketchState
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
+from repro.util import vectorized
 
 
 @pytest.fixture(scope="module")
@@ -301,3 +305,118 @@ class TestSnapshotRestore:
         state = SketchState("serve-session", 1, {"spec": "triangle-two-pass"})
         with pytest.raises(ServeError):
             ServeSession.restore_snapshot("s", state)
+
+
+@pytest.fixture(scope="module")
+def long_world():
+    """Lists of about 20 neighbours (long, past ``SHORT_LIST``) cut by
+    97-pair frames: most lists close inside a frame, some span two."""
+    stream = AdjacencyListStream(gnm_random_graph(60, 600, seed=4), seed=9)
+    pairs = list(stream.iter_pairs())
+    frames = []
+    for i in range(0, len(pairs), 97):
+        part = pairs[i : i + 97]
+        frame = encode_binary_feed(
+            i,
+            "s",
+            np.array([s for s, _ in part], dtype=np.uint64),
+            np.array([d for _, d in part], dtype=np.uint64),
+        )
+        frames.append(decode_binary_feed(frame)[2:])
+    return stream, pairs, frames
+
+
+def _record_columns(session):
+    """Wrap the session algorithm's ``process_run`` to log every long
+    list's ``(vertex, neighbours, column)``."""
+    seen = []
+    inner = session.algorithm.process_run
+
+    def process_run(run, columns):
+        if columns is not None:
+            seen.extend(
+                (vertex, list(neighbors), column)
+                for (vertex, neighbors), column in zip(run, columns)
+            )
+        return inner(run, columns)
+
+    session.algorithm.process_run = process_run
+    return seen
+
+
+class TestFrameColumns:
+    """A binary session hands the run route views of its frames' ``dsts``
+    columns; every other list is converted as before."""
+
+    def test_lists_closed_in_a_frame_use_its_column(self, long_world):
+        stream, pairs, frames = long_world
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        seen = _record_columns(session)
+        provider = session._cursor.column_provider
+        views, converted = 0, 0
+        for _ in range(2):
+            position = 0
+            for srcs, dsts in frames:
+                assert not dsts.flags.writeable
+                del seen[:]
+                session.feed_arrays(srcs, dsts)
+                assert not provider._views
+                for vertex, neighbors, column in seen:
+                    expected = vectorized.as_vertex_array(neighbors)
+                    assert column.dtype == np.uint64
+                    assert np.array_equal(column, expected)
+                    # Where the list's pairs lie in this pass's stream.
+                    end = pairs.index((vertex, neighbors[-1]), 0, position + len(dsts))
+                    start = end + 1 - len(neighbors)
+                    inside = start >= position and end < position + len(dsts) - 1
+                    assert np.shares_memory(column, dsts) == inside
+                    views += inside
+                    converted += not inside
+                position += len(dsts)
+            session.finish_pass()
+        assert views > 2 * converted > 0
+        assert session.result() == _reference(stream)
+
+    def test_json_lists_are_converted(self, long_world):
+        stream, pairs, _ = long_world
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        seen = _record_columns(session)
+        _feed_stream(session, pairs, 97, 2)
+        assert seen
+        for _, neighbors, column in seen:
+            assert column.flags.writeable
+            assert np.array_equal(column, vectorized.as_vertex_array(neighbors))
+        assert session.result() == _reference(stream)
+
+    def test_rejected_frame_supplies_only_accepted_columns(self, long_world):
+        _, pairs, _ = long_world
+        cut = 80
+        part = pairs[:cut] + [(pairs[cut - 1][0], pairs[cut - 1][0])] + pairs[cut:120]
+        srcs = np.array([s for s, _ in part], dtype=np.uint64)
+        dsts = np.array([d for _, d in part], dtype=np.uint64)
+        session = ServeSession.open("s", "triangle-two-pass", 64, seed=5)
+        seen = _record_columns(session)
+        with pytest.raises(ServeError) as err:
+            session.feed_arrays(srcs, dsts)
+        assert err.value.code == STREAM_FORMAT
+        assert session.pairs_total == cut
+        assert not session._cursor.column_provider._views
+        assert seen
+        for _, neighbors, column in seen:
+            assert np.shares_memory(column, dsts[:cut])
+            assert not np.shares_memory(column, dsts[cut:])
+            assert np.array_equal(column, vectorized.as_vertex_array(neighbors))
+
+    @pytest.mark.parametrize(
+        "name", ["triangle-two-pass", "triangle-two-pass-sharded", "fourcycle-two-pass"]
+    )
+    def test_read_only_frames_match_the_runner(self, long_world, name):
+        """Decoded frames are read-only, so a kernel writing into a
+        column would raise here."""
+        stream, _, frames = long_world
+        session = ServeSession.open("s", name, 64, seed=5)
+        for _ in range(2):
+            for srcs, dsts in frames:
+                session.feed_arrays(srcs, dsts)
+            session.finish_pass()
+        assert session.result() == _reference(stream, name)
