@@ -48,6 +48,25 @@ Detection bookkeeping (faithful to Section 3.3.1):
   ``x``'s list has already arrived in pass 2 — that is exactly the
   "arrives after" order.  Section 3.3.1 proves all relevant closings occur
   after the pair is collected, so mid-stream installation loses nothing.
+
+The per-list hooks do this list by list and are the scalar oracle.  The
+run route (``process_run``) does the same for a long run of lists on one
+:class:`~repro.util.vectorized.RunMask` per pass:
+
+* Pass 1 offers the whole run to the edge sampler first, noting each
+  list's evicted edges; the sampler never reads the reservoir.  Under
+  bottom-k an evicted key is never admitted again, so each key is a
+  member over one interval of the run's lists, and one table answers
+  every list's detection.  The lists are then replayed in order: each
+  drops the pairs of the edges it evicted, then offers its matches that
+  were members at that list.
+* Pass 2 tests the frozen sample once per run for the seen-edge scan and
+  detection, replays the lists' offers, then counts the run's ``H``
+  increments in one gather: the watchers are columns of edge endpoints
+  and apex, each counting the lists after the row it starts from (before
+  the run, or the list that installed it).  Counts are owed in a column
+  and settled into the watcher objects before anything reads ``h``, so
+  snapshots keep their exact per-pair ``watchers`` lists.
 """
 
 from __future__ import annotations
@@ -214,60 +233,63 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # Reservoir pairs by first-pass edge, so an eviction names the
         # pairs it drops without scanning the reservoir.
         self._pairs_at: Dict[Edge, List[_Pair]] = {}
-        # Columnar views for the vectorized per-list scans; derived state
-        # only, rebuilt (not serialised) across snapshot/restore.  Both
-        # are supersets: member columns hold every key admitted since the
-        # last build (payload: the key; hits resolve through the live
+        # Columnar views for the vectorized scans; derived state only,
+        # rebuilt (not serialised) across snapshot/restore.  Both are
+        # supersets: member columns hold every key admitted since the last
+        # build (payload: the key; hits resolve through the live
         # membership, so since-evicted keys miss), watcher columns every
-        # bucket created since (payload: the bucket object, which empties
-        # in place when dropped and then scans as a no-op).
+        # watcher registered since (edge endpoints and apex; payload: the
+        # watcher, whose counts nobody reads once it is unregistered).
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0  # admission-log cursor: columns cover log[:pos]
-        self._wcols = vectorized.EndpointColumns()
+        self._wcols = vectorized.EndpointColumns(width=3)
         # Reusable membership table for the columnar per-list scans.
         self._vtable = vectorized.VertexTable()
-        # Eviction batching for list-level offers: while a buffer list is
-        # installed, _edge_evicted defers the pairs it drops into it and
-        # the offering hook removes them in one combined scan per list.
-        self._evict_buffer: Optional[List[_Pair]] = None
+        # While the run route offers a run, _edge_evicted defers the edges
+        # it evicts into this buffer (see _offer_run).
+        self._evict_buffer: Optional[List[Edge]] = None
+        # Watchers registered during a pass-2 run's replay, in order
+        # (None outside one): _count_h_run's fresh columns.
+        self._fresh: Optional[List[_Watcher]] = None
+        # Pass 2's frozen sample by endpoint (derived; _members_by_vertex).
+        self._member_index: Optional[Dict[Vertex, List[Tuple[Edge, Vertex]]]] = None
+        # H increments the run route owes the watcher columns' payloads
+        # (_owed[i] to _owed_to[i]); every reader of h settles them first.
+        self._owed: Optional[np.ndarray] = None
+        self._owed_to: Optional[List[_Watcher]] = None
 
     # -- sampler bookkeeping --------------------------------------------------
 
     def _edge_evicted(self, edge: Edge) -> None:
-        """Drop reservoir pairs whose first-pass edge left the sample."""
+        """Drop reservoir pairs whose first-pass edge left the sample, or
+        defer the edge to the installed eviction buffer."""
         self._evictions += 1
         self._mcols.dead += 1
-        # The per-edge pair index makes the common case — the evicted edge
-        # has no collected pairs — O(1) instead of a reservoir scan.
-        # Skipping the scan is state-identical: discarding with no matching
-        # pairs touches neither the reservoir contents nor its RNG.
-        doomed = self._pairs_at.pop(edge, None)
-        if doomed is None:
-            return
         buffer = self._evict_buffer
         if buffer is not None:
-            # Batched offers flush all of a list's evictions in one scan
-            # (see process_list); discards never touch the reservoir RNG
-            # and sequential per-edge removals keep survivor order, so one
-            # combined scan leaves bit-identical reservoir state.
-            buffer.extend(doomed)
-            return
-        self._drop_pairs(doomed)
+            # The run route offers a whole run first and drops each
+            # evicted edge's pairs at the evicting list's place in its
+            # replay (_offer_run).  Discards never touch the reservoir
+            # RNG, so the reservoir ends bit-identical.
+            buffer.append(edge)
+        elif edge in self._pairs_at:
+            self._drop_evicted((edge,))
 
-    def _flush_evictions(self) -> None:
-        """Drop the pairs buffered by ``_edge_evicted``."""
-        buffer = self._evict_buffer
-        if buffer:
-            doomed = buffer[:]
-            del buffer[:]
-            self._drop_pairs(doomed)
-
-    def _drop_pairs(self, doomed: List[_Pair]) -> None:
-        """Remove ``doomed`` from the reservoir in one scan, keeping the
-        survivors' order, and unregister their watchers in reservoir order.
-        Pairs compare by identity, so the scan tests membership directly."""
-        for pair in self._reservoir.discard_items(set(doomed), len(doomed)):
-            self._unregister_watchers(pair)
+    def _drop_evicted(self, edges: Sequence[Edge]) -> None:
+        """Remove the pairs collected on ``edges`` from the reservoir in
+        one call, and unregister their watchers in reservoir order.  The
+        per-edge pair index names them, so an edge with no collected pairs
+        costs one lookup."""
+        pairs_at = self._pairs_at
+        doomed: List[_Pair] = []
+        for edge in edges:
+            pairs = pairs_at.pop(edge, None)
+            if pairs is not None:
+                doomed.extend(pairs)
+        if doomed:
+            for pair in self._reservoir.discard_items(doomed):
+                if pair.watchers:
+                    self._unregister_watchers(pair)
 
     def _register_watchers(self, pair: _Pair, current_list: Optional[Vertex]) -> None:
         """Create and index the three H-watchers of ``pair``.
@@ -281,7 +303,9 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         arrived yet (otherwise the pair would have been collected in
         pass 1).
         """
-        by_edge = self._watchers_by_edge
+        by_edge, by_apex = self._watchers_by_edge, self._watchers_by_apex
+        # Built watcher columns take the new watchers on their next view.
+        queue = self._wcols.queue if self._wcols.payloads is not None else None
         # triangle_key sorts, so (a, b), (a, c), (b, c) are already the
         # canonical edges and the leftover vertex is each edge's apex —
         # same (f, x) sequence as triangle_edges + apex, without the calls.
@@ -291,26 +315,29 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             pair.watchers.append(watcher)
             bucket = by_edge.get(f)
             if bucket is None:
-                bucket = set()
-                by_edge[f] = bucket
-                # Built columns queue every new bucket object exactly
-                # once.  They may still hold an older (since emptied)
-                # bucket for the same edge, which scans as a no-op, so no
-                # edge is ever double-counted.
-                self._wcols.queue(f, bucket)
-            bucket.add(watcher)
-            self._watchers_by_apex.setdefault(x, set()).add(watcher)
-        self._live_watchers += len(pair.watchers)
+                by_edge[f] = {watcher}
+            else:
+                bucket.add(watcher)
+            bucket = by_apex.get(x)
+            if bucket is None:
+                by_apex[x] = {watcher}
+            else:
+                bucket.add(watcher)
+            if queue is not None:
+                queue((*f, x), watcher)
+        if self._fresh is not None:
+            self._fresh.extend(pair.watchers)
+        self._live_watchers += 3
 
     def _unregister_watchers(self, pair: _Pair) -> None:
         self._live_watchers -= len(pair.watchers)
+        self._wcols.dead += len(pair.watchers)
         for watcher in pair.watchers:
             bucket = self._watchers_by_edge.get(watcher.edge)
             if bucket is not None:
                 bucket.discard(watcher)
                 if not bucket:
                     del self._watchers_by_edge[watcher.edge]
-                    self._wcols.dead += 1
             bucket = self._watchers_by_apex.get(watcher.x)
             if bucket is not None:
                 bucket.discard(watcher)
@@ -318,29 +345,45 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                     del self._watchers_by_apex[watcher.x]
         pair.watchers.clear()
 
-    def _collect_pair(self, edge: Edge, tri: Triangle, current_list: Optional[Vertex]) -> None:
-        """Offer a candidate pair to the reservoir, maintaining indexes.
+    def _collect_pair(self, edge: Edge, vertex: Vertex) -> None:
+        """Offer the candidate pair of sampled ``edge`` and the triangle
+        list ``vertex`` closes on it to the reservoir, maintaining indexes.
 
-        Only an admitted pair gets watchers, installed after the displaced
-        pair's are removed: a rejected candidate touches no bucket.  The
-        reservoir's choice never looks at the pair, and watcher increments
-        commute, so the order changes no ``h``.
+        The reservoir decides first: Algorithm R's draw depends only on
+        the offer count and the fill level, so a rejected candidate
+        builds neither its triangle nor a ``_Pair``.  Only an admitted
+        pair gets watchers, installed after the displaced pair's are
+        removed: a rejected candidate touches no bucket.  Watcher
+        increments commute, so the order changes no ``h``.
         """
+        reservoir = self._reservoir
+        slot = reservoir.draw()
+        if slot is None:
+            return
+        # Inline triangle_key: the edge is canonical (u < v), so only the
+        # closing vertex needs placing.
+        u, v = edge
+        if vertex < u:
+            tri = (vertex, u, v)
+        elif vertex < v:
+            tri = (u, vertex, v)
+        else:
+            tri = (u, v, vertex)
         pair = _Pair(edge=edge, triangle=tri)
-        admitted, displaced = self._reservoir.offer_detailed(pair)
+        displaced = reservoir.place(slot, pair)
         if displaced is not None:
             self._displaced += 1
-            self._unregister_watchers(displaced)
+            if displaced.watchers:
+                self._unregister_watchers(displaced)
             pairs = self._pairs_at.get(displaced.edge)
             if pairs is not None:
                 pairs.remove(displaced)
                 if not pairs:
                     del self._pairs_at[displaced.edge]
-        if admitted:
-            self._pairs_at.setdefault(edge, []).append(pair)
-            # Sharded mode never installs watchers: ρ is hash-designated there.
-            if self._pass == 1 and not self.sharded:
-                self._register_watchers(pair, current_list)
+        self._pairs_at.setdefault(edge, []).append(pair)
+        # Sharded mode never installs watchers: ρ is hash-designated there.
+        if self._pass == 1 and not self.sharded:
+            self._register_watchers(pair, vertex)
 
     # -- streaming interface ---------------------------------------------------
 
@@ -353,6 +396,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # columns once, exactly, so the pass-2 scans carry no stale
             # entries (the fused seen-edge scan relies on this).
             self._mcols.drop()
+            self._member_index = None
         if entering_pass_two and not self.sharded:
             # Pass-1 pairs get their watchers now; their apexes all arrive
             # (again) during pass 2, so flags start False.
@@ -381,16 +425,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # tally) with per-pair dispatch, the pass check and canonical_edge
         # calls hoisted out of the inner loop.
         if self._pass == 0:
-            # Batch this list's eviction scans: each evicted edge with
-            # collected pairs costs a reservoir scan, and a list-level
-            # offer batch can evict several — one combined scan at the end
-            # of the batch removes the same pairs in the same order.
-            self._evict_buffer = []
-            try:
-                self._offer_pairs(source, neighbors)
-            finally:
-                self._flush_evictions()
-                self._evict_buffer = None
+            self._offer_pairs(source, neighbors)
         elif not self.sharded:
             self._seen_scan_scalar(source, neighbors)
 
@@ -418,51 +453,49 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """Run a stretch of lists of one length class at once (the
         runner's run route, and the counter's one columnar route).
 
-        Each list gets the per-list hooks' work in their order.  Pass 1
-        hashes every pair of the run in one batch
-        (:class:`~repro.util.vectorized.RunOffers`, over the long run's
-        ``columns``), then per list offers its pairs, flushes the
-        evictions and detects; where :meth:`RunOffers.of
-        <repro.util.vectorized.RunOffers.of>` returns None the run offers
-        through the scalar ``offer_many`` instead.  A short list probes
-        its neighbour pairs (:meth:`_end_list_short`), a long one is
-        scanned on one :class:`~repro.util.vectorized.ListMask`
-        (:meth:`_end_list_col`).  In pass 2 each list marks its arrived
-        watchers, then is scanned the same way, except that the sharded
-        discipline, whose sample no longer changes, detects a long run
-        against one :class:`~repro.util.vectorized.RunMask`.
+        Each list gets the per-list hooks' work in their order.  A long
+        run is tested against one :class:`~repro.util.vectorized.RunMask`
+        in both passes: pass 1 hashes and offers the whole run first
+        (:meth:`_offer_run`), pass 2 scans it on a frozen sample
+        (:meth:`_scan_run`).  Where a label or the table's size rules the
+        mask out, the run goes list by list: pass 1 offers each list's
+        pairs (:class:`~repro.util.vectorized.RunOffers`, or the scalar
+        ``offer_many`` for a short run), drops its evicted pairs and
+        detects; pass 2 marks each list's arrived watchers and scans it.
+        A short list probes its neighbour pairs (:meth:`_end_list_short`),
+        a long one is scanned on one
+        :class:`~repro.util.vectorized.ListMask` (:meth:`_end_list_col`).
         """
         space_words = self.space_words
         readings: List[int] = []
         if self._pass == 0:
             offers = vectorized.RunOffers.of(self._sampler, run, columns)
-            if offers is not None and columns is not None and self.sharded:
-                # Nothing is collected before pass 2 in this discipline,
-                # so an eviction drops no pair and only the sample moves.
-                self._pair_count += offers.pairs
-                return offers.offer_all(space_words() - self._sampler.space_words())
+            if offers is not None and columns is not None:
+                if self.sharded:
+                    # Nothing is collected before pass 2 in this discipline,
+                    # so an eviction drops no pair and only the sample moves.
+                    self._pair_count += offers.pairs
+                    return offers.offer_all(space_words() - self._sampler.space_words())
+                offered = self._offer_run(run, columns, offers)
+                if offered is not None:
+                    return offered
             end_short = self._end_list_short
-            self._evict_buffer = []
-            try:
-                for index, (vertex, neighbors) in enumerate(run):
-                    if offers is None:
-                        self._offer_pairs(vertex, neighbors)
-                    else:
-                        self._pair_count += len(neighbors)
-                        offers.offer(index)
-                    if self._evict_buffer:
-                        self._flush_evictions()
-                    if columns is None:
-                        end_short(vertex, neighbors)
-                    elif not self.sharded:
-                        self._end_list_col(vertex, neighbors, columns[index])
-                    readings.append(space_words())
-            finally:
-                self._flush_evictions()
-                self._evict_buffer = None
+            for index, (vertex, neighbors) in enumerate(run):
+                if offers is None:
+                    self._offer_pairs(vertex, neighbors)
+                else:
+                    self._pair_count += len(neighbors)
+                    offers.offer(index)
+                if columns is None:
+                    end_short(vertex, neighbors)
+                elif not self.sharded:
+                    self._end_list_col(vertex, neighbors, columns[index])
+                readings.append(space_words())
             return readings
-        if columns is not None and self.sharded:
-            return self._detect_run(run, columns)
+        if columns is not None:
+            scanned = self._scan_run(run, columns)
+            if scanned is not None:
+                return scanned
         by_apex, end_short = self._watchers_by_apex, self._end_list_short
         for index, (vertex, neighbors) in enumerate(run):
             for watcher in by_apex.get(vertex, ()):
@@ -475,6 +508,279 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 end_short(vertex, neighbors)
             readings.append(space_words())
         return readings
+
+    def _run_mask(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list, query_max: int
+    ) -> Optional[Tuple[vectorized.RunMask, np.ndarray]]:
+        """The run's table and its source column, or None when a source
+        label has no ``uint64`` value or the table would pass the cap."""
+        sources = vectorized.as_vertex_array([vertex for vertex, _ in run])
+        if sources is None:
+            return None
+        mask = vectorized.RunMask.of(columns, max(query_max, int(sources.max())))
+        return None if mask is None else (mask, sources)
+
+    def _offer_run(
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        columns: list,
+        offers: vectorized.RunOffers,
+    ) -> Optional[List[int]]:
+        """Conventional first pass over a long run on one table, or None
+        (before anything is mutated) to go list by list.
+
+        The sampler never reads the reservoir, so every list is offered
+        first, recording the sampler's size and the evicted edges per
+        list.  Under bottom-k an evicted key is never admitted again (the
+        threshold only tightens), so each key is a member over one
+        interval of the run's lists: from the run's start, or the list of
+        its first pair in the run (where it was admitted), to the list
+        that evicted it.  Member columns covering every key that is a
+        member at any list — the columns at the run's start plus the keys
+        admitted during it — are tested against the run's table once.
+        The lists are then replayed in order: each drops the pairs of the
+        edges it evicted, then offers its matches that were members at
+        that list, as ``process_list`` and ``end_list`` would.
+        """
+        sampler = self._sampler
+        mcols = self._member_columns()
+        found = None if mcols is None else self._run_mask(run, columns, mcols[-1])
+        if found is None:
+            return None
+        mask = found[0]
+        log, epoch = sampler.admission_log, sampler.admission_epoch
+        start = len(log)
+        evicted: List[Edge] = []
+        sizes: List[int] = []
+        evict_ends: List[int] = []
+        admit_ends: List[int] = []
+        self._evict_buffer = evicted
+        try:
+            for index in range(len(run)):
+                offers.offer(index)
+                sizes.append(sampler.space_words())
+                evict_ends.append(len(evicted))
+                admit_ends.append(len(log))
+        finally:
+            self._evict_buffer = None
+        self._pair_count += offers.pairs
+        # The keys admitted during the run, each with the list that
+        # admitted it: the log's tail; or, when the log was compacted
+        # meanwhile, all of it and every evicted key, each dated by its
+        # first pair in the run (a key no pair of the run holds was
+        # admitted before it, and the columns at its start hold it).
+        admitted_at: Optional[List[int]] = None
+        if sampler.admission_epoch == epoch:
+            admitted = log[start:]
+            admitted_at = []
+            for row, end in enumerate(admit_ends):
+                admitted_at.extend([row] * (end - start - len(admitted_at)))
+        else:
+            admitted = log + evicted
+        mu, mv, keys, _ = mcols
+        known = len(keys)
+        if admitted:
+            ends = vectorized.as_vertex_array([label for key in admitted for label in key])
+            assert ends is not None  # the run's and the members' labels
+            mu = np.concatenate((mu, ends[0::2]))
+            mv = np.concatenate((mv, ends[1::2]))
+        evicted_at: Dict[Edge, int] = {}
+        done = 0
+        for row, end in enumerate(evict_ends):
+            for edge in evicted[done:end]:
+                evicted_at[edge] = row
+            done = end
+        # Each hit edge's membership interval [first, last) of rows.
+        rows = len(run)
+        membership = sampler.membership()
+        entries, hit = mask.hits(mu, mv)
+        split = int(np.searchsorted(entries, known))
+        hit_keys = [keys[i] for i in entries[:split].tolist()]
+        first_rows = [0] * split
+        for i in entries[split:].tolist():
+            key = admitted[i - known]
+            if admitted_at is None:
+                first = offers.first_row(key)
+                first = rows if first is None else first
+            else:
+                first = admitted_at[i - known]
+            hit_keys.append(key)
+            first_rows.append(first)
+        last_rows = [
+            evicted_at.get(key, rows if key in membership else 0) for key in hit_keys
+        ]
+        space_words, now = self.space_words, sampler.space_words()
+        readings: List[int] = []
+        done = 0
+        for row, ((vertex, _), hits) in enumerate(zip(run, mask.by_row(hit))):
+            end = evict_ends[row]
+            if end > done:
+                self._drop_evicted(evicted[done:end])
+                done = end
+            matched = {
+                hit_keys[j] for j in hits if first_rows[j] <= row < last_rows[j]
+            }
+            if matched:
+                self._offer_matched(sorted(matched), vertex)
+            readings.append(space_words() - now + sizes[row])
+        return readings
+
+    def _scan_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
+    ) -> Optional[List[int]]:
+        """Second pass over a long run on one table, in stream order, or
+        None (before anything is mutated) to go list by list.
+
+        The sample is frozen in pass 2, so one table over the run's lists
+        finds the same sampled edges per list as ``process_list`` and
+        ``end_list``: the edges a list's source meets (the conventional
+        seen-edge scan) and the edges it closes (candidate detection).
+        Each list then marks its new seen edges and offers its matches in
+        canonical order before the next list's.  The H watchers are
+        updated once, after the replay (:meth:`_count_h_run`): no
+        collection reads ``h``.
+        """
+        scan = not self.sharded
+        mcols = self._member_columns()
+        wcols = self._watcher_columns() if scan else None
+        if mcols is None or (scan and wcols is None):
+            return None
+        query_max = mcols[-1] if wcols is None else max(mcols[-1], wcols[-1])
+        found = self._run_mask(run, columns, query_max)
+        if found is None:
+            return None
+        mask, sources = found
+        if scan:
+            if len({vertex for vertex, _ in run}) < len(run):
+                return None  # a repeated source: list by list
+            # Each id's row as a list source; ``rows`` for an id with none.
+            source_row = np.full(max(query_max, int(sources.max())) + 1, len(run))
+            source_row[sources] = np.arange(len(run))
+        mu, mv, keys, _ = mcols
+        entries, hit = mask.hits(mu, mv)
+        hit_rows = mask.by_row(hit, entries)
+        if scan:
+            by_vertex, holds = self._members_by_vertex(), mask.holds
+            self._fresh = fresh = []
+            fresh_ends: List[int] = []
+        seen, space_words = self._seen_p2, self.space_words
+        readings: List[int] = []
+        for row, ((vertex, _), hits) in enumerate(zip(run, hit_rows)):
+            if scan and vertex in by_vertex:
+                # The seen-edge scan: sampled edges at this source whose
+                # other end the list holds.
+                seen.update([
+                    edge for edge, other in by_vertex[vertex] if holds(other, row)
+                ])
+            if hits:
+                # Pass 2 rebuilt the member columns exactly: no stale or
+                # repeated keys.
+                self._offer_matched(sorted([keys[i] for i in hits]), vertex)
+            if scan:
+                fresh_ends.append(len(fresh))
+            readings.append(space_words())
+        if scan:
+            self._fresh = None
+            self._count_h_run(run, mask, source_row, wcols, fresh, fresh_ends)
+        return readings
+
+    def _count_h_run(
+        self,
+        run: List[Tuple[Vertex, Sequence[Vertex]]],
+        mask: vectorized.RunMask,
+        source_row: np.ndarray,
+        wcols: tuple,
+        fresh: List[_Watcher],
+        fresh_ends: List[int],
+    ) -> None:
+        """The H increments of a whole run, with one gather over its table.
+
+        Watchers are columns: edge endpoints, apex, and the row from which
+        each counts — before the run for the columns at its start (-1),
+        the row that installed it for ``fresh`` (installed during the
+        replay, ``fresh_ends[row]`` of them by the end of ``row``).  A
+        watcher counts list ``row`` iff it was installed before ``row``,
+        the list closes its edge, the list is not its apex's, and its apex
+        has arrived: it had at the watcher's start, or the apex's list
+        came after the install and before ``row``.  Only the watchers a
+        list counts are touched, to add their counts, and those whose
+        apex arrives to set their flags, so every ``h`` and flag ends as
+        the per-list hooks leave it (increments of a watcher since
+        displaced reach an object nothing reads).
+        """
+        f0, f1, x, watchers, _ = wcols
+        touched, closes = mask.hits(f0, f1)
+        apex = source_row[x[touched]][:, None]
+        arrived = np.array([watchers[i].x_arrived for i in touched.tolist()], dtype=bool)
+        order = np.arange(mask.rows)
+        counted = closes & (order != apex) & ((order > apex) | arrived[:, None])
+        self._owe_h(watchers, touched, counted.sum(axis=1))
+        # Arrivals, from the live apex index; a fresh watcher's own rule
+        # is in _count_h_fresh.
+        by_apex = self._watchers_by_apex
+        ours = set(fresh)
+        for vertex, _ in run:
+            for w in by_apex.get(vertex, ()):
+                if w not in ours:
+                    w.x_arrived = True
+        if fresh:
+            self._count_h_fresh(mask, source_row, fresh, fresh_ends)
+
+    @staticmethod
+    def _count_h_fresh(
+        mask: vectorized.RunMask,
+        source_row: np.ndarray,
+        fresh: List[_Watcher],
+        fresh_ends: List[int],
+    ) -> None:
+        """:meth:`_count_h_run` for the few watchers installed during the
+        run: each counts only the lists after the one that installed it,
+        and its apex arrives only if the apex's list comes after that."""
+        rows, holds = mask.rows, mask.holds
+        start = 0
+        for row, end in enumerate(fresh_ends):
+            for w in fresh[start:end]:
+                u, v = w.edge
+                apex = int(source_row[w.x])
+                arrived = w.x_arrived
+                for later in range(row + 1, rows):
+                    if (
+                        later != apex
+                        and (arrived or row < apex < later)
+                        and holds(u, later)
+                        and holds(v, later)
+                    ):
+                        w.h += 1
+                if row < apex < rows:
+                    w.x_arrived = True
+            start = end
+
+    def _owe_h(self, watchers: List[_Watcher], index: np.ndarray, counts: np.ndarray) -> None:
+        """Owe ``counts[j]`` H increments to ``watchers[index[j]]``, the
+        watcher columns' payloads; :meth:`_settle_h` writes them."""
+        owed = self._owed
+        if self._owed_to is not watchers:
+            self._settle_h()
+            owed = None
+        if owed is None or len(owed) < len(watchers):
+            grown = np.zeros(2 * len(watchers) + 64, dtype=np.int64)
+            if owed is not None:
+                grown[: len(owed)] = owed
+            owed = grown
+        owed[index] += counts
+        self._owed, self._owed_to = owed, watchers
+
+    def _settle_h(self) -> None:
+        """Write the H increments the run route owes into the watchers.
+        Increments commute, so the per-list hooks' own increments need no
+        settling first; only reading ``h`` does."""
+        owed = self._owed
+        if owed is None:
+            return
+        watchers = self._owed_to
+        for i in np.flatnonzero(owed).tolist():
+            watchers[i].h += int(owed[i])
+        self._owed, self._owed_to = None, None
 
     def _end_list_short(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         """``end_list`` of a short list: probe its canonical neighbour
@@ -491,7 +797,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self, vertex: Vertex, neighbors: Sequence[Vertex], nbrs: np.ndarray
     ) -> None:
         """``end_list`` of a long list with ``uint64`` column ``nbrs``, on
-        one :class:`~repro.util.vectorized.ListMask`.
+        one :class:`~repro.util.vectorized.ListMask` (a long run whose
+        table would pass the cap).
 
         In the conventional second pass it first does ``process_list``'s
         seen-edge scan, fused with detection: which sampled edges appear
@@ -512,44 +819,14 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 self._seen_scan_scalar(vertex, neighbors)
             self.end_list(vertex, neighbors)
             return
-        query_max = mcols[3] if wcols is None else max(mcols[3], wcols[3])
+        query_max = mcols[-1] if wcols is None else max(mcols[-1], wcols[-1])
         with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
             hit: Optional[np.ndarray] = None
             if scan and mcols[2]:
                 hit = self._seen_scan_col(src64, mcols, mask)
             if wcols is not None:
-                self._count_h_col(vertex, wcols, mask)
+                self._count_h_col(src64, wcols, mask)
             self._detect_col(vertex, mcols, mask, hit)
-
-    def _detect_run(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
-    ) -> List[int]:
-        """Sharded pass-2 detection of a long run, in stream order.
-
-        The sample is frozen in pass 2, so one table over the run's lists
-        finds the same matches as ``end_list`` per list; each list's
-        matches are then offered in canonical order before the next
-        list's.  A run whose table would pass the cap is scanned list by
-        list.
-        """
-        space_words = self.space_words
-        mcols = self._member_columns()
-        mask = vectorized.RunMask.of(columns, mcols[3]) if mcols is not None else None
-        readings: List[int] = []
-        if mask is None:
-            for (vertex, neighbors), column in zip(run, columns):
-                self._end_list_col(vertex, neighbors, column)
-                readings.append(space_words())
-            return readings
-        mu, mv, keys, _ = mcols
-        membership = self._sampler.membership()
-        for (vertex, _), found in zip(run, mask.by_row(mask.both(mu, mv))):
-            if found:
-                matched = {keys[i] for i in found if keys[i] in membership}
-                if matched:
-                    self._offer_matched(sorted(matched), vertex)
-            readings.append(space_words())
-        return readings
 
     # -- columnar per-list views ----------------------------------------------
 
@@ -573,12 +850,29 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcol_pos = len(log)
         return cols.view()
 
+    def _members_by_vertex(self) -> Dict[Vertex, List[Tuple[Edge, Vertex]]]:
+        """The second pass's frozen sample indexed by endpoint: for each
+        vertex, its sampled edges and their other ends.  Built once per
+        pass (or restore), since membership no longer changes."""
+        index = self._member_index
+        if index is None:
+            index = {}
+            for edge in self._sampler.membership():
+                u, v = edge
+                index.setdefault(u, []).append((edge, v))
+                index.setdefault(v, []).append((edge, u))
+            self._member_index = index
+        return index
+
     def _watcher_columns(self) -> Optional[tuple]:
-        """Superset columns over the watched edges, payload the bucket."""
+        """Superset columns over the H-watchers: edge endpoints and apex,
+        payload the watcher.  Unregistered watchers stay as dead entries
+        until over half are dead, and the columns are rebuilt from the
+        reservoir's live watchers."""
         cols = self._wcols
         if cols.stale():
-            by_edge = self._watchers_by_edge
-            cols.build(by_edge, by_edge.values())
+            watchers = [w for pair in self._reservoir.items() for w in pair.watchers]
+            cols.build([(*w.edge, w.x) for w in watchers], watchers)
         return cols.view()
 
     def _seen_scan_scalar(self, src: Vertex, neighbors: Sequence[Vertex]) -> None:
@@ -631,22 +925,22 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                         watcher.h += 1
 
     def _count_h_col(
-        self, vertex: Vertex, wcols: tuple, mask: vectorized.ListMask
+        self, src64: np.uint64, wcols: tuple, mask: vectorized.ListMask
     ) -> None:
         """Columnar watcher scan, identical increments to the scalar scan.
 
-        The built buckets are a superset of the live watched edges
-        (dropped buckets are empty and scan as no-ops; newly created
-        buckets were queued and appended), so the set of incremented
-        watchers — and hence every ``h`` — matches the scalar scan.
+        The columns hold every live watcher (dead entries belong to
+        displaced pairs, whose counts nothing reads), so the set of
+        incremented live watchers — and hence every ``h`` — matches the
+        scalar scan.
         """
-        f0, f1, buckets, _ = wcols
-        if not buckets:
+        f0, f1, x, watchers, _ = wcols
+        if not watchers:
             return
-        for i in mask.both(f0, f1).nonzero()[0].tolist():
-            for watcher in buckets[i]:
-                if vertex != watcher.x and watcher.x_arrived:
-                    watcher.h += 1
+        for i in (mask.both(f0, f1) & (x != src64)).nonzero()[0].tolist():
+            watcher = watchers[i]
+            if watcher.x_arrived:
+                watcher.h += 1
 
     def _offer_matched(self, matched: List[Edge], vertex: Vertex) -> None:
         """Offer detected candidate pairs, in canonical (sorted) order.
@@ -656,26 +950,20 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         preserve, and the reservoir's RNG consumption must not depend on
         it for resumed runs to be bit-identical to uninterrupted ones.
         """
-        in_pass_two = self._pass == 1
+        collect = self._collect_pair
+        if self._pass == 1:
+            self._candidate_total += len(matched)
+            if not self.sharded:
+                # Offer only pairs that pass 1 could not have seen: the
+                # edge's first occurrence lies after this list.  (Sharded:
+                # pass 1 saw nothing, so offer everything.)
+                seen = self._seen_p2
+                for edge in matched:
+                    if edge not in seen:
+                        collect(edge, vertex)
+                return
         for edge in matched:
-            u, v = edge
-            # Inline triangle_key: the edge is canonical (u < v), so only
-            # the closing vertex needs placing.
-            if vertex < u:
-                tri = (vertex, u, v)
-            elif vertex < v:
-                tri = (u, vertex, v)
-            else:
-                tri = (u, v, vertex)
-            if not in_pass_two:
-                self._collect_pair(edge, tri, current_list=vertex)
-            else:
-                self._candidate_total += 1
-                # Offer only pairs that pass 1 could not have seen:
-                # the edge's first occurrence lies after this list.
-                # (Sharded: pass 1 saw nothing, so offer everything.)
-                if self.sharded or edge not in self._seen_p2:
-                    self._collect_pair(edge, tri, current_list=vertex)
+            collect(edge, vertex)
 
     def _detect_scalar(self, vertex: Vertex, nset: Set[Vertex]) -> None:
         """Find triangles on sampled edges closed by the current list.
@@ -735,6 +1023,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
 
     def snapshot(self) -> SketchState:
         """Full live state: sampler, reservoir (with watchers), counters."""
+        self._settle_h()
         return SketchState(
             self.STATE_KIND,
             self.STATE_VERSION,
@@ -780,9 +1069,13 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             self._pairs_at.setdefault(pair.edge, []).append(pair)
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0
-        self._wcols = vectorized.EndpointColumns()
+        self._wcols = vectorized.EndpointColumns(width=3)
         self._vtable = vectorized.VertexTable()
         self._evict_buffer = None
+        self._fresh = None
+        self._member_index = None
+        self._owed = None
+        self._owed_to = None
 
     @classmethod
     def from_state(cls, state: SketchState) -> "TwoPassTriangleCounter":
@@ -821,6 +1114,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """``|{(e, τ) ∈ Q : ρ(τ) = e}|`` — pairs won by their own edge."""
         pairs = self._reservoir.items()
         if not self.sharded:
+            self._settle_h()
             return sum(1 for pair in pairs if pair.rho_edge() == pair.edge)
         if pairs and vectorized.columnar_enabled():
             counted = self._counted_sharded(pairs)

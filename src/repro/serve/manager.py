@@ -58,8 +58,8 @@ from repro.serve.protocol import (
     ServeError,
 )
 from repro.serve.session import ServeSession
-from repro.sketch.merge import MergeError, merge_states
-from repro.sketch.state import SketchState, write_atomic
+from repro.sketch.merge import MergeError, merge_states, require_exact_merge
+from repro.sketch.state import SketchState, SketchStateError, write_atomic
 from repro.streaming.algorithm import supports_snapshot
 
 __all__ = ["SessionManager"]
@@ -410,6 +410,10 @@ class SessionManager:
                     f"algorithm {session.spec.name!r} has no sketch state; "
                     "its sessions cannot be merged",
                 )
+            try:
+                require_exact_merge(session.algorithm)
+            except SketchStateError as exc:
+                raise ServeError(MERGE_INCOMPATIBLE, str(exc)) from exc
         origin = first.origin_state
         for other in sources[1:]:
             if other.origin_state != origin:

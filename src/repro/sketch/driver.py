@@ -47,7 +47,7 @@ from repro.obs.events import MergeCompleted, RunFinished, RunStarted, ShardPassF
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.trace import NULL_TRACER, TraceContext, Tracer
 from repro.sketch.checkpoint import Checkpoint, CheckpointConfig
-from repro.sketch.merge import merge_states
+from repro.sketch.merge import merge_states, require_exact_merge
 from repro.sketch.shard import StreamShard, partition_stream
 from repro.sketch.state import SketchState, SketchStateError
 from repro.streaming.algorithm import StreamingAlgorithm, supports_snapshot
@@ -303,14 +303,7 @@ def run_sharded(
             f"{type(algorithm).__name__} does not implement the sketch "
             "state protocol (snapshot/restore); cannot run sharded"
         )
-    if getattr(algorithm, "sharded", True) is False:
-        # Algorithms with an explicit sharded mode (e.g. the triangle
-        # counter's hash-designated ρ) cannot be merged correctly in their
-        # conventional mode — fail up front rather than deep in estimation.
-        raise SketchStateError(
-            f"{type(algorithm).__name__} was constructed in conventional "
-            "mode; pass sharded=True to its constructor for run_sharded"
-        )
+    require_exact_merge(algorithm)
     n_workers = min(resolve_workers(workers), max(n_shards, 1))
     effective = min(n_workers, os.cpu_count() or 1)
     # Pooled runs read the shards from a shared block.  A stream object

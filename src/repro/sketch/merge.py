@@ -28,7 +28,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sketch.samplers import BOTTOM_K_KIND, RESERVOIR_KIND
-from repro.sketch.state import SketchState
+from repro.sketch.state import SketchState, SketchStateError
 from repro.util.rng import SeedLike, resolve_rng
 
 TRIANGLE_KIND = "triangle-two-pass"
@@ -42,6 +42,25 @@ MERGERS: Dict[str, Merger] = {}
 
 class MergeError(ValueError):
     """Raised when states cannot be merged soundly."""
+
+
+def require_exact_merge(algorithm: Any) -> None:
+    """The admission rule of every merge path: raise
+    :class:`~repro.sketch.state.SketchStateError` for an algorithm whose
+    states do not merge exactly.
+
+    An algorithm with an explicit sharded mode (the triangle counter's
+    hash-designated ρ) merges exactly only in that mode: its conventional
+    mode picks ρ(τ) by H counters measured over a whole pass, which no
+    shard's state holds.  ``run_sharded`` and the serve ``merge`` op both
+    call this before they merge or close anything.
+    """
+    if getattr(algorithm, "sharded", True) is False:
+        raise SketchStateError(
+            f"{type(algorithm).__name__} was constructed in conventional "
+            "mode, whose states do not merge exactly; pass sharded=True to "
+            "its constructor to shard or merge it"
+        )
 
 
 def register_merger(kind: str) -> Callable[[Merger], Merger]:

@@ -25,13 +25,14 @@ Three samplers back the paper's algorithms:
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, repeat
 from typing import (
     Any,
     Callable,
-    Container,
     Dict,
     Generic,
     Hashable,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -407,16 +408,40 @@ class ThresholdSampler(Generic[K]):
         }
 
 
+class _Tombstone:
+    """Marks a discarded reservoir slot until the next compaction; one
+    instance, which pickling and copying keep (by name)."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "_TOMBSTONE"
+
+
+_TOMBSTONE: Any = _Tombstone()
+
+
 class ReservoirSampler(Generic[V]):
     """Uniform size-``k`` reservoir over a stream of offered items.
 
-    Standard Algorithm R, with one extension: :meth:`discard` removes an
-    item (used when an edge is evicted from the first-pass sample and its
-    dependent pairs must be dropped).  After a discard the reservoir refills
-    from subsequent offers; the sample remains uniform over candidates that
-    were never invalidated whenever discards are themselves oblivious to the
-    items' identities, which holds in our use (eviction depends only on edge
-    hash priorities, drawn independently of the reservoir's randomness).
+    Standard Algorithm R, with one extension: :meth:`discard` and
+    :meth:`discard_items` remove items (used when an edge is evicted from
+    the first-pass sample and its dependent pairs must be dropped).  After
+    a discard the reservoir refills from subsequent offers; the sample
+    remains uniform over candidates that were never invalidated whenever
+    discards are themselves oblivious to the items' identities, which
+    holds in our use (eviction depends only on edge hash priorities,
+    drawn independently of the reservoir's randomness).
+
+    Survivor order is reproducible state, because Algorithm R replaces
+    by index.  :meth:`discard_items` therefore leaves a tombstone in each
+    removed item's slot, and a Fenwick tree over the live slots finds the
+    ``j``-th live item in O(log k); refills append after the last slot.
+    The tree is built the first time a full reservoir with tombstones
+    draws, so a reservoir that refills without filling up never pays for
+    it.  The slots are compacted, in order, once they reach twice the
+    capacity.  Without tombstones an offer costs what plain Algorithm R
+    costs: the ``j``-th item is slot ``j``.
     """
 
     def __init__(self, capacity: int, seed: SeedLike = None):
@@ -424,11 +449,18 @@ class ReservoirSampler(Generic[V]):
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
         self._rng = resolve_rng(seed)
-        self._items: List[V] = []
+        self._slots: List[V] = []  # live items in order, tombstones between
+        self._live = 0
+        self._dead = 0  # tombstones among the slots
+        # Fenwick tree over the slots' liveness (1-based), built when a
+        # full reservoir with tombstones first draws; None until then.
+        self._tree: Optional[List[int]] = None
+        # Slot of each held item, kept from the first discard_items on.
+        self._where: Optional[Dict[V, int]] = None
         self.offered = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._live
 
     def offer(self, item: V) -> Optional[V]:
         """Offer ``item``; return it if admitted, else ``None``."""
@@ -441,18 +473,55 @@ class ReservoirSampler(Generic[V]):
         Callers that maintain side indexes over the reservoir contents use
         the displaced item to unregister it.
         """
+        slot = self.draw()
+        if slot is None:
+            return False, None
+        return True, self.place(slot, item)
+
+    def draw(self) -> Optional[int]:
+        """Count one offer and make Algorithm R's decision for it: the
+        slot the offered item goes to, or None if it is rejected.
+
+        The decision depends only on the offer count and the fill level,
+        never on the item, so a caller can decide before it builds the
+        item; an admitted item must then be handed to :meth:`place`
+        before the next offer.
+        """
         self.offered += 1
         if self.capacity == 0:
-            return False, None
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return True, None
+            return None
+        if self._live < self.capacity:
+            return len(self._slots)
         j = self._rng.randrange(self.offered)
-        if j < len(self._items):
-            displaced = self._items[j]
-            self._items[j] = item
-            return True, displaced
-        return False, None
+        if j >= self._live:
+            return None
+        if not self._dead:
+            return j
+        if self._tree is None:
+            self._tree = self._build_tree()
+        return self._nth(j)
+
+    def place(self, slot: int, item: V) -> Optional[V]:
+        """Put ``item`` in the ``slot`` :meth:`draw` returned; return the
+        item it displaces, if any."""
+        slots, where = self._slots, self._where
+        if slot < len(slots):
+            displaced = slots[slot]
+            slots[slot] = item
+            if where is not None:
+                del where[displaced]
+                where[item] = slot
+            return displaced
+        if self._dead and slot >= 2 * self.capacity:
+            self._compact()
+            slots, where, slot = self._slots, self._where, len(self._slots)
+        slots.append(item)
+        self._live += 1
+        if where is not None:
+            where[item] = slot
+        if self._tree is not None:
+            self._tree_add(slot, 1)
+        return None
 
     def discard(self, predicate: Callable[[V], bool]) -> int:
         """Remove all items matching ``predicate``; return how many.
@@ -460,38 +529,91 @@ class ReservoirSampler(Generic[V]):
         Keeps the survivors' relative order: Algorithm R replaces by
         index, so order is part of the reproducible state.
         """
-        items = self._items
-        self._items = [item for item in items if not predicate(item)]
-        return len(items) - len(self._items)
+        before = self._live
+        self._reset([item for item in self.items() if not predicate(item)])
+        return before - self._live
 
-    def discard_items(self, doomed: Container, limit: Optional[int] = None) -> List[V]:
-        """Remove the items that are in ``doomed``; return them, in order.
+    def discard_items(self, doomed: Iterable[V]) -> List[V]:
+        """Remove the held items in ``doomed``; return them in reservoir
+        order.
 
-        One partitioning scan that keeps the survivors' relative order, as
-        :meth:`discard` does, for callers that know the items to drop
-        (e.g. from a side index) and need them back to unregister side
-        indexes.  Each item's membership is tested directly, with no
-        Python call per item.  ``limit``, when the caller knows the match
-        count, stops the scan at the last match and keeps the tail
-        wholesale.
+        For callers that know the items to drop (e.g. from a side index)
+        and need them back to unregister side indexes.  Each removal
+        leaves a tombstone and costs O(log k), so survivors keep their
+        order without a scan of the reservoir.  Items must be hashable
+        and distinct while held; ones not held are ignored.
         """
-        items = self._items
-        kept: List[V] = []
-        removed: List[V] = []
-        for i, item in enumerate(items):
-            if item in doomed:
-                removed.append(item)
-                if len(removed) == limit:
-                    kept.extend(items[i + 1:])
-                    break
-            else:
-                kept.append(item)
-        self._items = kept
+        where = self._where
+        if where is None:
+            where = self._where = {
+                item: slot for slot, item in enumerate(self._slots)
+                if item is not _TOMBSTONE
+            }
+        found = sorted(slot for slot in map(where.pop, doomed, repeat(None))
+                       if slot is not None)
+        if not found:
+            return []
+        slots, tree = self._slots, self._tree
+        removed = [slots[slot] for slot in found]
+        for slot in found:
+            slots[slot] = _TOMBSTONE
+            if tree is not None:
+                self._tree_add(slot, -1)
+        self._live -= len(found)
+        self._dead += len(found)
         return removed
 
     def items(self) -> List[V]:
         """Return the current sample contents."""
-        return list(self._items)
+        if not self._dead:
+            return list(self._slots)
+        return [item for item in self._slots if item is not _TOMBSTONE]
+
+    # -- slot bookkeeping -----------------------------------------------------
+
+    def _build_tree(self) -> List[int]:
+        """A Fenwick tree over the slots' liveness, sized for twice the
+        capacity (at least the current slot count)."""
+        size = max(2 * self.capacity, len(self._slots))
+        # tree[i] is the live count of slots (i - lowbit(i), i], 1-based.
+        prefix = [0, *accumulate(item is not _TOMBSTONE for item in self._slots)]
+        prefix.extend([prefix[-1]] * (size + 1 - len(prefix)))
+        return [0] + [prefix[i] - prefix[i - (i & -i)] for i in range(1, size + 1)]
+
+    def _tree_add(self, slot: int, delta: int) -> None:
+        tree = self._tree
+        assert tree is not None
+        index, size = slot + 1, len(tree) - 1
+        while index <= size:
+            tree[index] += delta
+            index += index & -index
+
+    def _nth(self, j: int) -> int:
+        """The slot of the ``j``-th live item (0-based), by descending the
+        Fenwick tree."""
+        tree = self._tree
+        assert tree is not None
+        size = len(tree) - 1
+        pos, step = 0, 1 << (size.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= j:
+                pos = nxt
+                j -= tree[nxt]
+            step >>= 1
+        return pos
+
+    def _compact(self) -> None:
+        """Drop the tombstones, keeping the live items' order."""
+        self._reset(self.items())
+
+    def _reset(self, items: List[V]) -> None:
+        self._slots = items
+        self._live = len(items)
+        self._dead = 0
+        self._tree = None
+        if self._where is not None:
+            self._where = {item: slot for slot, item in enumerate(items)}
 
     def saturated(self) -> bool:
         """Return True if more candidates were offered than retained."""
@@ -499,7 +621,7 @@ class ReservoirSampler(Generic[V]):
 
     def space_words(self) -> int:
         """Machine words of live state: one word per retained item."""
-        return len(self._items)
+        return self._live
 
     # -- state protocol -----------------------------------------------------
 
@@ -517,7 +639,7 @@ class ReservoirSampler(Generic[V]):
             "capacity": self.capacity,
             "offered": self.offered,
             "rng_state": self._rng.getstate(),
-            "items": [encode(item) for item in self._items],
+            "items": [encode(item) for item in self.items()],
         }
 
     def load_state_dict(
@@ -537,7 +659,8 @@ class ReservoirSampler(Generic[V]):
             )
         self.capacity = capacity
         self.offered = int(state["offered"])
-        self._items = items
+        self._where = None
+        self._reset(items)
         rng_state = state["rng_state"]
         # random.Random.setstate needs the exact nested tuple shape.
         self._rng.setstate(

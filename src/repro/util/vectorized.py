@@ -47,11 +47,13 @@ outside the ``uint64`` rule, offers its edges through the scalar
 sampler loop (:meth:`RunOffers.of` returns None), and every short list
 probes its d(d-1)/2 canonical neighbour pairs against hash indexes
 (sampler membership, watched edges, the wedge set's endpoint pairs)
-instead of scanning the sample.  A long list is scanned on one
-:class:`ListMask`; in pass 2, where the sample is frozen, a long run of
-the sharded triangle or the 4-cycle counter is tested against it with
-one :class:`RunMask` instead, and a run whose table would pass
-:class:`VertexTable`'s cap is done list by list.
+instead of scanning the sample.  A long run is tested against the
+sample with one :class:`RunMask`: in pass 2, where the sample is
+frozen, by every two-pass counter, and in pass 1 by the conventional
+triangle counter, which offers the run first and then knows each key's
+membership per list.  A run whose table would pass
+:class:`VertexTable`'s cap is done list by list, each list on one
+:class:`ListMask`.
 
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
@@ -314,11 +316,12 @@ class VertexTable:
 # -- the counters' per-list layer ----------------------------------------------
 
 class EndpointColumns:
-    """Growable ``uint64`` endpoint columns over edges, one payload each.
+    """Growable ``uint64`` columns over fixed-width label tuples (edges by
+    default), one payload each.
 
-    :meth:`build` lays a full edge set out with slack capacity, and
+    :meth:`build` lays a full tuple set out with slack capacity, and
     :meth:`extend` (or :meth:`queue` plus the next :meth:`view`) appends
-    later edges in place, so a set that grows a little per list costs a
+    later tuples in place, so a set that grows a little per list costs a
     few buffer writes, not a rebuild.  Entries are never removed: callers
     skip stale hits and count them in ``dead``, and :meth:`stale` asks
     for a rebuild once more than half are dead.  The first label outside
@@ -327,21 +330,21 @@ class EndpointColumns:
     its scalar path.
     """
 
-    __slots__ = ("payloads", "pending", "dead", "_version", "_a", "_b", "_view", "_on")
+    __slots__ = ("payloads", "pending", "dead", "width", "_version", "_cols", "_view", "_on")
 
-    def __init__(self) -> None:
+    def __init__(self, width: int = 2) -> None:
         self.payloads: Optional[List[Any]] = None  # None: unbuilt or off
-        self.pending: List[Tuple[Any, Any]] = []  # (edge, payload) to append
+        self.pending: List[Tuple[Any, Any]] = []  # (labels, payload) to append
         self.dead = 0
+        self.width = width
         self._version: object = None
-        self._a = np.empty(0, dtype=np.uint64)
-        self._b = np.empty(0, dtype=np.uint64)
-        self._view: Optional[Tuple[np.ndarray, np.ndarray, List[Any], int]] = None
+        self._cols = np.empty((width, 0), dtype=np.uint64)
+        self._view: Optional[Tuple[Any, ...]] = None
         self._on = True
 
     def stale(self, version: object = None) -> bool:
         """Whether the next view needs a :meth:`build`: unbuilt, built
-        from another ``version`` of the edge set, or over half dead."""
+        from another ``version`` of the tuple set, or over half dead."""
         payloads = self.payloads
         return self._on and (
             payloads is None
@@ -350,53 +353,54 @@ class EndpointColumns:
         )
 
     def build(
-        self, edges: Collection[Any], payloads: Iterable[Any], version: object = None
+        self, rows: Collection[Any], payloads: Iterable[Any], version: object = None
     ) -> None:
-        """Lay out ``edges`` (``(a, b)`` pairs) with ``payloads`` afresh."""
+        """Lay out ``rows`` (``width``-tuples of labels) with ``payloads``
+        afresh."""
         if not self._on:
             return
-        count = len(edges)
-        ends = _uint64_column([label for edge in edges for label in edge])
+        count = len(rows)
+        ends = _uint64_column([label for row in rows for label in row])
         if ends is None:
             self._turn_off()
             return
-        a = np.empty(2 * count + 64, dtype=np.uint64)
-        b = np.empty(2 * count + 64, dtype=np.uint64)
-        a[:count], b[:count] = ends[0::2], ends[1::2]
+        cols = np.empty((self.width, 2 * count + 64), dtype=np.uint64)
+        cols[:, :count] = ends.reshape(count, self.width).T
         self.payloads = list(payloads)
         self.pending = []
         self.dead = 0
         self._version = version
-        self._a, self._b = a, b
+        self._cols = cols
         qmax = int(ends.max()) if count else -1
-        self._view = (a[:count], b[:count], self.payloads, qmax)
+        self._view = (*cols[:, :count], self.payloads, qmax)
 
     def extend(self, items: Iterable[Tuple[Any, Any]]) -> None:
-        """Append ``(edge, payload)`` items to the built columns."""
+        """Append ``(labels, payload)`` items to the built columns."""
         payloads = self.payloads
         if payloads is None:
             return
         items = list(items)
         if not items:
             return
-        labels = [label for edge, _ in items for label in edge]
+        labels = [label for row, _ in items for label in row]
         ends = _uint64_column(labels)
         if ends is None:
             self._turn_off()
             return
-        a, b = self._a, self._b
+        cols = self._cols
         n, k = len(payloads), len(items)
-        if n + k > len(a):
-            a = np.concatenate((a[:n], np.empty(n + k + 64, dtype=np.uint64)))
-            b = np.concatenate((b[:n], np.empty(n + k + 64, dtype=np.uint64)))
-        a[n : n + k], b[n : n + k] = ends[0::2], ends[1::2]
+        if n + k > cols.shape[1]:
+            grown = np.empty((self.width, 2 * (n + k) + 64), dtype=np.uint64)
+            grown[:, :n] = cols[:, :n]
+            cols = grown
+        cols[:, n : n + k] = ends.reshape(k, self.width).T
         payloads.extend(payload for _, payload in items)
         assert self._view is not None
-        qmax = max(self._view[3], max(labels))
-        self._a, self._b = a, b
-        self._view = (a[: n + k], b[: n + k], payloads, qmax)
+        qmax = max(self._view[-1], max(labels))
+        self._cols = cols
+        self._view = (*cols[:, : n + k], payloads, qmax)
 
-    def queue(self, edge: Any, payload: Any) -> None:
+    def queue(self, row: Any, payload: Any) -> None:
         """Queue one item for the next :meth:`view` (built columns only).
 
         Past ``len(payloads) + 64`` queued items the columns drop
@@ -406,7 +410,7 @@ class EndpointColumns:
         payloads = self.payloads
         if payloads is None:
             return
-        self.pending.append((edge, payload))
+        self.pending.append((row, payload))
         if len(self.pending) > len(payloads) + 64:
             self.drop()
 
@@ -416,9 +420,10 @@ class EndpointColumns:
         self.pending = []
         self._view = None
 
-    def view(self) -> Optional[Tuple[np.ndarray, np.ndarray, List[Any], int]]:
-        """``(a, b, payloads, qmax)`` after appending the queue, or None
-        when the columns are off; ``qmax`` is the largest endpoint id."""
+    def view(self) -> Optional[Tuple[Any, ...]]:
+        """``(column, ..., payloads, qmax)`` after appending the queue, one
+        column per tuple position, or None when the columns are off;
+        ``qmax`` is the largest label."""
         if self.pending:
             pending, self.pending = self.pending, []
             self.extend(pending)
@@ -487,13 +492,20 @@ class RunOffers:
     rejected without a lookup (the argument of ``offer_array``).
     """
 
-    __slots__ = ("pairs", "_sampler", "_labels", "_priorities", "_survivors", "_next")
+    __slots__ = ("pairs", "_sampler", "_labels", "_priorities", "_ends", "_survivors", "_next")
 
-    def __init__(self, sampler: Any, labels: "_RunPairs", priorities: np.ndarray) -> None:
+    def __init__(
+        self,
+        sampler: Any,
+        labels: "_RunPairs",
+        priorities: np.ndarray,
+        ends: Tuple[np.ndarray, np.ndarray],
+    ) -> None:
         self.pairs = len(priorities)  # the run's pair count
         self._sampler = sampler
         self._labels = labels
         self._priorities = priorities
+        self._ends = ends  # the pairs' canonical (min, max) endpoint columns
         # Indices of the pairs at or below the threshold the sample had
         # when first seen full, plus a sentinel; None until then.
         self._survivors: Optional[List[int]] = None
@@ -530,7 +542,16 @@ class RunOffers:
             nbrs = np.concatenate(columns)
         counts = [len(neighbors) for _, neighbors in run]
         u, v = canonical_pair_columns(np.repeat(sources, counts), nbrs)
-        return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)))
+        return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)), (u, v))
+
+    def first_row(self, key: Tuple[int, int]) -> Optional[int]:
+        """The list of the run's first pair equal to canonical ``key``, or
+        None if no pair of the run is."""
+        u, v = self._ends
+        found = np.flatnonzero((u == np.uint64(key[0])) & (v == np.uint64(key[1])))
+        if not len(found):
+            return None
+        return bisect.bisect_right(self._labels.ends, int(found[0]))
 
     def offer(self, index: int) -> None:
         """Offer list ``index``'s pairs in order."""
@@ -606,11 +627,17 @@ class RunMask:
     gather per endpoint column answers every list at once.  :meth:`of`
     returns None when the table would pass :class:`VertexTable`'s cell
     cap, and the caller does the run's lists one at a time.
+
+    Each id's row of cells is padded to a multiple of 8 bytes, so
+    :meth:`hits` can tell which entries any list holds by reading the
+    cells as ``uint64`` words, and hands back only those entries' rows:
+    a caller whose columns mostly miss pays for the few that hit.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("rows", "_table")
 
-    def __init__(self, table: np.ndarray) -> None:
+    def __init__(self, table: np.ndarray, rows: int) -> None:
+        self.rows = rows
         self._table = table
 
     @classmethod
@@ -622,25 +649,44 @@ class RunMask:
         hi = max(int(flat.max()), query_max)
         if (hi + 1) * len(columns) > cap:
             return None
-        table = np.zeros((hi + 1, len(columns)), dtype=bool)
+        width = -(-len(columns) // 8) * 8
+        table = np.zeros((hi + 1, width), dtype=bool)
         rows = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
-        table[flat, rows] = True
-        return cls(table)
+        table.ravel()[flat.astype(np.intp) * width + rows] = True
+        return cls(table, len(columns))
 
     def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``hit[i, row]``: list ``row`` holds both ends of ``(a[i], b[i])``
         (every id ``<= query_max``)."""
         table = self._table
-        result: np.ndarray = table[a] & table[b]
+        result: np.ndarray = (table.take(a, axis=0) & table.take(b, axis=0))[:, : self.rows]
         return result
 
+    def holds(self, ids: Any, rows: Any) -> Any:
+        """``hit[i]``: list ``rows[i]`` holds ``ids[i]`` (arrays, or one id
+        and one row)."""
+        return self._table[ids, rows]
+
+    def hits(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges (ascending indices) some list holds both ends of, and
+        their rows of :meth:`both`'s answer."""
+        table = self._table
+        hit = table.take(a, axis=0) & table.take(b, axis=0)
+        words = hit.view(np.uint64)
+        combined = words[:, 0].copy()
+        for k in range(1, words.shape[1]):
+            combined |= words[:, k]
+        entries = np.flatnonzero(combined)
+        return entries, hit[entries, : self.rows]
+
     @staticmethod
-    def by_row(hit: np.ndarray) -> List[List[int]]:
+    def by_row(hit: np.ndarray, entries: Optional[np.ndarray] = None) -> List[List[int]]:
         """For each list of the run, in order, the ascending edge indices
-        ``i`` with ``hit[i, row]`` set."""
+        ``i`` with ``hit[i, row]`` set; ``entries``, when given, maps the
+        rows of ``hit`` to edge indices (as :meth:`hits` returns them)."""
         rows, found = np.nonzero(hit.T)
         ends = np.searchsorted(rows, np.arange(1, hit.shape[1] + 1)).tolist()
-        flat = found.tolist()
+        flat = (found if entries is None else entries[found]).tolist()
         return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 

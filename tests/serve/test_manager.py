@@ -31,6 +31,7 @@ from repro.serve.protocol import (
     ServeError,
 )
 from repro.sketch.driver import partition_stream, run_sharded
+from repro.sketch.state import SketchStateError
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
@@ -186,9 +187,9 @@ class TestMerge:
     def test_merge_refuses_mismatched_sessions(self):
         async def main():
             manager = SessionManager()
-            await manager.open("a", "triangle-two-pass", 32, 1)
-            await manager.open("b", "triangle-two-pass", 64, 1)  # budget differs
-            await manager.open("c", "triangle-two-pass", 32, 2)  # seed differs
+            await manager.open("a", "triangle-two-pass-sharded", 32, 1)
+            await manager.open("b", "triangle-two-pass-sharded", 64, 1)  # budget differs
+            await manager.open("c", "triangle-two-pass-sharded", 32, 2)  # seed differs
             with pytest.raises(ServeError) as err:
                 await manager.merge("m", ["a", "b"])
             assert err.value.code == MERGE_INCOMPATIBLE
@@ -204,7 +205,7 @@ class TestMerge:
         async def main():
             manager = SessionManager()
             for sid in ("a", "b"):
-                await manager.open(sid, "triangle-two-pass", 32, 1)
+                await manager.open(sid, "triangle-two-pass-sharded", 32, 1)
                 await manager.feed(sid, [(0, 1), (1, 0)])
             with pytest.raises(ServeError) as err:
                 await manager.merge("m", ["a", "b"])
@@ -218,7 +219,7 @@ class TestMerge:
         async def main():
             manager = SessionManager(telemetry=Telemetry(sink=sink))
             for sid in ("a", "b"):
-                await manager.open(sid, "triangle-two-pass", 32, 1)
+                await manager.open(sid, "triangle-two-pass-sharded", 32, 1)
             await manager.merge("m", ["a", "b"])
             assert manager.session_ids() == ["m"]
 
@@ -241,7 +242,7 @@ class TestMerge:
             parked, release = _park_to_thread(monkeypatch, park_at)
             manager = SessionManager()
             for sid in ("a", "b"):
-                await manager.open(sid, "triangle-two-pass", 32, 1)
+                await manager.open(sid, "triangle-two-pass-sharded", 32, 1)
 
             async def race():
                 merge = asyncio.ensure_future(manager.merge("t", ["a", "b"]))
@@ -272,13 +273,63 @@ class TestMerge:
 
         table, merged = asyncio.run(main())
         if merged:
-            assert table == {"t": "triangle-two-pass"}
+            assert table == {"t": "triangle-two-pass-sharded"}
         else:
             assert table == {
-                "a": "triangle-two-pass",
-                "b": "triangle-two-pass",
+                "a": "triangle-two-pass-sharded",
+                "b": "triangle-two-pass-sharded",
                 "t": "fourcycle-two-pass",
             }
+
+    @pytest.mark.parametrize(
+        "name", ["triangle-two-pass", "triangle-two-pass-sharded"]
+    )
+    def test_merge_admits_exactly_what_run_sharded_admits(self, name):
+        """The per-pass fork schedule on two balanced shards: the sharded
+        counter's merges reproduce ``run_sharded``; the conventional
+        counter, which ``run_sharded`` refuses, is refused at its first
+        merge with ``MERGE_INCOMPATIBLE``, its sources left open."""
+        planted = planted_triangles(noise_edges=150, triangles=20, seed=1)
+        stream = AdjacencyListStream(planted.graph, seed=3)
+        budget, seed = 48, 7
+        shards = partition_stream(stream, 2, "balanced")
+        shard_pairs = [
+            [(v, u) for v, neighbors in shard.lists for u in neighbors]
+            for shard in shards
+        ]
+
+        async def run_pass(manager, sids, merged_id):
+            for sid, chunk in zip(sids, shard_pairs):
+                await manager.feed(sid, chunk)
+                await manager.finish_pass(sid)
+            return await manager.merge(merged_id, sids)
+
+        async def main():
+            manager = SessionManager()
+            sids0 = ["p0-0", "p0-1"]
+            for sid in sids0:
+                await manager.open(sid, name, budget, seed, validate_mode="lists")
+            try:
+                await run_pass(manager, sids0, "m0")
+            except ServeError as err:
+                return err, manager.session_ids()
+            state = await manager.snapshot("m0")
+            sids1 = ["p1-0", "p1-1"]
+            for sid in sids1:
+                await manager.restore(sid, state)
+            return (await run_pass(manager, sids1, "m1")).result(), None
+
+        outcome, open_ids = asyncio.run(main())
+        algorithm = get_spec(name).make(budget, seed=seed)
+        if name == "triangle-two-pass":
+            assert isinstance(outcome, ServeError)
+            assert outcome.code == MERGE_INCOMPATIBLE
+            assert "conventional" in outcome.message
+            assert open_ids == ["p0-0", "p0-1"]
+            with pytest.raises(SketchStateError):
+                run_sharded(algorithm, stream, 2)
+        else:
+            assert outcome == run_sharded(algorithm, stream, 2).estimate
 
 
 class TestAdmission:

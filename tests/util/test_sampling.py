@@ -1,5 +1,7 @@
 """Tests for the sampling primitives, including uniformity properties."""
 
+import pickle
+import random
 import statistics
 
 import pytest
@@ -205,18 +207,16 @@ class TestReservoirSampler:
         assert removed == 5
         assert all(x % 2 == 1 for x in r.items())
 
-    @pytest.mark.parametrize("limit", [None, 4])
-    def test_discard_items_keeps_both_orders(self, limit):
+    def test_discard_items_keeps_both_orders(self):
         """Dropping named items removes what ``discard`` would, and keeps
-        the survivors and the removed items in reservoir order; a
-        ``limit`` equal to the match count (4) stops at the last match
-        and keeps the tail as it is."""
+        the survivors and the removed items in reservoir order; an item
+        the reservoir does not hold is ignored."""
         named, plain = ReservoirSampler(10, seed=2), ReservoirSampler(10, seed=2)
         for i in range(10):
             named.offer(i)
             plain.offer(i)
         doomed = {7, 0, 5, 2}
-        assert named.discard_items(doomed, limit) == [0, 2, 5, 7]
+        assert named.discard_items([7, 0, 42, 5, 2]) == [0, 2, 5, 7]
         assert plain.discard(lambda x: x in doomed) == 4
         assert named.items() == plain.items() == [1, 3, 4, 6, 8, 9]
 
@@ -264,6 +264,59 @@ def test_reservoir_size_invariant(capacity, n_items, seed):
     assert len(r) == min(capacity, n_items)
     assert r.offered == n_items
     assert set(r.items()) <= set(range(n_items))
+
+
+class _ListReservoir:
+    """Algorithm R over a plain list, removing discarded items by a scan:
+    the model the tombstoned reservoir must match offer for offer."""
+
+    def __init__(self, capacity, rng_state):
+        self.capacity = capacity
+        self.rng = random.Random()
+        self.rng.setstate(rng_state)
+        self.items = []
+        self.offered = 0
+
+    def offer(self, item):
+        self.offered += 1
+        if len(self.items) < self.capacity:
+            self.items.append(item)
+            return True, None
+        j = self.rng.randrange(self.offered)
+        if j < len(self.items):
+            displaced, self.items[j] = self.items[j], item
+            return True, displaced
+        return False, None
+
+
+@given(
+    capacity=st.integers(1, 12),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=300),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=80)
+def test_discard_items_matches_a_list_model(capacity, ops, seed):
+    """Offers, displacements and survivor order under any mix of offers
+    and discards equal a scanning list reservoir's, through compactions,
+    pickling and a state round trip."""
+    r = ReservoirSampler(capacity, seed=seed)
+    model = _ListReservoir(capacity, r._rng.getstate())
+    next_item = 0
+    for step, (is_offer, count) in enumerate(ops):
+        if is_offer:
+            assert r.offer_detailed(next_item) == model.offer(next_item)
+            next_item += 1
+        else:
+            doomed = model.items[::2][:count]
+            assert r.discard_items(doomed) == doomed
+            model.items = [item for item in model.items if item not in doomed]
+        assert r.items() == model.items and len(r) == len(model.items)
+        if step % 50 == 49:
+            restored = ReservoirSampler(capacity)
+            restored.load_state_dict(r.state_dict())
+            r = restored
+        elif step % 50 == 24:
+            r = pickle.loads(pickle.dumps(r))  # tombstones survive pickling
 
 
 @given(

@@ -436,6 +436,14 @@ class TestRunMask:
             [i for i, (x, y) in enumerate(pairs) if x in members and y in members]
             for members in lists
         ]
+        # hits: only the edges some list holds, with the same rows.
+        entries, rows = mask.hits(a, b)
+        assert entries.tolist() == [i for i, row in enumerate(hit.tolist()) if any(row)]
+        assert rows.tolist() == hit[entries].tolist()
+        assert RunMask.by_row(rows, entries) == RunMask.by_row(hit)
+        for row, members in enumerate(lists):
+            for x, _ in pairs:
+                assert bool(mask.holds(x, row)) == (x in members)
 
     def test_declines_past_the_cap(self):
         columns = [_as_u64([1, 2]), _as_u64([3, 4])]
