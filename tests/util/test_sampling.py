@@ -207,18 +207,23 @@ class TestReservoirSampler:
         assert removed == 5
         assert all(x % 2 == 1 for x in r.items())
 
-    def test_discard_items_keeps_both_orders(self):
+    @pytest.mark.parametrize("cut", [None, 4])
+    def test_discard_items_keeps_both_orders(self, cut):
         """Dropping named items removes what ``discard`` would, and keeps
         the survivors and the removed items in reservoir order; an item
-        the reservoir does not hold is ignored."""
+        the reservoir does not hold is ignored.  ``cut`` names all of the
+        list (None) or its first four entries, so a named item that is
+        left out stays in place."""
         named, plain = ReservoirSampler(10, seed=2), ReservoirSampler(10, seed=2)
         for i in range(10):
             named.offer(i)
             plain.offer(i)
-        doomed = {7, 0, 5, 2}
-        assert named.discard_items([7, 0, 42, 5, 2]) == [0, 2, 5, 7]
-        assert plain.discard(lambda x: x in doomed) == 4
-        assert named.items() == plain.items() == [1, 3, 4, 6, 8, 9]
+        names = [7, 0, 42, 5, 2][:cut]
+        doomed = set(names) - {42}
+        assert named.discard_items(names) == sorted(doomed)
+        assert plain.discard(lambda x: x in doomed) == len(doomed)
+        assert named.items() == plain.items() == [
+            i for i in range(10) if i not in doomed]
 
     def test_refills_after_discard(self):
         r = ReservoirSampler(4, seed=3)
