@@ -62,16 +62,22 @@ run route (``process_run``) does the same for a long run of lists on one
   were members at that list.
 * Pass 2 tests the frozen sample once per run for the seen-edge scan and
   detection, replays the lists' offers, then counts the run's ``H``
-  increments in one gather: the watchers are columns of edge endpoints
-  and apex, each counting the lists after the row it starts from (before
-  the run, or the list that installed it).  Counts are owed in a column
-  and settled into the watcher objects before anything reads ``h``, so
-  snapshots keep their exact per-pair ``watchers`` lists.
+  increments in one gather: the watchers are columns of edge endpoints,
+  apex and count slot, each counting the lists after the row it starts
+  from (before the run, or the list that installed it).
+
+Every watcher's count and apex flag live in one store of slots
+(``_HCounts``): a ``_Watcher`` reads and writes its own slot, and the run
+route adds a run's counts into many slots at once through numpy views of
+the same buffers, so there is one copy of every ``h`` and snapshots keep
+their exact per-pair ``watchers`` lists.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -109,14 +115,71 @@ def apex(tri: Triangle, edge: Edge) -> Vertex:
     raise ValueError(f"{edge} has no opposite vertex in {tri}")
 
 
-@dataclass(eq=False, slots=True)
-class _Watcher:
-    """H-counter for one (collected pair, triangle edge) combination."""
+class _HCounts:
+    """The H watchers' counts and apex flags, one slot per watcher.
 
-    edge: Edge  # the watched edge f
-    x: Vertex  # apex of the pair's triangle opposite f
-    x_arrived: bool = False
-    h: int = 0
+    Plain ``array`` and ``bytearray`` buffers: the per-list hooks update
+    one slot at a time through :class:`_Watcher`, and the run route
+    updates many at once through numpy views of the same memory
+    (:meth:`views`; a view must be gone before the next :meth:`add`).
+    An unregistered watcher leaves its slot dead; the counter moves the
+    live watchers to a new store once more than half the slots are dead.
+    """
+
+    __slots__ = ("h", "arrived", "dead")
+
+    def __init__(self) -> None:
+        self.h = array("q")
+        self.arrived = bytearray()
+        self.dead = 0
+
+    def add(self, arrived: bool, h: int) -> int:
+        """A new slot holding ``arrived`` and ``h``."""
+        self.h.append(h)
+        self.arrived.append(arrived)
+        return len(self.h) - 1
+
+    def views(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Writable numpy views of the counts and the flags."""
+        return np.frombuffer(self.h, dtype=np.int64), np.frombuffer(self.arrived, dtype=bool)
+
+
+#: Dead slots an ``_HCounts`` may hold beyond half its size before the
+#: live watchers move to a new one.
+_H_SLACK = 64
+
+
+class _Watcher:
+    """H-counter for one (collected pair, triangle edge) combination: the
+    watched edge ``f`` and the apex ``x`` of the pair's triangle opposite
+    it.  Its count ``h`` and flag ``x_arrived`` live in ``store`` at
+    ``slot``."""
+
+    __slots__ = ("edge", "x", "store", "slot")
+
+    def __init__(
+        self, edge: Edge, x: Vertex, store: _HCounts, x_arrived: bool = False, h: int = 0
+    ) -> None:
+        self.edge = edge
+        self.x = x
+        self.store = store
+        self.slot = store.add(x_arrived, h)
+
+    @property
+    def x_arrived(self) -> bool:
+        return bool(self.store.arrived[self.slot])
+
+    @x_arrived.setter
+    def x_arrived(self, value: bool) -> None:
+        self.store.arrived[self.slot] = value
+
+    @property
+    def h(self) -> int:
+        return self.store.h[self.slot]
+
+    @h.setter
+    def h(self, value: int) -> None:
+        self.store.h[self.slot] = value
 
 
 @dataclass(eq=False, slots=True)
@@ -134,10 +197,12 @@ class _Pair:
         watcher; the first minimum wins, as in ``min``.
         """
         first = self.watchers[0]
-        h, edge = first.h, first.edge
+        counts = first.store.h  # one store holds a pair's three counts
+        h, edge = counts[first.slot], first.edge
         for watcher in self.watchers:
-            if watcher.h < h or (watcher.h == h and watcher.edge < edge):
-                h, edge = watcher.h, watcher.edge
+            count = counts[watcher.slot]
+            if count < h or (count == h and watcher.edge < edge):
+                h, edge = count, watcher.edge
         return edge
 
 
@@ -154,13 +219,11 @@ def _as_edge(blob: Any) -> Edge:
     return tuple(blob) if isinstance(blob, list) else blob
 
 
-def _decode_pair(blob: Dict[str, Any]) -> "_Pair":
-    """Invert :func:`_encode_pair`."""
+def _decode_pair(blob: Dict[str, Any], store: _HCounts) -> "_Pair":
+    """Invert :func:`_encode_pair`, the watchers' counts going to ``store``."""
     pair = _Pair(edge=_as_edge(blob["edge"]), triangle=tuple(blob["triangle"]))
     for edge, x, arrived, h in blob["watchers"]:
-        pair.watchers.append(
-            _Watcher(edge=_as_edge(edge), x=x, x_arrived=bool(arrived), h=int(h))
-        )
+        pair.watchers.append(_Watcher(_as_edge(edge), x, store, bool(arrived), int(h)))
     return pair
 
 
@@ -223,6 +286,8 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._seen_p2: Set[Edge] = set()  # sampled edges already appeared in pass 2
         self._watchers_by_edge: Dict[Edge, Set[_Watcher]] = {}
         self._watchers_by_apex: Dict[Vertex, Set[_Watcher]] = {}
+        # The live watchers' counts and flags (_compact_h moves them).
+        self._hcounts = _HCounts()
         # Telemetry-only churn tallies (observables); deliberately NOT part
         # of the snapshot payload — resumed runs restart them at zero.
         self._evictions = 0  # edges that fell out of the bottom-k sample
@@ -238,11 +303,12 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # supersets: member columns hold every key admitted since the last
         # build (payload: the key; hits resolve through the live
         # membership, so since-evicted keys miss), watcher columns every
-        # watcher registered since (edge endpoints and apex; payload: the
-        # watcher, whose counts nobody reads once it is unregistered).
+        # watcher registered since (edge endpoints, apex and count slot;
+        # payload: the watcher, whose slot nobody reads once it is
+        # unregistered).
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0  # admission-log cursor: columns cover log[:pos]
-        self._wcols = vectorized.EndpointColumns(width=3)
+        self._wcols = vectorized.EndpointColumns(width=4)
         # Reusable membership table for the columnar per-list scans.
         self._vtable = vectorized.VertexTable()
         # While the run route offers a run, _edge_evicted defers the edges
@@ -253,10 +319,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._fresh: Optional[List[_Watcher]] = None
         # Pass 2's frozen sample by endpoint (derived; _members_by_vertex).
         self._member_index: Optional[Dict[Vertex, List[Tuple[Edge, Vertex]]]] = None
-        # H increments the run route owes the watcher columns' payloads
-        # (_owed[i] to _owed_to[i]); every reader of h settles them first.
-        self._owed: Optional[np.ndarray] = None
-        self._owed_to: Optional[List[_Watcher]] = None
 
     # -- sampler bookkeeping --------------------------------------------------
 
@@ -304,6 +366,10 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         pass 1).
         """
         by_edge, by_apex = self._watchers_by_edge, self._watchers_by_apex
+        store = self._hcounts
+        if store.dead > len(store.h) // 2 + _H_SLACK:
+            self._compact_h()
+            store = self._hcounts
         # Built watcher columns take the new watchers on their next view.
         queue = self._wcols.queue if self._wcols.payloads is not None else None
         # triangle_key sorts, so (a, b), (a, c), (b, c) are already the
@@ -311,7 +377,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         # same (f, x) sequence as triangle_edges + apex, without the calls.
         a, b, c = pair.triangle
         for f, x in (((a, b), c), ((a, c), b), ((b, c), a)):
-            watcher = _Watcher(edge=f, x=x, x_arrived=(x == current_list))
+            watcher = _Watcher(f, x, store, x == current_list)
             pair.watchers.append(watcher)
             bucket = by_edge.get(f)
             if bucket is None:
@@ -324,7 +390,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             else:
                 bucket.add(watcher)
             if queue is not None:
-                queue((*f, x), watcher)
+                queue((*f, x, watcher.slot), watcher)
         if self._fresh is not None:
             self._fresh.extend(pair.watchers)
         self._live_watchers += 3
@@ -332,6 +398,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
     def _unregister_watchers(self, pair: _Pair) -> None:
         self._live_watchers -= len(pair.watchers)
         self._wcols.dead += len(pair.watchers)
+        self._hcounts.dead += len(pair.watchers)
         for watcher in pair.watchers:
             bucket = self._watchers_by_edge.get(watcher.edge)
             if bucket is not None:
@@ -345,21 +412,28 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                     del self._watchers_by_apex[watcher.x]
         pair.watchers.clear()
 
-    def _collect_pair(self, edge: Edge, vertex: Vertex) -> None:
-        """Offer the candidate pair of sampled ``edge`` and the triangle
-        list ``vertex`` closes on it to the reservoir, maintaining indexes.
+    def _compact_h(self) -> None:
+        """Move the live watchers' counts and flags to a new store, in
+        reservoir order, leaving the dead slots behind.  The watcher
+        columns name slots, so they are dropped for a rebuild."""
+        store = _HCounts()
+        for pair in self._reservoir.items():
+            for watcher in pair.watchers:
+                watcher.slot = store.add(watcher.x_arrived, watcher.h)
+                watcher.store = store
+        self._hcounts = store
+        self._wcols.drop()
 
-        The reservoir decides first: Algorithm R's draw depends only on
-        the offer count and the fill level, so a rejected candidate
-        builds neither its triangle nor a ``_Pair``.  Only an admitted
-        pair gets watchers, installed after the displaced pair's are
-        removed: a rejected candidate touches no bucket.  Watcher
-        increments commute, so the order changes no ``h``.
+    def _place_pair(self, slot: int, edge: Edge, vertex: Vertex) -> None:
+        """Put the admitted candidate pair of sampled ``edge`` and the
+        triangle list ``vertex`` closes on it in the reservoir's
+        ``slot``, maintaining indexes.
+
+        Only an admitted pair gets watchers, installed after the
+        displaced pair's are removed: a rejected candidate touches no
+        bucket.  Watcher increments commute, so the order changes no
+        ``h``.
         """
-        reservoir = self._reservoir
-        slot = reservoir.draw()
-        if slot is None:
-            return
         # Inline triangle_key: the edge is canonical (u < v), so only the
         # closing vertex needs placing.
         u, v = edge
@@ -370,7 +444,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         else:
             tri = (u, v, vertex)
         pair = _Pair(edge=edge, triangle=tri)
-        displaced = reservoir.place(slot, pair)
+        displaced = self._reservoir.place(slot, pair)
         if displaced is not None:
             self._displaced += 1
             if displaced.watchers:
@@ -530,99 +604,83 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         (before anything is mutated) to go list by list.
 
         The sampler never reads the reservoir, so every list is offered
-        first, recording the sampler's size and the evicted edges per
-        list.  Under bottom-k an evicted key is never admitted again (the
-        threshold only tightens), so each key is a member over one
-        interval of the run's lists: from the run's start, or the list of
-        its first pair in the run (where it was admitted), to the list
-        that evicted it.  Member columns covering every key that is a
-        member at any list — the columns at the run's start plus the keys
-        admitted during it — are tested against the run's table once.
-        The lists are then replayed in order: each drops the pairs of the
-        edges it evicted, then offers its matches that were members at
-        that list, as ``process_list`` and ``end_list`` would.
+        first: one list at a time while the sample fills, then the rest
+        in one batch, noting the list of every admitted key.  The sample
+        fills before anything is evicted, and once it is full each
+        admission evicts one member, so the evicted edges are dated by
+        the last admissions.  Under bottom-k an evicted key is never
+        admitted again (the threshold only tightens), so each key is a
+        member over one interval of the run's lists: from the run's
+        start, or the list that admitted it, to the list that evicted
+        it.  Member columns covering every key that is a member at any
+        list — the columns at the run's start plus the admitted keys —
+        are tested against the run's table once, and each hit is kept
+        only inside its key's interval.  The lists are then replayed in
+        order: each drops the pairs of the edges it evicted, then offers
+        its matches, as ``process_list`` and ``end_list`` would.
         """
         sampler = self._sampler
         mcols = self._member_columns()
-        found = None if mcols is None else self._run_mask(run, columns, mcols[-1])
-        if found is None:
+        mask = None
+        if mcols is not None:
+            # The keys admitted in the run join the queries: their larger
+            # ends are the run's (source, neighbour) maxima.
+            query_max = max(mcols[-1], int(offers.ends[1].max()))
+            mask = vectorized.RunMask.of_flat(offers.flat, offers.lists(), len(run), query_max)
+        if mask is None:
             return None
-        mask = found[0]
-        log, epoch = sampler.admission_log, sampler.admission_epoch
-        start = len(log)
+        rows, capacity = len(run), sampler.capacity
+        admitted: List[Tuple[int, Edge]] = []  # (pair, key), in admission order
         evicted: List[Edge] = []
-        sizes: List[int] = []
-        evict_ends: List[int] = []
-        admit_ends: List[int] = []
+        sizes: List[int] = []  # the sampler's words after each list
         self._evict_buffer = evicted
         try:
-            for index in range(len(run)):
-                offers.offer(index)
+            while len(sizes) < rows and len(sampler) < capacity:
+                offers.offer(len(sizes), admitted)
                 sizes.append(sampler.space_words())
-                evict_ends.append(len(evicted))
-                admit_ends.append(len(log))
+            if len(sizes) < rows:
+                offers.offer_rest(len(sizes), admitted)
         finally:
             self._evict_buffer = None
         self._pair_count += offers.pairs
-        # The keys admitted during the run, each with the list that
-        # admitted it: the log's tail; or, when the log was compacted
-        # meanwhile, all of it and every evicted key, each dated by its
-        # first pair in the run (a key no pair of the run holds was
-        # admitted before it, and the columns at its start hold it).
-        admitted_at: Optional[List[int]] = None
-        if sampler.admission_epoch == epoch:
-            admitted = log[start:]
-            admitted_at = []
-            for row, end in enumerate(admit_ends):
-                admitted_at.extend([row] * (end - start - len(admitted_at)))
-        else:
-            admitted = log + evicted
-        mu, mv, keys, _ = mcols
-        known = len(keys)
-        if admitted:
-            ends = vectorized.as_vertex_array([label for key in admitted for label in key])
-            assert ends is not None  # the run's and the members' labels
-            mu = np.concatenate((mu, ends[0::2]))
-            mv = np.concatenate((mv, ends[1::2]))
+        sizes.extend([sampler.space_words()] * (rows - len(sizes)))
+        known = len(mcols[2])
+        admit_rows: List[int] = []
         evicted_at: Dict[Edge, int] = {}
-        done = 0
-        for row, end in enumerate(evict_ends):
-            for edge in evicted[done:end]:
+        evicted_by_row: List[List[Edge]] = [[] for _ in range(rows)]
+        if admitted:
+            pairs = np.array([pair for pair, _ in admitted], dtype=np.intp)
+            admit_rows = offers.lists_of(pairs).tolist()
+            for edge, row in zip(evicted, admit_rows[len(admitted) - len(evicted):]):
                 evicted_at[edge] = row
-            done = end
-        # Each hit edge's membership interval [first, last) of rows.
-        rows = len(run)
-        membership = sampler.membership()
+                evicted_by_row[row].append(edge)
+            # Appended where the next run's member columns would append
+            # them (a compacted log's new epoch makes that run rebuild).
+            u, v = offers.ends
+            self._mcols.extend_columns((u.take(pairs), v.take(pairs)), [key for _, key in admitted])
+        self._mcol_pos = len(sampler.admission_log)
+        mu, mv, keys, _ = self._mcols.view()
         entries, hit = mask.hits(mu, mv)
-        split = int(np.searchsorted(entries, known))
-        hit_keys = [keys[i] for i in entries[:split].tolist()]
-        first_rows = [0] * split
-        for i in entries[split:].tolist():
-            key = admitted[i - known]
-            if admitted_at is None:
-                first = offers.first_row(key)
-                first = rows if first is None else first
-            else:
-                first = admitted_at[i - known]
-            hit_keys.append(key)
-            first_rows.append(first)
-        last_rows = [
-            evicted_at.get(key, rows if key in membership else 0) for key in hit_keys
-        ]
+        entries = entries.tolist()
+        hit_keys = list(map(keys.__getitem__, entries))
+        # Each hit edge's membership interval [first, last) of rows.
+        split = bisect.bisect_left(entries, known)
+        first = [0] * split + [admit_rows[i - known] for i in entries[split:]]
+        membership = sampler.membership()
+        last = [rows if key in membership else evicted_at.get(key, 0) for key in hit_keys]
         space_words, now = self.space_words, sampler.space_words()
+        rest = space_words() - now
+        pairs_at = self._pairs_at
         readings: List[int] = []
-        done = 0
         for row, ((vertex, _), hits) in enumerate(zip(run, mask.by_row(hit))):
-            end = evict_ends[row]
-            if end > done:
-                self._drop_evicted(evicted[done:end])
-                done = end
-            matched = {
-                hit_keys[j] for j in hits if first_rows[j] <= row < last_rows[j]
-            }
-            if matched:
-                self._offer_matched(sorted(matched), vertex)
-            readings.append(space_words() - now + sizes[row])
+            doomed = [edge for edge in evicted_by_row[row] if edge in pairs_at]
+            if doomed:
+                self._drop_evicted(doomed)
+                rest = space_words() - now
+            matched = [hit_keys[j] for j in hits if first[j] <= row < last[j]]
+            if matched and self._offer_matched(matched, vertex):
+                rest = space_words() - now
+            readings.append(rest + sizes[row])
         return readings
 
     def _scan_run(
@@ -656,131 +714,83 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             # Each id's row as a list source; ``rows`` for an id with none.
             source_row = np.full(max(query_max, int(sources.max())) + 1, len(run))
             source_row[sources] = np.arange(len(run))
-        mu, mv, keys, _ = mcols
-        entries, hit = mask.hits(mu, mv)
-        hit_rows = mask.by_row(hit, entries)
-        if scan:
             by_vertex, holds = self._members_by_vertex(), mask.holds
             self._fresh = fresh = []
-            fresh_ends: List[int] = []
+            fresh_rows: List[int] = []
+        mu, mv, keys, _ = mcols
+        entries, hit = mask.hits(mu, mv)
         seen, space_words = self._seen_p2, self.space_words
         readings: List[int] = []
-        for row, ((vertex, _), hits) in enumerate(zip(run, hit_rows)):
-            if scan and vertex in by_vertex:
-                # The seen-edge scan: sampled edges at this source whose
-                # other end the list holds.
-                seen.update([
-                    edge for edge, other in by_vertex[vertex] if holds(other, row)
-                ])
-            if hits:
-                # Pass 2 rebuilt the member columns exactly: no stale or
-                # repeated keys.
-                self._offer_matched(sorted([keys[i] for i in hits]), vertex)
-            if scan:
-                fresh_ends.append(len(fresh))
-            readings.append(space_words())
-        if scan:
+        try:
+            for row, ((vertex, _), hits) in enumerate(zip(run, mask.by_row(hit, entries))):
+                if scan and vertex in by_vertex:
+                    # The seen-edge scan: sampled edges at this source
+                    # whose other end the list holds.
+                    seen.update([
+                        edge for edge, other in by_vertex[vertex] if holds(other, row)
+                    ])
+                if hits:
+                    # Pass 2 rebuilt the member columns exactly: no stale
+                    # or repeated keys.
+                    self._offer_matched([keys[i] for i in hits], vertex)
+                    if scan:
+                        fresh_rows.extend([row] * (len(fresh) - len(fresh_rows)))
+                readings.append(space_words())
+        finally:
             self._fresh = None
-            self._count_h_run(run, mask, source_row, wcols, fresh, fresh_ends)
+        if scan:
+            self._count_h_run(mask, source_row, fresh, fresh_rows)
         return readings
 
     def _count_h_run(
         self,
-        run: List[Tuple[Vertex, Sequence[Vertex]]],
         mask: vectorized.RunMask,
         source_row: np.ndarray,
-        wcols: tuple,
         fresh: List[_Watcher],
-        fresh_ends: List[int],
+        fresh_rows: List[int],
     ) -> None:
-        """The H increments of a whole run, with one gather over its table.
+        """The H increments of a whole run, from one gather over its table.
 
         Watchers are columns: edge endpoints, apex, and the row from which
-        each counts — before the run for the columns at its start (-1),
-        the row that installed it for ``fresh`` (installed during the
-        replay, ``fresh_ends[row]`` of them by the end of ``row``).  A
-        watcher counts list ``row`` iff it was installed before ``row``,
-        the list closes its edge, the list is not its apex's, and its apex
-        has arrived: it had at the watcher's start, or the apex's list
-        came after the install and before ``row``.  Only the watchers a
-        list counts are touched, to add their counts, and those whose
-        apex arrives to set their flags, so every ``h`` and flag ends as
-        the per-list hooks leave it (increments of a watcher since
-        displaced reach an object nothing reads).
+        each counts — -1 for the watchers from before the run, the
+        installing row for the ``fresh`` ones installed during the replay
+        (``fresh_rows``), which the columns' queue appends in order.  A
+        watcher counts list ``row`` iff ``row`` comes after its start, the
+        list closes its edge and is not its apex's, and its apex has
+        arrived: it had at the start, or the apex's list came after the
+        start and before ``row``.  Its apex arrives in the run iff the
+        apex's list comes after its start.  Only the watchers a list
+        counts are touched, to add their counts, and those whose apex
+        arrives, to set their flags, so every ``h`` and flag ends as the
+        per-list hooks leave it (a dead column's watcher belongs to a
+        displaced pair, which nothing reads).
         """
-        f0, f1, x, watchers, _ = wcols
+        rows = mask.rows
+        wcols = self._wcols.view()
+        if wcols is not None:
+            start = np.full(len(wcols[4]), -1)
+            start[len(start) - len(fresh):] = fresh_rows
+        else:
+            # The queue outgrew the columns, or the counts moved, and the
+            # columns were dropped: rebuild.
+            wcols = self._watcher_columns()
+            assert wcols is not None  # the run's and the members' labels
+            installed = dict(zip(fresh, fresh_rows))
+            start = np.array([installed.get(w, -1) for w in wcols[4]], dtype=np.intp)
+        f0, f1, x, slot, _, _ = wcols
         touched, closes = mask.hits(f0, f1)
-        apex = source_row[x[touched]][:, None]
-        arrived = np.array([watchers[i].x_arrived for i in touched.tolist()], dtype=bool)
-        order = np.arange(mask.rows)
-        counted = closes & (order != apex) & ((order > apex) | arrived[:, None])
-        self._owe_h(watchers, touched, counted.sum(axis=1))
-        # Arrivals, from the live apex index; a fresh watcher's own rule
-        # is in _count_h_fresh.
-        by_apex = self._watchers_by_apex
-        ours = set(fresh)
-        for vertex, _ in run:
-            for w in by_apex.get(vertex, ()):
-                if w not in ours:
-                    w.x_arrived = True
-        if fresh:
-            self._count_h_fresh(mask, source_row, fresh, fresh_ends)
-
-    @staticmethod
-    def _count_h_fresh(
-        mask: vectorized.RunMask,
-        source_row: np.ndarray,
-        fresh: List[_Watcher],
-        fresh_ends: List[int],
-    ) -> None:
-        """:meth:`_count_h_run` for the few watchers installed during the
-        run: each counts only the lists after the one that installed it,
-        and its apex arrives only if the apex's list comes after that."""
-        rows, holds = mask.rows, mask.holds
-        start = 0
-        for row, end in enumerate(fresh_ends):
-            for w in fresh[start:end]:
-                u, v = w.edge
-                apex = int(source_row[w.x])
-                arrived = w.x_arrived
-                for later in range(row + 1, rows):
-                    if (
-                        later != apex
-                        and (arrived or row < apex < later)
-                        and holds(u, later)
-                        and holds(v, later)
-                    ):
-                        w.h += 1
-                if row < apex < rows:
-                    w.x_arrived = True
-            start = end
-
-    def _owe_h(self, watchers: List[_Watcher], index: np.ndarray, counts: np.ndarray) -> None:
-        """Owe ``counts[j]`` H increments to ``watchers[index[j]]``, the
-        watcher columns' payloads; :meth:`_settle_h` writes them."""
-        owed = self._owed
-        if self._owed_to is not watchers:
-            self._settle_h()
-            owed = None
-        if owed is None or len(owed) < len(watchers):
-            grown = np.zeros(2 * len(watchers) + 64, dtype=np.int64)
-            if owed is not None:
-                grown[: len(owed)] = owed
-            owed = grown
-        owed[index] += counts
-        self._owed, self._owed_to = owed, watchers
-
-    def _settle_h(self) -> None:
-        """Write the H increments the run route owes into the watchers.
-        Increments commute, so the per-list hooks' own increments need no
-        settling first; only reading ``h`` does."""
-        owed = self._owed
-        if owed is None:
-            return
-        watchers = self._owed_to
-        for i in np.flatnonzero(owed).tolist():
-            watchers[i].h += int(owed[i])
-        self._owed, self._owed_to = None, None
+        apex = source_row.take(x)
+        slot = slot.view(np.intp)
+        h, arrived = self._hcounts.views()
+        at, since, slots = apex.take(touched), start.take(touched), slot.take(touched)
+        # The row after which each touched watcher counts: its start if its
+        # apex had arrived, the apex's row if that comes after the start,
+        # else none.
+        after = np.where(arrived.take(slots), since, np.where(at > since, at, rows))
+        entry, row = closes.nonzero()
+        counted = entry[(row > after.take(entry)) & (row != at.take(entry))]
+        np.add.at(h, slots.take(counted), 1)
+        arrived[slot[(start < apex) & (apex < rows)]] = True
 
     def _end_list_short(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
         """``end_list`` of a short list: probe its canonical neighbour
@@ -865,14 +875,14 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         return index
 
     def _watcher_columns(self) -> Optional[tuple]:
-        """Superset columns over the H-watchers: edge endpoints and apex,
-        payload the watcher.  Unregistered watchers stay as dead entries
-        until over half are dead, and the columns are rebuilt from the
-        reservoir's live watchers."""
+        """Superset columns over the H-watchers: edge endpoints, apex and
+        count slot, payload the watcher.  Unregistered watchers stay as
+        dead entries until over half are dead, and the columns are rebuilt
+        from the reservoir's live watchers."""
         cols = self._wcols
         if cols.stale():
             watchers = [w for pair in self._reservoir.items() for w in pair.watchers]
-            cols.build([(*w.edge, w.x) for w in watchers], watchers)
+            cols.build([(*w.edge, w.x, w.slot) for w in watchers], watchers)
         return cols.view()
 
     def _seen_scan_scalar(self, src: Vertex, neighbors: Sequence[Vertex]) -> None:
@@ -934,23 +944,27 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         incremented live watchers — and hence every ``h`` — matches the
         scalar scan.
         """
-        f0, f1, x, watchers, _ = wcols
+        f0, f1, x, slot, watchers, _ = wcols
         if not watchers:
             return
-        for i in (mask.both(f0, f1) & (x != src64)).nonzero()[0].tolist():
-            watcher = watchers[i]
-            if watcher.x_arrived:
-                watcher.h += 1
+        h, arrived = self._hcounts.views()
+        slots = slot.view(np.intp)[mask.both(f0, f1) & (x != src64)]
+        h[slots[arrived.take(slots)]] += 1
 
-    def _offer_matched(self, matched: List[Edge], vertex: Vertex) -> None:
-        """Offer detected candidate pairs, in canonical (sorted) order.
+    def _offer_matched(self, matched: List[Edge], vertex: Vertex) -> bool:
+        """Offer detected candidate pairs, in canonical (sorted) order;
+        return whether the reservoir admitted any.
 
         The order matters: the membership dict's iteration order encodes
         insertion history, which a snapshot/restore cycle does not
-        preserve, and the reservoir's RNG consumption must not depend on
+        preserve, and which pair an admission places must not depend on
         it for resumed runs to be bit-identical to uninterrupted ones.
+        Algorithm R's draw depends only on the offer count and the fill
+        level, never on the item, so the reservoir decides first: a
+        rejected candidate builds neither its triangle nor a ``_Pair``,
+        and ``matched`` (which may come unsorted) is sorted only once a
+        candidate is admitted.
         """
-        collect = self._collect_pair
         if self._pass == 1:
             self._candidate_total += len(matched)
             if not self.sharded:
@@ -958,12 +972,16 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 # edge's first occurrence lies after this list.  (Sharded:
                 # pass 1 saw nothing, so offer everything.)
                 seen = self._seen_p2
-                for edge in matched:
-                    if edge not in seen:
-                        collect(edge, vertex)
-                return
-        for edge in matched:
-            collect(edge, vertex)
+                matched = [edge for edge in matched if edge not in seen]
+        draw = self._reservoir.draw
+        ordered: Optional[List[Edge]] = None
+        for i in range(len(matched)):
+            slot = draw()
+            if slot is not None:
+                if ordered is None:
+                    ordered = sorted(matched)
+                self._place_pair(slot, ordered[i], vertex)
+        return ordered is not None
 
     def _detect_scalar(self, vertex: Vertex, nset: Set[Vertex]) -> None:
         """Find triangles on sampled edges closed by the current list.
@@ -1023,7 +1041,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
 
     def snapshot(self) -> SketchState:
         """Full live state: sampler, reservoir (with watchers), counters."""
-        self._settle_h()
         return SketchState(
             self.STATE_KIND,
             self.STATE_VERSION,
@@ -1052,7 +1069,10 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._candidate_total = int(payload["candidate_total"])
         self._seen_p2 = {_as_edge(e) for e in payload["seen_p2"]}
         self._sampler.load_state_dict(payload["sampler"])
-        self._reservoir.load_state_dict(payload["reservoir"], decode_item=_decode_pair)
+        self._hcounts = store = _HCounts()
+        self._reservoir.load_state_dict(
+            payload["reservoir"], decode_item=lambda blob: _decode_pair(blob, store)
+        )
         self._watchers_by_edge = {}
         self._watchers_by_apex = {}
         for pair in self._reservoir.items():
@@ -1069,13 +1089,11 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             self._pairs_at.setdefault(pair.edge, []).append(pair)
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0
-        self._wcols = vectorized.EndpointColumns(width=3)
+        self._wcols = vectorized.EndpointColumns(width=4)
         self._vtable = vectorized.VertexTable()
         self._evict_buffer = None
         self._fresh = None
         self._member_index = None
-        self._owed = None
-        self._owed_to = None
 
     @classmethod
     def from_state(cls, state: SketchState) -> "TwoPassTriangleCounter":
@@ -1114,7 +1132,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """``|{(e, τ) ∈ Q : ρ(τ) = e}|`` — pairs won by their own edge."""
         pairs = self._reservoir.items()
         if not self.sharded:
-            self._settle_h()
             return sum(1 for pair in pairs if pair.rho_edge() == pair.edge)
         if pairs and vectorized.columnar_enabled():
             counted = self._counted_sharded(pairs)

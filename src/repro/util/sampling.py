@@ -188,7 +188,10 @@ class BottomKSampler(Generic[K]):
         return False
 
     def offer_many(
-        self, keys: Sequence[K], priorities: Optional[Sequence[int]] = None
+        self,
+        keys: Sequence[K],
+        priorities: Optional[Sequence[int]] = None,
+        admitted: Optional[List[int]] = None,
     ) -> int:
         """Offer each key in order; return how many offers were accepted.
 
@@ -199,6 +202,8 @@ class BottomKSampler(Generic[K]):
         ``priorities``, when given, holds ``priority(keys[i])`` as Python
         ints (e.g. a :meth:`priority_array` result's ``tolist()``), so a
         caller that hashed many keys in one batch skips the scalar hash.
+        ``admitted``, when given, receives the position in ``keys`` of
+        every key admitted (not of a repeat member), in order.
 
         Its loop holds the sampler's one admission step: a key below the
         threshold (or any key while the sample fills) is pushed, or
@@ -207,7 +212,7 @@ class BottomKSampler(Generic[K]):
         self.offers += len(keys)
         if self.capacity == 0:
             return 0
-        admitted = 0
+        accepted = 0
         members = self._members
         heap = self._heap
         hash_int = self._hash.hash_int
@@ -215,7 +220,7 @@ class BottomKSampler(Generic[K]):
         on_evict = self._on_evict
         for index, key in enumerate(keys):
             if key in members:
-                admitted += 1
+                accepted += 1
                 continue
             prio = hash_int(key) if priorities is None else priorities[index]
             full = len(members) >= capacity
@@ -229,11 +234,13 @@ class BottomKSampler(Generic[K]):
             members[key] = prio
             self._version += 1
             self._note_admit(key)
-            admitted += 1
+            accepted += 1
+            if admitted is not None:
+                admitted.append(index)
             if full and on_evict is not None:
                 on_evict(worst)
-        self.accepted += admitted
-        return admitted
+        self.accepted += accepted
+        return accepted
 
     def offer_array(self, priorities: np.ndarray, keys: Sequence[K]) -> int:
         """Batched :meth:`offer` over pre-hashed priorities; return the

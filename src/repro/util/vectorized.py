@@ -382,23 +382,32 @@ class EndpointColumns:
         items = list(items)
         if not items:
             return
-        labels = [label for row, _ in items for label in row]
-        ends = _uint64_column(labels)
+        ends = _uint64_column([label for row, _ in items for label in row])
         if ends is None:
             self._turn_off()
             return
+        self.extend_columns(ends.reshape(len(items), self.width).T, [p for _, p in items])
+
+    def extend_columns(self, columns: Any, payloads: List[Any]) -> None:
+        """Append entries given as ``uint64`` columns, one per tuple
+        position (a ``(width, k)`` array or ``width`` arrays), with their
+        ``payloads``, to the built columns."""
+        held = self.payloads
+        if held is None or not payloads:
+            return
         cols = self._cols
-        n, k = len(payloads), len(items)
+        n, k = len(held), len(payloads)
         if n + k > cols.shape[1]:
             grown = np.empty((self.width, 2 * (n + k) + 64), dtype=np.uint64)
             grown[:, :n] = cols[:, :n]
             cols = grown
-        cols[:, n : n + k] = ends.reshape(k, self.width).T
-        payloads.extend(payload for _, payload in items)
+        block = cols[:, n : n + k]
+        block[...] = columns
+        held.extend(payloads)
         assert self._view is not None
-        qmax = max(self._view[-1], max(labels))
+        qmax = max(self._view[-1], int(block.max()))
         self._cols = cols
-        self._view = (*cols[:, : n + k], payloads, qmax)
+        self._view = (*cols[:, : n + k], held, qmax)
 
     def queue(self, row: Any, payload: Any) -> None:
         """Queue one item for the next :meth:`view` (built columns only).
@@ -482,7 +491,13 @@ class RunOffers:
     ``offer_many`` with the hashes hoisted, :meth:`offer_rest` every
     remaining list in one ``offer_array`` call, and :meth:`offer_all`
     the whole run, switching from the first to the second once the
-    sample is full.  Lists must be offered in order, each once.  Keys
+    sample is full.  Given an ``admitted`` list, :meth:`offer` and
+    :meth:`offer_rest` (on a full sample, its survivors through one
+    ``offer_many``) note the pair index and key of every admission, for
+    a caller that needs each list's admissions and evictions without
+    offering list by list (:meth:`lists_of` dates them, and ``ends``
+    holds the pairs' canonical ``(min, max)`` endpoint columns).  Lists
+    must be offered in order, each once.  Keys
     are built from the run's own labels, as the per-list hooks build
     them (only the hashing reads the columns).  The sampler, its
     eviction callbacks and its offer tallies end exactly as per-key
@@ -492,20 +507,28 @@ class RunOffers:
     rejected without a lookup (the argument of ``offer_array``).
     """
 
-    __slots__ = ("pairs", "_sampler", "_labels", "_priorities", "_ends", "_survivors", "_next")
+    __slots__ = (
+        "pairs", "flat", "ends", "_counts", "_lists",
+        "_sampler", "_labels", "_priorities", "_survivors", "_next",
+    )
 
     def __init__(
         self,
         sampler: Any,
         labels: "_RunPairs",
         priorities: np.ndarray,
+        flat: np.ndarray,
         ends: Tuple[np.ndarray, np.ndarray],
+        counts: List[int],
     ) -> None:
         self.pairs = len(priorities)  # the run's pair count
+        self.flat = flat  # the neighbours' uint64 column, list after list
+        self.ends = ends
+        self._counts = counts  # each list's pair count
+        self._lists: Optional[np.ndarray] = None
         self._sampler = sampler
         self._labels = labels
         self._priorities = priorities
-        self._ends = ends  # the pairs' canonical (min, max) endpoint columns
         # Indices of the pairs at or below the threshold the sample had
         # when first seen full, plus a sentinel; None until then.
         self._survivors: Optional[List[int]] = None
@@ -542,19 +565,22 @@ class RunOffers:
             nbrs = np.concatenate(columns)
         counts = [len(neighbors) for _, neighbors in run]
         u, v = canonical_pair_columns(np.repeat(sources, counts), nbrs)
-        return cls(sampler, labels, sampler.priority_array(encode_pair_keys(u, v)), (u, v))
+        priorities = sampler.priority_array(encode_pair_keys(u, v))
+        return cls(sampler, labels, priorities, nbrs, (u, v), counts)
 
-    def first_row(self, key: Tuple[int, int]) -> Optional[int]:
-        """The list of the run's first pair equal to canonical ``key``, or
-        None if no pair of the run is."""
-        u, v = self._ends
-        found = np.flatnonzero((u == np.uint64(key[0])) & (v == np.uint64(key[1])))
-        if not len(found):
-            return None
-        return bisect.bisect_right(self._labels.ends, int(found[0]))
+    def lists(self) -> np.ndarray:
+        """Each pair's list in the run, as ``intp``."""
+        if self._lists is None:
+            self._lists = np.repeat(np.arange(len(self._counts)), self._counts)
+        return self._lists
 
-    def offer(self, index: int) -> None:
-        """Offer list ``index``'s pairs in order."""
+    def lists_of(self, pairs: np.ndarray) -> np.ndarray:
+        """The list of the run each of the pair indices ``pairs`` lies in."""
+        return self.lists().take(pairs)
+
+    def offer(self, index: int, admitted: Optional[List[Tuple[int, Any]]] = None) -> None:
+        """Offer list ``index``'s pairs in order; ``admitted``, when given,
+        receives ``(pair, key)`` for every key the sampler admits."""
         sampler = self._sampler
         labels = self._labels
         start, end = labels.bounds(index)
@@ -575,7 +601,12 @@ class RunOffers:
             (source, flat[j]) if source <= flat[j] else (flat[j], source) for j in picked
         ]
         priorities = self._priorities
-        sampler.offer_many(keys, [int(priorities[j]) for j in picked])
+        if admitted is None:
+            sampler.offer_many(keys, [int(priorities[j]) for j in picked])
+            return
+        positions: List[int] = []
+        sampler.offer_many(keys, [int(priorities[j]) for j in picked], positions)
+        admitted.extend([(picked[i], keys[i]) for i in positions])
 
     def _survivors_in(self, start: int, end: int) -> List[int]:
         """The pairs in ``[start, end)`` not above the full sample's threshold."""
@@ -612,10 +643,26 @@ class RunOffers:
             readings.append(sampler.space_words() + rest)
         return readings
 
-    def offer_rest(self, index: int) -> None:
-        """Offer lists ``index`` onward in one batch."""
-        start = self._labels.bounds(index)[0]
-        self._sampler.offer_array(self._priorities[start:], _Offset(self._labels, start))
+    def offer_rest(
+        self, index: int, admitted: Optional[List[Tuple[int, Any]]] = None
+    ) -> None:
+        """Offer lists ``index`` onward in one batch.  ``admitted``, when
+        given, receives ``(pair, key)`` for every key the sampler admits,
+        in order; the sample must then be full."""
+        labels, sampler = self._labels, self._sampler
+        start = labels.bounds(index)[0]
+        if admitted is None:
+            sampler.offer_array(self._priorities[start:], _Offset(labels, start))
+            return
+        if not sampler.capacity:
+            sampler.reject(self.pairs - start)
+            return
+        picked = self._survivors_in(start, self.pairs)
+        sampler.reject(self.pairs - start - len(picked))
+        keys = [labels[j] for j in picked]
+        positions: List[int] = []
+        sampler.offer_many(keys, self._priorities[picked].tolist(), positions)
+        admitted.extend([(picked[i], keys[i]) for i in positions])
 
 
 class RunMask:
@@ -644,22 +691,39 @@ class RunMask:
     def of(
         cls, columns: Sequence[np.ndarray], query_max: int, cap: int = 1 << 22
     ) -> Optional["RunMask"]:
-        """Mark list ``i``'s column in row ``i``; None past ``cap`` cells."""
-        flat = np.concatenate(columns)
-        hi = max(int(flat.max()), query_max)
-        if (hi + 1) * len(columns) > cap:
-            return None
-        width = -(-len(columns) // 8) * 8
-        table = np.zeros((hi + 1, width), dtype=bool)
+        """Mark list ``i``'s column in row ``i``; None past ``cap`` cells
+        (padding included)."""
         rows = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
-        table.ravel()[flat.astype(np.intp) * width + rows] = True
-        return cls(table, len(columns))
+        return cls.of_flat(np.concatenate(columns), rows, len(columns), query_max, cap)
+
+    @classmethod
+    def of_flat(
+        cls,
+        flat: np.ndarray,
+        rows: np.ndarray,
+        count: int,
+        query_max: int,
+        cap: int = 1 << 22,
+    ) -> Optional["RunMask"]:
+        """:meth:`of` for ``count`` lists given as one ``uint64`` column
+        ``flat`` of every list's ids and each id's list, ``rows`` (a
+        :class:`RunOffers`' ``flat`` and ``lists()``)."""
+        hi = max(int(flat.max()), query_max)
+        width = -(-count // 8) * 8
+        if (hi + 1) * width > cap:
+            return None
+        table = np.zeros((hi + 1, width), dtype=bool)
+        # Every id is below the cap, so its uint64 bits read as an intp.
+        table.ravel()[flat.view(np.intp) * width + rows] = True
+        return cls(table, count)
 
     def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``hit[i, row]``: list ``row`` holds both ends of ``(a[i], b[i])``
         (every id ``<= query_max``)."""
         table = self._table
-        result: np.ndarray = (table.take(a, axis=0) & table.take(b, axis=0))[:, : self.rows]
+        result: np.ndarray = (
+            table.take(a.view(np.intp), axis=0) & table.take(b.view(np.intp), axis=0)
+        )[:, : self.rows]
         return result
 
     def holds(self, ids: Any, rows: Any) -> Any:
@@ -671,13 +735,15 @@ class RunMask:
         """The edges (ascending indices) some list holds both ends of, and
         their rows of :meth:`both`'s answer."""
         table = self._table
-        hit = table.take(a, axis=0) & table.take(b, axis=0)
+        hit = table.take(a.view(np.intp), axis=0) & table.take(b.view(np.intp), axis=0)
         words = hit.view(np.uint64)
-        combined = words[:, 0].copy()
+        combined = words[:, 0]
         for k in range(1, words.shape[1]):
-            combined |= words[:, k]
-        entries = np.flatnonzero(combined)
-        return entries, hit[entries, : self.rows]
+            combined = combined | words[:, k]
+        # (A bool mask and take: several times cheaper than flatnonzero
+        # and fancy indexing on these sizes.)
+        entries = combined.astype(bool).nonzero()[0]
+        return entries, hit.take(entries, axis=0)[:, : self.rows]
 
     @staticmethod
     def by_row(hit: np.ndarray, entries: Optional[np.ndarray] = None) -> List[List[int]]:

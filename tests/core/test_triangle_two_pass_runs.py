@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import triangle_two_pass
 from repro.graph.generators import gnm_random_graph
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import PassCursor
@@ -93,4 +94,55 @@ def test_whole_pass_runs_match_the_scalar_oracle(name, budget, stream_seed):
         assert (k_meter.peak_words, k_meter.mean_words) == (
             o_meter.peak_words, o_meter.mean_words
         )
+    assert kernel_estimate == oracle_estimate
+
+
+def test_watcher_columns_dropped_mid_run_match_the_scalar_oracle(monkeypatch):
+    """A run whose fresh watchers overflow the watcher columns' queue
+    (which then drops the columns) counts H on rebuilt columns."""
+    from repro.util.vectorized import EndpointColumns
+
+    queue = EndpointColumns.queue
+
+    def overflowing(self, row, payload):
+        queue(self, row, payload)
+        self.drop()
+
+    graph = gnm_random_graph(300, 6000, seed=1)
+    with scalar_oracle():
+        oracle, oracle_estimate = _run(graph, 64, 1)
+    monkeypatch.setattr(EndpointColumns, "queue", overflowing)
+    kernel, kernel_estimate = _run(graph, 64, 1)
+    for (k_meter, k_payload), (o_meter, o_payload) in zip(kernel, oracle):
+        assert k_meter.readings == o_meter.readings
+        assert k_payload == o_payload
+    assert kernel_estimate == oracle_estimate
+
+
+def test_moved_h_counts_match_the_scalar_oracle(monkeypatch):
+    """With the slack made negative, the watchers' counts move to a new
+    store at every registration, mid-run included; the run route, which
+    then rebuilds its watcher columns, still counts as the scalar oracle
+    does."""
+    moves = []
+    compact = triangle_two_pass.TwoPassTriangleCounter._compact_h
+
+    def counted(self):
+        moves.append(self._pass)
+        compact(self)
+
+    monkeypatch.setattr(triangle_two_pass, "_H_SLACK", -(1 << 30))
+    monkeypatch.setattr(triangle_two_pass.TwoPassTriangleCounter, "_compact_h", counted)
+    graph = gnm_random_graph(300, 6000, seed=1)
+    with scalar_oracle():
+        oracle, oracle_estimate = _run(graph, 16, 1)
+    del moves[:]
+    kernel, kernel_estimate = _run(graph, 16, 1)
+    assert moves.count(1) > 16  # pass 2, past the pass-1 pairs' watchers
+    for (k_meter, k_payload), (o_meter, o_payload) in zip(kernel, oracle):
+        assert k_meter.readings == o_meter.readings
+        assert k_meter.batch_ends == {
+            end: o_meter.batch_ends[end] for end in k_meter.batch_ends
+        }
+        assert k_payload == o_payload
     assert kernel_estimate == oracle_estimate

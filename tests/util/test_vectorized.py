@@ -282,6 +282,46 @@ class TestRunOffers:
         assert offers.offer_all(3) == expected
         _assert_twins_equal(batch, scalar, logs)
 
+    @given(
+        run=st.lists(
+            st.tuples(
+                st.integers(0, 40), st.lists(st.integers(0, 40), max_size=SHORT_LIST)
+            ),
+            max_size=30,
+        ),
+        capacity=st.integers(0, 10),
+        seed=seeds,
+    )
+    @settings(max_examples=60)
+    def test_admitted_lists_match_per_key_offers(self, run, capacity, seed):
+        """Offered list by list while the sample fills and the rest in
+        one batch, ``admitted`` names every admission's pair and key, in
+        order, as per-key offers make them: ``lists_of`` dates each pair
+        and ``ends`` holds its key's endpoints."""
+        batch, scalar, logs = _logged_twins(capacity, seed)
+        offers = RunOffers.of(batch, run)
+        if offers is None:
+            return
+        admitted = []
+        index = 0
+        while index < len(run) and len(batch) < capacity:
+            offers.offer(index, admitted)
+            index += 1
+        if index < len(run):
+            offers.offer_rest(index, admitted)
+        expected = []
+        for row, (vertex, neighbors) in enumerate(run):
+            for key in [canonical_edge(vertex, n) for n in neighbors]:
+                fresh = key not in scalar
+                if scalar.offer(key) and fresh:
+                    expected.append((row, key))
+        pairs = np.array([pair for pair, _ in admitted], dtype=np.intp)
+        rows = offers.lists_of(pairs).tolist()
+        assert list(zip(rows, [key for _, key in admitted])) == expected
+        u, v = offers.ends
+        assert list(zip(u[pairs].tolist(), v[pairs].tolist())) == [key for _, key in expected]
+        _assert_twins_equal(batch, scalar, logs)
+
     def test_run_past_the_pair_cap(self):
         """Runs over ``RUN_PAIRS`` pairs (the runner cuts them there) and
         lists just under ``SHORT_LIST`` still match."""
@@ -348,14 +388,19 @@ class TestEndpointColumns:
         edges=st.lists(st.tuples(uint64s, uint64s), max_size=90),
         built=st.integers(0, 90),
         extended=st.integers(0, 90),
+        columned=st.integers(0, 90),
     )
-    def test_view_matches_edges_in_order(self, edges, built, extended):
+    def test_view_matches_edges_in_order(self, edges, built, extended, columned):
         payloads = [repr(e) for e in edges]
         cols = EndpointColumns()
         cols.build(edges[:built], payloads[:built], version=1)
         middle = slice(built, built + extended)
         cols.extend(zip(edges[middle], payloads[middle]))
-        for edge, payload in zip(edges[built + extended:], payloads[built + extended:]):
+        given = slice(built + extended, built + extended + columned)
+        ends = np.array(edges[given], dtype=np.uint64).reshape(-1, 2)
+        cols.extend_columns((ends[:, 0], ends[:, 1]), payloads[given])
+        rest = built + extended + columned
+        for edge, payload in zip(edges[rest:], payloads[rest:]):
             cols.queue(edge, payload)
         a, b, seen, qmax = cols.view()
         assert list(zip(a.tolist(), b.tolist())) == edges
@@ -446,11 +491,22 @@ class TestRunMask:
                 assert bool(mask.holds(x, row)) == (x in members)
 
     def test_declines_past_the_cap(self):
+        # Two lists take 8 cells per id (padding included): 25 ids fill 200.
         columns = [_as_u64([1, 2]), _as_u64([3, 4])]
-        assert RunMask.of(columns, query_max=99, cap=200) is not None
-        assert RunMask.of(columns, query_max=100, cap=200) is None
+        assert RunMask.of(columns, query_max=24, cap=200) is not None
+        assert RunMask.of(columns, query_max=25, cap=200) is None
         assert RunMask.of(columns, query_max=0) is not None
         assert RunMask.of([_as_u64([1 << 21])] * 2, query_max=0) is None
+
+    @pytest.mark.parametrize("lists", [1, 2, 3, 7, 8, 9])
+    def test_cap_counts_the_padding(self, lists):
+        """The cap bounds the cells allocated: a run of 1-8 lists takes 8
+        per id, a run of 9-16 lists 16."""
+        width = 8 if lists <= 8 else 16
+        columns = [_as_u64([0])] * lists
+        mask = RunMask.of(columns, query_max=1023, cap=1024 * width)
+        assert mask is not None and mask._table.size == 1024 * width
+        assert RunMask.of(columns, query_max=1024, cap=1024 * width) is None
 
 
 class TestAdmissionLog:
