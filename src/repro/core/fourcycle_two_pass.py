@@ -137,8 +137,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         # Hash view of Q for short lists: endpoint pair (u, v) -> centres
         # of the wedges u - c - v.  Derived from _wedges, built lazily.
         self._wedge_index: Optional[Dict[Edge, List[Vertex]]] = None
-        # Reusable membership table for the completion test.
-        self._vtable = vectorized.VertexTable()
 
     def _edge_evicted(self, edge: Edge) -> None:
         self._evictions += 1
@@ -222,23 +220,15 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         """Completion test of a long run: every list against Q at once.
 
         Q is fixed in pass 2, so one table over the run's lists finds the
-        same (wedge, list) matches as ``end_list`` per list.  A run whose
-        table would pass the cap is tested list by list on one
-        :class:`~repro.util.vectorized.ListMask` each, and wedge columns
-        a non-``uint64`` label turned off send it to ``end_list``.
+        same (wedge, list) matches as ``end_list`` per list.  Wedge columns
+        a non-``uint64`` label turned off send the run to the per-list
+        hooks.
         """
         distinct = self._distinct_cycles
         cols = self._wedge_columns()
-        mask = vectorized.RunMask.of(columns, cols[3]) if cols is not None else None
-        if mask is None:
-            readings = []
-            for (vertex, neighbors), column in zip(run, columns):
-                if cols is None:
-                    self.end_list(vertex, neighbors)
-                else:
-                    self._complete_list(vertex, column, cols)
-                readings.append(rest + 4 * len(distinct))
-            return readings
+        if cols is None:
+            return super().process_run(run, columns)
+        mask = vectorized.RunMask.of(columns, cols[3])
         wu, wv, wedges, _ = cols
         hit = mask.both(wu, wv)
         wedges_at = self._wedges_at
@@ -257,24 +247,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
                 distinct.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
             readings.append(rest + 4 * len(distinct))
         return readings
-
-    def _complete_list(self, vertex: Vertex, nbrs: np.ndarray, cols: tuple) -> None:
-        """Completion test of one long list on a list mask: both wedge
-        endpoints adjacent to the closing vertex, which is not the
-        wedge's centre."""
-        wu, wv, wedges, query_max = cols
-        if not wedges:
-            return
-        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
-            hit = mask.both(wu, wv)
-        own = self._wedges_at.get(vertex)
-        if own:
-            hit[own] = False
-        self._multiplicity_total += int(np.count_nonzero(hit))
-        if self.mode == "distinct":
-            for i in hit.nonzero()[0].tolist():
-                wedge = wedges[i]
-                self._distinct_cycles.add(cycle_key(wedge.u, wedge.center, wedge.v, vertex))
 
     def _complete_probe(self, run: Sequence[Tuple[Vertex, Sequence[Vertex]]]) -> None:
         """Completion test of short lists: look up each neighbour pair.
@@ -401,7 +373,6 @@ class TwoPassFourCycleCounter(StreamingAlgorithm):
         self._wedge_cols = vectorized.EndpointColumns()
         self._wedges_at = {}
         self._wedge_index = None
-        self._vtable = vectorized.VertexTable()
 
     @classmethod
     def from_state(cls, state: SketchState) -> "TwoPassFourCycleCounter":

@@ -51,7 +51,9 @@ Detection bookkeeping (faithful to Section 3.3.1):
 
 The per-list hooks do this list by list and are the scalar oracle.  The
 run route (``process_run``) does the same for a long run of lists on one
-:class:`~repro.util.vectorized.RunMask` per pass:
+:class:`~repro.util.vectorized.RunMask` per pass, whatever the size of its
+``uint64`` labels (a run holding a label with no ``uint64`` value, or in
+pass 2 one source twice, takes the per-list hooks):
 
 * Pass 1 offers the whole run to the edge sampler first, noting each
   list's evicted edges; the sampler never reads the reservoir.  Under
@@ -309,8 +311,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0  # admission-log cursor: columns cover log[:pos]
         self._wcols = vectorized.EndpointColumns(width=4)
-        # Reusable membership table for the columnar per-list scans.
-        self._vtable = vectorized.VertexTable()
         # While the run route offers a run, _edge_evicted defers the edges
         # it evicts into this buffer (see _offer_run).
         self._evict_buffer: Optional[List[Edge]] = None
@@ -531,68 +531,58 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         run is tested against one :class:`~repro.util.vectorized.RunMask`
         in both passes: pass 1 hashes and offers the whole run first
         (:meth:`_offer_run`), pass 2 scans it on a frozen sample
-        (:meth:`_scan_run`).  Where a label or the table's size rules the
-        mask out, the run goes list by list: pass 1 offers each list's
-        pairs (:class:`~repro.util.vectorized.RunOffers`, or the scalar
-        ``offer_many`` for a short run), drops its evicted pairs and
-        detects; pass 2 marks each list's arrived watchers and scans it.
-        A short list probes its neighbour pairs (:meth:`_end_list_short`),
-        a long one is scanned on one
-        :class:`~repro.util.vectorized.ListMask` (:meth:`_end_list_col`).
+        (:meth:`_scan_run`).  A long run that cannot take the mask (a
+        label with no ``uint64`` value, or in pass 2 a repeated source)
+        goes through the per-list hooks.  A short run goes list by list:
+        pass 1 offers each list's pairs
+        (:class:`~repro.util.vectorized.RunOffers`, or the scalar
+        ``offer_many``), pass 2 marks its arrived watchers and does the
+        seen-edge scan, and each list then probes its neighbour pairs
+        (:meth:`_end_list_short`).
         """
-        space_words = self.space_words
+        if columns is not None:
+            if self._pass == 0:
+                done = self._offer_long_run(run, columns)
+            else:
+                done = self._scan_run(run, columns)
+            return super().process_run(run, columns) if done is None else done
+        space_words, end_short = self.space_words, self._end_list_short
         readings: List[int] = []
         if self._pass == 0:
-            offers = vectorized.RunOffers.of(self._sampler, run, columns)
-            if offers is not None and columns is not None:
-                if self.sharded:
-                    # Nothing is collected before pass 2 in this discipline,
-                    # so an eviction drops no pair and only the sample moves.
-                    self._pair_count += offers.pairs
-                    return offers.offer_all(space_words() - self._sampler.space_words())
-                offered = self._offer_run(run, columns, offers)
-                if offered is not None:
-                    return offered
-            end_short = self._end_list_short
+            offers = vectorized.RunOffers.of(self._sampler, run)
             for index, (vertex, neighbors) in enumerate(run):
                 if offers is None:
                     self._offer_pairs(vertex, neighbors)
                 else:
                     self._pair_count += len(neighbors)
                     offers.offer(index)
-                if columns is None:
-                    end_short(vertex, neighbors)
-                elif not self.sharded:
-                    self._end_list_col(vertex, neighbors, columns[index])
+                end_short(vertex, neighbors)
                 readings.append(space_words())
             return readings
-        if columns is not None:
-            scanned = self._scan_run(run, columns)
-            if scanned is not None:
-                return scanned
-        by_apex, end_short = self._watchers_by_apex, self._end_list_short
-        for index, (vertex, neighbors) in enumerate(run):
+        by_apex = self._watchers_by_apex
+        for vertex, neighbors in run:
             for watcher in by_apex.get(vertex, ()):
                 watcher.x_arrived = True
-            if columns is not None:
-                self._end_list_col(vertex, neighbors, columns[index])
-            else:
-                if not self.sharded:
-                    self._seen_scan_scalar(vertex, neighbors)
-                end_short(vertex, neighbors)
+            if not self.sharded:
+                self._seen_scan_scalar(vertex, neighbors)
+            end_short(vertex, neighbors)
             readings.append(space_words())
         return readings
 
-    def _run_mask(
-        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list, query_max: int
-    ) -> Optional[Tuple[vectorized.RunMask, np.ndarray]]:
-        """The run's table and its source column, or None when a source
-        label has no ``uint64`` value or the table would pass the cap."""
-        sources = vectorized.as_vertex_array([vertex for vertex, _ in run])
-        if sources is None:
+    def _offer_long_run(
+        self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
+    ) -> Optional[List[int]]:
+        """First pass over a long run, or None (before anything is
+        mutated) for the per-list hooks."""
+        offers = vectorized.RunOffers.of(self._sampler, run, columns)
+        if offers is None:
             return None
-        mask = vectorized.RunMask.of(columns, max(query_max, int(sources.max())))
-        return None if mask is None else (mask, sources)
+        if self.sharded:
+            # Nothing is collected before pass 2 in this discipline, so an
+            # eviction drops no pair and only the sample moves.
+            self._pair_count += offers.pairs
+            return offers.offer_all(self.space_words() - self._sampler.space_words())
+        return self._offer_run(run, columns, offers)
 
     def _offer_run(
         self,
@@ -601,7 +591,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         offers: vectorized.RunOffers,
     ) -> Optional[List[int]]:
         """Conventional first pass over a long run on one table, or None
-        (before anything is mutated) to go list by list.
+        (before anything is mutated) for the per-list hooks.
 
         The sampler never reads the reservoir, so every list is offered
         first: one list at a time while the sample fills, then the rest
@@ -621,14 +611,12 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """
         sampler = self._sampler
         mcols = self._member_columns()
-        mask = None
-        if mcols is not None:
-            # The keys admitted in the run join the queries: their larger
-            # ends are the run's (source, neighbour) maxima.
-            query_max = max(mcols[-1], int(offers.ends[1].max()))
-            mask = vectorized.RunMask.of_flat(offers.flat, offers.lists(), len(run), query_max)
-        if mask is None:
+        if mcols is None:
             return None
+        # The keys admitted in the run join the queries: their larger ends
+        # are the run's (source, neighbour) maxima.
+        query_max = max(mcols[-1], int(offers.ends[1].max()))
+        mask = vectorized.RunMask.of_flat(offers.flat, offers.lists(), len(run), query_max)
         rows, capacity = len(run), sampler.capacity
         admitted: List[Tuple[int, Edge]] = []  # (pair, key), in admission order
         evicted: List[Edge] = []
@@ -687,7 +675,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self, run: List[Tuple[Vertex, Sequence[Vertex]]], columns: list
     ) -> Optional[List[int]]:
         """Second pass over a long run on one table, in stream order, or
-        None (before anything is mutated) to go list by list.
+        None (before anything is mutated) for the per-list hooks.
 
         The sample is frozen in pass 2, so one table over the run's lists
         finds the same sampled edges per list as ``process_list`` and
@@ -700,20 +688,19 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         """
         scan = not self.sharded
         mcols = self._member_columns()
-        wcols = self._watcher_columns() if scan else None
-        if mcols is None or (scan and wcols is None):
+        if mcols is None:
             return None
-        query_max = mcols[-1] if wcols is None else max(mcols[-1], wcols[-1])
-        found = self._run_mask(run, columns, query_max)
-        if found is None:
-            return None
-        mask, sources = found
-        if scan:
-            if len({vertex for vertex, _ in run}) < len(run):
-                return None  # a repeated source: list by list
+        if not scan:
+            mask = vectorized.RunMask.of(columns, mcols[-1])
+        else:
+            wcols = self._watcher_columns()
+            sources = vectorized.as_vertex_array([vertex for vertex, _ in run])
+            if wcols is None or sources is None or len({v for v, _ in run}) < len(run):
+                return None  # a label with no uint64 value, or a repeated source
+            mask = vectorized.RunMask.of(columns, max(mcols[-1], wcols[-1]), ids=sources)
             # Each id's row as a list source; ``rows`` for an id with none.
-            source_row = np.full(max(query_max, int(sources.max())) + 1, len(run))
-            source_row[sources] = np.arange(len(run))
+            source_row = np.full(mask.size, len(run))
+            source_row[mask.index(sources)] = np.arange(len(run))
             by_vertex, holds = self._members_by_vertex(), mask.holds
             self._fresh = fresh = []
             fresh_rows: List[int] = []
@@ -779,7 +766,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             start = np.array([installed.get(w, -1) for w in wcols[4]], dtype=np.intp)
         f0, f1, x, slot, _, _ = wcols
         touched, closes = mask.hits(f0, f1)
-        apex = source_row.take(x)
+        apex = source_row.take(mask.index(x))
         slot = slot.view(np.intp)
         h, arrived = self._hcounts.views()
         at, since, slots = apex.take(touched), start.take(touched), slot.take(touched)
@@ -803,42 +790,7 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             self._count_h_probe(vertex, pairs)
         self._detect_probe(vertex, pairs)
 
-    def _end_list_col(
-        self, vertex: Vertex, neighbors: Sequence[Vertex], nbrs: np.ndarray
-    ) -> None:
-        """``end_list`` of a long list with ``uint64`` column ``nbrs``, on
-        one :class:`~repro.util.vectorized.ListMask` (a long run whose
-        table would pass the cap).
-
-        In the conventional second pass it first does ``process_list``'s
-        seen-edge scan, fused with detection: which sampled edges appear
-        in this list shares the list mask and the endpoint lookups with
-        candidate detection.  Membership is frozen in pass 2 and the
-        member columns were rebuilt at the pass boundary, so they are
-        exact.  Columns a non-``uint64`` label turned off send the list
-        to the scalar hooks.
-        """
-        scan = self._pass == 1 and not self.sharded
-        # Bring the views up to date *before* building the list mask,
-        # which must cover every id they hold.
-        mcols = self._member_columns()
-        wcols = self._watcher_columns() if scan else None
-        src64 = vectorized.as_vertex_scalar(vertex) if scan else None
-        if mcols is None or (scan and (wcols is None or src64 is None)):
-            if scan:
-                self._seen_scan_scalar(vertex, neighbors)
-            self.end_list(vertex, neighbors)
-            return
-        query_max = mcols[-1] if wcols is None else max(mcols[-1], wcols[-1])
-        with vectorized.ListMask(self._vtable, nbrs, query_max) as mask:
-            hit: Optional[np.ndarray] = None
-            if scan and mcols[2]:
-                hit = self._seen_scan_col(src64, mcols, mask)
-            if wcols is not None:
-                self._count_h_col(src64, wcols, mask)
-            self._detect_col(vertex, mcols, mask, hit)
-
-    # -- columnar per-list views ----------------------------------------------
+    # -- columnar views and per-list scans -------------------------------------
 
     def _member_columns(self) -> Optional[tuple]:
         """Superset columns over the sampled edges, payload the key.
@@ -894,23 +846,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
             if edge in members and edge not in seen:
                 seen.add(edge)
 
-    def _seen_scan_col(
-        self, src64: int, mcols: tuple, mask: vectorized.ListMask
-    ) -> np.ndarray:
-        """Fused pass-2 scan: update seen edges, return the detect mask.
-
-        A sampled edge has appeared in this list iff one endpoint is the
-        source and the other is a neighbour; the same per-endpoint masks
-        give candidate detection's both-endpoints mask for free, so the
-        caller passes the returned mask straight to ``_detect_col``.
-        """
-        mu, mv, keys, _ = mcols
-        lu = mask.member(mu)
-        lv = mask.member(mv)
-        incident = ((mu == src64) & lv) | ((mv == src64) & lu)
-        self._seen_p2.update(keys[i] for i in incident.nonzero()[0].tolist())
-        return lu & lv
-
     def _count_h_scalar(self, vertex: Vertex, nset: Set[Vertex]) -> None:
         """Increment watchers whose edge is closed by the current list."""
         for f, watchers in self._watchers_by_edge.items():
@@ -933,23 +868,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
                 for watcher in watchers:
                     if vertex != watcher.x and watcher.x_arrived:
                         watcher.h += 1
-
-    def _count_h_col(
-        self, src64: np.uint64, wcols: tuple, mask: vectorized.ListMask
-    ) -> None:
-        """Columnar watcher scan, identical increments to the scalar scan.
-
-        The columns hold every live watcher (dead entries belong to
-        displaced pairs, whose counts nothing reads), so the set of
-        incremented live watchers — and hence every ``h`` — matches the
-        scalar scan.
-        """
-        f0, f1, x, slot, watchers, _ = wcols
-        if not watchers:
-            return
-        h, arrived = self._hcounts.views()
-        slots = slot.view(np.intp)[mask.both(f0, f1) & (x != src64)]
-        h[slots[arrived.take(slots)]] += 1
 
     def _offer_matched(self, matched: List[Edge], vertex: Vertex) -> bool:
         """Offer detected candidate pairs, in canonical (sorted) order;
@@ -1009,34 +927,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         if matched:
             self._offer_matched(matched, vertex)
 
-    def _detect_col(
-        self,
-        vertex: Vertex,
-        mcols: tuple,
-        mask: vectorized.ListMask,
-        hit: Optional[np.ndarray] = None,
-    ) -> None:
-        """Columnar candidate detection; same matches as the scalar scan.
-
-        Hits are filtered against the live membership (stale,
-        since-evicted entries miss).  A re-admitted key appears twice in
-        the superset columns, so matches accumulate in a set before the
-        canonical sort.  ``hit``, when the fused pass-2 scan already
-        computed the both-endpoints mask, skips recomputing it.
-        """
-        mu, mv, keys, _ = mcols
-        if not keys:
-            return
-        if hit is None:
-            hit = mask.both(mu, mv)
-        indices = hit.nonzero()[0]
-        if not len(indices):
-            return
-        membership = self._sampler.membership()
-        matched = {keys[i] for i in indices.tolist() if keys[i] in membership}
-        if matched:
-            self._offer_matched(sorted(matched), vertex)
-
     # -- sketch state protocol -------------------------------------------------
 
     def snapshot(self) -> SketchState:
@@ -1090,7 +980,6 @@ class TwoPassTriangleCounter(StreamingAlgorithm):
         self._mcols = vectorized.EndpointColumns()
         self._mcol_pos = 0
         self._wcols = vectorized.EndpointColumns(width=4)
-        self._vtable = vectorized.VertexTable()
         self._evict_buffer = None
         self._fresh = None
         self._member_index = None

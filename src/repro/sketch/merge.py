@@ -14,9 +14,8 @@ state components the two-pass counters carry:
 * **reservoir samples** over *disjoint* shard streams merge by weighted
   draw (multivariate hypergeometric allocation over the shards' offered
   counts, then uniform picks within each shard's sample), which preserves
-  uniformity over the union; reservoirs that evolved from a shared
-  non-empty base merge by a documented *heuristic* (keep base items that
-  survived everywhere, combine their counters, weighted-fill the rest).
+  uniformity over the union.  Only that case merges: reservoirs that
+  evolved from a base already holding items raise :class:`MergeError`.
 
 ``merge_states`` dispatches on ``SketchState.kind`` through a registry so
 new algorithms can plug in their own mergers.
@@ -179,55 +178,30 @@ def _weighted_fill(
 
 
 def merge_reservoir_payloads(
-    payloads: Sequence[Dict],
-    base: Optional[Dict],
-    rng: random.Random,
-    item_key: Optional[Callable[[Any], Any]] = None,
-    combine_matched: Optional[Callable[[Any, List[Any]], Any]] = None,
+    payloads: Sequence[Dict], base: Optional[Dict], rng: random.Random
 ) -> Dict:
     """Merge ``ReservoirSampler.state_dict`` payloads.
 
-    With an empty (or absent) base the shards' candidate streams are
-    disjoint and the weighted merge is uniform over their union — the
-    estimator-preserving case.  With a non-empty base the merge is a
-    heuristic: a base item survives iff it survived in *every* shard
-    (identified via ``item_key``), matched copies are combined with
-    ``combine_matched`` (e.g. summing watcher counters), and the remaining
-    capacity is weighted-filled from the shard-new items.
+    The shards' candidate streams past ``base`` are disjoint, so the
+    weighted merge is uniform over their union.  A base whose reservoir
+    holds items raises :class:`MergeError`: shards that share collected
+    items have no merge that keeps the sample uniform.
     """
     capacity = _require_equal(payloads, "capacity")
-    key_of = item_key if item_key is not None else (lambda item: repr(item))
-    base_items = list(base["items"]) if base is not None else []
-    base_offered = int(base["offered"]) if base is not None else 0
-    offered = _delta_sum([int(p["offered"]) for p in payloads], base_offered)
-
-    kept: List[Any] = []
-    if base_items:
-        base_keys = [key_of(item) for item in base_items]
-        shard_maps = [{key_of(it): it for it in p["items"]} for p in payloads]
-        for key, item in zip(base_keys, base_items):
-            copies = [m[key] for m in shard_maps if key in m]
-            if len(copies) == len(shard_maps):
-                kept.append(
-                    combine_matched(item, copies) if combine_matched else item
-                )
-        base_key_set = set(base_keys)
-        pools = [
-            (
-                [it for it in p["items"] if key_of(it) not in base_key_set],
-                int(p["offered"]) - base_offered,
+    base_offered = 0
+    if base is not None:
+        if base["items"]:
+            raise MergeError(
+                "the base reservoir holds items: shards that share collected "
+                "items do not merge exactly"
             )
-            for p in payloads
-        ]
-    else:
-        pools = [(list(p["items"]), int(p["offered"]) - base_offered) for p in payloads]
-
-    items = kept + _weighted_fill(pools, capacity - len(kept), rng)
+        base_offered = int(base["offered"])
+    pools = [(list(p["items"]), int(p["offered"]) - base_offered) for p in payloads]
     return {
         "capacity": capacity,
-        "offered": offered,
+        "offered": _delta_sum([int(p["offered"]) for p in payloads], base_offered),
         "rng_state": payloads[0]["rng_state"],
-        "items": items,
+        "items": _weighted_fill(pools, capacity, rng),
     }
 
 
@@ -245,48 +219,17 @@ def _merge_reservoir(payloads, base, rng):
     return merge_reservoir_payloads(payloads, base, rng)
 
 
-def _pair_identity(item: Dict) -> Tuple:
-    return (item["edge"], item["triangle"])
-
-
-def _combine_pair(base_item: Dict, copies: List[Dict]) -> Dict:
-    """Combine the shard copies of one base reservoir pair.
-
-    Watcher H-counters are summed as deltas over the base (each shard saw a
-    disjoint slice of the closings); arrival flags OR together.  Watchers
-    are matched by their (edge, apex) identity.
-    """
-    merged_watchers = []
-    copy_maps = [
-        {(w[0], w[1]): w for w in copy["watchers"]} for copy in copies
-    ]
-    for watcher in base_item["watchers"]:
-        edge, x, arrived, h = watcher
-        for copy_map in copy_maps:
-            match = copy_map.get((edge, x))
-            if match is None:
-                continue
-            arrived = arrived or match[2]
-            h += match[3] - watcher[3]
-        merged_watchers.append([edge, x, arrived, h])
-    return {
-        "edge": base_item["edge"],
-        "triangle": base_item["triangle"],
-        "watchers": merged_watchers,
-    }
-
-
 @register_merger(TRIANGLE_KIND)
 def _merge_triangle(payloads, base, rng):
     """Merge two-pass triangle counter states.
 
     Exact components: the bottom-k edge sample, the pair/candidate
     counters, and the pass-2 ``seen`` set.  The candidate reservoir is the
-    estimator-preserving weighted merge when shards collect disjoint
-    candidate slices (the sharded collection mode), and the keep-if-
-    everywhere heuristic otherwise.  Reservoir pairs whose edge fell out
-    of the merged sample are dropped, mirroring the eviction callback of
-    the single-stream algorithm.
+    estimator-preserving weighted merge of the disjoint candidate slices
+    shards collect in the sharded mode, whose base holds no pairs; a base
+    holding pairs raises :class:`MergeError`.  Reservoir pairs whose edge
+    fell out of the merged sample are dropped, mirroring the eviction
+    callback of the single-stream algorithm.
     """
     for field in ("sample_size", "sharded", "rho_key", "pass"):
         _require_equal(payloads, field)
@@ -305,8 +248,6 @@ def _merge_triangle(payloads, base, rng):
         [p["reservoir"] for p in payloads],
         base["reservoir"] if base is not None else None,
         rng,
-        item_key=_pair_identity,
-        combine_matched=_combine_pair,
     )
     reservoir["items"] = [
         item for item in reservoir["items"] if item["edge"] in member_edges

@@ -17,11 +17,10 @@ replacements for the scalar implementations in :mod:`repro.util.hashing`:
 
 On top of them sits the two-pass counters' columnar layer, all of it
 reached through their ``process_run`` hook: :class:`EndpointColumns`
-(sample edges as growable ``uint64`` endpoint columns) and
-:class:`ListMask` (one adjacency list tested against such columns), plus
+(sample edges as growable ``uint64`` endpoint columns),
 :class:`RunOffers`, the first-pass offers of a whole run of lists hashed
 in one batch, and :class:`RunMask`, every list of a run tested against
-columns that stay fixed during it.  :class:`RunOffers` only hashes and
+such columns while they stay fixed.  :class:`RunOffers` only hashes and
 filters: its offers go through the sampler's ``offer_many`` and
 ``offer_array``, so the sampler keeps the one admission path and the
 one tally of offers.
@@ -51,9 +50,11 @@ instead of scanning the sample.  A long run is tested against the
 sample with one :class:`RunMask`: in pass 2, where the sample is
 frozen, by every two-pass counter, and in pass 1 by the conventional
 triangle counter, which offers the run first and then knows each key's
-membership per list.  A run whose table would pass
-:class:`VertexTable`'s cap is done list by list, each list on one
-:class:`ListMask`.
+membership per list.  The table takes any ``uint64`` labels: past a
+cell cap it is indexed by each id's rank among the run's ids.  A long run
+that cannot take it goes through the per-list hooks: one whose sources
+or sample hold a label with no ``uint64`` value, or, in the conventional
+triangle counter's second pass, one that holds a source twice.
 
 The module-level switch :func:`set_columnar_enabled` /
 :func:`scalar_oracle` lets tests and benchmarks force every consumer back
@@ -82,14 +83,11 @@ import numpy as np
 
 __all__ = [
     "as_vertex_array",
-    "as_vertex_scalar",
     "canonical_pair_columns",
     "ColumnMemo",
     "columnar_enabled",
     "encode_pair_keys",
     "EndpointColumns",
-    "in_sorted",
-    "ListMask",
     "mixhash_int_array",
     "RUN_PAIRS",
     "RunMask",
@@ -98,7 +96,6 @@ __all__ = [
     "set_columnar_enabled",
     "SHORT_LIST",
     "splitmix64_array",
-    "VertexTable",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -203,16 +200,6 @@ def as_vertex_array(vertices: Sequence) -> Optional[np.ndarray]:
     return _uint64_column(vertices)
 
 
-def as_vertex_scalar(vertex: object) -> Optional[np.uint64]:
-    """Single-vertex counterpart of :func:`as_vertex_array`."""
-    if type(vertex) is not int:
-        return None
-    try:
-        return np.uint64(vertex)
-    except (OverflowError, ValueError, TypeError):
-        return None
-
-
 class ColumnMemo:
     """Identity-keyed memo of per-list vertex-id columns.
 
@@ -247,73 +234,7 @@ def canonical_pair_columns(
     return np.minimum(neighbors, source), np.maximum(neighbors, source)
 
 
-def in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership mask of ``queries`` against an ascending-sorted array.
-
-    ``searchsorted`` beats ``np.isin`` here: the counters test several
-    query columns against one adjacency list, and ``isin`` would re-sort
-    both sides every time, while this is one binary search per query
-    against the list sorted once per :class:`ListMask`.
-    """
-    count = len(sorted_values)
-    if count == 0:
-        return np.zeros(len(queries), dtype=bool)
-    idx = np.searchsorted(sorted_values, queries)
-    np.minimum(idx, count - 1, out=idx)
-    result: np.ndarray = sorted_values[idx] == queries
-    return result
-
-
-class VertexTable:
-    """Reusable boolean lookup table for small-integer vertex universes.
-
-    Membership masks via direct indexing: an order of magnitude cheaper
-    than ``searchsorted`` at adjacency-list sizes because a fancy-indexed
-    boolean gather has essentially no per-call dispatch cost.  Only
-    engages when the largest id involved stays under ``universe_cap``
-    (generated graphs label vertices ``0..n-1``, so this is the universal
-    case); :class:`ListMask` falls back to :func:`in_sorted` otherwise.
-
-    Usage discipline (kept by :class:`ListMask`): :meth:`mark` the current
-    adjacency list, run any number of :meth:`lookup` calls whose query
-    values are ``<=`` the ``query_max`` passed to ``mark``, then
-    :meth:`unmark` with the same values.  Unmarking only clears the set
-    positions, so the buffer is reused across lists without O(universe)
-    zeroing.
-    """
-
-    __slots__ = ("_table", "_cap")
-
-    def __init__(self, universe_cap: int = 1 << 22) -> None:
-        self._table = np.zeros(0, dtype=bool)
-        self._cap = universe_cap
-
-    def mark(self, values: np.ndarray, query_max: int) -> bool:
-        """Mark ``values`` present; return False (no-op) if the universe
-        implied by ``max(values.max(), query_max)`` exceeds the cap."""
-        if len(values) == 0:
-            return False
-        hi = int(values.max())
-        if query_max > hi:
-            hi = query_max
-        if hi >= self._cap:
-            return False
-        if hi >= len(self._table):
-            self._table = np.zeros(hi + 1, dtype=bool)
-        self._table[values] = True
-        return True
-
-    def lookup(self, queries: np.ndarray) -> np.ndarray:
-        """Boolean membership mask for ``queries`` (all ``<= query_max``)."""
-        result: np.ndarray = self._table[queries]
-        return result
-
-    def unmark(self, values: np.ndarray) -> None:
-        """Clear exactly the positions set by the matching :meth:`mark`."""
-        self._table[values] = False
-
-
-# -- the counters' per-list layer ----------------------------------------------
+# -- the counters' columnar layer ----------------------------------------------
 
 class EndpointColumns:
     """Growable ``uint64`` columns over fixed-width label tuples (edges by
@@ -441,42 +362,6 @@ class EndpointColumns:
     def _turn_off(self) -> None:
         self.drop()
         self._on = False
-
-
-class ListMask:
-    """One adjacency list's membership, tested against endpoint columns.
-
-    Marks the list in a :class:`VertexTable` when every id involved (up
-    to ``query_max``) fits it, else sorts the list once for
-    :func:`in_sorted`.  A context manager: leaving it clears the marks.
-    """
-
-    __slots__ = ("_values", "_table", "_sorted")
-
-    def __init__(self, table: VertexTable, values: np.ndarray, query_max: int) -> None:
-        self._values = values
-        marked = table.mark(values, query_max)
-        self._table = table if marked else None
-        self._sorted = None if marked else np.sort(values)
-
-    def __enter__(self) -> "ListMask":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._table is not None:
-            self._table.unmark(self._values)
-
-    def member(self, queries: np.ndarray) -> np.ndarray:
-        """Mask of ``queries`` (all ``<= query_max``) present in the list."""
-        if self._table is not None:
-            return self._table.lookup(queries)
-        assert self._sorted is not None
-        return in_sorted(self._sorted, queries)
-
-    def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Mask of the edges ``(a[i], b[i])`` with both endpoints listed."""
-        result: np.ndarray = self.member(a) & self.member(b)
-        return result
 
 
 class RunOffers:
@@ -668,33 +553,44 @@ class RunOffers:
 class RunMask:
     """Every list of a run marked in one 2-D boolean table.
 
-    The pass-2 counterpart of :class:`ListMask` for a run of lists tested
-    against endpoint columns that do not change during the run: cell
-    ``(id, row)`` is set iff list ``row`` holds vertex ``id``, so one
-    gather per endpoint column answers every list at once.  :meth:`of`
-    returns None when the table would pass :class:`VertexTable`'s cell
-    cap, and the caller does the run's lists one at a time.
+    For a run of lists tested against endpoint columns that do not change
+    during the run: cell ``(index(id), row)`` is set iff list ``row``
+    holds vertex ``id``, so one gather per endpoint column answers every
+    list at once.  A *direct* table, within ``cap`` cells, is indexed by
+    the id itself, and every query id must be at most the ``query_max``
+    it was built for.  Past the cap a *ranked* table is indexed by each
+    id's rank among the run's ids (and any ``ids`` asked for), and every
+    other id reads one all-False last row, so any ``uint64`` label fits.
 
-    Each id's row of cells is padded to a multiple of 8 bytes, so
+    Each table row of cells is padded to a multiple of 8 bytes, so
     :meth:`hits` can tell which entries any list holds by reading the
     cells as ``uint64`` words, and hands back only those entries' rows:
     a caller whose columns mostly miss pays for the few that hit.
     """
 
-    __slots__ = ("rows", "_table")
+    __slots__ = ("rows", "size", "_table", "_ids")
 
-    def __init__(self, table: np.ndarray, rows: int) -> None:
+    def __init__(
+        self, table: np.ndarray, rows: int, ids: Optional[np.ndarray] = None
+    ) -> None:
         self.rows = rows
+        self.size = len(table)  # table rows: every index() is below it
         self._table = table
+        self._ids = ids  # a ranked table's ids, ascending; None if direct
 
     @classmethod
     def of(
-        cls, columns: Sequence[np.ndarray], query_max: int, cap: int = 1 << 22
-    ) -> Optional["RunMask"]:
-        """Mark list ``i``'s column in row ``i``; None past ``cap`` cells
-        (padding included)."""
+        cls,
+        columns: Sequence[np.ndarray],
+        query_max: int,
+        cap: int = 1 << 22,
+        ids: Optional[np.ndarray] = None,
+    ) -> "RunMask":
+        """Mark list ``i``'s column in row ``i``: a direct table unless
+        it would pass ``cap`` cells (padding included).  ``ids`` get
+        table rows of their own even where no list holds them."""
         rows = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
-        return cls.of_flat(np.concatenate(columns), rows, len(columns), query_max, cap)
+        return cls.of_flat(np.concatenate(columns), rows, len(columns), query_max, cap, ids)
 
     @classmethod
     def of_flat(
@@ -704,38 +600,55 @@ class RunMask:
         count: int,
         query_max: int,
         cap: int = 1 << 22,
-    ) -> Optional["RunMask"]:
+        ids: Optional[np.ndarray] = None,
+    ) -> "RunMask":
         """:meth:`of` for ``count`` lists given as one ``uint64`` column
         ``flat`` of every list's ids and each id's list, ``rows`` (a
         :class:`RunOffers`' ``flat`` and ``lists()``)."""
-        hi = max(int(flat.max()), query_max)
+        hi = max(int(flat.max()), query_max, -1 if ids is None else int(ids.max()))
         width = -(-count // 8) * 8
-        if (hi + 1) * width > cap:
-            return None
-        table = np.zeros((hi + 1, width), dtype=bool)
-        # Every id is below the cap, so its uint64 bits read as an intp.
-        table.ravel()[flat.view(np.intp) * width + rows] = True
-        return cls(table, count)
+        if (hi + 1) * width <= cap:
+            table = np.zeros((hi + 1, width), dtype=bool)
+            # Every id is below the cap, so its uint64 bits read as an intp.
+            table.ravel()[flat.view(np.intp) * width + rows] = True
+            return cls(table, count)
+        known, rank = np.unique(
+            flat if ids is None else np.concatenate((flat, ids)), return_inverse=True
+        )
+        table = np.zeros((len(known) + 1, width), dtype=bool)
+        table.ravel()[rank[: len(flat)] * width + rows] = True
+        return cls(table, count, known)
+
+    def index(self, ids: np.ndarray) -> np.ndarray:
+        """The table row of each of the ``uint64`` ``ids``, as ``intp``."""
+        known = self._ids
+        if known is None:
+            return ids.view(np.intp)
+        rank: np.ndarray = known.searchsorted(ids)
+        found: np.ndarray = known.take(rank, mode="clip") == ids
+        result: np.ndarray = np.where(found, rank, len(known))
+        return result
 
     def both(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``hit[i, row]``: list ``row`` holds both ends of ``(a[i], b[i])``
-        (every id ``<= query_max``)."""
+        """``hit[i, row]``: list ``row`` holds both ends of ``(a[i], b[i])``."""
         table = self._table
         result: np.ndarray = (
-            table.take(a.view(np.intp), axis=0) & table.take(b.view(np.intp), axis=0)
+            table.take(self.index(a), axis=0) & table.take(self.index(b), axis=0)
         )[:, : self.rows]
         return result
 
     def holds(self, ids: Any, rows: Any) -> Any:
-        """``hit[i]``: list ``rows[i]`` holds ``ids[i]`` (arrays, or one id
-        and one row)."""
+        """``hit[i]``: list ``rows[i]`` holds ``ids[i]`` (``uint64``
+        arrays, or one id and one row)."""
+        if self._ids is not None:
+            ids = self.index(np.asarray(ids, dtype=np.uint64))
         return self._table[ids, rows]
 
     def hits(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The edges (ascending indices) some list holds both ends of, and
         their rows of :meth:`both`'s answer."""
         table = self._table
-        hit = table.take(a.view(np.intp), axis=0) & table.take(b.view(np.intp), axis=0)
+        hit = table.take(self.index(a), axis=0) & table.take(self.index(b), axis=0)
         words = hit.view(np.uint64)
         combined = words[:, 0]
         for k in range(1, words.shape[1]):

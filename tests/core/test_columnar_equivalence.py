@@ -366,7 +366,7 @@ class TestOraclePinned:
         with pytest.raises(AssertionError, match="probe route entered"):
             run_algorithm(MIXED_FACTORIES[name](), mixed_stream)
 
-    KERNELS = ("ListMask", "RunOffers", "RunMask", "as_vertex_array")
+    KERNELS = ("RunOffers", "RunMask", "as_vertex_array")
 
     @pytest.fixture
     def kernels_raise(self, monkeypatch, probes_raise):

@@ -146,3 +146,45 @@ def test_moved_h_counts_match_the_scalar_oracle(monkeypatch):
         }
         assert k_payload == o_payload
     assert kernel_estimate == oracle_estimate
+
+
+@pytest.mark.parametrize("name", ["triangle-two-pass", "triangle-two-pass-sharded"])
+def test_repeated_source_in_a_run_matches_the_scalar_oracle(name, monkeypatch):
+    """A session opened with validation off accepts a pass in which one
+    source's list comes twice, and one chunk makes both copies part of
+    one long run.  The conventional counter's second pass sends that run
+    through the per-list hooks; each counter ends as the scalar oracle
+    does, which pushes the same lists one at a time."""
+    from repro.serve.session import ServeSession
+
+    stream = AdjacencyListStream(gnm_random_graph(60, 900, seed=3), seed=1)
+    lists = list(stream.iter_lists())[:8]
+    # Lists 0-6, then list 0 again, then list 1 again (left open by the
+    # chunk, so the run ends with list 0's second copy).
+    order = lists[:7] + [lists[0], lists[1]]
+    pairs = [(vertex, nbr) for vertex, nbrs in order for nbr in nbrs]
+    assert min(len(nbrs) for _, nbrs in order) >= 14
+
+    def run():
+        session = ServeSession.open("s", name, 64, seed=5, validate_mode="off")
+        for _ in range(2):
+            session.feed(pairs)
+            final = session.finish_pass()
+        return final["estimate"], session.algorithm.snapshot().payload
+
+    per_list = []
+    end_list = triangle_two_pass.TwoPassTriangleCounter.end_list
+
+    def recording(self, vertex, neighbors):
+        per_list.append((self._pass, vertex))
+        end_list(self, vertex, neighbors)
+
+    monkeypatch.setattr(triangle_two_pass.TwoPassTriangleCounter, "end_list", recording)
+    kernel = run()
+    if name == "triangle-two-pass":
+        assert [v for p, v in per_list if p == 1] == [v for v, _ in order[:8]]
+    else:
+        assert not per_list
+    with scalar_oracle():
+        oracle = run()
+    assert kernel == oracle

@@ -131,13 +131,19 @@ class TestReservoirMerge:
                 counts[item[0]] += 1
         assert counts["a"] > counts["b"] * 5
 
-    def test_base_items_kept_only_if_surviving_everywhere(self):
-        base = self._reservoir_payload(["x", "y"], offered=2)
-        a = self._reservoir_payload(["x", "y", "a1"], offered=5)
-        b = self._reservoir_payload(["x", "b1"], offered=5)  # y fell out in b
-        merged = merge_reservoir_payloads([a, b], base, random.Random(0))
-        assert "x" in merged["items"]
-        assert "y" not in merged["items"]
+    def test_base_holding_items_is_refused(self):
+        """Only disjoint shard reservoirs merge: a base that already holds
+        items raises, and an empty base's offers count once."""
+        a = self._reservoir_payload(["a0", "a1"], offered=5)
+        b = self._reservoir_payload(["b0", "b1"], offered=5)
+        with pytest.raises(MergeError, match="base reservoir holds items"):
+            merge_reservoir_payloads(
+                [a, b], self._reservoir_payload(["a0"], offered=2), random.Random(0)
+            )
+        empty = self._reservoir_payload([], offered=2)
+        merged = merge_reservoir_payloads([a, b], empty, random.Random(0))
+        assert merged["offered"] == 8
+        assert sorted(merged["items"]) == ["a0", "a1", "b0", "b1"]
 
 
 class TestCounterDeltas:

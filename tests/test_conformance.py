@@ -29,8 +29,8 @@ cached ``run_algorithm`` reference.
 
 A second, smaller matrix pins the run route over long lists: hubs of at
 least ``3 * SHORT_LIST`` neighbours laid out in blocks among short-listed
-leaves, once with small labels and once with labels past the
-``VertexTable`` cap, for the counters with long-run branches, with a
+leaves, once with small labels and once with labels past the cap of
+``RunMask``'s direct table, for the counters with long-run branches, with a
 checkpoint that cuts a long run, serial and pooled ``run_sharded``, and
 serve sessions fed JSON or binary chunks that cut runs and lists.
 """
@@ -497,24 +497,29 @@ def test_long_runs_cut_at_class_pair_cap_and_checkpoint(ordering, monkeypatch, t
     assert cut
 
 
-@pytest.mark.parametrize("name", ["fourcycle", "fourcycle-distinct", "triangle-sharded"])
-def test_wide_labels_take_the_per_list_fallback(name, monkeypatch):
-    """Past the table cap a long pass-2 run builds no run table and does
-    its lists one at a time; on small labels the table is built."""
-    built = []
-    of = vectorized.RunMask.of
+@pytest.mark.parametrize("name", sorted(LONG_FACTORIES))
+def test_wide_labels_take_the_ranked_table(name, monkeypatch):
+    """Past the direct table's cap every long run still builds one run
+    table, indexed by rank; on small labels every table is direct.  No
+    long run goes through the per-list hooks on either graph."""
+    ranked = []
+    init = vectorized.RunMask.__init__
 
-    def recording(columns, query_max):
-        mask = of(columns, query_max)
-        built.append(mask is not None)
-        return mask
+    def recording(self, table, rows, ids=None):
+        ranked.append(ids is not None)
+        init(self, table, rows, ids)
 
-    monkeypatch.setattr(vectorized.RunMask, "of", staticmethod(recording))
+    def per_list(*args):
+        raise AssertionError("a long run took the per-list hooks")
+
+    monkeypatch.setattr(vectorized.RunMask, "__init__", recording)
+    for hook in ("process_list", "end_list"):
+        monkeypatch.setattr(type(LONG_FACTORIES[name]()), hook, per_list)
     _recorded_runs(monkeypatch, name, "sorted", "hubs-wide")
-    assert built and not any(built)
-    built.clear()
+    assert ranked and all(ranked)
+    ranked.clear()
     _recorded_runs(monkeypatch, name, "sorted", "hubs")
-    assert built and all(built)
+    assert ranked and not any(ranked)
 
 
 def test_session_runs_end_at_chunk_ends(monkeypatch):

@@ -29,16 +29,12 @@ from repro.util.sampling import BottomKSampler
 from repro.util.vectorized import (
     ColumnMemo,
     EndpointColumns,
-    ListMask,
     RUN_PAIRS,
     RunMask,
     RunOffers,
-    VertexTable,
     as_vertex_array,
-    as_vertex_scalar,
     canonical_pair_columns,
     encode_pair_keys,
-    in_sorted,
     mixhash_int_array,
     set_columnar_enabled,
     SHORT_LIST,
@@ -85,50 +81,15 @@ class TestInputAdaptation:
         assert as_vertex_array([1, 2.5, 3]) is None
         assert as_vertex_array([1, True]) is None
         assert as_vertex_array([]) is None
-        assert as_vertex_scalar("x") is None
-        assert as_vertex_scalar(True) is None
 
     def test_rejects_out_of_range_ints(self):
         assert as_vertex_array([1, -2]) is None
         assert as_vertex_array([1, 2**64]) is None
-        assert as_vertex_scalar(-1) is None
-        assert as_vertex_scalar(2**64) is None
 
     @given(values=st.lists(uint64s, min_size=1, max_size=40))
     def test_accepts_plain_ints(self, values):
         out = as_vertex_array(values)
         assert out is not None and out.tolist() == values
-
-
-class TestMembershipStructures:
-    @given(
-        members=st.lists(st.integers(0, 500), min_size=0, max_size=40),
-        queries=st.lists(st.integers(0, 500), min_size=0, max_size=40),
-    )
-    def test_in_sorted_matches_python_membership(self, members, queries):
-        sorted_members = _as_u64(sorted(set(members)))
-        mask = in_sorted(sorted_members, _as_u64(queries))
-        assert mask.tolist() == [q in set(members) for q in queries]
-
-    @given(
-        members=st.lists(st.integers(0, 500), min_size=1, max_size=40),
-        queries=st.lists(st.integers(0, 600), min_size=0, max_size=40),
-    )
-    def test_vertex_table_matches_in_sorted(self, members, queries):
-        table = VertexTable()
-        values = _as_u64(sorted(set(members)))
-        assert table.mark(values, query_max=600)
-        mask = table.lookup(_as_u64(queries)) if queries else []
-        assert list(mask) == [q in set(members) for q in queries]
-        table.unmark(values)
-        if queries:
-            assert not table.lookup(_as_u64(queries)).any()
-
-    def test_vertex_table_respects_universe_cap(self):
-        table = VertexTable(universe_cap=1000)
-        assert not table.mark(_as_u64([2000]), query_max=0)
-        assert not table.mark(_as_u64([1]), query_max=5000)
-        assert table.mark(_as_u64([1]), query_max=999)
 
 
 def _logged_twins(capacity, seed):
@@ -440,37 +401,23 @@ class TestEndpointColumns:
         assert cols.payloads is None and not cols.pending and cols.stale()
 
 
-class TestListMask:
-    @given(
-        members=st.lists(st.integers(0, 500), min_size=1, max_size=40),
-        pairs=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=40),
-        cap=st.sampled_from([1 << 22, 100]),
-    )
-    def test_both_matches_python_membership(self, members, pairs, cap):
-        # cap=100 forces the sorted fallback for most inputs.
-        table = VertexTable(universe_cap=cap)
-        values = _as_u64(members)
-        a = _as_u64([p[0] for p in pairs])
-        b = _as_u64([p[1] for p in pairs])
-        with ListMask(table, values, query_max=600) as mask:
-            assert mask.member(a).tolist() == [x in members for x, _ in pairs]
-            assert mask.both(a, b).tolist() == [
-                x in members and y in members for x, y in pairs
-            ]
-        if cap > 600:  # the table path: leaving the mask cleared the marks
-            assert not table.lookup(values).any()
-
-
 class TestRunMask:
     @given(
         lists=st.lists(
             st.lists(st.integers(0, 500), min_size=1, max_size=40), min_size=1, max_size=12
         ),
         pairs=st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=40),
+        cap=st.sampled_from([1 << 22, 100]),
+        shift=st.sampled_from([0, 1 << 40, (1 << 64) - 601]),
     )
-    def test_both_matches_python_membership(self, lists, pairs):
-        """Row ``r`` of the answer is list ``r``'s :class:`ListMask` answer."""
-        mask = RunMask.of([_as_u64(members) for members in lists], query_max=600)
+    def test_both_matches_python_membership(self, lists, pairs, cap, shift):
+        """Row ``r`` of the answer is list ``r``'s membership, on a direct
+        table and on a ranked one (``cap=100`` or ids past ``2^40``)."""
+        lists = [[x + shift for x in members] for members in lists]
+        pairs = [(x + shift, y + shift) for x, y in pairs]
+        query_max = 600 + shift
+        mask = RunMask.of([_as_u64(members) for members in lists], query_max, cap=cap)
+        assert (mask._ids is None) == (shift == 0 and cap > 600 * 16)
         a = _as_u64([p[0] for p in pairs])
         b = _as_u64([p[1] for p in pairs])
         hit = mask.both(a, b)
@@ -486,27 +433,49 @@ class TestRunMask:
         assert entries.tolist() == [i for i, row in enumerate(hit.tolist()) if any(row)]
         assert rows.tolist() == hit[entries].tolist()
         assert RunMask.by_row(rows, entries) == RunMask.by_row(hit)
+        ids = [x for x, _ in pairs]
         for row, members in enumerate(lists):
-            for x, _ in pairs:
+            for x in ids:
                 assert bool(mask.holds(x, row)) == (x in members)
+            if ids:
+                assert mask.holds(_as_u64(ids), np.full(len(ids), row)).tolist() == [
+                    x in members for x in ids
+                ]
+        assert (mask.index(a) < mask.size).all()
 
     def test_declines_past_the_cap(self):
+        """Past the cap the direct table is declined for a ranked one, and
+        ids asked for get rows of their own: a source that no list holds
+        still has a row for the counter's source lookups."""
         # Two lists take 8 cells per id (padding included): 25 ids fill 200.
         columns = [_as_u64([1, 2]), _as_u64([3, 4])]
-        assert RunMask.of(columns, query_max=24, cap=200) is not None
-        assert RunMask.of(columns, query_max=25, cap=200) is None
-        assert RunMask.of(columns, query_max=0) is not None
-        assert RunMask.of([_as_u64([1 << 21])] * 2, query_max=0) is None
+        assert RunMask.of(columns, query_max=24, cap=200)._ids is None
+        ranked = RunMask.of(columns, query_max=25, cap=200)
+        assert ranked._ids.tolist() == [1, 2, 3, 4] and ranked.size == 5
+        assert RunMask.of(columns, query_max=0)._ids is None
+        wide = RunMask.of([_as_u64([1 << 21])] * 2, query_max=0)
+        assert wide._ids.tolist() == [1 << 21]
+        sources = _as_u64([9, 1 << 60])
+        ranked = RunMask.of(columns, query_max=25, cap=200, ids=sources)
+        assert ranked.size == 7
+        rows = ranked.index(_as_u64([9, 1 << 60, 5, 3]))
+        assert rows.tolist()[2] == ranked.size - 1 and len(set(rows.tolist())) == 4
+        hit = ranked.both(_as_u64([9, 1]), _as_u64([1 << 60, 2]))
+        assert hit.tolist() == [[False, False], [True, False]]
 
     @pytest.mark.parametrize("lists", [1, 2, 3, 7, 8, 9])
     def test_cap_counts_the_padding(self, lists):
         """The cap bounds the cells allocated: a run of 1-8 lists takes 8
-        per id, a run of 9-16 lists 16."""
+        per id, a run of 9-16 lists 16.  Within it the direct table has a
+        row per id up to ``query_max``; past it the ranked table has one
+        per distinct id of the run, plus the all-False row."""
         width = 8 if lists <= 8 else 16
-        columns = [_as_u64([0])] * lists
+        columns = [_as_u64([0])] + [_as_u64([5, 1023])] * (lists - 1)
         mask = RunMask.of(columns, query_max=1023, cap=1024 * width)
-        assert mask is not None and mask._table.size == 1024 * width
-        assert RunMask.of(columns, query_max=1024, cap=1024 * width) is None
+        assert mask._ids is None and mask._table.size == 1024 * width
+        mask = RunMask.of(columns, query_max=1024, cap=1024 * width)
+        distinct = 1 if lists == 1 else 3
+        assert mask._ids is not None and mask._table.size == (distinct + 1) * width
 
 
 class TestAdmissionLog:
