@@ -25,6 +25,11 @@ It writes ``BENCH_obs.json`` with two sections:
    *chunk*, not per adjacency list, so the committed gate
    ``live_overhead_within_5pct`` (live within 5% of off) holds with
    room even though per-batch runner metrics would not.
+
+   Both sections time their arms in warmed, alternating, paired rounds
+   (:mod:`rounds`): a rate is the pairs over an arm's median time, and
+   an ``*_overhead_fraction`` is the median of the rounds' own
+   fractions, with its spread.
 3. **Convergence** — a fully deterministic
    :class:`repro.obs.diagnostics.ConvergenceVerdict` for the two-pass
    triangle counter on a planted-triangle workload at the Theorem 3.7
@@ -39,7 +44,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 if __package__ in (None, ""):  # script execution without PYTHONPATH=src
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -58,9 +62,10 @@ from repro.streaming.runner import PassCursor, run_algorithm
 from repro.streaming.space import SpaceMeter
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import resolve_rng
+from rounds import Rounds
 
 
-def _bare_run(algorithm, stream) -> float:
+def _bare_run(algorithm, stream) -> None:
     """The runner's pass loop with zero telemetry code.
 
     A cursor over the stream's column memo, then per pass
@@ -73,54 +78,54 @@ def _bare_run(algorithm, stream) -> float:
     """
     meter = SpaceMeter()
     cursor = PassCursor(algorithm, column_provider=stream.columns_for)
-    start = time.perf_counter()
-    pairs_run = 0
     for pass_index in range(algorithm.n_passes):
         algorithm.begin_pass(pass_index)
-        pairs_run += cursor.push_lists(stream.iter_lists(), meter)[1]
+        cursor.push_lists(stream.iter_lists(), meter)
         algorithm.end_pass(pass_index)
         meter.observe(algorithm.space_words())
-    elapsed = time.perf_counter() - start
-    return pairs_run / elapsed if elapsed > 0 else 0.0
+
+
+def _overhead(rounds: Rounds, key: str, arm: str, base: str) -> dict:
+    """``arm``'s rate cost against ``base`` as ``key``: the median of the
+    rounds' own ``1 - base_time / arm_time``, with its spread."""
+    row = rounds.ratio(key, base, arm)
+    low, high = row[f"{key}_spread"]
+    row[key] = 1.0 - row[key]
+    row[f"{key}_spread"] = [1.0 - high, 1.0 - low]
+    return row
 
 
 def bench_overhead(graph, budget: int, repeats: int, tmp_dir: str) -> dict:
-    """Best-of-``repeats`` pairs/sec for bare / off / jsonl / trace modes."""
+    """Pairs/sec for bare / off / jsonl / trace modes, timed in
+    ``repeats`` paired rounds (:mod:`rounds`)."""
     stream = AdjacencyListStream(graph, seed=11)
-    best = {"bare": 0.0, "off": 0.0, "jsonl": 0.0, "trace": 0.0}
-    for _ in range(repeats):
+    rounds = Rounds(("bare", "off", "jsonl", "trace"), repeats)
+    for arm in rounds:
         algo = TwoPassTriangleCounter(sample_size=budget, seed=5)
-        best["bare"] = max(best["bare"], _bare_run(algo, stream))
+        if arm == "bare":
+            with rounds.timed(arm):
+                _bare_run(algo, stream)
+        elif arm == "off":
+            with rounds.timed(arm):
+                run_algorithm(algo, stream)
+        elif arm == "jsonl":
+            telemetry = Telemetry(sink=JsonlSink(os.path.join(tmp_dir, "bench.jsonl")))
+            with telemetry, rounds.timed(arm):
+                run_algorithm(algo, stream, telemetry=telemetry)
+        else:
+            tracer = Tracer(seed=5)
+            with tracer, rounds.timed(arm):
+                run_algorithm(algo, stream, tracer=tracer)
 
-        algo = TwoPassTriangleCounter(sample_size=budget, seed=5)
-        run = run_algorithm(algo, stream)
-        best["off"] = max(best["off"], run.pairs_per_second)
-
-        algo = TwoPassTriangleCounter(sample_size=budget, seed=5)
-        telemetry = Telemetry(sink=JsonlSink(os.path.join(tmp_dir, "bench.jsonl")))
-        with telemetry:
-            run = run_algorithm(algo, stream, telemetry=telemetry)
-        best["jsonl"] = max(best["jsonl"], run.pairs_per_second)
-
-        algo = TwoPassTriangleCounter(sample_size=budget, seed=5)
-        tracer = Tracer(seed=5)
-        with tracer:
-            run = run_algorithm(algo, stream, tracer=tracer)
-        best["trace"] = max(best["trace"], run.pairs_per_second)
-
-    bare = best["bare"]
-    return {
-        "budget": budget,
-        "repeats": repeats,
-        "bare_pairs_per_second": best["bare"],
-        "off_pairs_per_second": best["off"],
-        "jsonl_pairs_per_second": best["jsonl"],
-        "trace_pairs_per_second": best["trace"],
-        "null_overhead_fraction": 1.0 - best["off"] / bare if bare > 0 else None,
-        "jsonl_overhead_fraction": 1.0 - best["jsonl"] / bare if bare > 0 else None,
-        "trace_overhead_fraction": 1.0 - best["trace"] / bare if bare > 0 else None,
-        "null_overhead_within_5pct": best["off"] >= 0.95 * bare,
-    }
+    pairs = algo.n_passes * len(stream)
+    row = {"budget": budget, "repeats": repeats}
+    for arm in rounds.arms:
+        row[f"{arm}_pairs_per_second"] = pairs / rounds.median(arm)
+    row.update(_overhead(rounds, "null_overhead_fraction", "off", "bare"))
+    row.update(_overhead(rounds, "jsonl_overhead_fraction", "jsonl", "bare"))
+    row.update(_overhead(rounds, "trace_overhead_fraction", "trace", "bare"))
+    row["null_overhead_within_5pct"] = row["null_overhead_fraction"] <= 0.05
+    return row
 
 
 def bench_live_plane(graph, pairs_target: int, chunk_pairs: int,
@@ -130,8 +135,8 @@ def bench_live_plane(graph, pairs_target: int, chunk_pairs: int,
     Feeds one session through a :class:`SessionManager` in fixed-size
     chunks — the live plane's unit of instrumentation (one histogram
     observation plus a few counter bumps per chunk) — with telemetry
-    off, then with the metrics-only registry the ``/metrics`` endpoint
-    scrapes.
+    off, and with the metrics-only registry the ``/metrics`` endpoint
+    scrapes, in ``repeats`` paired rounds (:mod:`rounds`).
     """
     import asyncio
 
@@ -149,34 +154,33 @@ def bench_live_plane(graph, pairs_target: int, chunk_pairs: int,
         pairs[i:i + chunk_pairs] for i in range(0, len(pairs), chunk_pairs)
     ]
 
-    async def _rate(telemetry) -> float:
+    async def _feed(telemetry, rounds: Rounds, arm: str) -> None:
         manager = SessionManager(telemetry=telemetry)
         client = InProcessClient(manager)
         await client.open("bench-live", "triangle-exact", budget=256, seed=1)
-        start = time.perf_counter()
-        for chunk in chunks:
-            await client.feed("bench-live", chunk)
-        elapsed = time.perf_counter() - start
+        with rounds.timed(arm):
+            for chunk in chunks:
+                await client.feed("bench-live", chunk)
         await client.close_session("bench-live")
-        return len(pairs) / elapsed if elapsed > 0 else 0.0
 
-    best_off = best_live = 0.0
-    for _ in range(repeats):
-        best_off = max(best_off, asyncio.run(_rate(NULL_TELEMETRY)))
-        live = Telemetry(sink=None)  # metrics-only: what /metrics scrapes
-        with live:
-            best_live = max(best_live, asyncio.run(_rate(live)))
-    return {
+    rounds = Rounds(("off", "live"), repeats)
+    for arm in rounds:
+        if arm == "off":
+            asyncio.run(_feed(NULL_TELEMETRY, rounds, arm))
+        else:
+            live = Telemetry(sink=None)  # metrics-only: what /metrics scrapes
+            with live:
+                asyncio.run(_feed(live, rounds, arm))
+    row = {
         "pairs": len(pairs),
         "chunk_pairs": chunk_pairs,
         "repeats": repeats,
-        "off_pairs_per_second": best_off,
-        "live_pairs_per_second": best_live,
-        "live_overhead_fraction": (
-            1.0 - best_live / best_off if best_off > 0 else None
-        ),
-        "live_overhead_within_5pct": best_live >= 0.95 * best_off,
+        "off_pairs_per_second": len(pairs) / rounds.median("off"),
+        "live_pairs_per_second": len(pairs) / rounds.median("live"),
     }
+    row.update(_overhead(rounds, "live_overhead_fraction", "live", "off"))
+    row["live_overhead_within_5pct"] = row["live_overhead_fraction"] <= 0.05
+    return row
 
 
 def _trial_factory(budget, seed):
@@ -222,7 +226,7 @@ def main(argv=None) -> int:
 
     import tempfile
 
-    print(f"overhead: bare vs off vs jsonl vs trace, best of {repeats} ...")
+    print(f"overhead: bare vs off vs jsonl vs trace, {repeats} paired rounds ...")
     with tempfile.TemporaryDirectory() as tmp_dir:
         overhead = bench_overhead(graph, budget, repeats, tmp_dir)
     for mode in ("bare", "off", "jsonl", "trace"):
@@ -230,9 +234,11 @@ def main(argv=None) -> int:
     print(f"  null overhead {overhead['null_overhead_fraction']:+.2%} "
           f"(within 5%: {overhead['null_overhead_within_5pct']})")
 
-    print(f"live plane: manager ingest, metrics registry on vs off ...")
+    live_repeats = max(3, repeats - 2)
+    print(f"live plane: manager ingest, metrics registry on vs off, "
+          f"{live_repeats} paired rounds ...")
     live_plane = bench_live_plane(
-        graph, pairs_target=m, chunk_pairs=512, repeats=max(3, repeats - 2)
+        graph, pairs_target=m, chunk_pairs=512, repeats=live_repeats
     )
     print(f"  off  {live_plane['off_pairs_per_second']:>12,.0f} pairs/s")
     print(f"  live {live_plane['live_pairs_per_second']:>12,.0f} pairs/s")

@@ -24,14 +24,17 @@ JSON artifact (default ``BENCH_parallel.json``):
 
 3. **Conventional over sharded** — process CPU of the paper's own
    triangle counter over its sharded mode
-   (``fast_path.triangle_two_pass.conventional_over_sharded``), in warmed,
-   alternating paired rounds; full size runs dense-ingest's job
-   (G(2000, 200k), budget 512).
+   (``fast_path.triangle_two_pass.conventional_over_sharded``); full size
+   runs dense-ingest's job (G(2000, 200k), budget 512).
 4. **Sparse fast path** (``fast_path_sparse``) — the same three tiers on
    Table 1's sparse regime: planted triangles / planted 4-cycles over
    noise with a mean list length of about 2, where the counters route
    lists below ``SHORT_LIST`` around the columnar kernels and the runner
    hands runs of such lists to them in one call.
+
+Every rate and ratio here is timed in warmed, alternating, paired rounds
+(:mod:`rounds`): a ratio is the median of the rounds' own ratios and
+carries its spread.
 
 The artifact self-declares **gates** (see
 :mod:`repro.obs.bench_report`): at the full bench size the columnar path
@@ -53,12 +56,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
 import os
-import statistics
 import sys
-import time
 
 if __package__ in (None, ""):  # script execution without PYTHONPATH=src
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -75,6 +75,7 @@ from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.rng import derive_seed
 from repro.util.vectorized import scalar_oracle
+from rounds import Rounds
 
 
 def _factory(budget, seed):
@@ -83,25 +84,26 @@ def _factory(budget, seed):
 
 
 def bench_sweep(graph, truth, budgets, runs, workers):
-    """Serial vs. parallel accuracy_sweep wall time + bit-identity check."""
-    start = time.perf_counter()
-    serial = accuracy_sweep(_factory, graph, truth, budgets, runs=runs, seed=0)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = accuracy_sweep(
-        _factory, graph, truth, budgets, runs=runs, seed=0, workers=workers
-    )
-    parallel_s = time.perf_counter() - start
+    """Serial vs. parallel accuracy_sweep wall time + bit-identity check,
+    in one paired round after a warm-up (:mod:`rounds`)."""
+    rounds = Rounds(("serial", "parallel"), 1)
+    points = {}
+    for arm in rounds:
+        with rounds.timed(arm):
+            points[arm] = accuracy_sweep(
+                _factory, graph, truth, budgets, runs=runs, seed=0,
+                workers=workers if arm == "parallel" else None,
+            )
     n_workers = resolve_workers(workers)
     return {
         "budgets": list(budgets),
         "runs": runs,
         "workers": n_workers,
         "effective_parallelism": min(n_workers, os.cpu_count() or 1),
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s > 0 else None,
-        "bit_identical": serial == parallel,
+        "serial_seconds": rounds.median("serial"),
+        "parallel_seconds": rounds.median("parallel"),
+        **rounds.ratio("speedup", "serial", "parallel"),
+        "bit_identical": points["serial"] == points["parallel"],
     }
 
 
@@ -114,23 +116,22 @@ _FAST_PATH_ALGORITHMS = {
     ),
 }
 
-#: (tier name, use_fast_path, columnar kernels) — slowest first.
-_FAST_PATH_TIERS = (
-    ("per_pair_scalar", False, False),
-    ("batched_scalar", True, False),
-    ("columnar", True, True),
-)
+#: tier name -> (use_fast_path, columnar kernels), slowest first.
+_FAST_PATH_TIERS = {
+    "per_pair_scalar": (False, False),
+    "batched_scalar": (True, False),
+    "columnar": (True, True),
+}
 
 
 def bench_fast_path(graphs, budget, repeats):
     """Per-pair scalar vs. batched scalar vs. columnar pairs/sec.
 
-    ``graphs`` maps each counter's name to its workload graph.  Each of
-    ``repeats`` rounds times every tier once, in alternating order
-    (slowest first, then fastest first), so drift in the host's speed
-    reaches every tier alike.  A speedup is the median of the rounds'
-    own ratios, reported with its spread (the smallest and largest
-    round); a tier's pairs/sec is its median.  Every tier must produce
+    ``graphs`` maps each counter's name to its workload graph.  The tiers
+    run in ``repeats`` warmed, alternating paired rounds
+    (:mod:`rounds`); a speedup is the median of the rounds' own time
+    ratios against the per-pair tier, reported with its spread, and a
+    tier's pairs/sec is from its median time.  Every tier must produce
     bit-identical estimates and space peaks (the scalar path is the
     columnar kernels' correctness oracle, so any daylight here is a
     bug, not noise).
@@ -138,27 +139,20 @@ def bench_fast_path(graphs, budget, repeats):
     out = {}
     for name, make in _FAST_PATH_ALGORITHMS.items():
         stream = AdjacencyListStream(graphs[name], seed=11)
-        rates = {tier: [] for tier, _, _ in _FAST_PATH_TIERS}
         results = {}
-        for round_index in range(repeats):
-            order = _FAST_PATH_TIERS if round_index % 2 == 0 else _FAST_PATH_TIERS[::-1]
-            for tier, fast, columnar in order:
-                with contextlib.nullcontext() if columnar else scalar_oracle():
-                    run = run_algorithm(make(budget), stream, use_fast_path=fast)
-                rates[tier].append(run.pairs_per_second)
-                results[tier] = run
+        rounds = Rounds(_FAST_PATH_TIERS, repeats)
+        for tier in rounds:
+            fast, columnar = _FAST_PATH_TIERS[tier]
+            algorithm = make(budget)
+            with contextlib.nullcontext() if columnar else scalar_oracle():
+                with rounds.timed(tier):
+                    results[tier] = run_algorithm(algorithm, stream, use_fast_path=fast)
+        pairs = algorithm.n_passes * len(stream)
         row = {"budget": budget, "rounds": repeats}
-        for tier in rates:
-            row[f"{tier}_pairs_per_second"] = statistics.median(rates[tier])
-        speedups = (("batched_scalar", "batched_speedup"), ("columnar", "columnar_speedup"))
-        for tier, key in speedups:
-            ratios = [
-                rate / baseline
-                for rate, baseline in zip(rates[tier], rates["per_pair_scalar"])
-                if baseline > 0
-            ]
-            row[key] = statistics.median(ratios) if ratios else None
-            row[f"{key}_spread"] = [min(ratios), max(ratios)] if ratios else None
+        for tier in _FAST_PATH_TIERS:
+            row[f"{tier}_pairs_per_second"] = pairs / rounds.median(tier)
+        row.update(rounds.ratio("batched_speedup", "per_pair_scalar", "batched_scalar"))
+        row.update(rounds.ratio("columnar_speedup", "per_pair_scalar", "columnar"))
         row["bit_identical"] = all(
             run.estimate == results["per_pair_scalar"].estimate
             and run.peak_space_words == results["per_pair_scalar"].peak_space_words
@@ -172,47 +166,29 @@ def bench_conventional_over_sharded(graph, stream_seed, budget, seed, rounds):
     """Process CPU of the conventional triangle counter over its sharded
     mode, on one job.
 
-    Both modes run ``run_algorithm`` in-process on the same stream: one
-    warm-up run each, then ``rounds`` paired rounds in alternating order
-    (conventional first, then sharded first), so host drift reaches both
-    alike.  The ratio is the median of the rounds' own ratios, reported
-    with its spread; each mode's CPU time is its median.  Every round of
-    a mode must reproduce its warm-up estimate.
-
-    The objects alive before the rounds (the benchmark's graphs and
-    streams) are frozen out of the cyclic garbage collector meanwhile: a
-    full collection would otherwise walk them all, and charge tens of
-    milliseconds to whichever run happened to trigger it.  Each run still
-    pays for collecting its own objects.
+    Both modes run ``run_algorithm`` in-process on the same stream, in
+    ``rounds`` warmed, alternating paired rounds (:mod:`rounds`).  The
+    ratio is the median of the rounds' own CPU ratios, reported with its
+    spread; each mode's CPU time is its median.  Every round of a mode
+    must reproduce its warm-up estimate.
     """
     stream = AdjacencyListStream(graph, seed=stream_seed)
     modes = {
         "conventional": lambda: TwoPassTriangleCounter(sample_size=budget, seed=seed),
         "sharded": lambda: TwoPassTriangleCounter(sample_size=budget, seed=seed, sharded=True),
     }
-    estimates = {mode: run_algorithm(make(), stream).estimate for mode, make in modes.items()}
-    cpu = {mode: [] for mode in modes}
+    estimates = {}
     identical = True
-    gc.collect()
-    gc.freeze()
-    try:
-        for round_index in range(rounds):
-            order = list(modes) if round_index % 2 == 0 else list(modes)[::-1]
-            for mode in order:
-                algorithm = modes[mode]()
-                start = time.process_time()
-                run = run_algorithm(algorithm, stream)
-                cpu[mode].append(time.process_time() - start)
-                identical = identical and run.estimate == estimates[mode]
-    finally:
-        gc.unfreeze()
-    ratios = [c / s for c, s in zip(cpu["conventional"], cpu["sharded"])]
+    paired = Rounds(modes, rounds)
+    for mode in paired:
+        algorithm = modes[mode]()
+        with paired.timed(mode):
+            estimate = run_algorithm(algorithm, stream).estimate
+        identical = identical and estimates.setdefault(mode, estimate) == estimate
     row = {
-        "conventional_cpu_s": statistics.median(cpu["conventional"]),
-        "sharded_cpu_s": statistics.median(cpu["sharded"]),
-        "conventional_over_sharded": statistics.median(ratios),
-        "conventional_over_sharded_spread": [min(ratios), max(ratios)],
-        "conventional_over_sharded_rounds": rounds,
+        "conventional_cpu_s": paired.median("conventional", cpu=True),
+        "sharded_cpu_s": paired.median("sharded", cpu=True),
+        **paired.ratio("conventional_over_sharded", "conventional", "sharded", cpu=True),
         "conventional_over_sharded_budget": budget,
     }
     return row, identical
@@ -233,7 +209,7 @@ _CONVENTIONAL_CEILING = 2.5
 #: route: one hash kernel per run of short lists in place of scalar
 #: offers, and one bulk space update per run in place of a poll per
 #: list.  Without runs it read about 1.0x at full size; with them the
-#: committed full-size artifact reads 2.25x (triangles: 7.0x).  Both
+#: committed full-size artifact reads 3.1x (triangles: 9.3x).  Both
 #: floors stay below the measurements, and far above the 0.25x of the
 #: columnar kernels without the short-list route.
 _SPARSE_FLOORS = {"triangle_two_pass": 1.5, "fourcycle_two_pass": 1.2}

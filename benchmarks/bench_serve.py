@@ -12,11 +12,15 @@ generator: every session streams a full two-pass planted-triangle
 workload in chunks, polls anytime estimates mid-flood, and finishes to a
 final estimate.  With ``--binary`` the fleet feeds via the binary
 pair-batch frame instead of JSON lines.  After the fleet run, an ingest
-microbench streams one dense G(n, m) graph through a single session
-twice — once as JSON feed frames, once as binary frames, identical
-chunking and pipelining — against the same live endpoint.  Last, a stall
-probe polls a session from a second connection right behind each burst
-of feed frames on the first (:func:`measure_poll_stall`).
+microbench streams one dense G(n, m) graph through a single session as
+JSON feed frames and as binary frames, identical chunking and
+pipelining, against the same live endpoint.  Last, a stall probe polls
+a session from a second connection right behind each burst of feed
+frames on the first (:func:`measure_poll_stall`).
+
+Every ratio gate here, and every rate behind one, is timed in warmed,
+alternating, paired rounds (:mod:`rounds`): a ratio is the median of the
+rounds' own ratios and carries its spread.
 
 The artifact (default ``BENCH_serve.json``) records fleet size, peak
 concurrency, pairs/sec, client-observed poll latency percentiles, the
@@ -81,35 +85,38 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import os
 import statistics
 import sys
-import time
 
 if __package__ in (None, ""):  # script execution without PYTHONPATH=src
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
 
+import numpy as np
+
+from repro.graph.generators import gnm_random_graph
 from repro.obs.metrics import histogram_quantile
 from repro.obs.slo import SLOPolicy
-from repro.serve.loadgen import (
-    INGEST_ALGORITHM,
-    INGEST_BUDGET,
-    INGEST_CHUNK_PAIRS,
-    INGEST_SEED,
-    ingest_workload,
-    run_ingest_async,
-    run_load_async,
-)
+from repro.serve.loadgen import run_load_async
 from repro.serve.manager import SessionManager
-from repro.serve.protocol import MAX_FRAME_BYTES, encode_binary_feed, encode_frame
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    decode_binary_feed,
+    decode_frame,
+    encode_binary_feed,
+    encode_frame,
+)
 from repro.serve.router import ServeRouter
 from repro.serve.server import ServeServer
 from repro.serve.session import ServeSession
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import run_algorithm
+from repro.streaming.stream import AdjacencyListStream
+from rounds import Rounds
 
 #: The ISSUE-level floor: quick mode may shrink graphs, never the fleet.
 MIN_SESSIONS = 1000
@@ -162,8 +169,153 @@ def gates_for(workers: int, slo: SLOPolicy = None) -> list:
 GATES = gates_for(0)
 
 
-#: Alternating kernel/session runs behind ``ingest.session_over_kernel``.
+#: The dense ingest session (see :func:`ingest_workload`), fed in
+#: fixed-size chunks.
+INGEST_CHUNK_PAIRS = 1024
+INGEST_ALGORITHM = "triangle-two-pass"
+INGEST_BUDGET = 64
+INGEST_SEED = 5
+
+#: Paired rounds behind ``ingest.session_over_kernel``.
 SESSION_VS_KERNEL_REPEATS = 9
+
+
+def ingest_workload():
+    """The ingest workload's ``(stream, pairs, srcs, dsts)``.
+
+    A G(2000, 60k) graph (average degree 60): the wire microbench
+    (:func:`run_ingest_async`), :func:`session_vs_kernel` and the stall
+    probe all run exactly this.  ``pairs`` is the stream's pair
+    sequence; ``srcs``/``dsts`` are the same pairs as ``uint64``
+    columns, the layout binary frames carry.
+    """
+    graph = gnm_random_graph(2000, 60_000, seed=17)
+    stream = AdjacencyListStream(graph, seed=23)
+    pairs = list(stream.iter_pairs())
+    srcs = np.array([p[0] for p in pairs], dtype=np.uint64)
+    dsts = np.array([p[1] for p in pairs], dtype=np.uint64)
+    return stream, pairs, srcs, dsts
+
+
+async def _reply(link) -> dict:
+    """Read one reply from ``link`` (a reader/writer pair); raise unless ok."""
+    response = json.loads(await link[0].readline())
+    if not response.get("ok"):
+        raise RuntimeError(f"benchmark request failed: {response}")
+    return response
+
+
+async def _rpc(link, message) -> dict:
+    link[1].write(encode_frame(message))
+    return await _reply(link)
+
+
+async def _ingest_one_mode(host, port, rounds, arm, frames):
+    """One fully pipelined single-session ingest pass, timed as ``arm``.
+
+    Writes pre-encoded feed frames back-to-back (draining on transport
+    backpressure only) while a reader task consumes the responses — the
+    same pipelined window for both wire formats, so the comparison
+    measures server-side wire handling + ingest, not client encode cost
+    or round-trip stalls.  Opening and closing the session is untimed.
+    """
+    session_id = f"ingest-{arm}"
+    link = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
+    writer = link[1]
+    await _rpc(link, {"id": 0, "op": "hello", "binary": 1})
+    await _rpc(link, {"id": 1, "op": "open", "session": session_id,
+                      "algorithm": INGEST_ALGORITHM, "budget": INGEST_BUDGET,
+                      "seed": INGEST_SEED})
+
+    async def read_responses():
+        for _ in frames:
+            await _reply(link)
+
+    with rounds.timed(arm):
+        responses = asyncio.ensure_future(read_responses())
+        for frame in frames:
+            writer.write(frame)
+            if writer.transport.get_write_buffer_size() > (1 << 20):
+                await writer.drain()
+        await writer.drain()
+        await responses
+
+    await _rpc(link, {"id": 2, "op": "close", "session": session_id})
+    writer.close()
+    with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
+        await writer.wait_closed()
+
+
+async def run_ingest_async(*, host: str, port: int) -> dict:
+    """The JSON-vs-binary ingest comparison (one session, one pass each).
+
+    Both modes ingest the *same* pair stream (:func:`ingest_workload`)
+    with the *same* chunking and pipelining against the same live
+    endpoint; only the wire format of the feed frames differs.  The two
+    modes run in 2 paired rounds (:mod:`rounds`): each mode's pairs/s is
+    from its median time and ``binary_speedup`` is the median of the
+    rounds' own JSON/binary time ratios.
+
+    The stream is a dense G(n, m) graph (average degree ``2m/n``), so
+    adjacency lists are long enough for per-pair wire + validation cost
+    to dominate per-list algorithm overhead — the regime the binary
+    format exists for.  A sparse stream (degree ~2) measures per-list
+    kernel-call overhead instead, which both formats pay identically.
+    """
+    _, pairs, srcs, dsts = ingest_workload()
+    step = INGEST_CHUNK_PAIRS
+    frames = {"json": [], "binary": []}
+    for index, start in enumerate(range(0, len(pairs), step)):
+        chunk = pairs[start : start + step]
+        frames["json"].append(encode_frame({
+            "id": 100 + index, "op": "feed", "session": "ingest-json",
+            "pairs": [[int(v), int(u)] for v, u in chunk],
+        }))
+        frames["binary"].append(encode_binary_feed(
+            100 + index, "ingest-binary",
+            srcs[start : start + len(chunk)], dsts[start : start + len(chunk)],
+        ))
+
+    rounds = Rounds(("json", "binary"), 2)
+    for arm in rounds:
+        await _ingest_one_mode(host, port, rounds, arm, frames[arm])
+    return {
+        "pairs": len(pairs),
+        "chunk_pairs": step,
+        "algorithm": INGEST_ALGORITHM,
+        "json_pairs_per_second": len(pairs) / rounds.median("json"),
+        "binary_pairs_per_second": len(pairs) / rounds.median("binary"),
+        **rounds.ratio("binary_speedup", "json", "binary"),
+        "json_bytes": sum(len(f) for f in frames["json"]),
+        "binary_bytes": sum(len(f) for f in frames["binary"]),
+        **_measure_wire_decode(frames, len(pairs)),
+    }
+
+
+def _measure_wire_decode(frames, n_pairs: int) -> dict:
+    """Codec-layer comparison: frame bytes → usable feed payload.
+
+    This isolates what the binary format actually replaces — JSON parse
+    of a pairs array versus a header unpack plus ``np.frombuffer`` view —
+    with no session, validator, or estimator cost attached, in 3 paired
+    rounds.  (End-to-end feed throughput blends this with per-pair work
+    both formats share, which is why ``binary_speedup`` is far smaller
+    than ``wire_binary_speedup``.)
+    """
+    rounds = Rounds(("json", "binary"), 3)
+    for arm in rounds:
+        with rounds.timed(arm):
+            if arm == "json":
+                for frame in frames["json"]:
+                    decode_frame(frame.rstrip(b"\n"))["pairs"]
+            else:
+                for frame in frames["binary"]:
+                    decode_binary_feed(frame)
+    return {
+        "wire_json_decode_pairs_per_second": n_pairs / rounds.median("json"),
+        "wire_binary_decode_pairs_per_second": n_pairs / rounds.median("binary"),
+        **rounds.ratio("wire_binary_speedup", "json", "binary"),
+    }
 
 
 def session_vs_kernel() -> dict:
@@ -172,13 +324,11 @@ def session_vs_kernel() -> dict:
     Runs the wire microbench's workload (:func:`ingest_workload`).  The
     session path is a strict :class:`ServeSession` fed the stream's
     binary chunking through ``feed_arrays`` for every pass; the kernel
-    path is :func:`run_algorithm` over the stream.  Each repeat times one
-    kernel run and then one session run back to back, so both sides of a
-    pair see the same host load; ``session_over_kernel`` is the median of
-    the per-pair time ratios and the rates are from the median times,
-    counting the pairs of all passes.  Over 5 calls on a shared 2-CPU
-    host, with binary sessions reading each long list's column from its
-    frame, the ratio read 1.32-1.39 (median 1.36).
+    path is :func:`run_algorithm` over the stream.  The two run in
+    :data:`SESSION_VS_KERNEL_REPEATS` paired rounds (:mod:`rounds`);
+    ``session_over_kernel`` is the median of the rounds' own
+    session/kernel time ratios and the rates are from the median times,
+    counting the pairs of all passes.
     """
     stream, pairs, srcs, dsts = ingest_workload()
     step = INGEST_CHUNK_PAIRS
@@ -188,32 +338,33 @@ def session_vs_kernel() -> dict:
     ]
     spec = get_spec(INGEST_ALGORITHM)
     passes = spec.make(INGEST_BUDGET, seed=INGEST_SEED).n_passes
-    kernel_times, session_times = [], []
-    identical = True
-    for _ in range(SESSION_VS_KERNEL_REPEATS):
-        begin = time.perf_counter()
-        expected = run_algorithm(
-            spec.make(INGEST_BUDGET, seed=INGEST_SEED), stream
-        ).estimate
-        kernel_times.append(time.perf_counter() - begin)
-        begin = time.perf_counter()
-        session = ServeSession.open(
-            "ingest-session", INGEST_ALGORITHM, INGEST_BUDGET, INGEST_SEED
-        )
-        final: dict = {}
-        for _ in range(passes):
-            for chunk in chunks:
-                session.feed_arrays(*chunk)
-            final = session.finish_pass()
-        session_times.append(time.perf_counter() - begin)
-        identical = identical and final.get("estimate") == expected
+    estimates = {"kernel": set(), "session": set()}
+    rounds = Rounds(("kernel", "session"), SESSION_VS_KERNEL_REPEATS)
+    for arm in rounds:
+        if arm == "kernel":
+            algorithm = spec.make(INGEST_BUDGET, seed=INGEST_SEED)
+            with rounds.timed(arm):
+                estimate = run_algorithm(algorithm, stream).estimate
+        else:
+            with rounds.timed(arm):
+                session = ServeSession.open(
+                    "ingest-session", INGEST_ALGORITHM, INGEST_BUDGET, INGEST_SEED
+                )
+                for _ in range(passes):
+                    for chunk in chunks:
+                        session.feed_arrays(*chunk)
+                    final = session.finish_pass()
+            estimate = final.get("estimate")
+        estimates[arm].add(estimate)
     total = passes * len(pairs)
-    ratios = [s / k for s, k in zip(session_times, kernel_times)]
     return {
-        "session_pairs_per_second": total / statistics.median(session_times),
-        "kernel_pairs_per_second": total / statistics.median(kernel_times),
-        "session_over_kernel": statistics.median(ratios),
-        "session_bit_identical": int(identical),
+        "session_pairs_per_second": total / rounds.median("session"),
+        "kernel_pairs_per_second": total / rounds.median("kernel"),
+        **rounds.ratio("session_over_kernel", "session", "kernel"),
+        # Every call of both paths gave one and the same estimate.
+        "session_bit_identical": int(
+            len(estimates["kernel"]) == 1 and estimates["session"] == estimates["kernel"]
+        ),
     }
 
 
@@ -246,37 +397,26 @@ async def measure_poll_stall(host: str, port: int) -> dict:
     ]
     ingest = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
     watch = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
-
-    async def reply(link):
-        response = json.loads(await link[0].readline())
-        if not response.get("ok"):
-            raise RuntimeError(f"stall probe request failed: {response}")
-        return response
-
-    async def rpc(link, message):
-        link[1].write(encode_frame(message))
-        return await reply(link)
-
     poll = encode_frame({"id": 2, "op": "poll", "session": "stall"})
-    await rpc(ingest, {"id": 0, "op": "hello", "binary": 1})
-    await rpc(ingest, {"id": 1, "op": "open", "session": "stall",
+    await _rpc(ingest, {"id": 0, "op": "hello", "binary": 1})
+    await _rpc(ingest, {"id": 1, "op": "open", "session": "stall",
                        "algorithm": INGEST_ALGORITHM, "budget": INGEST_BUDGET,
                        "seed": INGEST_SEED})
     # Both links carry a request first, so a router's lazily opened
     # upstream links exist before the first burst.
     for link in (ingest, watch):
         link[1].write(poll)
-        await reply(link)
+        await _reply(link)
 
     samples = []
     for index, burst in enumerate(bursts):
         ingest[1].write(burst)
         watch[1].write(poll)
-        seen = (await reply(watch))["pairs_this_pass"]
+        seen = (await _reply(watch))["pairs_this_pass"]
         samples.append(seen // step - index * size)
         for _ in range(size):
-            await reply(ingest)
-    await rpc(ingest, {"id": 3, "op": "close", "session": "stall"})
+            await _reply(ingest)
+    await _rpc(ingest, {"id": 3, "op": "close", "session": "stall"})
     for _, writer in (ingest, watch):
         writer.close()
         await writer.wait_closed()

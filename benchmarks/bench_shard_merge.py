@@ -34,9 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-import time
 
 if __package__ in (None, ""):  # script execution without PYTHONPATH=src
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -54,6 +52,7 @@ from repro.sketch.shard import STRATEGIES, partition_stream, shard_pair_counts
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
 from repro.util.sampling import BottomKSampler
+from rounds import Rounds
 
 
 def bench_merge_identity(stream, capacity):
@@ -109,35 +108,27 @@ def bench_exactness(graph, stream):
 
 
 def bench_scaling(graph, stream, sample_size, shard_counts, workers):
-    """Wall time per shard count, serial vs. pool; bit-identity asserted."""
+    """Wall time per shard count, serial vs. pool, in one paired round
+    after a warm-up (:mod:`rounds`); bit-identity asserted."""
     rows = []
     for n_shards in shard_counts:
-        start = time.perf_counter()
-        serial = run_sharded(
-            TwoPassTriangleCounter(sample_size=sample_size, seed=9, sharded=True),
-            stream,
-            n_shards,
-            workers=None,
-            merge_seed=1,
-        )
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
-        parallel = run_sharded(
-            TwoPassTriangleCounter(sample_size=sample_size, seed=9, sharded=True),
-            stream,
-            n_shards,
-            workers=workers,
-            merge_seed=1,
-        )
-        parallel_s = time.perf_counter() - start
+        rounds = Rounds(("serial", "parallel"), 1)
+        runs = {}
+        for arm in rounds:
+            algorithm = TwoPassTriangleCounter(sample_size=sample_size, seed=9, sharded=True)
+            with rounds.timed(arm):
+                runs[arm] = run_sharded(
+                    algorithm, stream, n_shards,
+                    workers=workers if arm == "parallel" else None, merge_seed=1,
+                )
         rows.append(
             {
                 "n_shards": n_shards,
-                "serial_seconds": serial_s,
-                "parallel_seconds": parallel_s,
-                "speedup": serial_s / parallel_s if parallel_s > 0 else None,
-                "peak_shard_space_words": parallel.peak_space_words,
-                "bit_identical": serial.estimate == parallel.estimate,
+                "serial_seconds": rounds.median("serial"),
+                "parallel_seconds": rounds.median("parallel"),
+                **rounds.ratio("speedup", "serial", "parallel"),
+                "peak_shard_space_words": runs["parallel"].peak_space_words,
+                "bit_identical": runs["serial"].estimate == runs["parallel"].estimate,
             }
         )
     return rows
@@ -146,10 +137,11 @@ def bench_scaling(graph, stream, sample_size, shard_counts, workers):
 def bench_dense(n, m, sample_size, repeats):
     """Warm serial vs. 2-worker pool on repeated runs over one dense stream.
 
-    One untimed run per schedule first (the serial path's graph memos,
-    the pool's fork and the stream's shared block), then ``repeats``
-    timed units of both counters per schedule, alternating; the medians
-    give ``pool_speedup``.
+    One unit runs both counters with 2 shards under one schedule.  The
+    units run in ``repeats`` warmed, alternating paired rounds
+    (:mod:`rounds`); the warm-up pays the serial path's graph memos, the
+    pool's fork and the stream's shared block.  ``pool_speedup`` is the
+    median of the rounds' own serial/pool time ratios.
     """
     graph = gnm_random_graph(n, m, seed=5)
     stream = AdjacencyListStream(graph, seed=6)
@@ -157,29 +149,24 @@ def bench_dense(n, m, sample_size, repeats):
         lambda: TwoPassTriangleCounter(sample_size=sample_size, seed=9, sharded=True),
         lambda: TwoPassFourCycleCounter(sample_size=sample_size, seed=9),
     )
-
-    def unit(workers):
-        start = time.perf_counter()
-        estimates = [run_sharded(make(), stream, 2, workers=workers).estimate
-                     for make in makers]
-        return time.perf_counter() - start, estimates
-
-    _, serial_estimates = unit(None)
-    _, pool_estimates = unit(2)
-    serial_s, pool_s = [], []
-    for _ in range(repeats):
-        serial_s.append(unit(None)[0])
-        pool_s.append(unit(2)[0])
-    serial_median = statistics.median(serial_s)
-    pool_median = statistics.median(pool_s)
+    rounds = Rounds(("serial", "pool"), repeats)
+    estimates = {}
+    for arm in rounds:
+        algorithms = [make() for make in makers]
+        workers = 2 if arm == "pool" else None
+        with rounds.timed(arm):
+            estimates[arm] = [
+                run_sharded(algorithm, stream, 2, workers=workers).estimate
+                for algorithm in algorithms
+            ]
     return {
         "n": n,
         "m": m,
-        "serial_seconds": serial_median,
-        "pool_seconds": pool_median,
-        "pool_speedup": serial_median / pool_median if pool_median > 0 else None,
+        "serial_seconds": rounds.median("serial"),
+        "pool_seconds": rounds.median("pool"),
+        **rounds.ratio("pool_speedup", "serial", "pool"),
         "effective_parallelism": min(2, os.cpu_count() or 1),
-        "bit_identical": serial_estimates == pool_estimates,
+        "bit_identical": estimates["serial"] == estimates["pool"],
     }
 
 

@@ -20,8 +20,9 @@ stream validation, snapshot/restore, bit-exact shard merge, anytime
 * :mod:`repro.serve.client` — ``ServeClient`` (TCP, multiplexing,
   binary-frame negotiation) and ``InProcessClient`` (same surface,
   no sockets);
-* :mod:`repro.serve.loadgen` — the load generator behind
-  ``benchmarks/bench_serve.py`` and the CI serve-gauntlet job.
+* :mod:`repro.serve.loadgen` — the session-fleet load generator behind
+  ``benchmarks/bench_serve.py``'s fleet run and the benchmark suite's
+  session-fleet workload.
 
 See ``docs/SERVING.md`` for the protocol and lifecycle reference.
 """

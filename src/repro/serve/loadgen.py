@@ -22,7 +22,6 @@ carry convergence verdicts without extra bookkeeping.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -34,13 +33,6 @@ from repro.graph.planted import planted_triangles
 from repro.obs.metrics import Histogram
 from repro.serve.client import InProcessClient, ServeClient, _ClientOps
 from repro.serve.manager import SessionManager
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    decode_binary_feed,
-    decode_frame,
-    encode_binary_feed,
-    encode_frame,
-)
 from repro.streaming.registry import get as get_spec
 from repro.streaming.runner import run_algorithm
 from repro.streaming.stream import AdjacencyListStream
@@ -50,12 +42,6 @@ __all__ = [
     "LoadResult",
     "run_load",
     "run_load_async",
-    "run_ingest_async",
-    "ingest_workload",
-    "INGEST_CHUNK_PAIRS",
-    "INGEST_ALGORITHM",
-    "INGEST_BUDGET",
-    "INGEST_SEED",
 ]
 
 
@@ -319,208 +305,3 @@ async def run_load_async(
 def run_load(**kwargs: Any) -> LoadResult:
     """Synchronous wrapper: one fresh event loop per load run."""
     return asyncio.run(run_load_async(**kwargs))
-
-
-async def _ingest_one_mode(
-    host: str,
-    port: int,
-    session_id: str,
-    frames: List[bytes],
-    n_pairs: int,
-    *,
-    algorithm: str,
-    budget: int,
-    seed: int,
-) -> float:
-    """Time one fully pipelined single-session ingest pass; return pairs/s.
-
-    Writes pre-encoded feed frames back-to-back (draining on transport
-    backpressure only) while a reader task consumes the responses — the
-    same pipelined window for both wire formats, so the comparison
-    measures server-side wire handling + ingest, not client encode cost
-    or round-trip stalls.
-    """
-    reader, writer = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
-
-    async def rpc(message: Dict[str, Any]) -> Dict[str, Any]:
-        writer.write(encode_frame(message))
-        await writer.drain()
-        response = json.loads(await reader.readline())
-        if not response.get("ok"):
-            raise RuntimeError(f"ingest setup failed: {response}")
-        return response
-
-    await rpc({"id": 0, "op": "hello", "binary": 1})
-    await rpc(
-        {
-            "id": 1,
-            "op": "open",
-            "session": session_id,
-            "algorithm": algorithm,
-            "budget": budget,
-            "seed": seed,
-        }
-    )
-
-    async def read_responses() -> None:
-        for _ in range(len(frames)):
-            response = json.loads(await reader.readline())
-            if not response.get("ok"):
-                raise RuntimeError(f"ingest feed failed: {response}")
-
-    begin = _clock()
-    responses = asyncio.ensure_future(read_responses())
-    for frame in frames:
-        writer.write(frame)
-        if writer.transport.get_write_buffer_size() > (1 << 20):
-            await writer.drain()
-    await writer.drain()
-    await responses
-    elapsed = _clock() - begin
-
-    await rpc({"id": 2, "op": "close", "session": session_id})
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionResetError, BrokenPipeError, OSError):
-        pass
-    return n_pairs / elapsed if elapsed > 0 else 0.0
-
-
-#: The dense ingest workload: a G(n, m) graph with average degree
-#: ``2m/n = 60``, fed in fixed-size chunks to one two-pass session.  The
-#: wire microbench (:func:`run_ingest_async`) and the serve bench's
-#: in-process session-vs-kernel comparison both run exactly this.
-INGEST_N_VERTICES = 2000
-INGEST_N_EDGES = 60_000
-INGEST_GRAPH_SEED = 17
-INGEST_STREAM_SEED = 23
-INGEST_CHUNK_PAIRS = 1024
-INGEST_ALGORITHM = "triangle-two-pass"
-INGEST_BUDGET = 64
-INGEST_SEED = 5
-
-
-def ingest_workload() -> Tuple[
-    AdjacencyListStream, List[Tuple[int, int]], np.ndarray, np.ndarray
-]:
-    """The ingest workload's ``(stream, pairs, srcs, dsts)``.
-
-    ``pairs`` is the stream's pair sequence; ``srcs``/``dsts`` are the
-    same pairs as ``uint64`` columns, the layout binary frames carry.
-    """
-    from repro.graph.generators import gnm_random_graph
-
-    graph = gnm_random_graph(INGEST_N_VERTICES, INGEST_N_EDGES, seed=INGEST_GRAPH_SEED)
-    stream = AdjacencyListStream(graph, seed=INGEST_STREAM_SEED)
-    pairs = list(stream.iter_pairs())
-    srcs = np.array([p[0] for p in pairs], dtype=np.uint64)
-    dsts = np.array([p[1] for p in pairs], dtype=np.uint64)
-    return stream, pairs, srcs, dsts
-
-
-async def run_ingest_async(
-    *, host: str, port: int, repeats: int = 2
-) -> Dict[str, Any]:
-    """The JSON-vs-binary ingest comparison (one session, one pass each).
-
-    Both modes ingest the *same* pair stream (:func:`ingest_workload`)
-    with the *same* chunking and pipelining against the same live
-    endpoint; only the wire format of the feed frames differs.  Returns
-    per-mode pairs/s (best of ``repeats``) and the speedup ratio the
-    bench gates on.
-
-    The stream is a dense G(n, m) graph (average degree ``2m/n``), so
-    adjacency lists are long enough for per-pair wire + validation cost
-    to dominate per-list algorithm overhead — the regime the binary
-    format exists for.  A sparse stream (degree ~2) measures per-list
-    kernel-call overhead instead, which both formats pay identically.
-    """
-    _, pairs, srcs, dsts = ingest_workload()
-    chunk_pairs = INGEST_CHUNK_PAIRS
-    algorithm, budget, seed = INGEST_ALGORITHM, INGEST_BUDGET, INGEST_SEED
-
-    json_frames: List[bytes] = []
-    binary_frames: List[bytes] = []
-    for index, start in enumerate(range(0, len(pairs), chunk_pairs)):
-        chunk = pairs[start : start + chunk_pairs]
-        json_frames.append(
-            encode_frame(
-                {
-                    "id": 100 + index,
-                    "op": "feed",
-                    "session": "ingest-json",
-                    "pairs": [[int(v), int(u)] for v, u in chunk],
-                }
-            )
-        )
-        binary_frames.append(
-            encode_binary_feed(
-                100 + index,
-                "ingest-binary",
-                srcs[start : start + len(chunk)],
-                dsts[start : start + len(chunk)],
-            )
-        )
-
-    json_rate = 0.0
-    binary_rate = 0.0
-    for _ in range(max(1, repeats)):
-        json_rate = max(
-            json_rate,
-            await _ingest_one_mode(
-                host, port, "ingest-json", json_frames, len(pairs),
-                algorithm=algorithm, budget=budget, seed=seed,
-            ),
-        )
-        binary_rate = max(
-            binary_rate,
-            await _ingest_one_mode(
-                host, port, "ingest-binary", binary_frames, len(pairs),
-                algorithm=algorithm, budget=budget, seed=seed,
-            ),
-        )
-    wire = _measure_wire_decode(json_frames, binary_frames, len(pairs))
-    return {
-        "pairs": len(pairs),
-        "chunk_pairs": chunk_pairs,
-        "algorithm": algorithm,
-        "json_pairs_per_second": json_rate,
-        "binary_pairs_per_second": binary_rate,
-        "binary_speedup": (binary_rate / json_rate) if json_rate > 0 else 0.0,
-        "json_bytes": sum(len(f) for f in json_frames),
-        "binary_bytes": sum(len(f) for f in binary_frames),
-        **wire,
-    }
-
-
-def _measure_wire_decode(
-    json_frames: List[bytes], binary_frames: List[bytes], n_pairs: int,
-    repeats: int = 3,
-) -> Dict[str, float]:
-    """Codec-layer comparison: frame bytes → usable feed payload.
-
-    This isolates what the binary format actually replaces — JSON parse
-    of a pairs array versus a header unpack plus ``np.frombuffer`` view —
-    with no session, validator, or estimator cost attached.  (End-to-end
-    feed throughput blends this with per-pair work both formats share,
-    which is why ``binary_speedup`` is far smaller than
-    ``wire_binary_speedup``.)
-    """
-    json_rate = 0.0
-    binary_rate = 0.0
-    for _ in range(max(1, repeats)):
-        begin = _clock()
-        for frame in json_frames:
-            message = decode_frame(frame.rstrip(b"\n"))
-            message["pairs"]
-        json_rate = max(json_rate, n_pairs / (_clock() - begin))
-        begin = _clock()
-        for frame in binary_frames:
-            decode_binary_feed(frame)
-        binary_rate = max(binary_rate, n_pairs / (_clock() - begin))
-    return {
-        "wire_json_decode_pairs_per_second": json_rate,
-        "wire_binary_decode_pairs_per_second": binary_rate,
-        "wire_binary_speedup": (binary_rate / json_rate) if json_rate > 0 else 0.0,
-    }
